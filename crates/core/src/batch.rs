@@ -1,9 +1,8 @@
 //! Columnar version batches and batched temporal operators.
 //!
-//! The scalar executor moves one version at a time through clip → filter →
-//! project. Batched execution instead moves a [`VersionBatch`] — a vector
-//! of versions with the tt/vt interval stamps held in *columns* — through
-//! each stage, so visibility filtering, valid-time clipping and the
+//! The executor moves a [`VersionBatch`] — a vector of versions with the
+//! tt/vt interval stamps held in *columns* — through clip → filter →
+//! project, so visibility filtering, valid-time clipping and the
 //! temporal operators (join, aggregation, coalescing) run as tight loops
 //! over plain `TimePoint` arrays instead of per-tuple virtual dispatch,
 //! and tuple grouping hashes compact byte keys instead of the display

@@ -23,12 +23,6 @@ pub struct DbConfig {
     /// [`crate::Database::materialize_all_parallel`] (`0` = available
     /// hardware parallelism; `1` = sequential).
     pub worker_threads: usize,
-    /// Whether the planner may answer `ASOF TT` statements through the
-    /// per-store transaction-time interval index. The index is always
-    /// *maintained*; this only gates the read path (the
-    /// `TCOM_DISABLE_TIME_INDEX` environment variable does the same from
-    /// outside).
-    pub time_index: bool,
     /// Commit stripes: write transactions lock the stripe of every atom
     /// type they touch (wait-die), so writers on disjoint stripes run
     /// concurrently (`0` = the default of 64; `1` = one global stripe,
@@ -38,16 +32,6 @@ pub struct DbConfig {
     /// (leader/follower group commit). Durability is identical either
     /// way; disabling forces one fsync per commit — the scaling baseline.
     pub group_commit: bool,
-    /// Whether the planner prices `ASOF TT` access paths from per-type
-    /// statistics (walk vs. time-slice, per store kind). Disabled, the old
-    /// rule applies: always take the time index when it's enabled — the
-    /// behavior E15 showed regresses on delta stores.
-    pub cost_model: bool,
-    /// Row-query executor batch size: pipeline stages move
-    /// [`crate::batch::VersionBatch`]es of up to this many versions.
-    /// `0` = tuple-at-a-time (the scalar baseline the equivalence suite
-    /// compares against).
-    pub batch_size: usize,
     /// Whether the background compactor ([`crate::Compactor::spawn`])
     /// tiers closed history out of the hot heaps into compressed immutable
     /// segment files. Manual compaction
@@ -69,11 +53,8 @@ impl Default for DbConfig {
             checkpoint_interval: 10_000,
             buffer_shards: 0,
             worker_threads: 0,
-            time_index: true,
             commit_stripes: 0,
             group_commit: true,
-            cost_model: true,
-            batch_size: 1024,
             compaction: false,
             compact_min_closed: 512,
             compact_interval_ms: 500,
@@ -118,13 +99,6 @@ impl DbConfig {
         self
     }
 
-    /// Builder-style: enables or disables the index-backed time-slice
-    /// access path.
-    pub fn time_index(mut self, enabled: bool) -> DbConfig {
-        self.time_index = enabled;
-        self
-    }
-
     /// Builder-style: sets the commit stripe count.
     pub fn commit_stripes(mut self, stripes: usize) -> DbConfig {
         self.commit_stripes = stripes;
@@ -134,18 +108,6 @@ impl DbConfig {
     /// Builder-style: enables or disables group commit.
     pub fn group_commit(mut self, enabled: bool) -> DbConfig {
         self.group_commit = enabled;
-        self
-    }
-
-    /// Builder-style: enables or disables the statistics-fed cost model.
-    pub fn cost_model(mut self, enabled: bool) -> DbConfig {
-        self.cost_model = enabled;
-        self
-    }
-
-    /// Builder-style: sets the executor batch size (`0` = scalar).
-    pub fn batch_size(mut self, size: usize) -> DbConfig {
-        self.batch_size = size;
         self
     }
 
@@ -203,11 +165,8 @@ mod tests {
             .checkpoint_interval(0)
             .buffer_shards(4)
             .worker_threads(2)
-            .time_index(false)
             .commit_stripes(8)
             .group_commit(false)
-            .cost_model(false)
-            .batch_size(16)
             .compaction(true)
             .compact_min_closed(32)
             .compact_interval_ms(50);
@@ -217,16 +176,10 @@ mod tests {
         assert_eq!(c.checkpoint_interval, 0);
         assert_eq!(c.buffer_shards, 4);
         assert_eq!(c.worker_threads, 2);
-        assert!(!c.time_index);
-        assert!(DbConfig::default().time_index);
         assert_eq!(c.commit_stripes, 8);
         assert_eq!(c.effective_commit_stripes(), 8);
         assert!(!c.group_commit);
         assert!(DbConfig::default().group_commit);
-        assert!(!c.cost_model);
-        assert!(DbConfig::default().cost_model);
-        assert_eq!(c.batch_size, 16);
-        assert_eq!(DbConfig::default().batch_size, 1024);
         assert!(c.compaction);
         assert!(!DbConfig::default().compaction);
         assert_eq!(c.compact_min_closed, 32);

@@ -963,7 +963,7 @@ impl Database {
 
     /// Index range scan over an indexed attribute's **current** values:
     /// returns atoms having a current version whose encoded attribute value
-    /// lies in `[lo_enc, hi_enc)`.
+    /// lies in `[lo_enc, hi_enc)`, each once, in ascending atom order.
     pub fn index_range(
         &self,
         ty: AtomTypeId,
@@ -971,21 +971,7 @@ impl Database {
         lo_enc: u64,
         hi_enc: u64,
     ) -> Result<Vec<AtomId>> {
-        let idx = self.index(ty, attr).ok_or_else(|| {
-            Error::query(format!(
-                "no index on attribute #{} of type #{}",
-                attr.0, ty.0
-            ))
-        })?;
-        self.read_stable(ty, || {
-            let mut out = Vec::new();
-            idx.scan_range(BKey::new(lo_enc, 0), BKey::new(hi_enc, 0), |k, _| {
-                out.push(AtomId::new(ty, AtomNo(k.lo)));
-                Ok(true)
-            })?;
-            out.dedup();
-            Ok(out)
-        })
+        self.index_scan(ty, attr, BKey::new(lo_enc, 0), BKey::new(hi_enc, 0))
     }
 
     /// Like [`Database::index_range`] but with an **inclusive** encoded
@@ -997,6 +983,11 @@ impl Database {
         lo_enc: u64,
         hi_enc: u64,
     ) -> Result<Vec<AtomId>> {
+        self.index_scan(ty, attr, BKey::min_for(lo_enc), BKey::max_for(hi_enc))
+    }
+
+    /// The atoms under the value-index keys `[lo, hi)`.
+    fn index_scan(&self, ty: AtomTypeId, attr: AttrId, lo: BKey, hi: BKey) -> Result<Vec<AtomId>> {
         let idx = self.index(ty, attr).ok_or_else(|| {
             Error::query(format!(
                 "no index on attribute #{} of type #{}",
@@ -1005,10 +996,13 @@ impl Database {
         })?;
         self.read_stable(ty, || {
             let mut out = Vec::new();
-            idx.scan_range(BKey::min_for(lo_enc), BKey::max_for(hi_enc), |k, _| {
+            idx.scan_range(lo, hi, |k, _| {
                 out.push(AtomId::new(ty, AtomNo(k.lo)));
                 Ok(true)
             })?;
+            // Index order is value order: an atom whose current versions
+            // hold several values in range shows up once per value, apart.
+            out.sort_unstable();
             out.dedup();
             Ok(out)
         })

@@ -8,10 +8,11 @@
 //!   [`Database::buffer_stats`] and via the metrics registry;
 //! * the page count reported by `EXPLAIN ANALYZE` equals the buffer-pool
 //!   miss delta observed around the statement, and the per-operator page
-//!   counts sum to exactly that total.
+//!   counts sum to exactly that total;
+//! * every `ASOF` statement answers the same with the time index forbidden.
 
 use tcom_core::{Database, DbConfig, StoreKind};
-use tcom_query::{run_statement, StatementOutput};
+use tcom_query::{execute_with, run_statement, ExecOptions, StatementOutput};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-diff-{}-{}", std::process::id(), name));
@@ -32,8 +33,24 @@ fn open(dir: &std::path::Path, kind: StoreKind) -> Database {
     .unwrap()
 }
 
+/// Runs one statement. The time index is an access path, never a source of
+/// truth: every `ASOF` query must also answer the same through the chain
+/// walk.
 fn run(db: &Database, sql: &str) -> StatementOutput {
-    run_statement(db, sql).unwrap_or_else(|e| panic!("statement failed: {sql}\n  {e}"))
+    let out = run_statement(db, sql).unwrap_or_else(|e| panic!("statement failed: {sql}\n  {e}"));
+    if let (StatementOutput::Query(planned), true) = (&out, sql.contains("ASOF")) {
+        let walk = ExecOptions {
+            no_time_index: true,
+            ..Default::default()
+        };
+        let walked = execute_with(db, sql, walk).unwrap();
+        assert_eq!(
+            format!("{planned:?}"),
+            format!("{walked:?}"),
+            "the time index changed the answer to {sql}"
+        );
+    }
+    out
 }
 
 /// Populates the E1-style university schema purely through TQL:

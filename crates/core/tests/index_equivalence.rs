@@ -88,15 +88,10 @@ fn both_access_paths_agree_on_every_slice() {
         queries.push("SELECT name FROM emp WHERE salary > 101 ASOF TT 20".into());
         queries.push("SELECT name, grade FROM emp ASOF TT 6 LIMIT 2".into());
 
-        // CI re-runs this suite with the index's read path disabled from
-        // the environment; then both "paths" are the walk and the planner
-        // expectation flips.
-        let env_disabled = std::env::var_os("TCOM_DISABLE_TIME_INDEX").is_some();
         for sql in &queries {
             let p = prepare_with(&db, sql, force).unwrap();
-            assert_eq!(
+            assert!(
                 matches!(p.access, AccessPath::TimeSlice { .. }),
-                !env_disabled,
                 "[{kind}] unexpected plan for {sql}: {:?}",
                 p.access
             );
@@ -158,31 +153,16 @@ fn paths_agree_after_cold_reopen() {
     }
 }
 
-/// `DbConfig::time_index(false)` disables the read path database-wide, and
-/// `ASOF TT FOREVER` still equals the current state either way.
+/// `ASOF TT FOREVER` equals the current state, on a reopened database too.
 #[test]
-fn config_gate_and_forever_semantics() {
+fn forever_semantics() {
     for kind in KINDS {
         let dir = tmpdir(&format!("gate-{kind}"));
         {
             let db = open(&dir, kind);
             populate(&db, 4);
         }
-        let db = Database::open(
-            &dir,
-            DbConfig::default()
-                .store_kind(kind)
-                .buffer_frames(256)
-                .checkpoint_interval(0)
-                .time_index(false),
-        )
-        .unwrap();
-        let p = prepare_with(&db, "SELECT * FROM emp ASOF TT 5", ExecOptions::default()).unwrap();
-        assert!(
-            !matches!(p.access, AccessPath::TimeSlice { .. }),
-            "[{kind}] config gate ignored: {:?}",
-            p.access
-        );
+        let db = open(&dir, kind);
         // FOREVER ≡ current state, independent of access path.
         let StatementOutput::Query(now) = run_statement(&db, "SELECT * FROM emp").unwrap() else {
             panic!("expected rows")

@@ -7,7 +7,7 @@ use tcom_core::algebra::AggStep;
 use tcom_core::batch::{aggregate_batch, coalesce_batch, join_batches, value_integral};
 use tcom_core::{Database, Molecule, ReadView, Txn, VersionBatch};
 use tcom_kernel::{AtomId, AttrId, DataType, Error, Interval, Result, TimePoint, Tuple, Value};
-use tcom_storage::keys::encode_value;
+use tcom_storage::keys::{encode_float, encode_int, encode_text_prefix};
 use tcom_version::record::AtomVersion;
 
 /// Clamps a statement's `ASOF TT` point to the pinned view: `FOREVER` and
@@ -102,26 +102,19 @@ pub enum AccessPath {
     },
 }
 
-/// Execution options (benchmark hooks).
+/// Per-statement plan hints. They are the only gate on the plan besides
+/// the cost model: the access-path equivalence suites and the E7/E15/E18
+/// experiments use the forced paths as references.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
     /// Forbid index use (forces directory scans) — the E7 baseline.
     pub force_scan: bool,
     /// Forbid the transaction-time interval index for `ASOF TT` statements
-    /// (forces per-atom chain walks). The `TCOM_DISABLE_TIME_INDEX`
-    /// environment variable and the `DbConfig::time_index` knob have the
-    /// same effect; this option exists so one process can compare both
-    /// access paths without mutating global state.
+    /// (forces per-atom chain walks).
     pub no_time_index: bool,
     /// Force the time-index slice for `ASOF TT` row queries even when the
-    /// cost model prices the walk cheaper (measurement hook: the E15/E18
-    /// experiments drive both paths explicitly). The enablement gates
-    /// above still apply.
+    /// cost model prices the walk cheaper.
     pub force_time_index: bool,
-    /// Executor batch-size override: `Some(0)` forces the tuple-at-a-time
-    /// scalar path, `Some(n)` pipelines `VersionBatch`es of up to `n`
-    /// rows, `None` uses [`tcom_core::DbConfig::batch_size`].
-    pub batch_size: Option<usize>,
 }
 
 /// One operator's measurements in an [`ExplainReport`].
@@ -205,13 +198,83 @@ impl ExplainReport {
     }
 }
 
-/// Runs `f` and returns `(value, elapsed_us, pool-miss delta)`.
-fn measured<T>(db: &Database, f: impl FnOnce() -> Result<T>) -> Result<(T, u64, u64)> {
-    let misses0 = db.buffer_stats().misses;
-    let t0 = std::time::Instant::now();
-    let v = f()?;
-    let elapsed_us = t0.elapsed().as_micros() as u64;
-    Ok((v, elapsed_us, db.buffer_stats().misses - misses0))
+/// What one stage of a run did. Plain integers, filled on every run: the
+/// sampling is a clock read and a handful of relaxed counter loads.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Stage {
+    /// Rows (candidates / versions / result items) the stage produced.
+    rows: u64,
+    /// Wall-clock time, microseconds.
+    us: u64,
+    /// Buffer-pool misses.
+    pages: u64,
+    /// Segments scanned / skipped on their fences. Only access stages
+    /// carry these, and for a single-source statement they span the
+    /// consumer too: the time slice merges archived versions while
+    /// enumerating, the scan path while the consumer fetches — either way
+    /// the reads belong to the statement's access of the type.
+    segs_read: u64,
+    segs_skipped: u64,
+}
+
+/// The record of one run: the access stage(s) in source order, then the
+/// consumer. [`Prepared::report`] renders it as an [`ExplainReport`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RunRecord {
+    /// One access stage per source (two for joins).
+    access: [Stage; 2],
+    consumer: Stage,
+    total_us: u64,
+}
+
+/// Closes stages back to back from the start of the run, so their page
+/// counts sum exactly to the run's pool-miss delta. Page attribution
+/// relies on the statement running single-threaded; concurrent writers
+/// would bleed their misses in.
+struct Meter<'a> {
+    db: &'a Database,
+    t0: std::time::Instant,
+    lap: std::time::Instant,
+    misses: u64,
+}
+
+impl<'a> Meter<'a> {
+    fn start(db: &'a Database) -> Meter<'a> {
+        let t0 = std::time::Instant::now();
+        Meter {
+            db,
+            t0,
+            lap: t0,
+            misses: db.buffer_stats().misses,
+        }
+    }
+
+    /// Closes the stage running since the previous call.
+    fn stage(&mut self, rows: usize) -> Stage {
+        let (now, misses) = (std::time::Instant::now(), self.db.buffer_stats().misses);
+        let stage = Stage {
+            rows: rows as u64,
+            us: (now - self.lap).as_micros() as u64,
+            pages: misses - self.misses,
+            ..Stage::default()
+        };
+        (self.lap, self.misses) = (now, misses);
+        stage
+    }
+
+    /// A type's segment `(read, skipped)` counters, for before/after deltas.
+    fn segs(&self, ty: tcom_kernel::AtomTypeId) -> (u64, u64) {
+        self.db.segment_counters(ty).unwrap_or((0, 0))
+    }
+}
+
+impl Stage {
+    /// Attributes the segment-counter movement since `before` to this stage.
+    fn with_segs(mut self, before: (u64, u64), after: (u64, u64)) -> Stage {
+        self.segs_read = after.0.saturating_sub(before.0);
+        self.segs_skipped = after.1.saturating_sub(before.1);
+        self
+    }
 }
 
 /// Output of the access-path stage: atom ids to fetch from, or — on the
@@ -249,13 +312,8 @@ impl Candidates {
 /// keep their committed versions and stamps. Overlay versions carry
 /// a provisional transaction time of `[view.tt + 1, ∞)` — strictly after
 /// everything the pinned snapshot can see, where the commit would land at
-/// the earliest.
-///
-/// The overlay applies only to *current-state* row-shaped consumers
-/// (`*` / projections / `COALESCE` / aggregates without `ASOF TT`).
-/// Time-travel queries read committed state by definition (the
-/// transaction has no transaction time yet), and `HISTORY`, `MOLECULE`
-/// and join queries intentionally stay committed-only.
+/// the earliest. [`Prepared::overlay_in_scope`] says which statements get
+/// one.
 struct Overlay<'a, 'db> {
     txn: &'a Txn<'db>,
     /// Provisional transaction-time stamp for overlay versions.
@@ -277,6 +335,9 @@ impl Overlay<'_, '_> {
     }
 }
 
+/// Capacity of the rows consumer's [`VersionBatch`].
+const BATCH_ROWS: usize = 1024;
+
 /// A fully analyzed, executable query.
 pub struct Prepared {
     query: Query,
@@ -295,8 +356,6 @@ pub struct Prepared {
     pub access: AccessPath,
     /// Cost-model page estimate of the chosen access path, when priced.
     pub est_pages: Option<u64>,
-    /// Resolved executor batch size (`0` = scalar).
-    batch_size: usize,
 }
 
 /// The analyzed right side of a join query.
@@ -321,7 +380,7 @@ pub fn prepare(db: &Database, text: &str) -> Result<Prepared> {
 /// [`prepare`] with options.
 pub fn prepare_with(db: &Database, text: &str, opts: ExecOptions) -> Result<Prepared> {
     let query = crate::parser::parse(text)?;
-    analyze(db, query, opts)
+    prepare_query(db, query, opts)
 }
 
 /// Parses, plans and executes in one step.
@@ -333,12 +392,6 @@ pub fn execute(db: &Database, text: &str) -> Result<QueryOutput> {
 pub fn execute_with(db: &Database, text: &str, opts: ExecOptions) -> Result<QueryOutput> {
     let p = prepare_with(db, text, opts)?;
     p.run(db)
-}
-
-/// Plans an already-parsed query (the `EXPLAIN ANALYZE` statement path,
-/// which parses the prefix itself before handing the query over).
-pub fn prepare_query(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
-    analyze(db, query, opts)
 }
 
 /// Parses (accepting an optional `EXPLAIN ANALYZE` prefix), plans, executes
@@ -354,15 +407,16 @@ pub fn explain_analyze_with(
     text: &str,
     opts: ExecOptions,
 ) -> Result<(QueryOutput, ExplainReport)> {
-    let (_, query) = crate::parser::parse_maybe_explain(text)?;
-    let p = analyze(db, query, opts)?;
-    p.run_explain(db)
+    let (query, _) = crate::parser::parse_statement(text)?
+        .into_query()
+        .map_err(|_| Error::unsupported("EXPLAIN ANALYZE supports only SELECT statements"))?;
+    prepare_query(db, query, opts)?.run_explain(db)
 }
 
-fn analyze(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
-    let batch_size = opts.batch_size.unwrap_or(db.config().batch_size);
+/// Analyzes and plans an already-parsed query against `db`'s catalog.
+pub fn prepare_query(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
     if query.join.is_some() {
-        return analyze_join(db, query, opts, batch_size);
+        return analyze_join(db, query, opts);
     }
     // Resolve the source: molecule queries name a molecule type; everything
     // else names an atom type.
@@ -428,8 +482,8 @@ fn analyze(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
     // targets the *current* state (value indexes cover current versions
     // only — so time-travel and HISTORY queries must scan) and a top-level
     // AND conjunct compares an indexed attribute to an encodable literal.
-    // Time-travel row queries (`ASOF TT`) instead go through the store's
-    // transaction-time interval index, unless one of the gates disables it.
+    // Time-travel row queries (`ASOF TT`) are instead priced between the
+    // chain walk and the store's transaction-time interval index.
     let mut access = AccessPath::Scan;
     if !opts.force_scan && query.asof_tt.is_none() && query.targets != Targets::History {
         if let Some(filter) = &query.filter {
@@ -444,10 +498,8 @@ fn analyze(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
             query.targets,
             Targets::All | Targets::Projs(_) | Targets::Coalesce(_) | Targets::Aggregate { .. }
         );
-        if row_like && time_index_enabled(db, opts) {
-            let (a, est) = plan_asof(db, &type_def, tt, opts);
-            access = a;
-            est_pages = est;
+        if row_like {
+            (access, est_pages) = plan_asof(db, &type_def, tt, opts)?;
         }
     }
     Ok(Prepared {
@@ -459,45 +511,38 @@ fn analyze(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
         join: None,
         access,
         est_pages,
-        batch_size,
     })
 }
 
-/// Prices the two `ASOF TT` access paths for one atom type and picks the
-/// cheaper. Falls back to the pre-cost-model always-slice rule when the
-/// model is disabled, forced, or statistics are unavailable.
+/// The one gate on an `ASOF TT` plan: a per-statement hint pins the path,
+/// otherwise the cost model prices the chain walk against the time-index
+/// slice from the type's statistics and takes the cheaper. Only priced
+/// plans carry a page estimate.
 fn plan_asof(
     db: &Database,
     def: &AtomTypeDef,
     tt: TimePoint,
     opts: ExecOptions,
-) -> (AccessPath, Option<u64>) {
-    if opts.force_time_index || !db.config().cost_model {
-        return (AccessPath::TimeSlice { tt }, None);
+) -> Result<(AccessPath, Option<u64>)> {
+    if opts.force_scan || opts.no_time_index {
+        return Ok((AccessPath::Scan, None));
     }
-    match db.type_stats(def.id) {
-        Ok(stats) => {
-            let costs = crate::cost::asof_costs(&stats, tt, db.now());
-            let access = if costs.use_slice {
-                AccessPath::TimeSlice { tt }
-            } else {
-                AccessPath::Scan
-            };
-            (access, Some(costs.est_pages))
-        }
-        Err(_) => (AccessPath::TimeSlice { tt }, None),
+    if opts.force_time_index {
+        return Ok((AccessPath::TimeSlice { tt }, None));
     }
+    let costs = crate::cost::asof_costs(&db.type_stats(def.id)?, tt, db.now());
+    let access = if costs.use_slice {
+        AccessPath::TimeSlice { tt }
+    } else {
+        AccessPath::Scan
+    };
+    Ok((access, Some(costs.est_pages)))
 }
 
 /// Analysis of join queries: resolves both sides, concatenates their defs
 /// under flattened `alias.attr` names, rewrites every attribute reference
 /// to those names, and plans an access path per side.
-fn analyze_join(
-    db: &Database,
-    query: Query,
-    opts: ExecOptions,
-    batch_size: usize,
-) -> Result<Prepared> {
+fn analyze_join(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepared> {
     let join = query.join.clone().expect("caller checked");
     if !matches!(query.targets, Targets::All | Targets::Projs(_)) {
         return Err(Error::query(
@@ -584,11 +629,11 @@ fn analyze_join(
         .transpose()?;
 
     let ((access, est_pages), (right_access, right_est)) = match query.asof_tt {
-        Some(tt) if time_index_enabled(db, opts) => (
-            plan_asof(db, &left_def, tt, opts),
-            plan_asof(db, &right_def, tt, opts),
+        Some(tt) => (
+            plan_asof(db, &left_def, tt, opts)?,
+            plan_asof(db, &right_def, tt, opts)?,
         ),
-        _ => ((AccessPath::Scan, None), (AccessPath::Scan, None)),
+        None => ((AccessPath::Scan, None), (AccessPath::Scan, None)),
     };
     Ok(Prepared {
         targets,
@@ -606,7 +651,6 @@ fn analyze_join(
         }),
         access,
         est_pages,
-        batch_size,
     })
 }
 
@@ -663,30 +707,24 @@ fn candidates_for(
     }
 }
 
-/// The rendered access operator of one side. `segs` is the statement's
-/// `(segments read, fence-skipped)` delta for the side's type: zero both
-/// before the compactor ever runs, in which case the detail string is
-/// byte-identical to the un-tiered output.
-#[allow(clippy::too_many_arguments)]
+/// Renders one access stage. The segment counts are zero until the
+/// compactor has run, in which case the detail string is byte-identical to
+/// the un-tiered output.
 fn access_op_report(
     access: &AccessPath,
     def: &AtomTypeDef,
-    rows: u64,
-    elapsed_us: u64,
-    pages_read: u64,
     est_pages: Option<u64>,
-    depth: usize,
-    segs: (u64, u64),
+    stage: &Stage,
 ) -> OpReport {
     let (name, mut detail) = match access {
-        AccessPath::Scan => ("Scan".to_string(), format!("type={}", def.name)),
+        AccessPath::Scan => ("Scan", format!("type={}", def.name)),
         AccessPath::IndexRange { attr, lo, hi } => {
             let aname = def
                 .attrs
                 .get(attr.0 as usize)
                 .map_or("?", |a| a.name.as_str());
             (
-                "IndexProbe".to_string(),
+                "IndexProbe",
                 format!("attr={}.{aname} range=[{lo}, {hi}]", def.name),
             )
         }
@@ -696,33 +734,24 @@ fn access_op_report(
             } else {
                 tt.0.to_string()
             };
-            (
-                "TimeSliceScan".to_string(),
-                format!("type={} tt={at}", def.name),
-            )
+            ("TimeSliceScan", format!("type={} tt={at}", def.name))
         }
     };
-    if segs.0 > 0 || segs.1 > 0 {
-        detail.push_str(&format!(", segs read={} skipped={}", segs.0, segs.1));
+    if stage.segs_read > 0 || stage.segs_skipped > 0 {
+        detail.push_str(&format!(
+            ", segs read={} skipped={}",
+            stage.segs_read, stage.segs_skipped
+        ));
     }
     OpReport {
-        name,
+        name: name.to_string(),
         detail,
-        rows,
-        elapsed_us,
-        pages_read,
-        depth,
+        rows: stage.rows,
+        elapsed_us: stage.us,
+        pages_read: stage.pages,
+        depth: 1,
         est_pages,
     }
-}
-
-/// All four gates on the index-backed time-slice path: the per-statement
-/// options, the database config, and the process environment.
-fn time_index_enabled(db: &Database, opts: ExecOptions) -> bool {
-    !opts.force_scan
-        && !opts.no_time_index
-        && db.config().time_index
-        && std::env::var_os("TCOM_DISABLE_TIME_INDEX").is_none()
 }
 
 fn validate_expr(
@@ -762,43 +791,55 @@ fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef) -> Option<AccessPath> {
                 (Operand::Lit(v), Operand::Attr { attr, .. }) => (attr, flip(*op), v),
                 _ => return None,
             };
-            let (attr_id, def) = ty.attr_by_name(attr_name)?;
+            let (attr, def) = ty.attr_by_name(attr_name)?;
             if !def.indexed {
                 return None;
             }
-            let enc = encode_value(lit)?;
-            let path = match op {
-                CmpOp::Eq => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc,
-                    hi: enc,
-                },
-                CmpOp::Lt => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: 0,
-                    hi: enc.checked_sub(1)?,
-                },
-                CmpOp::Le => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: 0,
-                    hi: enc,
-                },
-                CmpOp::Gt => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc.checked_add(1)?,
-                    hi: u64::MAX,
-                },
-                CmpOp::Ge => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc,
-                    hi: u64::MAX,
-                },
-                CmpOp::Ne => return None,
-            };
-            Some(path)
+            let (lo, hi) = probe_range(def.ty, op, lit)?;
+            Some(AccessPath::IndexRange { attr, lo, hi })
         }
         _ => None,
     }
+}
+
+/// The inclusive encoded key range holding every value `v` of the declared
+/// type `ty` with `v <op> lit`, or `None` when the index cannot answer
+/// (the caller scans). The index is keyed by the *attribute's* encoding,
+/// so the literal must encode in that type: an INT literal coerces for a
+/// FLOAT attribute exactly as the filter's numeric comparison does; any
+/// other mismatch scans. The range may over-approximate — the consumer
+/// re-applies the filter — but never under-approximates.
+fn probe_range(ty: DataType, op: CmpOp, lit: &Value) -> Option<(u64, u64)> {
+    // `[eq_lo, eq_hi]` are the encodings of the values equal to the
+    // literal; `strict` says whether stepping past them excludes only
+    // those.
+    let point = |enc: u64, strict: bool| (enc, enc, strict);
+    let float = |f: f64| {
+        if f == 0.0 {
+            // The two zeroes compare equal but encode apart.
+            (encode_float(-0.0), encode_float(0.0), true)
+        } else {
+            point(encode_float(f), true)
+        }
+    };
+    let (eq_lo, eq_hi, strict) = match (ty, lit) {
+        (DataType::Bool, Value::Bool(b)) => point(*b as u64, true),
+        (DataType::Int, Value::Int(i)) => point(encode_int(*i), true),
+        (DataType::Float, Value::Int(i)) => float(*i as f64),
+        (DataType::Float, Value::Float(f)) => float(*f),
+        // The 8-byte prefix encoding is not injective: strings on either
+        // side of the literal can share its key.
+        (DataType::Text, Value::Text(s)) => point(encode_text_prefix(s), false),
+        _ => return None,
+    };
+    Some(match op {
+        CmpOp::Eq => (eq_lo, eq_hi),
+        CmpOp::Lt if strict => (0, eq_lo.checked_sub(1)?),
+        CmpOp::Lt | CmpOp::Le => (0, eq_hi),
+        CmpOp::Gt if strict => (eq_hi.checked_add(1)?, u64::MAX),
+        CmpOp::Gt | CmpOp::Ge => (eq_lo, u64::MAX),
+        CmpOp::Ne => return None,
+    })
 }
 
 fn flip(op: CmpOp) -> CmpOp {
@@ -881,28 +922,40 @@ impl Prepared {
     /// never blocks on a committing writer and never observes a commit
     /// that publishes mid-statement.
     pub fn run(&self, db: &Database) -> Result<QueryOutput> {
-        let view = db.pin_view(self.type_def.id);
-        if self.join.is_some() {
-            return self.run_join(db, &view);
-        }
-        match &self.targets {
-            Targets::Molecule => self.run_molecules(db, &view),
-            Targets::History => self.run_histories(db, &view),
-            Targets::Coalesce(_) => {
-                let candidates = self.candidates(db, &view)?;
-                self.coalesce_from_candidates(db, &view, candidates, None)
-            }
-            Targets::Aggregate { .. } => {
-                let candidates = self.candidates(db, &view)?;
-                self.aggregate_from_candidates(db, &view, candidates, None)
-            }
-            _ => self.run_rows(db, &view),
-        }
+        Ok(self.execute(db, None)?.0)
     }
 
-    /// True when an in-transaction run would consult the transaction's
-    /// overlay (see [`Overlay`] for the exact scope).
-    fn overlay_applies(&self) -> bool {
+    /// [`Prepared::run`] with read-your-writes against an open
+    /// transaction: atoms the transaction wrote (or created) are read
+    /// from its overlay instead of committed state, for the statements
+    /// DESIGN §13.2 puts in the overlay's scope; the rest read committed
+    /// state.
+    pub fn run_in_txn(&self, db: &Database, txn: &Txn<'_>) -> Result<QueryOutput> {
+        Ok(self.execute(db, Some(txn))?.0)
+    }
+
+    /// [`Prepared::run`], also rendering the run's stage record as an
+    /// `EXPLAIN ANALYZE` report.
+    pub fn run_explain(&self, db: &Database) -> Result<(QueryOutput, ExplainReport)> {
+        let (out, record) = self.execute(db, None)?;
+        Ok((out, self.report(&record)))
+    }
+
+    /// [`Prepared::run_in_txn`], also rendering the run's stage record.
+    pub fn run_explain_in_txn(
+        &self,
+        db: &Database,
+        txn: &Txn<'_>,
+    ) -> Result<(QueryOutput, ExplainReport)> {
+        let (out, record) = self.execute(db, Some(txn))?;
+        Ok((out, self.report(&record)))
+    }
+
+    /// The overlay's scope (DESIGN §13.2): *current-state* row-shaped
+    /// consumers. Time-travel queries read committed state by definition
+    /// (the transaction has no transaction time yet); `HISTORY`,
+    /// `MOLECULE` and join queries stay committed-only.
+    fn overlay_in_scope(&self) -> bool {
         self.query.asof_tt.is_none()
             && self.join.is_none()
             && matches!(
@@ -911,86 +964,69 @@ impl Prepared {
             )
     }
 
-    /// Executes the prepared query with read-your-writes against an open
-    /// transaction: atoms the transaction touched (or created) are read
-    /// from its overlay instead of committed state. Queries outside the
-    /// overlay's scope (`ASOF TT`, `HISTORY`, `MOLECULE`, joins) run with
-    /// committed-only semantics, identical to [`Prepared::run`].
-    pub fn run_in_txn(&self, db: &Database, txn: &Txn<'_>) -> Result<QueryOutput> {
-        if !self.overlay_applies() {
-            return self.run(db);
-        }
-        let view = db.pin_view(self.type_def.id);
-        let ov = Overlay {
-            txn,
-            tt: Interval::from_start(TimePoint(view.tt.0 + 1)),
-        };
-        let candidates = self.candidates_with(db, &view, Some(&ov))?;
-        match &self.targets {
-            Targets::Coalesce(_) => self.coalesce_from_candidates(db, &view, candidates, Some(&ov)),
-            Targets::Aggregate { .. } => {
-                self.aggregate_from_candidates(db, &view, candidates, Some(&ov))
-            }
-            _ => self.rows_from_candidates(db, &view, candidates, Some(&ov)),
-        }
-    }
-
-    /// [`Prepared::run_explain`] with read-your-writes against an open
-    /// transaction (same overlay scope as [`Prepared::run_in_txn`]).
-    pub fn run_explain_in_txn(
+    /// The one execution path: access stage(s), then one consumer, each
+    /// closed into the run's stage record. `txn` supplies the overlay for
+    /// statements in its scope; every other statement, and every run
+    /// without a transaction, reads committed state at the pinned view.
+    pub(crate) fn execute(
         &self,
         db: &Database,
-        txn: &Txn<'_>,
-    ) -> Result<(QueryOutput, ExplainReport)> {
-        if !self.overlay_applies() {
-            return self.run_explain(db);
-        }
-        let misses0 = db.buffer_stats().misses;
-        let t0 = std::time::Instant::now();
+        txn: Option<&Txn<'_>>,
+    ) -> Result<(QueryOutput, RunRecord)> {
+        let mut meter = Meter::start(db);
+        let mut record = RunRecord::default();
         let view = db.pin_view(self.type_def.id);
-        let ov = Overlay {
+        let ov = txn.filter(|_| self.overlay_in_scope()).map(|txn| Overlay {
             txn,
             tt: Interval::from_start(TimePoint(view.tt.0 + 1)),
+        });
+        let ov = ov.as_ref();
+        let out = if let Some(j) = &self.join {
+            // Each side's access stage fetches and clips its versions, so
+            // the stage's rows are versions and its pages the side's I/O.
+            let mut side = |def: &AtomTypeDef, access: &AccessPath| -> Result<_> {
+                let segs = meter.segs(def.id);
+                let candidates = candidates_for(db, &view, def, access)?;
+                let batch = self.batch_from_candidates(db, &view, candidates, None)?;
+                let stage = meter.stage(batch.len());
+                Ok((batch, stage.with_segs(segs, meter.segs(def.id))))
+            };
+            let (left, left_stage) = side(&j.left_def, &self.access)?;
+            let (right, right_stage) = side(&j.right_def, &j.right_access)?;
+            record.access = [left_stage, right_stage];
+            self.rows_from_batch(&join_batches(&left, &right, j.left_key, j.right_key))
+        } else {
+            let ty = self.type_def.id;
+            let segs = meter.segs(ty);
+            let candidates = self.candidates(db, &view, ov)?;
+            let access = meter.stage(candidates.len());
+            let out = match &self.targets {
+                Targets::Molecule => {
+                    self.molecules_from_candidates(db, &view, candidates.into_atoms())?
+                }
+                Targets::History => {
+                    self.histories_from_candidates(db, &view, candidates.into_atoms())?
+                }
+                Targets::Coalesce(_) => self.coalesce_from_candidates(db, &view, candidates, ov)?,
+                Targets::Aggregate { func, attr } => {
+                    self.aggregate_from_candidates(db, &view, candidates, ov, *func, attr.as_ref())?
+                }
+                Targets::All | Targets::Projs(_) => {
+                    self.rows_from_candidates(db, &view, candidates, ov)?
+                }
+            };
+            record.access[0] = access.with_segs(segs, meter.segs(ty));
+            out
         };
-        self.explain_with(db, &view, Some(&ov), misses0, t0)
+        record.consumer = meter.stage(out.len());
+        record.total_us = meter.t0.elapsed().as_micros() as u64;
+        Ok((out, record))
     }
 
-    /// Executes the prepared query with per-operator instrumentation.
-    ///
-    /// The statement runs in two sequential stages — the access path
-    /// (candidate enumeration), then the consuming operator (version
-    /// fetch + filter + project / materialize / history assembly) — each
-    /// measured for rows, wall-clock time and buffer-pool misses.
-    /// Page attribution relies on the statement running single-threaded;
-    /// concurrent writers would bleed their misses into the deltas.
-    pub fn run_explain(&self, db: &Database) -> Result<(QueryOutput, ExplainReport)> {
-        let misses0 = db.buffer_stats().misses;
-        let t0 = std::time::Instant::now();
-        let view = db.pin_view(self.type_def.id);
-        if self.join.is_some() {
-            return self.run_explain_join(db, &view, misses0, t0);
-        }
-        self.explain_with(db, &view, None, misses0, t0)
-    }
-
-    /// The non-join instrumented path, parameterized over an optional
-    /// in-transaction overlay (always `None` for `MOLECULE` / `HISTORY`
-    /// targets — they stay committed-only).
-    fn explain_with(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        ov: Option<&Overlay<'_, '_>>,
-        misses0: u64,
-        t0: std::time::Instant,
-    ) -> Result<(QueryOutput, ExplainReport)> {
-        let segs0 = db.segment_counters(self.type_def.id).unwrap_or((0, 0));
-        let (candidates, acc_us, acc_pages) = measured(db, || self.candidates_with(db, view, ov))?;
-        let n_candidates = candidates.len() as u64;
-
-        // Filter/limit suffix of a row-consumer's detail string.
-        let fl_detail = |prefix: String| {
-            let mut detail = prefix;
+    /// Renders a run's stage record as the `EXPLAIN ANALYZE` operator
+    /// tree: the consumer at the root, the access stage(s) beneath it.
+    pub(crate) fn report(&self, record: &RunRecord) -> ExplainReport {
+        let filter_limit = |mut detail: String| {
             if let Some(f) = &self.filter {
                 if !detail.is_empty() {
                     detail.push_str(", ");
@@ -1005,194 +1041,69 @@ impl Prepared {
             }
             detail
         };
-
-        let (root_name, root_detail, out, root_us, root_pages) = match &self.targets {
-            Targets::Molecule => {
-                let (out, us, pages) = measured(db, || {
-                    self.molecules_from_candidates(db, view, candidates.into_atoms())
-                })?;
-                (
-                    "Materialize",
-                    format!("molecule={}", self.query.source),
-                    out,
-                    us,
-                    pages,
-                )
-            }
-            Targets::History => {
-                let (out, us, pages) = measured(db, || {
-                    self.histories_from_candidates(db, view, candidates.into_atoms())
-                })?;
-                (
-                    "History",
-                    format!("type={}", self.query.source),
-                    out,
-                    us,
-                    pages,
-                )
-            }
-            Targets::Coalesce(_) => {
-                let (out, us, pages) = measured(db, || {
-                    self.coalesce_from_candidates(db, view, candidates, ov)
-                })?;
-                ("Coalesce", fl_detail(String::new()), out, us, pages)
-            }
-            Targets::Aggregate { .. } => {
-                let (out, us, pages) = measured(db, || {
-                    self.aggregate_from_candidates(db, view, candidates, ov)
-                })?;
-                (
-                    "Aggregate",
-                    fl_detail(format!("agg={}", self.targets)),
-                    out,
-                    us,
-                    pages,
-                )
-            }
-            _ => {
-                let (out, us, pages) =
-                    measured(db, || self.rows_from_candidates(db, view, candidates, ov))?;
-                ("Select", fl_detail(String::new()), out, us, pages)
-            }
-        };
-
-        // Segment accounting spans both stages: the access path may merge
-        // archived versions while enumerating (time slice), the consumer
-        // while fetching (scan path) — either way the reads belong to
-        // this statement's access of the type.
-        let segs1 = db.segment_counters(self.type_def.id).unwrap_or((0, 0));
-        let seg_delta = (
-            segs1.0.saturating_sub(segs0.0),
-            segs1.1.saturating_sub(segs0.1),
-        );
-        let ops = vec![
-            OpReport {
-                name: root_name.to_string(),
-                detail: root_detail,
-                rows: out.len() as u64,
-                elapsed_us: root_us,
-                pages_read: root_pages,
-                depth: 0,
-                est_pages: None,
-            },
-            access_op_report(
-                &self.access,
-                &self.type_def,
-                n_candidates,
-                acc_us,
-                acc_pages,
-                self.est_pages,
-                1,
-                seg_delta,
+        let (name, detail) = match (&self.query.join, &self.targets) {
+            (Some(jc), _) => (
+                "TemporalJoin",
+                filter_limit(format!("on {} = {}", jc.on_left, jc.on_right)),
             ),
-        ];
-        let report = ExplainReport {
-            query: self.query.to_string(),
-            ops,
-            total_elapsed_us: t0.elapsed().as_micros() as u64,
-            total_pages_read: db.buffer_stats().misses - misses0,
+            (None, Targets::Molecule) => ("Materialize", format!("molecule={}", self.query.source)),
+            (None, Targets::History) => ("History", format!("type={}", self.query.source)),
+            (None, Targets::Coalesce(_)) => ("Coalesce", filter_limit(String::new())),
+            (None, Targets::Aggregate { .. }) => {
+                ("Aggregate", filter_limit(format!("agg={}", self.targets)))
+            }
+            (None, Targets::All | Targets::Projs(_)) => ("Select", filter_limit(String::new())),
         };
-        Ok((out, report))
-    }
-
-    /// The instrumented join path: both sides' access stages measured
-    /// separately (depth 1), then the join + filter + project root.
-    fn run_explain_join(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        misses0: u64,
-        t0: std::time::Instant,
-    ) -> Result<(QueryOutput, ExplainReport)> {
-        let j = self.join.as_ref().expect("join query");
-        let l_segs0 = db.segment_counters(j.left_def.id).unwrap_or((0, 0));
-        let (left, l_us, l_pages) =
-            measured(db, || self.side_batch(db, view, &j.left_def, &self.access))?;
-        let l_segs1 = db.segment_counters(j.left_def.id).unwrap_or((0, 0));
-        let r_segs0 = db.segment_counters(j.right_def.id).unwrap_or((0, 0));
-        let (right, r_us, r_pages) = measured(db, || {
-            self.side_batch(db, view, &j.right_def, &j.right_access)
-        })?;
-        let r_segs1 = db.segment_counters(j.right_def.id).unwrap_or((0, 0));
-        let (out, us, pages) = measured(db, || {
-            Ok(self.rows_from_batch(&join_batches(&left, &right, j.left_key, j.right_key)))
-        })?;
-        let jc = self.query.join.as_ref().expect("join query");
-        let mut detail = format!("on {} = {}", jc.on_left, jc.on_right);
-        if let Some(f) = &self.filter {
-            detail.push_str(&format!(", filter={f}"));
-        }
-        if let Some(n) = self.query.limit {
-            detail.push_str(&format!(", limit={n}"));
-        }
-        let ops = vec![
-            OpReport {
-                name: "TemporalJoin".to_string(),
-                detail,
-                rows: out.len() as u64,
-                elapsed_us: us,
-                pages_read: pages,
-                depth: 0,
-                est_pages: None,
-            },
-            access_op_report(
-                &self.access,
-                &j.left_def,
-                left.len() as u64,
-                l_us,
-                l_pages,
-                self.est_pages,
-                1,
-                (
-                    l_segs1.0.saturating_sub(l_segs0.0),
-                    l_segs1.1.saturating_sub(l_segs0.1),
-                ),
-            ),
-            access_op_report(
+        let mut ops = vec![OpReport {
+            name: name.to_string(),
+            detail,
+            rows: record.consumer.rows,
+            elapsed_us: record.consumer.us,
+            pages_read: record.consumer.pages,
+            depth: 0,
+            est_pages: None,
+        }];
+        let left_def = self.join.as_ref().map_or(&self.type_def, |j| &j.left_def);
+        ops.push(access_op_report(
+            &self.access,
+            left_def,
+            self.est_pages,
+            &record.access[0],
+        ));
+        if let Some(j) = &self.join {
+            ops.push(access_op_report(
                 &j.right_access,
                 &j.right_def,
-                right.len() as u64,
-                r_us,
-                r_pages,
                 j.right_est,
-                1,
-                (
-                    r_segs1.0.saturating_sub(r_segs0.0),
-                    r_segs1.1.saturating_sub(r_segs0.1),
-                ),
-            ),
-        ];
-        let report = ExplainReport {
+                &record.access[1],
+            ));
+        }
+        ExplainReport {
             query: self.query.to_string(),
+            total_pages_read: ops.iter().map(|o| o.pages_read).sum(),
             ops,
-            total_elapsed_us: t0.elapsed().as_micros() as u64,
-            total_pages_read: db.buffer_stats().misses - misses0,
-        };
-        Ok((out, report))
+            total_elapsed_us: record.total_us,
+        }
     }
 
     /// The candidate set per the access path. Over-approximation is fine:
     /// atoms committed after `view` fetch no visible versions downstream.
-    fn candidates(&self, db: &Database, view: &ReadView) -> Result<Candidates> {
-        candidates_for(db, view, &self.type_def, &self.access)
-    }
-
-    /// [`Prepared::candidates`], augmented with the transaction's written
-    /// atoms when an overlay is active: atoms the transaction created are
-    /// not in the committed directory, and atoms whose values it rewrote
-    /// may be missed by a value-index probe keyed on committed values
-    /// (the filter re-applies on overlay tuples, so false positives are
-    /// harmless, but false negatives must be patched in). Appended atoms
-    /// are sorted by atom number; on the scan path they are exclusively
-    /// created atoms (allocated past every committed number), so
-    /// ascending directory order is preserved.
-    fn candidates_with(
+    ///
+    /// An overlay adds the transaction's written atoms: atoms the
+    /// transaction created are not in the committed directory, and atoms
+    /// whose values it rewrote may be missed by a value-index probe keyed
+    /// on committed values (the filter re-applies on overlay tuples, so
+    /// false positives are harmless, but false negatives must be patched
+    /// in). Appended atoms are sorted by atom number; on the scan path they
+    /// are exclusively created atoms (allocated past every committed
+    /// number), so ascending directory order is preserved.
+    fn candidates(
         &self,
         db: &Database,
         view: &ReadView,
         ov: Option<&Overlay<'_, '_>>,
     ) -> Result<Candidates> {
-        let mut c = self.candidates(db, view)?;
+        let mut c = candidates_for(db, view, &self.type_def, &self.access)?;
         if let (Some(o), Candidates::Atoms(atoms)) = (ov, &mut c) {
             let have: std::collections::HashSet<AtomId> = atoms.iter().copied().collect();
             let mut extra: Vec<AtomId> = o
@@ -1299,6 +1210,36 @@ impl Prepared {
         b.retain_indices(|i| keep[i]);
     }
 
+    /// Feeds each candidate's versions to `f` in candidate order — fetched
+    /// here for atom candidates, already in hand for a time slice — until
+    /// `f` returns `false`. Returns whether the candidates ran out.
+    fn each_versions(
+        &self,
+        db: &Database,
+        view: &ReadView,
+        candidates: Candidates,
+        ov: Option<&Overlay<'_, '_>>,
+        mut f: impl FnMut(AtomId, &[AtomVersion]) -> bool,
+    ) -> Result<bool> {
+        match candidates {
+            Candidates::Atoms(atoms) => {
+                for atom in atoms {
+                    if !f(atom, &self.fetch(db, view, atom, ov)?) {
+                        return Ok(false);
+                    }
+                }
+            }
+            Candidates::Slice(groups) => {
+                for (atom, versions) in &groups {
+                    if !f(*atom, versions) {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
     /// Fetches every candidate version into one batch and applies the
     /// valid-time clause. Shared by the coalesce/aggregate consumers and
     /// the join sides (which pass a foreign `Candidates` set).
@@ -1310,45 +1251,27 @@ impl Prepared {
         ov: Option<&Overlay<'_, '_>>,
     ) -> Result<VersionBatch> {
         let mut b = VersionBatch::with_capacity(candidates.len());
-        match candidates {
-            Candidates::Atoms(atoms) => {
-                for atom in atoms {
-                    let vs = self.fetch(db, view, atom, ov)?;
-                    for v in &vs {
-                        b.push(atom, v);
-                    }
-                }
-            }
-            Candidates::Slice(groups) => {
-                for (atom, vs) in groups {
-                    for v in &vs {
-                        b.push(atom, v);
-                    }
-                }
-            }
-        }
+        self.each_versions(db, view, candidates, ov, |atom, versions| {
+            versions.iter().for_each(|v| b.push(atom, v));
+            true
+        })?;
         self.clip_batch(&mut b);
         Ok(b)
     }
 
-    /// One join side: candidates per its access path, fetched and clipped.
-    fn side_batch(
+    /// Filters and projects `b`'s rows onto `rows`. Returns `false` once
+    /// `limit` is reached.
+    fn emit_rows(
         &self,
-        db: &Database,
-        view: &ReadView,
-        def: &AtomTypeDef,
-        access: &AccessPath,
-    ) -> Result<VersionBatch> {
-        let candidates = candidates_for(db, view, def, access)?;
-        self.batch_from_candidates(db, view, candidates, None)
-    }
-
-    /// Filter + project + limit over a fully built batch.
-    fn rows_from_batch(&self, b: &VersionBatch) -> QueryOutput {
-        let (columns, positions) = self.row_layout();
-        let limit = self.query.limit.unwrap_or(usize::MAX);
-        let mut rows = Vec::new();
+        b: &VersionBatch,
+        positions: &[usize],
+        rows: &mut Vec<Row>,
+        limit: usize,
+    ) -> bool {
         for i in 0..b.len() {
+            if rows.len() >= limit {
+                break;
+            }
             if !self.matches(&b.tuples[i]) {
                 continue;
             }
@@ -1361,19 +1284,21 @@ impl Prepared {
                 vt: b.vt(i),
                 tt: b.tt(i),
             });
-            if rows.len() >= limit {
-                break;
-            }
         }
-        QueryOutput::Rows { columns, rows }
+        rows.len() < limit
     }
 
-    fn run_join(&self, db: &Database, view: &ReadView) -> Result<QueryOutput> {
-        let j = self.join.as_ref().expect("join query");
-        let left = self.side_batch(db, view, &j.left_def, &self.access)?;
-        let right = self.side_batch(db, view, &j.right_def, &j.right_access)?;
-        let joined = join_batches(&left, &right, j.left_key, j.right_key);
-        Ok(self.rows_from_batch(&joined))
+    /// Filter + project + limit over a fully built batch (the join's).
+    fn rows_from_batch(&self, b: &VersionBatch) -> QueryOutput {
+        let (columns, positions) = self.row_layout();
+        let mut rows = Vec::new();
+        self.emit_rows(
+            b,
+            &positions,
+            &mut rows,
+            self.query.limit.unwrap_or(usize::MAX),
+        );
+        QueryOutput::Rows { columns, rows }
     }
 
     /// `COALESCE` consumer: period-normalizes the filtered batch.
@@ -1409,13 +1334,12 @@ impl Prepared {
         view: &ReadView,
         candidates: Candidates,
         ov: Option<&Overlay<'_, '_>>,
+        func: AggFunc,
+        attr: Option<&Proj>,
     ) -> Result<QueryOutput> {
-        let Targets::Aggregate { func, attr } = &self.targets else {
-            unreachable!("aggregate consumer")
-        };
         let mut b = self.batch_from_candidates(db, view, candidates, ov)?;
         self.filter_batch(&mut b);
-        let attr_pos = attr.as_ref().map(|p| {
+        let attr_pos = attr.map(|p| {
             let (id, _) = self
                 .type_def
                 .attr_by_name(&p.attr)
@@ -1438,33 +1362,12 @@ impl Prepared {
         Ok(QueryOutput::Aggregate { steps, integral })
     }
 
-    fn run_rows(&self, db: &Database, view: &ReadView) -> Result<QueryOutput> {
-        let candidates = self.candidates(db, view)?;
-        self.rows_from_candidates(db, view, candidates, None)
-    }
-    /// The fetch/filter/project stage of a rows query, over pre-computed
-    /// candidates (shared by the plain and the EXPLAIN ANALYZE paths).
-    /// Both candidate shapes — and both executor modes — produce
-    /// byte-identical output: ascending atom number (directory order =
-    /// index group order), versions sorted by valid time.
+    /// The rows consumer: versions accumulate into a [`VersionBatch`] of
+    /// up to [`BATCH_ROWS`] rows; each full batch is clipped column-wise,
+    /// then filtered and projected in one pass. Both candidate shapes
+    /// produce byte-identical output: ascending atom number (directory
+    /// order = index group order), versions sorted by valid time.
     fn rows_from_candidates(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        candidates: Candidates,
-        ov: Option<&Overlay<'_, '_>>,
-    ) -> Result<QueryOutput> {
-        if self.batch_size == 0 {
-            self.rows_from_candidates_scalar(db, view, candidates, ov)
-        } else {
-            self.rows_from_candidates_batched(db, view, candidates, ov)
-        }
-    }
-
-    /// Batched executor: versions accumulate into a [`VersionBatch`] of up
-    /// to `batch_size` rows; each full batch is clipped column-wise, then
-    /// filtered and projected in one pass.
-    fn rows_from_candidates_batched(
         &self,
         db: &Database,
         view: &ReadView,
@@ -1473,37 +1376,19 @@ impl Prepared {
     ) -> Result<QueryOutput> {
         let (columns, positions) = self.row_layout();
         let limit = self.query.limit.unwrap_or(usize::MAX);
-        let cap = self.batch_size;
         let mut rows = Vec::new();
-        let mut batch = VersionBatch::with_capacity(cap);
-        'fetch: {
-            match candidates {
-                Candidates::Atoms(atoms) => {
-                    for atom in atoms {
-                        let vs = self.fetch(db, view, atom, ov)?;
-                        for v in &vs {
-                            batch.push(atom, v);
-                            if batch.len() >= cap
-                                && !self.drain_batch(&mut batch, &positions, &mut rows, limit)
-                            {
-                                break 'fetch;
-                            }
-                        }
-                    }
-                }
-                Candidates::Slice(groups) => {
-                    for (atom, vs) in groups {
-                        for v in &vs {
-                            batch.push(atom, v);
-                            if batch.len() >= cap
-                                && !self.drain_batch(&mut batch, &positions, &mut rows, limit)
-                            {
-                                break 'fetch;
-                            }
-                        }
-                    }
-                }
-            }
+        // A point lookup is a batch of one: don't reserve the full batch.
+        let mut batch = VersionBatch::with_capacity(candidates.len().min(BATCH_ROWS));
+        // Full batches drain as they fill; `more` is false once `limit` is
+        // reached.
+        let more = self.each_versions(db, view, candidates, ov, |atom, versions| {
+            versions.iter().all(|v| {
+                batch.push(atom, v);
+                batch.len() < BATCH_ROWS
+                    || self.drain_batch(&mut batch, &positions, &mut rows, limit)
+            })
+        })?;
+        if more {
             self.drain_batch(&mut batch, &positions, &mut rows, limit);
         }
         Ok(QueryOutput::Rows { columns, rows })
@@ -1519,80 +1404,9 @@ impl Prepared {
         limit: usize,
     ) -> bool {
         self.clip_batch(batch);
-        for i in 0..batch.len() {
-            if !self.matches(&batch.tuples[i]) {
-                continue;
-            }
-            rows.push(Row {
-                atom: batch.atoms[i],
-                values: positions
-                    .iter()
-                    .map(|&p| batch.tuples[i].get(p).clone())
-                    .collect(),
-                vt: batch.vt(i),
-                tt: batch.tt(i),
-            });
-            if rows.len() >= limit {
-                batch.clear();
-                return false;
-            }
-        }
+        let more = self.emit_rows(batch, positions, rows, limit);
         batch.clear();
-        true
-    }
-
-    /// Tuple-at-a-time executor (`batch_size = 0`): the scalar baseline
-    /// the batched path's equivalence suite compares against.
-    fn rows_from_candidates_scalar(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        candidates: Candidates,
-        ov: Option<&Overlay<'_, '_>>,
-    ) -> Result<QueryOutput> {
-        let (columns, positions) = self.row_layout();
-        let limit = self.query.limit.unwrap_or(usize::MAX);
-        let mut rows = Vec::new();
-        let mut take = |atom: AtomId, versions: Vec<AtomVersion>| {
-            for v in self.clip_valid(versions) {
-                if !self.matches(&v.tuple) {
-                    continue;
-                }
-                rows.push(Row {
-                    atom,
-                    values: positions.iter().map(|&i| v.tuple.get(i).clone()).collect(),
-                    vt: v.vt,
-                    tt: v.tt,
-                });
-                if rows.len() >= limit {
-                    return false;
-                }
-            }
-            true
-        };
-        match candidates {
-            Candidates::Atoms(atoms) => {
-                for atom in atoms {
-                    let vs = self.fetch(db, view, atom, ov)?;
-                    if !take(atom, vs) {
-                        break;
-                    }
-                }
-            }
-            Candidates::Slice(groups) => {
-                for (atom, vs) in groups {
-                    if !take(atom, vs) {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(QueryOutput::Rows { columns, rows })
-    }
-
-    fn run_molecules(&self, db: &Database, view: &ReadView) -> Result<QueryOutput> {
-        let candidates = self.candidates(db, view)?.into_atoms();
-        self.molecules_from_candidates(db, view, candidates)
+        more
     }
 
     fn molecules_from_candidates(
@@ -1619,6 +1433,9 @@ impl Prepared {
         let limit = self.query.limit.unwrap_or(usize::MAX);
         let mut out = Vec::new();
         for root in candidates {
+            if out.len() >= limit {
+                break;
+            }
             let Some(version) = db.version_at(root, tt, vt)? else {
                 continue;
             };
@@ -1627,17 +1444,9 @@ impl Prepared {
             }
             if let Some(m) = db.materialize(mol, root, tt, vt)? {
                 out.push(m);
-                if out.len() >= limit {
-                    break;
-                }
             }
         }
         Ok(QueryOutput::Molecules(out))
-    }
-
-    fn run_histories(&self, db: &Database, view: &ReadView) -> Result<QueryOutput> {
-        let candidates = self.candidates(db, view)?.into_atoms();
-        self.histories_from_candidates(db, view, candidates)
     }
 
     fn histories_from_candidates(
@@ -1649,6 +1458,9 @@ impl Prepared {
         let limit = self.query.limit.unwrap_or(usize::MAX);
         let mut out = Vec::new();
         for atom in candidates {
+            if out.len() >= limit {
+                break;
+            }
             // Snapshot cut: versions born after the pinned view belong to
             // commits this statement must not see.
             let hist: Vec<AtomVersion> = db
@@ -1663,9 +1475,6 @@ impl Prepared {
                 .collect();
             if !qualifying.is_empty() {
                 out.push((atom, qualifying));
-                if out.len() >= limit {
-                    break;
-                }
             }
         }
         Ok(QueryOutput::Histories(out))

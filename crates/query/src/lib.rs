@@ -34,8 +34,8 @@ pub use exec::{
     execute, execute_with, explain_analyze, explain_analyze_with, prepare, prepare_query,
     prepare_with, AccessPath, ExecOptions, ExplainReport, OpReport, Prepared, QueryOutput, Row,
 };
-pub use parser::{parse, parse_maybe_explain};
+pub use parser::{parse, parse_statement};
 pub use stmt::{
-    apply_statement, parse_statement, run_parsed, run_query_in_txn, run_statement, statement_kind,
-    Statement, StatementApply, StatementOutput,
+    apply_statement, run_parsed, run_prepared, run_query, run_statement, statement_kind, Statement,
+    StatementApply, StatementOutput,
 };

@@ -1,34 +1,57 @@
-//! Recursive-descent parser for TQL.
+//! Recursive-descent parser for TQL: one token cursor and one expression
+//! grammar behind every statement kind (`SELECT`, `EXPLAIN ANALYZE`, DDL
+//! and DML).
+//!
+//! ```text
+//! CREATE TYPE emp (
+//!     name TEXT NOT NULL,
+//!     salary INT INDEXED,
+//!     dept REF(dept),
+//!     works_on REFSET(proj)
+//! )
+//!
+//! CREATE MOLECULE dept_mol ROOT dept (
+//!     dept.employs TO emp,
+//!     emp.works_on TO proj
+//! ) DEPTH 8
+//!
+//! INSERT INTO emp (name, salary) VALUES ('ann', 100) VALID IN [0, 50)
+//! INSERT INTO emp (name, salary) VALUES ('bob', 90)           -- all time
+//!
+//! UPDATE emp SET salary = 120 WHERE name = 'ann' VALID IN [10, 20)
+//! UPDATE job CLAIM SET state = 1 WHERE state = 0
+//! DELETE FROM emp WHERE salary < 50
+//! ```
+//!
+//! Atom references are written `@<type>.<no>` (e.g. `@2.17`), reference
+//! sets `{@2.1, @2.5}`; both are literals wherever a literal may stand.
+//! Statement words that are not reserved by the lexer (`EXPLAIN`,
+//! `ANALYZE`, `CREATE`, `INSERT`, `FOREVER`, …) are *soft*: they arrive as
+//! plain identifiers, so `SELECT * FROM explain` keeps working.
 
 use crate::ast::*;
+use crate::stmt::{Statement, TypeSpec};
 use crate::token::{lex, Kw, Sym, Tok, Token};
-use tcom_kernel::{Error, Result, TimePoint, Value};
+use tcom_kernel::{AtomId, AtomNo, AtomTypeId, DataType, Error, Result, TimePoint, Value};
 
 /// Parses one TQL query.
 pub fn parse(src: &str) -> Result<Query> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
 }
 
-/// Parses a query that may be prefixed by `EXPLAIN ANALYZE`.
-///
-/// Returns `(true, query)` when the prefix was present. `EXPLAIN` and
-/// `ANALYZE` are *not* reserved words — the lexer delivers them as plain
-/// identifiers — so `SELECT * FROM explain` keeps working.
-pub fn parse_maybe_explain(src: &str) -> Result<(bool, Query)> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let analyze = p.eat_ident_ci("EXPLAIN");
-    if analyze && !p.eat_ident_ci("ANALYZE") {
-        return Err(p.err("expected ANALYZE after EXPLAIN"));
-    }
-    let q = p.query()?;
+/// Parses one statement of any kind, dispatching on its first token.
+pub fn parse_statement(src: &str) -> Result<Statement> {
+    let mut p = Parser::new(src)?;
+    let s = p.statement()?;
     p.expect_eof()?;
-    Ok((analyze, q))
+    Ok(s)
 }
+
+/// A DML valid extent: `VALID IN [a, b)` or the open-ended `VALID FROM a`.
+type Extent = (TimePoint, Option<TimePoint>);
 
 struct Parser {
     tokens: Vec<Token>,
@@ -36,16 +59,22 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+        })
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
+    /// Steps past the current token (never past the trailing `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err(&self, msg: impl Into<String>) -> Error {
@@ -74,14 +103,24 @@ impl Parser {
         }
     }
 
-    /// Eats an identifier matching `word` case-insensitively (used for the
-    /// non-reserved `EXPLAIN ANALYZE` prefix).
-    fn eat_ident_ci(&mut self, word: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(word)) {
+    fn at_soft_kw(&self, word: &str) -> bool {
+        matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(word))
+    }
+
+    /// Eats a soft keyword: an identifier spelled like `word`.
+    fn soft_kw(&mut self, word: &str) -> bool {
+        let hit = self.at_soft_kw(word);
+        if hit {
             self.bump();
-            true
+        }
+        hit
+    }
+
+    fn expect_soft(&mut self, word: &str) -> Result<()> {
+        if self.soft_kw(word) {
+            Ok(())
         } else {
-            false
+            Err(self.err(format!("expected {word}, found {:?}", self.peek())))
         }
     }
 
@@ -103,8 +142,9 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -138,21 +178,253 @@ impl Parser {
         }
     }
 
-    fn query(&mut self) -> Result<Query> {
-        self.expect_kw(Kw::Select)?;
-        let targets = self.targets()?;
+    /// `'[' a ',' b (')' | ']')` after `VALID IN`. Both closers are
+    /// accepted; the interval is half-open either way (documented).
+    fn window(&mut self) -> Result<(TimePoint, TimePoint)> {
+        self.expect_sym(Sym::LBracket)?;
+        let a = self.time()?;
+        self.expect_sym(Sym::Comma)?;
+        let b = self.time()?;
+        if !self.eat_sym(Sym::RParen) {
+            self.expect_sym(Sym::RBracket)?;
+        }
+        if a >= b {
+            return Err(self.err("empty VALID IN window"));
+        }
+        Ok((a, b))
+    }
+
+    // ---- statements ----
+
+    fn statement(&mut self) -> Result<Statement> {
+        if self.peek() == &Tok::Kw(Kw::Select) {
+            return Ok(Statement::Select(self.query()?));
+        }
+        if self.soft_kw("EXPLAIN") {
+            self.expect_soft("ANALYZE")?;
+            // Only SELECT can be explained; give DML/DDL a crisp error
+            // instead of the query grammar's generic one.
+            for kw in ["INSERT", "UPDATE", "DELETE", "CREATE"] {
+                if self.at_soft_kw(kw) {
+                    return Err(Error::unsupported(format!(
+                        "EXPLAIN ANALYZE supports only SELECT statements, not {kw}"
+                    )));
+                }
+            }
+            return Ok(Statement::ExplainAnalyze(self.query()?));
+        }
+        if self.soft_kw("CREATE") {
+            if self.soft_kw("TYPE") {
+                return self.create_type();
+            }
+            if self.eat_kw(Kw::Molecule) {
+                return self.create_molecule();
+            }
+            return Err(self.err("expected TYPE or MOLECULE after CREATE"));
+        }
+        if self.soft_kw("INSERT") {
+            return self.insert();
+        }
+        if self.soft_kw("UPDATE") {
+            return self.update();
+        }
+        if self.soft_kw("DELETE") {
+            return self.delete();
+        }
+        Err(self.err("expected SELECT, EXPLAIN ANALYZE, CREATE, INSERT, UPDATE or DELETE"))
+    }
+
+    fn create_type(&mut self) -> Result<Statement> {
+        let name = self.ident()?;
+        self.expect_sym(Sym::LParen)?;
+        let mut attrs = Vec::new();
+        loop {
+            let aname = self.ident()?;
+            let spec = self.type_spec()?;
+            let mut not_null = false;
+            let mut indexed = false;
+            loop {
+                if self.eat_kw(Kw::Not) {
+                    self.expect_kw(Kw::Null)?;
+                    not_null = true;
+                } else if self.soft_kw("INDEXED") {
+                    indexed = true;
+                } else {
+                    break;
+                }
+            }
+            attrs.push((aname, spec, not_null, indexed));
+            if !self.eat_sym(Sym::Comma) {
+                break;
+            }
+        }
+        self.expect_sym(Sym::RParen)?;
+        Ok(Statement::CreateType { name, attrs })
+    }
+
+    fn type_spec(&mut self) -> Result<TypeSpec> {
+        let word = self.ident()?;
+        Ok(match word.to_ascii_uppercase().as_str() {
+            "BOOL" => TypeSpec::Scalar(DataType::Bool),
+            "INT" => TypeSpec::Scalar(DataType::Int),
+            "FLOAT" => TypeSpec::Scalar(DataType::Float),
+            "TEXT" => TypeSpec::Scalar(DataType::Text),
+            "BYTES" => TypeSpec::Scalar(DataType::Bytes),
+            "REF" => TypeSpec::Ref(self.paren_ident()?),
+            "REFSET" => TypeSpec::RefSet(self.paren_ident()?),
+            other => return Err(self.err(format!("unknown attribute type '{other}'"))),
+        })
+    }
+
+    fn paren_ident(&mut self) -> Result<String> {
+        self.expect_sym(Sym::LParen)?;
+        let t = self.ident()?;
+        self.expect_sym(Sym::RParen)?;
+        Ok(t)
+    }
+
+    fn create_molecule(&mut self) -> Result<Statement> {
+        let name = self.ident()?;
+        self.expect_soft("ROOT")?;
+        let root = self.ident()?;
+        self.expect_sym(Sym::LParen)?;
+        let mut edges = Vec::new();
+        // Empty edge list allowed: `( )` is a single-atom molecule.
+        if self.peek() != &Tok::Sym(Sym::RParen) {
+            loop {
+                let from = self.ident()?;
+                self.expect_sym(Sym::Dot)?;
+                let attr = self.ident()?;
+                self.expect_soft("TO")?;
+                let to = self.ident()?;
+                edges.push((from, attr, to));
+                if !self.eat_sym(Sym::Comma) {
+                    break;
+                }
+            }
+        }
+        self.expect_sym(Sym::RParen)?;
+        let depth = if self.soft_kw("DEPTH") {
+            let d = self.int()?;
+            if d < 1 {
+                return Err(self.err("DEPTH must be at least 1"));
+            }
+            Some(d as u32)
+        } else {
+            None
+        };
+        Ok(Statement::CreateMolecule {
+            name,
+            root,
+            edges,
+            depth,
+        })
+    }
+
+    fn insert(&mut self) -> Result<Statement> {
+        self.expect_soft("INTO")?;
+        let ty = self.ident()?;
+        self.expect_sym(Sym::LParen)?;
+        let mut attrs = Vec::new();
+        loop {
+            attrs.push(self.ident()?);
+            if !self.eat_sym(Sym::Comma) {
+                break;
+            }
+        }
+        self.expect_sym(Sym::RParen)?;
+        self.expect_soft("VALUES")?;
+        self.expect_sym(Sym::LParen)?;
+        let mut values = Vec::new();
+        loop {
+            values.push(self.value()?);
+            if !self.eat_sym(Sym::Comma) {
+                break;
+            }
+        }
+        self.expect_sym(Sym::RParen)?;
+        if values.len() != attrs.len() {
+            return Err(self.err(format!(
+                "{} attributes but {} values",
+                attrs.len(),
+                values.len()
+            )));
+        }
+        let valid = self.extent()?;
+        Ok(Statement::Insert {
+            ty,
+            attrs,
+            values,
+            valid,
+        })
+    }
+
+    fn update(&mut self) -> Result<Statement> {
+        let ty = self.ident()?;
+        let claim = self.soft_kw("CLAIM");
+        self.expect_soft("SET")?;
+        let mut sets = Vec::new();
+        loop {
+            let attr = self.ident()?;
+            self.expect_sym(Sym::Eq)?;
+            sets.push((attr, self.value()?));
+            if !self.eat_sym(Sym::Comma) {
+                break;
+            }
+        }
+        let filter = self.where_clause()?;
+        let valid = self.extent()?;
+        Ok(Statement::Update {
+            ty,
+            sets,
+            filter,
+            valid,
+            claim,
+        })
+    }
+
+    fn delete(&mut self) -> Result<Statement> {
         self.expect_kw(Kw::From)?;
-        let source = self.ident()?;
+        let ty = self.ident()?;
+        let filter = self.where_clause()?;
+        let valid = self.extent()?;
+        Ok(Statement::Delete { ty, filter, valid })
+    }
+
+    /// The optional valid extent of a DML statement.
+    fn extent(&mut self) -> Result<Option<Extent>> {
+        if !self.eat_kw(Kw::Valid) {
+            return Ok(None);
+        }
+        if self.eat_kw(Kw::In) {
+            let (a, b) = self.window()?;
+            return Ok(Some((a, Some(b))));
+        }
+        if self.eat_kw(Kw::From) {
+            return Ok(Some((self.time()?, None)));
+        }
+        Err(self.err("expected IN or FROM after VALID"))
+    }
+
+    // ---- queries ----
+
+    /// `ident [ident]`: a type name and its optional alias.
+    fn source(&mut self) -> Result<(String, Option<String>)> {
+        let name = self.ident()?;
         let alias = match self.peek() {
             Tok::Ident(_) => Some(self.ident()?),
             _ => None,
         };
+        Ok((name, alias))
+    }
+
+    fn query(&mut self) -> Result<Query> {
+        self.expect_kw(Kw::Select)?;
+        let targets = self.targets()?;
+        self.expect_kw(Kw::From)?;
+        let (source, alias) = self.source()?;
         let join = if self.eat_kw(Kw::Join) {
-            let jsource = self.ident()?;
-            let jalias = match self.peek() {
-                Tok::Ident(_) => Some(self.ident()?),
-                _ => None,
-            };
+            let (jsource, jalias) = self.source()?;
             self.expect_kw(Kw::On)?;
             let on_left = self.proj()?;
             self.expect_sym(Sym::Eq)?;
@@ -166,11 +438,7 @@ impl Parser {
         } else {
             None
         };
-        let filter = if self.eat_kw(Kw::Where) {
-            Some(self.expr()?)
-        } else {
-            None
-        };
+        let filter = self.where_clause()?;
         let mut asof_tt = None;
         let mut valid = Valid::Any;
         let mut limit = None;
@@ -180,7 +448,7 @@ impl Parser {
                 // `FOREVER` (a soft keyword) names the current state: the
                 // sentinel lies past every closing tick, so the slice shows
                 // exactly the tt-open versions.
-                asof_tt = Some(if self.eat_ident_ci("FOREVER") {
+                asof_tt = Some(if self.soft_kw("FOREVER") {
                     TimePoint::FOREVER
                 } else {
                     self.time()?
@@ -189,18 +457,7 @@ impl Parser {
                 if self.eat_kw(Kw::At) {
                     valid = Valid::At(self.time()?);
                 } else if self.eat_kw(Kw::In) {
-                    self.expect_sym(Sym::LBracket)?;
-                    let a = self.time()?;
-                    self.expect_sym(Sym::Comma)?;
-                    let b = self.time()?;
-                    // Accept both `)` and `]`; the interval is half-open
-                    // either way (documented).
-                    if !self.eat_sym(Sym::RParen) {
-                        self.expect_sym(Sym::RBracket)?;
-                    }
-                    if a >= b {
-                        return Err(self.err("empty VALID IN window"));
-                    }
+                    let (a, b) = self.window()?;
                     valid = Valid::In(a, b);
                 } else {
                     return Err(self.err("expected AT or IN after VALID"));
@@ -249,11 +506,7 @@ impl Parser {
             if self.eat_sym(Sym::Star) {
                 return Ok(Targets::Coalesce(Vec::new()));
             }
-            let mut projs = vec![self.proj()?];
-            while self.eat_sym(Sym::Comma) {
-                projs.push(self.proj()?);
-            }
-            return Ok(Targets::Coalesce(projs));
+            return Ok(Targets::Coalesce(self.projs()?));
         }
         // Aggregate functions are soft keywords: only an identifier of the
         // right name immediately followed by `(` parses as one.
@@ -262,9 +515,7 @@ impl Parser {
             ("SUM", AggFunc::Sum),
             ("INTEGRAL", AggFunc::Integral),
         ] {
-            if matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(word))
-                && self.peek2_is(Sym::LParen)
-            {
+            if self.at_soft_kw(word) && self.peek2_is(Sym::LParen) {
                 self.bump();
                 self.bump();
                 let attr = if func == AggFunc::Count {
@@ -277,11 +528,15 @@ impl Parser {
                 return Ok(Targets::Aggregate { func, attr });
             }
         }
+        Ok(Targets::Projs(self.projs()?))
+    }
+
+    fn projs(&mut self) -> Result<Vec<Proj>> {
         let mut projs = vec![self.proj()?];
         while self.eat_sym(Sym::Comma) {
             projs.push(self.proj()?);
         }
-        Ok(Targets::Projs(projs))
+        Ok(projs)
     }
 
     fn proj(&mut self) -> Result<Proj> {
@@ -297,6 +552,16 @@ impl Parser {
                 qualifier: None,
                 attr: first,
             })
+        }
+    }
+
+    // ---- predicates and literals (shared by SELECT, UPDATE and DELETE) ----
+
+    fn where_clause(&mut self) -> Result<Option<Expr>> {
+        if self.eat_kw(Kw::Where) {
+            Ok(Some(self.expr()?))
+        } else {
+            Ok(None)
         }
     }
 
@@ -354,48 +619,68 @@ impl Parser {
     }
 
     fn operand(&mut self) -> Result<Operand> {
-        match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Int(i)))
-            }
-            Tok::Float(f) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Float(f)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Text(s)))
-            }
-            Tok::Kw(Kw::True) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Bool(true)))
-            }
-            Tok::Kw(Kw::False) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Bool(false)))
-            }
-            Tok::Kw(Kw::Null) => {
-                self.bump();
-                Ok(Operand::Lit(Value::Null))
-            }
-            Tok::Ident(first) => {
-                self.bump();
-                if self.eat_sym(Sym::Dot) {
-                    let attr = self.ident()?;
-                    Ok(Operand::Attr {
-                        qualifier: Some(first),
-                        attr,
-                    })
-                } else {
-                    Ok(Operand::Attr {
-                        qualifier: None,
-                        attr: first,
-                    })
-                }
+        if let Some(v) = self.try_value()? {
+            return Ok(Operand::Lit(v));
+        }
+        match self.peek() {
+            Tok::Ident(_) => {
+                let Proj { qualifier, attr } = self.proj()?;
+                Ok(Operand::Attr { qualifier, attr })
             }
             other => Err(self.err(format!("expected operand, found {other:?}"))),
         }
+    }
+
+    fn value(&mut self) -> Result<Value> {
+        self.try_value()?
+            .ok_or_else(|| self.err(format!("expected literal value, found {:?}", self.peek())))
+    }
+
+    /// A literal, if one starts here: scalars, `@ty.no` refs, `{…}` ref
+    /// sets.
+    fn try_value(&mut self) -> Result<Option<Value>> {
+        let v = match self.peek() {
+            Tok::Int(i) => Value::Int(*i),
+            Tok::Float(f) => Value::Float(*f),
+            Tok::Str(s) => Value::Text(s.clone()),
+            Tok::Kw(Kw::True) => Value::Bool(true),
+            Tok::Kw(Kw::False) => Value::Bool(false),
+            Tok::Kw(Kw::Null) => Value::Null,
+            Tok::Sym(Sym::AtRef) => {
+                self.bump();
+                return Ok(Some(Value::Ref(self.atom_ref()?)));
+            }
+            Tok::Sym(Sym::LBrace) => {
+                self.bump();
+                let mut ids = Vec::new();
+                if self.peek() != &Tok::Sym(Sym::RBrace) {
+                    loop {
+                        self.expect_sym(Sym::AtRef)?;
+                        ids.push(self.atom_ref()?);
+                        if !self.eat_sym(Sym::Comma) {
+                            break;
+                        }
+                    }
+                }
+                self.expect_sym(Sym::RBrace)?;
+                return Ok(Some(Value::ref_set(ids)));
+            }
+            _ => return Ok(None),
+        };
+        self.bump();
+        Ok(Some(v))
+    }
+
+    /// Parses `<ty>.<no>` after the `@` sigil (the lexer guarantees the
+    /// two parts arrive as Int-Dot-Int, never as a float).
+    fn atom_ref(&mut self) -> Result<AtomId> {
+        let ty = self.int()?;
+        self.expect_sym(Sym::Dot)?;
+        let no = self.int()?;
+        if ty < 0 || no < 0 {
+            return Err(self.err("atom reference parts must be non-negative"));
+        }
+        Ok(AtomId::new(AtomTypeId(ty as u32), AtomNo(no as u64)))
     }
 }
 

@@ -1,13 +1,15 @@
 //! Parser round-trip property tests: generate random query ASTs, pretty-
-//! print them, re-parse, and assert the parse equals the original AST.
-//! Also covers the `EXPLAIN ANALYZE` prefix and tokenizer edge cases
-//! (adjacent temporal keywords, quoted identifiers).
+//! print them, re-parse, and assert the parse equals the original AST —
+//! for `SELECT`, `UPDATE` and `DELETE` alike, all three drawing their
+//! `WHERE` clause from one generator (one grammar parses it). Also covers
+//! the `EXPLAIN ANALYZE` prefix and tokenizer edge cases (adjacent
+//! temporal keywords, quoted identifiers).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tcom_kernel::{TimePoint, Value};
+use tcom_kernel::{AtomId, AtomNo, AtomTypeId, TimePoint, Value};
 use tcom_query::ast::{AggFunc, CmpOp, Expr, JoinClause, Operand, Proj, Query, Targets, Valid};
-use tcom_query::{parse, parse_maybe_explain};
+use tcom_query::{parse, parse_statement, Statement};
 
 // ---- strategies -----------------------------------------------------------
 
@@ -31,7 +33,14 @@ fn ident() -> BoxedStrategy<String> {
     .boxed()
 }
 
-/// Literals the SELECT grammar can express (no Bytes/Ref/RefSet).
+fn atom_ref() -> BoxedStrategy<AtomId> {
+    (0u32..8, 0u64..1000)
+        .prop_map(|(ty, no)| AtomId::new(AtomTypeId(ty), AtomNo(no)))
+        .boxed()
+}
+
+/// Literals the grammar can express (everything but Bytes), reference and
+/// reference-set literals included.
 fn lit() -> BoxedStrategy<Value> {
     prop_oneof![
         1 => Just(Value::Null),
@@ -39,6 +48,8 @@ fn lit() -> BoxedStrategy<Value> {
         3 => (-10_000i64..10_000).prop_map(Value::Int),
         2 => (-80_000i64..80_000).prop_map(|i| Value::Float(i as f64 / 8.0)),
         2 => "[a-z ']{0,6}".prop_map(Value::Text),
+        1 => atom_ref().prop_map(Value::Ref),
+        1 => vec(atom_ref(), 0..4).prop_map(Value::ref_set),
     ]
     .boxed()
 }
@@ -141,7 +152,6 @@ fn valid() -> BoxedStrategy<Valid> {
 }
 
 fn query() -> BoxedStrategy<Query> {
-    let filter = prop_oneof![1 => Just(None), 2 => expr(3).prop_map(Some)];
     let alias = prop_oneof![1 => Just(None), 1 => ident().prop_map(Some)];
     let asof = prop_oneof![2 => Just(None), 1 => (0u64..1000).prop_map(|t| Some(TimePoint(t)))];
     let limit = prop_oneof![2 => Just(None), 1 => (0usize..500).prop_map(Some)];
@@ -150,7 +160,7 @@ fn query() -> BoxedStrategy<Query> {
         ident(),
         alias,
         join(),
-        filter,
+        filter(),
         asof,
         valid(),
         limit,
@@ -170,6 +180,32 @@ fn query() -> BoxedStrategy<Query> {
         .boxed()
 }
 
+/// The `WHERE` clause of every statement kind.
+fn filter() -> BoxedStrategy<Option<Expr>> {
+    prop_oneof![1 => Just(None), 2 => expr(3).prop_map(Some)].boxed()
+}
+
+/// A DML valid extent with its TQL rendering.
+type Extent = Option<(TimePoint, Option<TimePoint>)>;
+
+fn extent() -> BoxedStrategy<(Extent, String)> {
+    prop_oneof![
+        2 => Just((None, String::new())),
+        1 => (0u64..1000).prop_map(|a| (Some((TimePoint(a), None)), format!(" VALID FROM {a}"))),
+        1 => (0u64..1000, 1u64..1000).prop_map(|(a, d)| (
+            Some((TimePoint(a), Some(TimePoint(a + d)))),
+            format!(" VALID IN [{a}, {})", a + d),
+        )),
+    ]
+    .boxed()
+}
+
+fn where_text(filter: &Option<Expr>) -> String {
+    filter
+        .as_ref()
+        .map_or(String::new(), |e| format!(" WHERE {e}"))
+}
+
 // ---- properties -----------------------------------------------------------
 
 proptest! {
@@ -184,18 +220,58 @@ proptest! {
         prop_assert_eq!(&reparsed.unwrap(), &q, "round trip diverged for {}", text);
     }
 
+    /// `UPDATE` parses its `WHERE` with the grammar `SELECT` uses: the
+    /// same generated predicate, printed, re-parses to the same AST.
+    #[test]
+    fn update_where_reparses(
+        sets in vec(("[a-z]{1,8}", lit()), 1..3),
+        filter in filter(),
+        extent in extent(),
+        claim in any::<bool>(),
+    ) {
+        let (valid, valid_text) = extent;
+        let assignments: Vec<String> = sets
+            .iter()
+            .map(|(a, v)| format!("x{a} = {}", Operand::Lit(v.clone())))
+            .collect();
+        let text = format!(
+            "UPDATE emp{} SET {}{}{valid_text}",
+            if claim { " CLAIM" } else { "" },
+            assignments.join(", "),
+            where_text(&filter),
+        );
+        let expected = Statement::Update {
+            ty: "emp".into(),
+            sets: sets.into_iter().map(|(a, v)| (format!("x{a}"), v)).collect(),
+            filter,
+            valid,
+            claim,
+        };
+        let parsed = parse_statement(&text);
+        prop_assert!(parsed.is_ok(), "failed to parse {text:?}: {parsed:?}");
+        prop_assert_eq!(parsed.unwrap(), expected, "round trip diverged for {}", text);
+    }
+
+    /// And so does `DELETE`.
+    #[test]
+    fn delete_where_reparses(filter in filter(), extent in extent()) {
+        let (valid, valid_text) = extent;
+        let text = format!("DELETE FROM emp{}{valid_text}", where_text(&filter));
+        let expected = Statement::Delete { ty: "emp".into(), filter, valid };
+        let parsed = parse_statement(&text);
+        prop_assert!(parsed.is_ok(), "failed to parse {text:?}: {parsed:?}");
+        prop_assert_eq!(parsed.unwrap(), expected, "round trip diverged for {}", text);
+    }
+
     /// The `EXPLAIN ANALYZE` prefix is recognized (any case) and strips to
-    /// the same query; without the prefix the flag is false.
+    /// the same query; without the prefix the statement is a plain SELECT.
     #[test]
     fn explain_prefix_roundtrip(q in query(), upper in any::<bool>()) {
         let text = q.to_string();
         let prefix = if upper { "EXPLAIN ANALYZE" } else { "explain analyze" };
-        let (flag, parsed) = parse_maybe_explain(&format!("{prefix} {text}")).unwrap();
-        prop_assert!(flag);
-        prop_assert_eq!(&parsed, &q);
-        let (flag, parsed) = parse_maybe_explain(&text).unwrap();
-        prop_assert!(!flag);
-        prop_assert_eq!(&parsed, &q);
+        let explained = parse_statement(&format!("{prefix} {text}")).unwrap();
+        prop_assert_eq!(explained, Statement::ExplainAnalyze(q.clone()));
+        prop_assert_eq!(parse_statement(&text).unwrap(), Statement::Select(q));
     }
 }
 
@@ -203,14 +279,24 @@ proptest! {
 
 #[test]
 fn explain_requires_analyze() {
-    assert!(parse_maybe_explain("EXPLAIN SELECT * FROM emp").is_err());
-    assert!(parse_maybe_explain("EXPLAIN ANALYZE").is_err());
+    assert!(parse_statement("EXPLAIN SELECT * FROM emp").is_err());
+    assert!(parse_statement("EXPLAIN ANALYZE").is_err());
     // EXPLAIN is not reserved: usable as a plain identifier.
-    let q = parse_maybe_explain("SELECT * FROM explain").unwrap();
-    assert!(!q.0);
-    assert_eq!(q.1.source, "explain");
+    let Statement::Select(q) = parse_statement("SELECT * FROM explain").unwrap() else {
+        panic!("a plain SELECT")
+    };
+    assert_eq!(q.source, "explain");
     // Double prefix is not valid (ANALYZE must be followed by SELECT).
-    assert!(parse_maybe_explain("EXPLAIN ANALYZE EXPLAIN ANALYZE SELECT * FROM t").is_err());
+    assert!(parse_statement("EXPLAIN ANALYZE EXPLAIN ANALYZE SELECT * FROM t").is_err());
+    // Only SELECT can be explained.
+    assert!(parse_statement("EXPLAIN ANALYZE DELETE FROM emp").is_err());
+}
+
+/// `SELECT` accepts the reference literals `UPDATE`/`DELETE` always did.
+#[test]
+fn select_accepts_reference_literals() {
+    let q = parse("SELECT * FROM emp WHERE boss = @2.17 OR team = {@3.1, @3.5}").unwrap();
+    assert_eq!(parse(&q.to_string()).unwrap(), q);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! wins on chain and split stores, but *loses* on delta stores (slicing a
 //! delta store still replays chains, so the index adds pure overhead).
 //! The cost model must therefore choose the slice on chain/split and the
-//! heap walk on delta — and the override knobs must still work.
+//! heap walk on delta — and the per-statement hints must still override it.
 
 use tcom_core::{Database, DbConfig, StoreKind};
 use tcom_query::{prepare_with, run_statement, AccessPath, ExecOptions};
@@ -137,32 +137,5 @@ fn override_knobs_beat_the_cost_model() {
     )
     .unwrap();
     assert_eq!(p.access, AccessPath::Scan);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disabling_the_cost_model_restores_the_old_plan() {
-    let dir = tmpdir("nocost");
-    {
-        let db = deep_history(&dir, StoreKind::Delta, N_ATOMS, 8);
-        db.checkpoint().unwrap();
-    }
-    let db = Database::open(
-        &dir,
-        DbConfig::default()
-            .store_kind(StoreKind::Delta)
-            .buffer_frames(256)
-            .checkpoint_interval(0)
-            .cost_model(false),
-    )
-    .unwrap();
-    let sql = format!("SELECT * FROM emp ASOF TT {}", early_tt());
-    let p = prepare_with(&db, &sql, ExecOptions::default()).unwrap();
-    assert!(
-        matches!(p.access, AccessPath::TimeSlice { .. }),
-        "cost_model(false) must fall back to always-slice: {:?}",
-        p.access
-    );
-    assert!(p.est_pages.is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }

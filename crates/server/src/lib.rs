@@ -56,10 +56,9 @@ use tcom_core::{Database, Txn};
 use tcom_kernel::frame::{Frame, FrameKind};
 use tcom_kernel::{Error, Lsn, Result};
 use tcom_obs::{Counter, Histogram};
-use tcom_query::exec::Prepared;
 use tcom_query::{
-    apply_statement, parse_statement, run_parsed, run_query_in_txn, Statement, StatementApply,
-    StatementOutput,
+    apply_statement, parse_statement, prepare_query, run_parsed, run_prepared, run_query,
+    ExecOptions, Prepared, Statement, StatementApply, StatementOutput,
 };
 
 /// How long a worker blocks in one socket read / accept poll before
@@ -223,12 +222,16 @@ fn worker(shared: &Shared) {
     }
 }
 
-/// A cached statement in a session's PREPARE/EXECUTE slot.
+/// A cached statement in a session's PREPARE/EXECUTE slot (a handful per
+/// session, so the variants' size difference is of no account).
+#[allow(clippy::large_enum_variant)]
 enum Cached {
-    /// `SELECT`, fully analyzed and planned.
-    Plan(Prepared),
-    /// `EXPLAIN ANALYZE SELECT`, fully analyzed and planned.
-    Analyze(Prepared),
+    /// `SELECT` or `EXPLAIN ANALYZE SELECT`, fully analyzed and planned.
+    Query {
+        plan: Prepared,
+        /// Answer with the run's EXPLAIN ANALYZE report instead of rows.
+        explain: bool,
+    },
     /// DML / DDL, parsed.
     Stmt(Statement),
 }
@@ -435,23 +438,18 @@ impl<'db> Session<'db> {
                 "transaction aborted by a prior error; send ROLLBACK first",
             );
         }
-        if self.txn.is_none() {
-            // Auto-commit: DML runs in its own transaction.
-            return match run_parsed(self.db, stmt) {
-                Ok(out) => self.send_output(&out),
-                Err(e) => self.send_error(error_code::STATEMENT, &e.to_string()),
-            };
-        }
         match stmt {
+            // Queries inside a transaction get read-your-writes: atoms the
+            // transaction wrote are served from its overlay (DESIGN §13.2
+            // states the overlay's scope).
             Statement::Select(_) | Statement::ExplainAnalyze(_) => {
-                // Queries inside a transaction get read-your-writes: atoms
-                // the transaction touched are served from its overlay (see
-                // `Prepared::run_in_txn` for the overlay's exact scope).
-                let txn = self.txn.as_ref().expect("checked above");
-                match run_query_in_txn(self.db, txn, stmt) {
-                    Ok(out) => self.send_output(&out),
-                    Err(e) => self.send_error(error_code::STATEMENT, &e.to_string()),
-                }
+                let out = run_query(self.db, self.txn.as_ref(), stmt);
+                self.send_result(out)
+            }
+            // No open transaction: DDL runs at once, DML auto-commits.
+            stmt if self.txn.is_none() => {
+                let out = run_parsed(self.db, stmt);
+                self.send_result(out)
             }
             Statement::CreateType { .. } | Statement::CreateMolecule { .. } => self.send_error(
                 error_code::SESSION,
@@ -478,18 +476,12 @@ impl<'db> Session<'db> {
     }
 
     fn prepare(&mut self, sql: &str) -> Result<u64> {
-        let cached = match parse_statement(sql)? {
-            Statement::Select(q) => Cached::Plan(tcom_query::exec::prepare_query(
-                self.db,
-                q,
-                tcom_query::exec::ExecOptions::default(),
-            )?),
-            Statement::ExplainAnalyze(q) => Cached::Analyze(tcom_query::exec::prepare_query(
-                self.db,
-                q,
-                tcom_query::exec::ExecOptions::default(),
-            )?),
-            stmt => Cached::Stmt(stmt),
+        let cached = match parse_statement(sql)?.into_query() {
+            Ok((q, explain)) => Cached::Query {
+                plan: prepare_query(self.db, q, ExecOptions::default())?,
+                explain,
+            },
+            Err(stmt) => Cached::Stmt(stmt),
         };
         self.next_stmt += 1;
         let id = self.next_stmt;
@@ -511,25 +503,9 @@ impl<'db> Session<'db> {
             ),
             // Prepared queries also honor an open transaction's overlay —
             // EXECUTE must see the same state as the equivalent QUERY.
-            Some(Cached::Plan(p)) => {
-                let r = match &self.txn {
-                    Some(txn) => p.run_in_txn(self.db, txn),
-                    None => p.run(self.db),
-                };
-                match r {
-                    Ok(out) => self.send_output(&StatementOutput::Query(out)),
-                    Err(e) => self.send_error(error_code::STATEMENT, &e.to_string()),
-                }
-            }
-            Some(Cached::Analyze(p)) => {
-                let r = match &self.txn {
-                    Some(txn) => p.run_explain_in_txn(self.db, txn),
-                    None => p.run_explain(self.db),
-                };
-                match r {
-                    Ok((_, report)) => self.send_output(&StatementOutput::Explain(report)),
-                    Err(e) => self.send_error(error_code::STATEMENT, &e.to_string()),
-                }
+            Some(Cached::Query { plan, explain }) => {
+                let out = run_prepared(self.db, self.txn.as_ref(), plan, *explain);
+                self.send_result(out)
             }
             Some(Cached::Stmt(s)) => {
                 let stmt = s.clone();
@@ -628,8 +604,12 @@ impl<'db> Session<'db> {
         Ok(())
     }
 
-    fn send_output(&mut self, out: &StatementOutput) -> Result<()> {
-        self.send(Frame::new(FrameKind::Rows, proto::enc_output(out)))
+    /// Replies with a statement's output, or its error.
+    fn send_result(&mut self, out: Result<StatementOutput>) -> Result<()> {
+        match out {
+            Ok(out) => self.send(Frame::new(FrameKind::Rows, proto::enc_output(&out))),
+            Err(e) => self.send_error(error_code::STATEMENT, &e.to_string()),
+        }
     }
 
     fn send_ack(&mut self, ack: Ack) -> Result<()> {

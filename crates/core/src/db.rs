@@ -58,10 +58,7 @@ use tcom_storage::disk::DiskManager;
 use tcom_storage::keys::{encode_value, BKey};
 use tcom_storage::vfs::{StdVfs, Vfs};
 use tcom_version::record::AtomVersion;
-use tcom_version::{
-    write_segment_file, ChainStore, DeltaStore, Segment, SplitStore, StoreKind, StoreStats,
-    VersionStore,
-};
+use tcom_version::{write_segment_file, Segment, Store, StoreKind, StoreStats};
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
 /// A pinned snapshot for reads: the published transaction-time clock at
@@ -103,12 +100,8 @@ pub struct Database {
     vfs: Arc<dyn Vfs>,
     pool: Arc<BufferPool>,
     catalog: RwLock<Catalog>,
-    stores: RwLock<HashMap<u32, Arc<dyn VersionStore>>>,
+    stores: RwLock<HashMap<u32, Arc<Store>>>,
     indexes: RwLock<HashMap<(u32, u16), Arc<BTree>>>,
-    /// Per-type time index: B⁺-tree over `(tt boundary, atom_no)` — every
-    /// transaction time at which an atom of the type changed (a version
-    /// started or ended). Powers [`Database::atoms_changed_in`].
-    time_indexes: RwLock<HashMap<u32, Arc<BTree>>>,
     wal: Wal,
     /// Transaction-time *allocation* clock: the last tt handed to a
     /// committing transaction (drawn under `wal_order`).
@@ -233,7 +226,6 @@ impl Database {
             catalog: RwLock::new(catalog),
             stores: RwLock::new(HashMap::new()),
             indexes: RwLock::new(HashMap::new()),
-            time_indexes: RwLock::new(HashMap::new()),
             wal,
             clock: AtomicU64::new(0),
             published: AtomicU64::new(0),
@@ -269,8 +261,6 @@ impl Database {
                         db.indexes.write().insert((t.id.0, attr_id as u16), idx);
                     }
                 }
-                let tix = db.open_or_create_time_index(t.id, false)?;
-                db.time_indexes.write().insert(t.id.0, tix);
             }
         }
 
@@ -508,7 +498,7 @@ impl Database {
     /// Registers one store's counter handles under its kind label. Every
     /// per-type store of a database shares the kind, so the registry sums
     /// them into one labeled series per metric.
-    fn register_store_obs(&self, store: &Arc<dyn VersionStore>) {
+    fn register_store_obs(&self, store: &Store) {
         let label = store.kind().to_string();
         let o = store.obs();
         self.obs
@@ -564,44 +554,32 @@ impl Database {
         Ok((id, existed))
     }
 
-    fn open_or_create_store(&self, ty: AtomTypeId, fresh: bool) -> Result<Arc<dyn VersionStore>> {
-        let n = ty.0;
-        let store: Arc<dyn VersionStore> = match self.config.store_kind {
-            StoreKind::Chain => {
-                let (heap, existed) = self.register(format!("t{n}_heap.tcm"), false)?;
-                let (dir, _) = self.register(format!("t{n}_dir.tcm"), false)?;
-                let (vix, _) = self.register(format!("t{n}_vix.tcm"), false)?;
-                if existed && !fresh {
-                    Arc::new(ChainStore::open(self.pool.clone(), heap, dir, vix)?)
-                } else {
-                    Arc::new(ChainStore::create(self.pool.clone(), heap, dir, vix)?)
-                }
+    /// Opens (or, when `fresh` or nothing is there yet, formats) the store
+    /// of one atom type over the files its layout names. A cataloged type
+    /// whose files are all empty is the crash window between the catalog
+    /// save and the first page flush of `define_atom_type`; a *mix* of
+    /// empty and non-empty files is damage no flush order produces.
+    fn open_or_create_store(&self, ty: AtomTypeId, fresh: bool) -> Result<Arc<Store>> {
+        let kind = self.config.store_kind;
+        let (mut files, mut empty) = (Vec::new(), Vec::new());
+        for suffix in kind.file_suffixes() {
+            let name = format!("t{}_{suffix}.tcm", ty.0);
+            let (file, existed) = self.register(name.clone(), false)?;
+            files.push(file);
+            if !existed {
+                empty.push(name);
             }
-            StoreKind::Delta => {
-                let (heap, existed) = self.register(format!("t{n}_heap.tcm"), false)?;
-                let (dir, _) = self.register(format!("t{n}_dir.tcm"), false)?;
-                let (vix, _) = self.register(format!("t{n}_vix.tcm"), false)?;
-                if existed && !fresh {
-                    Arc::new(DeltaStore::open(self.pool.clone(), heap, dir, vix)?)
-                } else {
-                    Arc::new(DeltaStore::create(self.pool.clone(), heap, dir, vix)?)
-                }
-            }
-            StoreKind::Split => {
-                let (ch, existed) = self.register(format!("t{n}_cur.tcm"), false)?;
-                let (cd, _) = self.register(format!("t{n}_curdir.tcm"), false)?;
-                let (hh, _) = self.register(format!("t{n}_hist.tcm"), false)?;
-                let (hd, _) = self.register(format!("t{n}_histdir.tcm"), false)?;
-                let (vix, _) = self.register(format!("t{n}_vix.tcm"), false)?;
-                if existed && !fresh {
-                    Arc::new(SplitStore::open(self.pool.clone(), ch, cd, hh, hd, vix)?)
-                } else {
-                    Arc::new(SplitStore::create(self.pool.clone(), ch, cd, hh, hd, vix)?)
-                }
-            }
-        };
+        }
+        let create = fresh || empty.len() == files.len();
+        if let (false, Some(name)) = (create, empty.first()) {
+            return Err(Error::corruption(format!(
+                "atom type #{}: store file {name} is missing or empty beside its companions",
+                ty.0
+            )));
+        }
+        let store = Store::open(kind, self.pool.clone(), &files, create)?;
         self.register_store_obs(&store);
-        Ok(store)
+        Ok(Arc::new(store))
     }
 
     fn open_or_create_index(
@@ -611,19 +589,6 @@ impl Database {
         fresh: bool,
     ) -> Result<Arc<BTree>> {
         let name = format!("t{}_idx{}.tcm", ty.0, attr.0);
-        if fresh {
-            let _ = self.vfs.remove(&self.dir.join(&name));
-        }
-        let (file, existed) = self.register(name, false)?;
-        Ok(Arc::new(if existed && !fresh {
-            BTree::open(self.pool.clone(), file)?
-        } else {
-            BTree::create(self.pool.clone(), file)?
-        }))
-    }
-
-    fn open_or_create_time_index(&self, ty: AtomTypeId, fresh: bool) -> Result<Arc<BTree>> {
-        let name = format!("t{}_tix.tcm", ty.0);
         if fresh {
             let _ = self.vfs.remove(&self.dir.join(&name));
         }
@@ -661,8 +626,6 @@ impl Database {
                 }
             }
         }
-        let tix = self.open_or_create_time_index(id, true)?;
-        self.time_indexes.write().insert(id.0, tix);
         self.catalog.read().save(self.dir.join("catalog.tcat"))?;
         // New (empty) files must survive a crash without WAL coverage.
         self.sync_pages()?;
@@ -701,7 +664,7 @@ impl Database {
         Ok(self.catalog.read().molecule_type_by_name(name)?.id)
     }
 
-    pub(crate) fn store(&self, ty: AtomTypeId) -> Result<Arc<dyn VersionStore>> {
+    pub(crate) fn store(&self, ty: AtomTypeId) -> Result<Arc<Store>> {
         self.stores
             .read()
             .get(&ty.0)
@@ -841,14 +804,7 @@ impl Database {
         // Collected inside the validated section (so a concurrent apply
         // retries the enumeration, not the caller's side effects), then
         // streamed to `f` outside it.
-        let groups = self.read_stable(ty, || {
-            let mut groups = Vec::new();
-            store.slice_at(tt, &mut |no, vs| {
-                groups.push((no, vs));
-                Ok(true)
-            })?;
-            Ok(groups)
-        })?;
+        let groups = self.read_stable(ty, || store.slice_at(tt))?;
         for (no, vs) in groups {
             if !f(no, vs)? {
                 break;
@@ -936,12 +892,8 @@ impl Database {
     pub fn all_atoms(&self, ty: AtomTypeId) -> Result<Vec<AtomId>> {
         let store = self.store(ty)?;
         self.read_stable(ty, || {
-            let mut out = Vec::new();
-            store.scan_atoms(&mut |no| {
-                out.push(AtomId::new(ty, no));
-                Ok(true)
-            })?;
-            Ok(out)
+            let atoms = store.atoms()?;
+            Ok(atoms.into_iter().map(|no| AtomId::new(ty, no)).collect())
         })
     }
 
@@ -1046,60 +998,10 @@ impl Database {
         Ok(())
     }
 
-    /// Records that `atom` changed at transaction time `tt`
-    /// (called under the commit lock).
-    pub(crate) fn note_change(&self, atom: AtomId, tt: TimePoint) -> Result<()> {
-        self.stats.note(atom.ty.0);
-        if let Some(tix) = self.time_indexes.read().get(&atom.ty.0).cloned() {
-            tix.insert(BKey::new(tt.0, atom.no.0), atom.no.0)?;
-        }
-        Ok(())
-    }
-
-    /// The atoms of `ty` that changed (a version started or ended) at any
-    /// transaction time in `window` — answered from the time index without
-    /// touching version chains.
-    pub fn atoms_changed_in(&self, ty: AtomTypeId, window: Interval) -> Result<Vec<AtomId>> {
-        let tix = self
-            .time_indexes
-            .read()
-            .get(&ty.0)
-            .cloned()
-            .ok_or_else(|| Error::UnknownSchemaObject(format!("time index for type #{}", ty.0)))?;
-        self.read_stable(ty, || {
-            let mut out = Vec::new();
-            tix.scan_range(
-                BKey::min_for(window.start().0),
-                BKey::min_for(window.end().0),
-                |k, _| {
-                    out.push(AtomId::new(ty, AtomNo(k.lo)));
-                    Ok(true)
-                },
-            )?;
-            out.sort();
-            out.dedup();
-            Ok(out)
-        })
-    }
-
-    /// Rebuilds every time index from the stores (recovery / post-prune).
-    fn rebuild_time_indexes(&self) -> Result<()> {
-        let catalog = self.catalog.read();
-        for t in catalog.atom_types() {
-            let store = self.store(t.id)?;
-            let tix = self.open_or_create_time_index(t.id, true)?;
-            store.scan_atoms(&mut |no| {
-                for v in store.history(no)? {
-                    tix.insert(BKey::new(v.tt.start().0, no.0), no.0)?;
-                    if !v.tt.end().is_forever() {
-                        tix.insert(BKey::new(v.tt.end().0, no.0), no.0)?;
-                    }
-                }
-                Ok(true)
-            })?;
-            self.time_indexes.write().insert(t.id.0, tix);
-        }
-        Ok(())
+    /// Records that an atom of type `ty` changed in a commit, ageing the
+    /// planner's cached statistics of the type.
+    pub(crate) fn note_change(&self, ty: AtomTypeId) {
+        self.stats.note(ty.0);
     }
 
     // ---- checkpoint & recovery ----
@@ -1269,12 +1171,7 @@ impl Database {
                     // logical content, and `extract_closed` maintains the
                     // store's own interval index as it goes.
                     let store = self.store(AtomTypeId(ty))?;
-                    let mut atoms = Vec::new();
-                    store.scan_atoms(&mut |no| {
-                        atoms.push(no);
-                        Ok(true)
-                    })?;
-                    for no in atoms {
+                    for no in store.atoms()? {
                         store.extract_closed(no, cutoff)?;
                     }
                     // As in `compact_type`: repack the lazily-pruned
@@ -1287,7 +1184,6 @@ impl Database {
 
         if replayed_any {
             self.rebuild_indexes()?;
-            self.rebuild_time_indexes()?;
             // Replay maintained the per-store transaction-time interval
             // indexes incrementally through the store primitives; rebuild
             // them from the heaps anyway — replay starts from whatever
@@ -1319,14 +1215,13 @@ impl Database {
                 }
                 let attr = AttrId(i as u16);
                 let idx = self.open_or_create_index(t.id, attr, true)?;
-                store.scan_atoms(&mut |no| {
+                for no in store.atoms()? {
                     for v in store.current_versions(no)? {
                         if let Some(enc) = encode_value(v.tuple.get(i)) {
                             idx.insert(BKey::new(enc, no.0), no.0)?;
                         }
                     }
-                    Ok(true)
-                })?;
+                }
                 self.indexes.write().insert((t.id.0, attr.0), idx);
             }
         }
@@ -1359,17 +1254,9 @@ impl Database {
             let _apply = self.begin_apply(&tys);
             for ty in type_ids {
                 let store = self.store(ty)?;
-                let mut atoms = Vec::new();
-                store.scan_atoms(&mut |no| {
-                    atoms.push(no);
-                    Ok(true)
-                })?;
-                for no in atoms {
-                    removed += store.prune(no, cutoff)? as u64;
+                for no in store.atoms()? {
+                    removed += store.extract_closed(no, cutoff)?.len() as u64;
                 }
-            }
-            if removed > 0 {
-                self.rebuild_time_indexes()?;
             }
             Ok(())
         })();
@@ -1409,11 +1296,7 @@ impl Database {
             // (closed versions with `tt.end <= cutoff`) is frozen, so
             // recovery's redo selects exactly the same versions.
             let cutoff = self.now();
-            let mut atoms = Vec::new();
-            store.scan_atoms(&mut |no| {
-                atoms.push(no);
-                Ok(true)
-            })?;
+            let atoms = store.atoms()?;
             let mut entries: Vec<(u64, AtomVersion)> = Vec::new();
             for no in &atoms {
                 for v in store.collect_closed(*no, cutoff)? {
@@ -1532,9 +1415,13 @@ impl Database {
         let type_ids: Vec<u32> =
             self.with_catalog(|c| c.atom_types().iter().map(|t| t.id.0).collect());
         for ty in type_ids {
-            let tmp = self.dir.join(segment_tmp_name(ty));
-            if self.vfs.exists(&tmp) {
-                self.vfs.remove(&tmp)?;
+            // Earlier versions also kept a per-type change index here;
+            // nothing reads it, so a directory written by them sheds it.
+            for leftover in [segment_tmp_name(ty), format!("t{ty}_tix.tcm")] {
+                let path = self.dir.join(leftover);
+                if self.vfs.exists(&path) {
+                    self.vfs.remove(&path)?;
+                }
             }
             let next = live
                 .iter()

@@ -55,12 +55,7 @@ impl Database {
         });
         for (ty, ty_name, attrs) in &type_ids {
             let store = self.store(*ty)?;
-            let mut atoms = Vec::new();
-            store.scan_atoms(&mut |no| {
-                atoms.push(no);
-                Ok(true)
-            })?;
-            for no in atoms {
+            for no in store.atoms()? {
                 let atom = AtomId::new(*ty, no);
                 report.atoms_checked += 1;
                 let history = store.history(no)?;
@@ -144,14 +139,13 @@ impl Database {
                 };
                 // Expected entries from the store.
                 let mut expected: HashSet<(u64, u64)> = HashSet::new();
-                store.scan_atoms(&mut |no| {
+                for no in store.atoms()? {
                     for v in store.current_versions(no)? {
                         if let Some(enc) = encode_value(v.tuple.get(i)) {
                             expected.insert((enc, no.0));
                         }
                     }
-                    Ok(true)
-                })?;
+                }
                 // Actual entries from the index.
                 let mut actual: HashSet<(u64, u64)> = HashSet::new();
                 idx.scan_range(BKey::MIN, BKey::MAX, |k, _| {

@@ -11,7 +11,7 @@
 //!    first — a crash mid-apply recovers through the ordinary
 //!    [`Database::recover`] path, no replication-specific redo exists;
 //! 2. re-applies the mutation primitives to the version stores, maintains
-//!    the transaction-time index ([`Database::note_change`]) and the value
+//!    the planner's change notes ([`Database::note_change`]) and the value
 //!    indexes incrementally, and raises the atom-number allocators past
 //!    every replicated number (a promoted replica never reuses one);
 //! 3. republishes the transaction time via `publish_replicated`, making
@@ -355,7 +355,7 @@ impl WalApplier {
                 }
             }
             for atom in &changed {
-                db.note_change(*atom, tt)?;
+                db.note_change(atom.ty);
             }
             for atom in &changed {
                 let after: Vec<Tuple> = db

@@ -382,10 +382,10 @@ impl<'db> Txn<'db> {
                     }
                 }
             }
-            // Time index: every atom with applied primitives changed at tt.
+            // Planner statistics: every atom with applied primitives changed.
             let changed: std::collections::HashSet<AtomId> = ops.iter().map(|t| t.atom).collect();
             for atom in changed {
-                self.db.note_change(atom, tt)?;
+                self.db.note_change(atom.ty);
             }
             // Value indexes: per touched atom, diff before/after values.
             let touched: Vec<AtomId> = self.overlay.keys().copied().collect();

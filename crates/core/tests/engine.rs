@@ -737,6 +737,87 @@ fn store_kind_is_sticky() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A type whose store files are a mix of written and empty ones is
+/// reported as damage, naming the type and the file — for whichever
+/// companion is lost, on every layout.
+#[test]
+fn truncated_store_file_is_reported_as_corruption() {
+    for kind in all_kinds() {
+        for (i, lost) in kind.file_suffixes().iter().enumerate() {
+            let dir = tmpdir(&format!("mixed-{kind}-{i}"));
+            {
+                let db = Database::open(&dir, cfg(kind)).unwrap();
+                let ty = setup_emp(&db);
+                let mut txn = db.begin();
+                txn.insert_atom(ty, iv_from(0), emp("ann", 100)).unwrap();
+                txn.commit().unwrap();
+            }
+            let name = format!("t0_{lost}.tcm");
+            std::fs::File::create(dir.join(&name)).unwrap(); // truncates
+            let Err(err) = Database::open(&dir, cfg(kind)) else {
+                panic!("{kind}: reopened over a truncated {name}");
+            };
+            let text = err.to_string();
+            assert!(
+                matches!(err, tcom_kernel::Error::Corruption(_)),
+                "{kind}/{name}: {text}"
+            );
+            assert!(text.contains("atom type #0"), "{kind}/{name}: {text}");
+            assert!(text.contains(&name), "{kind}/{name}: {text}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// The crash window between `define_atom_type`'s catalog save and its
+/// first page flush leaves a cataloged type with only empty files; the
+/// next open formats them instead of failing.
+#[test]
+fn cataloged_type_with_only_empty_files_is_created_at_open() {
+    for kind in all_kinds() {
+        let dir = tmpdir(&format!("unflushed-{kind}"));
+        {
+            let db = Database::open(&dir, cfg(kind)).unwrap();
+            setup_emp(&db);
+        }
+        for suffix in kind.file_suffixes() {
+            std::fs::File::create(dir.join(format!("t0_{suffix}.tcm"))).unwrap();
+        }
+        std::fs::File::create(dir.join("t0_idx1.tcm")).unwrap();
+        let db = Database::open(&dir, cfg(kind)).unwrap();
+        let ty = db.atom_type_id("emp").unwrap();
+        let mut txn = db.begin();
+        let ann = txn.insert_atom(ty, iv_from(0), emp("ann", 100)).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(db.current_versions(ann).unwrap().len(), 1);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Directories written before the per-type change index was dropped
+/// still carry its file; open removes it and everything else reads on.
+#[test]
+fn leftover_change_index_file_is_removed_at_open() {
+    let dir = tmpdir("old-tix");
+    let ann;
+    {
+        let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
+        let ty = setup_emp(&db);
+        let mut txn = db.begin();
+        ann = txn.insert_atom(ty, iv_from(0), emp("ann", 100)).unwrap();
+        txn.commit().unwrap();
+    }
+    let leftover = dir.join("t0_tix.tcm");
+    assert!(!leftover.exists(), "no change index is created any more");
+    std::fs::write(&leftover, vec![0u8; 8192]).unwrap();
+    let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
+    assert!(!leftover.exists());
+    assert_eq!(db.history(ann).unwrap().len(), 1);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn concurrent_readers_during_writes() {
     let dir = tmpdir("concur");
@@ -889,61 +970,6 @@ fn prune_keeps_multi_slice_current_state() {
     assert!(removed > 0);
     // Current state byte-identical after pruning.
     assert_eq!(db.current_versions(ann).unwrap(), before);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn time_index_answers_changed_atoms() {
-    let dir = tmpdir("tix");
-    let db = Database::open(&dir, cfg(StoreKind::Split)).unwrap();
-    let ty = setup_emp(&db);
-
-    let mut txn = db.begin();
-    let a = txn.insert_atom(ty, iv_from(0), emp("a", 1)).unwrap();
-    let b = txn.insert_atom(ty, iv_from(0), emp("b", 2)).unwrap();
-    txn.commit().unwrap(); // tt=1: a, b
-    let mut txn = db.begin();
-    txn.update(a, iv_from(0), emp("a", 10)).unwrap();
-    txn.commit().unwrap(); // tt=2: a
-    let mut txn = db.begin();
-    let c = txn.insert_atom(ty, iv_from(0), emp("c", 3)).unwrap();
-    txn.commit().unwrap(); // tt=3: c
-
-    assert_eq!(db.atoms_changed_in(ty, iv(1, 2)).unwrap(), vec![a, b]);
-    assert_eq!(db.atoms_changed_in(ty, iv(2, 3)).unwrap(), vec![a]);
-    assert_eq!(db.atoms_changed_in(ty, iv(3, 4)).unwrap(), vec![c]);
-    assert_eq!(db.atoms_changed_in(ty, iv(1, 4)).unwrap(), vec![a, b, c]);
-    assert!(db.atoms_changed_in(ty, iv(4, 100)).unwrap().is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn time_index_survives_crash_and_prune() {
-    let dir = tmpdir("tix-crash");
-    let (ty, a);
-    {
-        let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
-        ty = setup_emp(&db);
-        let mut txn = db.begin();
-        a = txn.insert_atom(ty, iv_from(0), emp("a", 1)).unwrap();
-        txn.commit().unwrap(); // tt=1
-        db.checkpoint().unwrap();
-        let mut txn = db.begin();
-        txn.update(a, iv_from(0), emp("a", 2)).unwrap();
-        txn.commit().unwrap(); // tt=2, only in WAL
-        db.crash();
-    }
-    let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
-    // Rebuilt from histories: both boundaries present.
-    assert_eq!(db.atoms_changed_in(ty, iv(1, 3)).unwrap(), vec![a]);
-    assert_eq!(db.atoms_changed_in(ty, iv(2, 3)).unwrap(), vec![a]);
-
-    // Prune history before tt=2: the tt=1 entries disappear with it…
-    db.prune_history(TimePoint(2)).unwrap();
-    assert_eq!(db.atoms_changed_in(ty, iv(2, 3)).unwrap(), vec![a]);
-    // …the old version's start boundary is gone, but the surviving
-    // version's boundaries (start tt=2) remain.
-    assert!(db.atoms_changed_in(ty, iv(1, 2)).unwrap().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

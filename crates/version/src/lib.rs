@@ -1,36 +1,32 @@
 //! # tcom-version
 //!
-//! Temporal version management: the three competing storage formats for
-//! atom version histories that the paper's realization evaluates.
+//! Temporal version management: one version store, [`store::Store`], that
+//! lays atom version histories on pages in one of the three competing
+//! record layouts the paper's realization evaluates ([`StoreKind`]):
 //!
-//! * [`chain::ChainStore`] (V1) — full-copy backward version chains;
-//! * [`delta::DeltaStore`] (V2) — full current versions, closed versions
-//!   compressed to attribute-level backward deltas;
-//! * [`split::SplitStore`] (V3) — clustered current store plus append-only,
+//! * **chain** (V1) — full-copy backward version chains;
+//! * **delta** (V2) — full current versions, closed versions compressed to
+//!   attribute-level backward deltas;
+//! * **split** (V3) — clustered current store plus append-only,
 //!   closing-time-ordered history store.
 //!
-//! All three implement [`store::VersionStore`] and answer identical
-//! bitemporal visibility queries; the `equivalence` integration test
-//! verifies this against a naive executable model under random histories.
+//! Everything the layouts share is written once; the layouts answer
+//! identical bitemporal visibility queries, which the `equivalence`
+//! integration test verifies against a naive executable model under random
+//! histories, and whose page and walk costs `cost_golden` pins per layout.
 
 #![warn(missing_docs)]
 
-pub mod chain;
-pub mod delta;
 pub mod record;
 pub mod segment;
-pub mod split;
 pub mod store;
 pub mod timeindex;
 
-pub use chain::ChainStore;
-pub use delta::DeltaStore;
 pub use record::{AtomVersion, Payload, TupleDelta, VersionRecord};
 pub use segment::{
     build_segment_stream, decode_block, encode_block, lzss_compress, lzss_decompress,
     write_segment_file, BlockFence, Segment, SegmentFooter, SegmentSet, SegmentSetStats,
     SEGMENT_FORMAT, SEGMENT_MAGIC,
 };
-pub use split::SplitStore;
-pub use store::{StoreKind, StoreObs, StoreStats, VersionStore, VersionStoreExt};
+pub use store::{HeapShape, Store, StoreKind, StoreObs, StoreStats};
 pub use timeindex::{TimeIndex, TimeIndexEntry};

@@ -4,13 +4,16 @@
 //! with its valid-time and transaction-time intervals, and linked into a
 //! per-atom backward chain (newest first) via a `prev` record id.
 //!
-//! Two payload forms exist:
+//! Two payload forms exist for chain records:
 //!
 //! * **full** — the complete tuple;
 //! * **delta** — the attribute-level changes that turn the *newer*
 //!   neighbouring version's tuple into this version's tuple (backward
 //!   delta). Reconstruction walks the chain newest→oldest, applying deltas
 //!   to a running tuple.
+//!
+//! The split layout additionally clusters an atom's current versions in one
+//! `CurrentSet` record outside the chain.
 
 use tcom_kernel::codec::{Decoder, Encoder};
 use tcom_kernel::{
@@ -186,6 +189,65 @@ impl VersionRecord {
     /// True iff the record's transaction time is still open.
     pub fn is_current(&self) -> bool {
         self.tt.is_open_ended()
+    }
+}
+
+/// All current (tt-open) versions of one atom clustered in one record —
+/// the split layout's current area. Entries are `(vt, tt_start, tuple)`,
+/// kept sorted by valid-time start.
+#[derive(Clone, Debug, PartialEq, Default)]
+pub(crate) struct CurrentSet {
+    pub(crate) entries: Vec<(Interval, TimePoint, Tuple)>,
+}
+
+impl CurrentSet {
+    pub(crate) fn encode(&self, no: AtomNo) -> Vec<u8> {
+        let mut e = Encoder::with_capacity(64);
+        e.put_u64(no.0);
+        e.put_u64(self.entries.len() as u64);
+        for (vt, tt_start, tuple) in &self.entries {
+            e.put_interval(vt);
+            e.put_time(*tt_start);
+            e.put_tuple(tuple);
+        }
+        e.finish()
+    }
+
+    pub(crate) fn decode(bytes: &[u8], expect_no: AtomNo) -> Result<CurrentSet> {
+        let mut d = Decoder::new(bytes);
+        let no = AtomNo(d.get_u64()?);
+        if no != expect_no {
+            return Err(Error::corruption(format!(
+                "current-set record of atom {} found while reading atom {}",
+                no.0, expect_no.0
+            )));
+        }
+        let n = d.get_u64()? as usize;
+        if n > d.remaining() {
+            return Err(Error::corruption("current-set entry count exceeds buffer"));
+        }
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let vt = d.get_interval()?;
+            let tt_start = d.get_time()?;
+            let tuple = d.get_tuple()?;
+            entries.push((vt, tt_start, tuple));
+        }
+        if !d.is_exhausted() {
+            return Err(Error::corruption("trailing bytes in current-set record"));
+        }
+        Ok(CurrentSet { entries })
+    }
+
+    /// The set as materialized versions (all tt-open), in stored order.
+    pub(crate) fn into_versions(self) -> impl Iterator<Item = AtomVersion> {
+        self.entries
+            .into_iter()
+            .map(|(vt, tt_start, tuple)| AtomVersion {
+                vt,
+                tt: Interval::from_start(tt_start),
+                tuple,
+            })
     }
 }
 

@@ -29,7 +29,7 @@
 //! mutates an existing segment.
 
 use crate::record::AtomVersion;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 use tcom_kernel::codec::{crc32c, Decoder, Encoder};
@@ -627,22 +627,6 @@ impl Segment {
         }
         Ok(())
     }
-
-    /// Collects the atom numbers that have at least one version visible at
-    /// `tt` (exact, not fence-approximate).
-    pub fn visible_atoms(&self, tt: TimePoint, atoms: &mut BTreeSet<u64>) -> Result<()> {
-        for fence in &self.footer.blocks {
-            if !fence.admits_tt(tt) {
-                continue;
-            }
-            for (n, v) in self.read_block(fence)? {
-                if v.tt.contains(tt) {
-                    atoms.insert(n);
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 // --------------------------------------------------------- segment set
@@ -780,22 +764,6 @@ impl SegmentSet {
             if seg.footer().admits_tt(tt) {
                 self.reads.inc();
                 seg.slice_into(tt, groups)?;
-            } else {
-                self.skips.inc();
-            }
-        }
-        Ok(())
-    }
-
-    /// Collects atoms with at least one archived version visible at `tt`.
-    pub fn visible_atoms(&self, tt: TimePoint, atoms: &mut BTreeSet<u64>) -> Result<()> {
-        if tt.is_forever() {
-            return Ok(());
-        }
-        for seg in self.list() {
-            if seg.footer().admits_tt(tt) {
-                self.reads.inc();
-                seg.visible_atoms(tt, atoms)?;
             } else {
                 self.skips.inc();
             }

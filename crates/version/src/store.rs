@@ -1,22 +1,47 @@
-//! The [`VersionStore`] abstraction: what every temporal storage format
-//! must provide, plus shared directory helpers.
+//! The version store: **one core, three record layouts**.
 //!
-//! The engine performs bitemporal DML through two primitives —
-//! [`VersionStore::insert_version`] and [`VersionStore::close_version`] —
-//! and reads through the three visibility queries (`current_versions`,
-//! `versions_at`, `history`). The three implementations trade current-
-//! access speed, past-access speed and storage consumption against each
-//! other; comparing them is the heart of the reproduced evaluation.
+//! [`Store`] keeps the version histories of one atom type. The engine
+//! performs bitemporal DML through two primitives —
+//! [`Store::insert_version`] and [`Store::close_version`] — and reads
+//! through the visibility queries (`current_versions`, `versions_at`,
+//! `history`, `slice_at`). Comparing how three page layouts answer those
+//! is the heart of the reproduced evaluation, so everything the layouts
+//! share is written once here and [`StoreKind`] is consulted only where
+//! the formats really differ (DESIGN §4.3 lists every site):
+//!
+//! 1. **where current versions live** — at the head of the atom's backward
+//!    chain (chain, delta), or in a per-atom current-set record in a heap
+//!    of its own (split), which leaves the chain to closed history in
+//!    closing order and keeps current pages dense however long histories
+//!    grow;
+//! 2. **how a closed record's payload is written** — in full (chain,
+//!    split), or rewritten in place as an attribute-level backward delta
+//!    against its newer neighbour (delta); the chain layout is the delta
+//!    layout with compression off, served by the same reconstructing walk;
+//! 3. **what a time-index entry carries** — `rid → tt_end` (chain, and
+//!    split's closed partition), `rid → atom` (delta: reconstruction walks
+//!    the chain anyway, so the index narrows a slice to an atom set) or
+//!    `atom → atom` (split's open partition: current-set records relocate
+//!    on every update) — and therefore how `slice_at` turns entries into
+//!    heap candidates;
+//! 4. **split's early stop** — its history chain descends in `tt.end`, so
+//!    a past read stops at the first record closed at or before the asked
+//!    time.
 
-use crate::record::AtomVersion;
+use crate::record::{AtomVersion, CurrentSet, Payload, TupleDelta, VersionRecord};
 use crate::segment::SegmentSet;
+use crate::timeindex::TimeIndex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use tcom_kernel::{AtomNo, Interval, RecordId, Result, TimePoint, Tuple};
+use tcom_kernel::codec::Decoder;
+use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_obs::Counter;
 use tcom_storage::btree::BTree;
+use tcom_storage::buffer::{BufferPool, FileId};
+use tcom_storage::heap::HeapFile;
 use tcom_storage::keys::BKey;
 
-/// Which storage format a store implements.
+/// Which record layout a store uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StoreKind {
     /// Full-copy backward version chains (V1).
@@ -27,13 +52,25 @@ pub enum StoreKind {
     Split,
 }
 
+impl StoreKind {
+    /// The files of a store of this kind, as file-name suffixes in the
+    /// order [`Store::open`] expects them (decision 1: the split layout
+    /// adds a current heap and its directory in front of the chain files).
+    pub fn file_suffixes(self) -> &'static [&'static str] {
+        match self {
+            StoreKind::Chain | StoreKind::Delta => &["heap", "dir", "vix"],
+            StoreKind::Split => &["cur", "curdir", "hist", "histdir", "vix"],
+        }
+    }
+}
+
 impl std::fmt::Display for StoreKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreKind::Chain => write!(f, "chain"),
-            StoreKind::Delta => write!(f, "delta"),
-            StoreKind::Split => write!(f, "split"),
-        }
+        f.write_str(match self {
+            StoreKind::Chain => "chain",
+            StoreKind::Delta => "delta",
+            StoreKind::Split => "split",
+        })
     }
 }
 
@@ -80,9 +117,24 @@ impl StoreStats {
     }
 }
 
+/// Diagnostic view of the hot heaps: how many chain records are stored in
+/// full and how many as deltas, and how the data pages divide between the
+/// current area (split only) and the chains.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapShape {
+    /// Chain records with a full payload.
+    pub full: u64,
+    /// Chain records with a delta payload.
+    pub delta: u64,
+    /// Data pages of the current-set heap (0 unless split).
+    pub current_pages: u32,
+    /// Data pages of the chain heap.
+    pub chain_pages: u32,
+}
+
 /// Shared observability handles of one store instance. Cloning shares the
 /// underlying cells, so a metrics registry can hold the same handles the
-/// store increments; fields irrelevant to a given format simply stay zero.
+/// store increments; fields irrelevant to a given layout simply stay zero.
 #[derive(Clone, Default)]
 pub struct StoreObs {
     /// Version-chain walks started (one per read primitive that touches a
@@ -91,14 +143,75 @@ pub struct StoreObs {
     /// Chain records visited across all walks.
     pub chain_steps: Counter,
     /// Tuples reconstructed by applying a backward attribute delta
-    /// (delta store only).
+    /// (delta layout only).
     pub delta_reconstructions: Counter,
     /// Closed versions migrated from the current set into the history
-    /// chain (split store only).
+    /// chain (split layout only).
     pub split_migrations: Counter,
 }
 
-/// A temporal storage format for the versions of one atom type.
+/// The split layout's current area: one [`CurrentSet`] record per atom in a
+/// heap of its own, found through its own directory. Every atom ever
+/// inserted keeps a (possibly empty) set, so this directory is also the
+/// layout's atom list.
+struct CurrentArea {
+    heap: HeapFile,
+    dir: BTree,
+}
+
+impl CurrentArea {
+    fn load(&self, no: AtomNo) -> Result<Option<(RecordId, CurrentSet)>> {
+        let Some(rid) = dir_get(&self.dir, no)? else {
+            return Ok(None);
+        };
+        let set = self
+            .heap
+            .with_record(rid, |b| CurrentSet::decode(b, no))??;
+        Ok(Some((rid, set)))
+    }
+
+    /// The atom's current versions, in valid-time order.
+    fn versions(&self, no: AtomNo) -> Result<Vec<AtomVersion>> {
+        Ok(self
+            .load(no)?
+            .map_or_else(Vec::new, |(_, set)| set.into_versions().collect()))
+    }
+
+    fn save(&self, no: AtomNo, rid: Option<RecordId>, set: &CurrentSet) -> Result<()> {
+        let bytes = set.encode(no);
+        let new_rid = match rid {
+            Some(rid) => self.heap.update(rid, &bytes)?,
+            None => self.heap.insert(&bytes)?,
+        };
+        if rid != Some(new_rid) {
+            dir_set(&self.dir, no, new_rid)?;
+        }
+        Ok(())
+    }
+}
+
+/// One record of a backward chain as the walk hands it out: the header
+/// plus the record's tuple, reconstructed when it was stored as a delta.
+#[derive(Clone)]
+struct Link {
+    rid: RecordId,
+    vt: Interval,
+    tt: Interval,
+    prev: RecordId,
+    tuple: Tuple,
+}
+
+impl Link {
+    fn version(&self) -> AtomVersion {
+        AtomVersion {
+            vt: self.vt,
+            tt: self.tt,
+            tuple: self.tuple.clone(),
+        }
+    }
+}
+
+/// The version store of one atom type.
 ///
 /// Invariants the engine maintains through the two mutation primitives:
 ///
@@ -107,102 +220,582 @@ pub struct StoreObs {
 /// * `close_version` targets a current version identified by its unique
 ///   `vt.start`;
 /// * stamps of closed versions are immutable forever after.
-pub trait VersionStore: Send + Sync {
-    /// Which format this store implements.
-    fn kind(&self) -> StoreKind;
+///
+/// Layout invariants: a current record is always stored in full; a delta
+/// record's chain predecessor (the next-newer record) always exists and
+/// reconstructs the tuple the delta is relative to; compression happens
+/// only when the delta fits in the record's existing slot, so chain
+/// records never relocate outside [`Store::extract_closed`].
+pub struct Store {
+    kind: StoreKind,
+    /// Backward version chains, newest first: every version of an atom
+    /// (chain, delta) or its closed history in closing order (split).
+    heap: HeapFile,
+    /// Atom number → head of the atom's chain.
+    dir: BTree,
+    /// Decision 1: `Some` exactly for the split layout.
+    cur: Option<CurrentArea>,
+    /// Transaction-time interval index (decision 3 says what it carries).
+    tix: TimeIndex,
+    /// Archived closed history, stored as full tuples; merged into reads,
+    /// fed by the compactor.
+    segs: Arc<SegmentSet>,
+    obs: StoreObs,
+}
+
+impl Store {
+    /// Opens a store of `kind` over pre-registered files given in
+    /// [`StoreKind::file_suffixes`] order; `create` formats them first.
+    pub fn open(
+        kind: StoreKind,
+        pool: Arc<BufferPool>,
+        files: &[FileId],
+        create: bool,
+    ) -> Result<Store> {
+        if files.len() != kind.file_suffixes().len() {
+            return Err(Error::internal(format!(
+                "a {kind} store takes {} files, got {}",
+                kind.file_suffixes().len(),
+                files.len()
+            )));
+        }
+        let heap = |f: FileId| {
+            if create {
+                HeapFile::create(pool.clone(), f)
+            } else {
+                HeapFile::open(pool.clone(), f)
+            }
+        };
+        let tree = |f: FileId| {
+            if create {
+                BTree::create(pool.clone(), f)
+            } else {
+                BTree::open(pool.clone(), f)
+            }
+        };
+        let (cur, chain) = match kind {
+            StoreKind::Split => {
+                let area = CurrentArea {
+                    heap: heap(files[0])?,
+                    dir: tree(files[1])?,
+                };
+                (Some(area), &files[2..])
+            }
+            StoreKind::Chain | StoreKind::Delta => (None, files),
+        };
+        Ok(Store {
+            kind,
+            heap: heap(chain[0])?,
+            dir: tree(chain[1])?,
+            cur,
+            tix: TimeIndex::over(tree(chain[2])?),
+            segs: SegmentSet::new(),
+            obs: StoreObs::default(),
+        })
+    }
+
+    /// Which layout this store uses.
+    pub fn kind(&self) -> StoreKind {
+        self.kind
+    }
+
+    /// The store's observability counter handles (clone them to register
+    /// in a metrics registry).
+    pub fn obs(&self) -> &StoreObs {
+        &self.obs
+    }
+
+    /// The store's immutable compressed segments of archived history.
+    /// Read paths merge these transparently; the engine publishes into
+    /// the set under its quiescence protocol.
+    pub fn segments(&self) -> &Arc<SegmentSet> {
+        &self.segs
+    }
+
+    /// The directory that lists every atom ever inserted.
+    fn atom_dir(&self) -> &BTree {
+        self.cur.as_ref().map_or(&self.dir, |c| &c.dir)
+    }
 
     /// True iff the atom has ever been inserted.
-    fn exists(&self, no: AtomNo) -> Result<bool>;
+    pub fn exists(&self, no: AtomNo) -> Result<bool> {
+        Ok(dir_get(self.atom_dir(), no)?.is_some())
+    }
+
+    /// Every atom in the store, in ascending atom-number order.
+    pub fn atoms(&self) -> Result<Vec<AtomNo>> {
+        let mut out = Vec::new();
+        self.atom_dir().scan_range(BKey::MIN, BKey::MAX, |k, _| {
+            out.push(AtomNo(k.hi));
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+
+    // ---- the chain ----
+
+    /// Walks an atom's chain newest→oldest, reconstructing each record's
+    /// tuple; `f` returning `false` stops. The walk owns the tuples it
+    /// decodes and clones none of them.
+    fn walk(&self, no: AtomNo, mut f: impl FnMut(&Link) -> Result<bool>) -> Result<()> {
+        self.obs.chain_walks.inc();
+        let mut cur = dir_get(&self.dir, no)?.filter(|r| !r.is_invalid());
+        let mut newer: Option<Link> = None;
+        while let Some(rid) = cur {
+            self.obs.chain_steps.inc();
+            let rec = self.heap.with_record(rid, VersionRecord::decode)??;
+            if rec.atom_no != no {
+                return Err(Error::corruption(format!(
+                    "chain of atom {} reached record of atom {} at {rid:?}",
+                    no.0, rec.atom_no.0
+                )));
+            }
+            let tuple = match (rec.payload, &newer) {
+                // Decision 2: only the delta layout reconstructs.
+                (Payload::Delta(d), Some(base)) if self.kind == StoreKind::Delta => {
+                    self.obs.delta_reconstructions.inc();
+                    d.apply(&base.tuple)
+                }
+                (Payload::Delta(_), None) if self.kind == StoreKind::Delta => {
+                    return Err(Error::corruption(
+                        "delta record at chain head has no base tuple",
+                    ));
+                }
+                (payload, _) => full_copy(payload)?,
+            };
+            let link = Link {
+                rid,
+                vt: rec.vt,
+                tt: rec.tt,
+                prev: rec.prev,
+                tuple,
+            };
+            if !f(&link)? {
+                return Ok(());
+            }
+            cur = (!link.prev.is_invalid()).then_some(link.prev);
+            newer = Some(link);
+        }
+        Ok(())
+    }
+
+    /// Decision 3 — the payload word of a chain record's time-index entry
+    /// (the discriminator is always its record id).
+    fn tix_payload(&self, no: AtomNo, tt: &Interval) -> u64 {
+        match self.kind {
+            StoreKind::Delta => no.0,
+            StoreKind::Chain | StoreKind::Split => tt.end().0,
+        }
+    }
+
+    /// Indexes chain record `rid` in the partition its `tt` belongs to.
+    fn index_record(&self, rid: RecordId, no: AtomNo, tt: &Interval) -> Result<()> {
+        self.tix.insert(
+            tt.is_open_ended(),
+            tt.start(),
+            rid.pack(),
+            self.tix_payload(no, tt),
+        )
+    }
+
+    /// Decision 2, write side: rewrites closed, full record `rid` as a
+    /// delta against `base` (its newer neighbour's tuple). Skipped when
+    /// the delta would not fit in place — relocating the record would
+    /// break the chain pointer aimed at it.
+    fn try_compress(
+        &self,
+        rid: RecordId,
+        rec: &VersionRecord,
+        stored_len: usize,
+        base: &Tuple,
+    ) -> Result<()> {
+        let Payload::Full(tuple) = &rec.payload else {
+            return Ok(());
+        };
+        if rec.is_current() {
+            return Ok(());
+        }
+        let bytes = VersionRecord {
+            atom_no: rec.atom_no,
+            vt: rec.vt,
+            tt: rec.tt,
+            prev: rec.prev,
+            payload: Payload::Delta(TupleDelta::diff(base, tuple)),
+        }
+        .encode();
+        if bytes.len() <= stored_len {
+            let new_rid = self.heap.update(rid, &bytes)?;
+            debug_assert_eq!(new_rid, rid, "in-place compression must not relocate");
+        }
+        Ok(())
+    }
+
+    // ---- mutation primitives ----
 
     /// Stores a new version with `tt = [tt_start, ∞)`.
-    fn insert_version(
+    pub fn insert_version(
         &self,
         no: AtomNo,
         vt: Interval,
         tt_start: TimePoint,
         tuple: &Tuple,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        if let Some(cur) = &self.cur {
+            let (rid, mut set) = match cur.load(no)? {
+                Some((rid, set)) => (Some(rid), set),
+                None => (None, CurrentSet::default()),
+            };
+            set.entries.push((vt, tt_start, tuple.clone()));
+            set.entries.sort_by_key(|(vt, _, _)| vt.start());
+            cur.save(no, rid, &set)?;
+            // Open key is (tt_start, atom_no): duplicates within one atom
+            // and tick collapse into one entry, which is all a slice needs.
+            return self.tix.insert(true, tt_start, no.0, no.0);
+        }
+        let old_head = dir_get(&self.dir, no)?.filter(|r| !r.is_invalid());
+        let rec = VersionRecord {
+            atom_no: no,
+            vt,
+            tt: Interval::from_start(tt_start),
+            prev: old_head.unwrap_or(RecordId::INVALID),
+            payload: Payload::Full(tuple.clone()),
+        };
+        let rid = self.heap.insert(&rec.encode())?;
+        dir_set(&self.dir, no, rid)?;
+        self.index_record(rid, no, &rec.tt)?;
+        // The old head now has a newer neighbour; if it is closed and
+        // still full, delta it.
+        if let (StoreKind::Delta, Some(old_rid)) = (self.kind, old_head) {
+            let (old_rec, old_len) = self
+                .heap
+                .with_record(old_rid, |b| (VersionRecord::decode(b), b.len()))?;
+            self.try_compress(old_rid, &old_rec?, old_len, tuple)?;
+        }
+        Ok(())
+    }
 
     /// Closes the transaction time of the current version whose valid time
     /// starts at `vt_start`. Returns `false` when no such current version
     /// exists (idempotent-redo friendly).
-    fn close_version(&self, no: AtomNo, vt_start: TimePoint, tt_end: TimePoint) -> Result<bool>;
+    pub fn close_version(
+        &self,
+        no: AtomNo,
+        vt_start: TimePoint,
+        tt_end: TimePoint,
+    ) -> Result<bool> {
+        let closed = |tt_start: TimePoint| {
+            Interval::new(tt_start, tt_end)
+                .ok_or_else(|| Error::internal("tt close before tt start"))
+        };
+        if let Some(cur) = &self.cur {
+            let Some((set_rid, mut set)) = cur.load(no)? else {
+                return Ok(false);
+            };
+            let Some(pos) = set
+                .entries
+                .iter()
+                .position(|(vt, _, _)| vt.start() == vt_start)
+            else {
+                return Ok(false);
+            };
+            let (vt, tt_start, tuple) = set.entries.remove(pos);
+            // Append the closed version to the history chain.
+            let rec = VersionRecord {
+                atom_no: no,
+                vt,
+                tt: closed(tt_start)?,
+                prev: dir_get(&self.dir, no)?.unwrap_or(RecordId::INVALID),
+                payload: Payload::Full(tuple),
+            };
+            let rid = self.heap.insert(&rec.encode())?;
+            dir_set(&self.dir, no, rid)?;
+            self.obs.split_migrations.inc();
+            // The shrunk set is kept even when empty: its directory entry
+            // marks the atom as existing.
+            cur.save(no, Some(set_rid), &set)?;
+            self.index_record(rid, no, &rec.tt)?;
+            // The open entry is shared by every current version of this
+            // atom with the same tt_start; drop it only when none remain.
+            if !set.entries.iter().any(|(_, s, _)| *s == tt_start) {
+                self.tix.remove(true, tt_start, no.0)?;
+            }
+            return Ok(true);
+        }
+        // Find the target; the delta layout also remembers its newer
+        // neighbour's tuple for the compression pass.
+        let mut target: Option<Link> = None;
+        let mut newer: Option<Tuple> = None;
+        self.walk(no, |l| {
+            if l.tt.is_open_ended() && l.vt.start() == vt_start {
+                target = Some(l.clone());
+                return Ok(false);
+            }
+            if self.kind == StoreKind::Delta {
+                newer = Some(l.tuple.clone());
+            }
+            Ok(true)
+        })?;
+        let Some(t) = target else {
+            return Ok(false);
+        };
+        let rec = VersionRecord {
+            atom_no: no,
+            vt: t.vt,
+            tt: closed(t.tt.start())?,
+            prev: t.prev,
+            payload: Payload::Full(t.tuple),
+        };
+        let bytes = rec.encode();
+        let new_rid = self.heap.update(t.rid, &bytes)?;
+        debug_assert_eq!(new_rid, t.rid, "closing a version shrinks its record");
+        self.tix.close(
+            rec.tt.start(),
+            t.rid.pack(),
+            new_rid.pack(),
+            self.tix_payload(no, &rec.tt),
+        )?;
+        if let Some(base) = newer {
+            self.try_compress(new_rid, &rec, bytes.len(), &base)?;
+        }
+        Ok(true)
+    }
+
+    // ---- reads ----
+
+    /// The heap-resident versions of `no`, unsorted: every one (`at` =
+    /// `None`) or those visible at transaction time `at`.
+    fn heap_versions(&self, no: AtomNo, at: Option<TimePoint>) -> Result<Vec<AtomVersion>> {
+        let wanted = |tt: &Interval| at.is_none_or(|t| tt_visible(tt, t));
+        let mut out = match &self.cur {
+            Some(cur) => cur.versions(no)?,
+            None => Vec::new(),
+        };
+        out.retain(|v| wanted(&v.tt));
+        self.walk(no, |l| {
+            // Decision 4: everything older closed even earlier.
+            if self.kind == StoreKind::Split && at.is_some_and(|t| l.tt.end() <= t) {
+                return Ok(false);
+            }
+            if wanted(&l.tt) {
+                out.push(l.version());
+            }
+            Ok(true)
+        })?;
+        Ok(out)
+    }
 
     /// The current (tt-open) versions, sorted by valid-time start.
-    fn current_versions(&self, no: AtomNo) -> Result<Vec<AtomVersion>>;
+    pub fn current_versions(&self, no: AtomNo) -> Result<Vec<AtomVersion>> {
+        match &self.cur {
+            // Current access never touches history pages.
+            Some(cur) => cur.versions(no),
+            None => Ok(sort_by_vt(
+                self.heap_versions(no, Some(TimePoint::FOREVER))?,
+            )),
+        }
+    }
 
     /// The versions visible at transaction time `tt`, sorted by valid-time
     /// start.
-    fn versions_at(&self, no: AtomNo, tt: TimePoint) -> Result<Vec<AtomVersion>>;
-
-    /// Every stored version, newest-recorded first.
-    fn history(&self, no: AtomNo) -> Result<Vec<AtomVersion>>;
-
-    /// Calls `f` for every atom in the store (directory order); `false`
-    /// stops the scan.
-    fn scan_atoms(&self, f: &mut dyn FnMut(AtomNo) -> Result<bool>) -> Result<()>;
-
-    /// Exhaustive storage statistics (scans the store).
-    fn stats(&self) -> Result<StoreStats>;
-
-    /// Heap pages of this store currently resident in the buffer pool —
-    /// a cheap live sample (one pass over the pool's shard tags), unlike
-    /// the exhaustive [`VersionStore::stats`]. Feeds the planner's
-    /// residency discount.
-    fn resident_pages(&self) -> u64;
-
-    /// Physically discards this atom's *heap-resident* versions whose
-    /// transaction time ended at or before `cutoff` — they are invisible
-    /// to every slice at `tt >= cutoff`. Slices at earlier transaction
-    /// times stop being faithful (that is the point of pruning). Returns
-    /// the number of versions removed. Current (tt-open) versions are
-    /// never pruned, and versions already archived into segments are not
-    /// touched (segment retention is a separate, file-level decision).
-    fn prune(&self, no: AtomNo, cutoff: TimePoint) -> Result<usize> {
-        Ok(self.extract_closed(no, cutoff)?.len())
+    pub fn versions_at(&self, no: AtomNo, tt: TimePoint) -> Result<Vec<AtomVersion>> {
+        let mut out = self.heap_versions(no, Some(tt))?;
+        self.segs.versions_at_for(no, tt, &mut out)?;
+        Ok(sort_by_vt(out))
     }
 
-    /// Removes this atom's closed versions with `tt.end <= cutoff` from
-    /// the hot heaps and returns them, oldest extraction order
-    /// unspecified, with delta payloads materialized to full tuples. The
-    /// heap-side half of a segment swap: the compactor first copies
-    /// exactly this set (every closed version at or below the cutoff)
-    /// into a segment file, then extracts it. Idempotent — a second call
-    /// with the same cutoff finds nothing and returns an empty vector,
-    /// which is what makes crash-recovery redo of a logged swap safe.
-    fn extract_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>>;
+    /// Every stored version, newest-recorded first.
+    pub fn history(&self, no: AtomNo) -> Result<Vec<AtomVersion>> {
+        let mut out = self.heap_versions(no, None)?;
+        self.segs.history_for(no, &mut out)?;
+        Ok(sort_history(out))
+    }
 
-    /// Read-only preview of [`VersionStore::extract_closed`]: this atom's
+    /// Index-backed snapshot scan: every atom that has at least one
+    /// version visible at transaction time `tt`, in ascending atom-number
+    /// order, with that atom's visible versions sorted by valid-time start
+    /// — exactly what a per-atom [`Store::versions_at`] sweep over
+    /// [`Store::atoms`] would produce, but driven by the transaction-time
+    /// interval index instead of walking every chain. `TimePoint::FOREVER`
+    /// means the current state.
+    pub fn slice_at(&self, tt: TimePoint) -> Result<Vec<(AtomNo, Vec<AtomVersion>)>> {
+        // Decision 3: an entry names a heap candidate either by record id
+        // (stable chain records whose payload is their `tt.end`, so
+        // invisible ones are dropped without touching the heap) or by atom.
+        let mut rids: Vec<RecordId> = Vec::new();
+        let mut atoms: Vec<u64> = Vec::new();
+        let mut groups: BTreeMap<u64, Vec<AtomVersion>> = BTreeMap::new();
+        // Open entries that started by `tt` are all visible.
+        self.tix.scan(true, tt, &mut |e| {
+            match self.kind {
+                StoreKind::Chain => rids.push(RecordId::unpack(e.lo)),
+                StoreKind::Delta | StoreKind::Split => atoms.push(e.payload),
+            }
+            Ok(true)
+        })?;
+        if let Some(cur) = &self.cur {
+            // Each named atom's current set once; keep what had started.
+            atoms.sort_unstable();
+            atoms.dedup();
+            for no in atoms.drain(..) {
+                let mut started = cur.versions(AtomNo(no))?;
+                started.retain(|v| tt_visible(&v.tt, tt));
+                if !started.is_empty() {
+                    groups.insert(no, started);
+                }
+            }
+        }
+        // Nothing closed is visible at FOREVER (current-state semantics).
+        if !tt.is_forever() {
+            self.tix.scan(false, tt, &mut |e| {
+                match self.kind {
+                    StoreKind::Delta => atoms.push(e.payload),
+                    StoreKind::Chain | StoreKind::Split => {
+                        if tt.0 < e.payload {
+                            rids.push(RecordId::unpack(e.lo));
+                        }
+                    }
+                }
+                Ok(true)
+            })?;
+        }
+        // Delta candidates are an over-approximate atom set; each answers
+        // through the reconstructing walk.
+        atoms.sort_unstable();
+        atoms.dedup();
+        for no in atoms {
+            let vs = self.heap_versions(AtomNo(no), Some(tt))?;
+            if !vs.is_empty() {
+                groups.insert(no, vs);
+            }
+        }
+        for rid in rids {
+            let rec = self.heap.with_record(rid, VersionRecord::decode)??;
+            debug_assert!(
+                tt_visible(&rec.tt, tt),
+                "time index surfaced invisible record"
+            );
+            groups.entry(rec.atom_no.0).or_default().push(AtomVersion {
+                vt: rec.vt,
+                tt: rec.tt,
+                tuple: full_copy(rec.payload)?,
+            });
+        }
+        // The shared epilogue: archived versions merge in once, then the
+        // groups go out in atom order, each sorted by valid-time start.
+        self.segs.slice_into(tt, &mut groups)?;
+        Ok(groups
+            .into_iter()
+            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
+            .collect())
+    }
+
+    // ---- maintenance ----
+
+    /// Removes this atom's closed versions with `tt.end <= cutoff` from
+    /// the hot heaps and returns them (order unspecified) with delta
+    /// payloads materialized to full tuples; they are invisible to every
+    /// slice at `tt >= cutoff`. This is pruning when the result is
+    /// dropped, and the heap-side half of a segment swap when the
+    /// compactor has first copied exactly this set into a segment file.
+    /// Current versions and versions already archived into segments are
+    /// never touched. Idempotent — a second call with the same cutoff
+    /// finds nothing — which is what makes crash-recovery redo of a
+    /// logged swap safe.
+    pub fn extract_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>> {
+        let mut all: Vec<Link> = Vec::new();
+        self.walk(no, |l| {
+            all.push(l.clone());
+            Ok(true)
+        })?;
+        let (pruned, kept): (Vec<Link>, Vec<Link>) =
+            all.into_iter().partition(|l| l.tt.end() <= cutoff);
+        if pruned.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Drop index entries under the *old* record ids first: rewriting
+        // the kept chain relocates records, and the stale ids would
+        // otherwise be unreachable.
+        for l in pruned.iter().chain(&kept) {
+            self.tix
+                .remove(l.tt.is_open_ended(), l.tt.start(), l.rid.pack())?;
+        }
+        for l in &pruned {
+            self.heap.delete(l.rid)?;
+        }
+        // Rewrite the kept chain oldest→newest (`kept[0]` is the newest),
+        // so a relocation can never invalidate an already-written pointer.
+        let mut prev = RecordId::INVALID;
+        for i in (0..kept.len()).rev() {
+            let l = &kept[i];
+            // Decision 2: deltas depended on neighbours that may be gone,
+            // so payloads are recomputed — the head and every current
+            // record full, the rest against their new newer neighbour.
+            let payload = if self.kind == StoreKind::Delta && i > 0 && !l.tt.is_open_ended() {
+                Payload::Delta(TupleDelta::diff(&kept[i - 1].tuple, &l.tuple))
+            } else {
+                Payload::Full(l.tuple.clone())
+            };
+            let rec = VersionRecord {
+                atom_no: no,
+                vt: l.vt,
+                tt: l.tt,
+                prev,
+                payload,
+            };
+            prev = self.heap.update(l.rid, &rec.encode())?;
+            self.index_record(prev, no, &l.tt)?;
+        }
+        // Directory entries are never removed; INVALID ends walks.
+        dir_set(&self.dir, no, prev)?;
+        Ok(pruned
+            .into_iter()
+            .map(|l| AtomVersion {
+                vt: l.vt,
+                tt: l.tt,
+                tuple: l.tuple,
+            })
+            .collect())
+    }
+
+    /// Read-only preview of [`Store::extract_closed`]: this atom's
     /// *heap-resident* closed versions with `tt.end <= cutoff`, delta
     /// payloads materialized, already-archived segment versions excluded.
     /// The compactor copies exactly this set into a segment file before
     /// extracting it, so a crash between the two leaves either state
     /// readable.
-    fn collect_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>>;
-
-    /// The store's immutable compressed segments of archived history.
-    /// Read paths merge these transparently; the engine publishes into
-    /// the set under its quiescence protocol.
-    fn segments(&self) -> &Arc<SegmentSet>;
-
-    /// Index-backed snapshot scan: calls `f` once per atom that has at
-    /// least one version visible at transaction time `tt`, in ascending
-    /// atom-number order, with that atom's visible versions sorted by
-    /// valid-time start — exactly what a per-atom
-    /// [`VersionStore::versions_at`] sweep over
-    /// [`VersionStore::scan_atoms`] would produce, but driven by the
-    /// transaction-time interval index instead of walking every chain.
-    /// `f` returning `false` stops the scan. `TimePoint::FOREVER` means
-    /// the current state.
-    fn slice_at(
-        &self,
-        tt: TimePoint,
-        f: &mut dyn FnMut(AtomNo, Vec<AtomVersion>) -> Result<bool>,
-    ) -> Result<()>;
+    pub fn collect_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>> {
+        let mut out = Vec::new();
+        self.walk(no, |l| {
+            if l.tt.end() <= cutoff {
+                out.push(l.version());
+            }
+            Ok(true)
+        })?;
+        Ok(out)
+    }
 
     /// Drops and rebuilds the transaction-time interval index from the
     /// store's heaps (recovery / consistency repair).
-    fn rebuild_time_index(&self) -> Result<()>;
+    pub fn rebuild_time_index(&self) -> Result<()> {
+        self.tix.clear()?;
+        if let Some(cur) = &self.cur {
+            for no in self.atoms()? {
+                if let Some((_, set)) = cur.load(no)? {
+                    for (_, tt_start, _) in &set.entries {
+                        self.tix.insert(true, *tt_start, no.0, no.0)?;
+                    }
+                }
+            }
+        }
+        self.heap.scan(|rid, bytes| {
+            let rec = VersionRecord::decode(bytes)?;
+            self.index_record(rid, rec.atom_no, &rec.tt)?;
+            Ok(true)
+        })?;
+        // `clear` deletes lazily and the re-inserts land back in the old
+        // sparse node structure; repack so the rebuilt index scans dense.
+        self.tix.compact()
+    }
 
     /// Repacks the transaction-time index into dense nodes. Index
     /// deletion is lazy, so a segment swap that extracts most closed
@@ -210,54 +803,105 @@ pub trait VersionStore: Send + Sync {
     /// until they are repacked, every slice reads the index at its
     /// pre-extraction size. The engine calls this as the final step of a
     /// swap, under the same quiescence as the extraction itself.
-    fn compact_time_index(&self) -> Result<()>;
-
-    /// The store's observability counter handles (clone them to register
-    /// in a metrics registry).
-    fn obs(&self) -> &StoreObs;
-}
-
-/// Convenience queries derived from the trait primitives.
-pub trait VersionStoreExt: VersionStore {
-    /// The single version visible at `(tt, vt)`, if any.
-    fn version_at(&self, no: AtomNo, tt: TimePoint, vt: TimePoint) -> Result<Option<AtomVersion>> {
-        Ok(self
-            .versions_at(no, tt)?
-            .into_iter()
-            .find(|v| v.vt.contains(vt)))
+    pub fn compact_time_index(&self) -> Result<()> {
+        self.tix.compact()
     }
 
-    /// The current version valid at `vt`, if any.
-    fn current_at(&self, no: AtomNo, vt: TimePoint) -> Result<Option<AtomVersion>> {
-        Ok(self
-            .current_versions(no)?
-            .into_iter()
-            .find(|v| v.vt.contains(vt)))
+    // ---- statistics ----
+
+    /// Heap pages of this store currently resident in the buffer pool —
+    /// a cheap live sample (one pass over the pool's shard tags), unlike
+    /// the exhaustive [`Store::stats`]. Feeds the planner's residency
+    /// discount.
+    pub fn resident_pages(&self) -> u64 {
+        self.heap.resident_pages() + self.cur.as_ref().map_or(0, |c| c.heap.resident_pages())
+    }
+
+    /// Exhaustive storage statistics (scans the store).
+    pub fn stats(&self) -> Result<StoreStats> {
+        let (mut versions, mut bytes, mut open) = (0u64, 0u64, 0u64);
+        let mut depth: HashMap<u64, u64> = HashMap::new();
+        let mut heap_pages = self.heap.data_pages() as u64;
+        if let Some(cur) = &self.cur {
+            heap_pages += cur.heap.data_pages() as u64;
+            cur.heap.scan(|_, rec| {
+                // A current-set record leads with its atom number and its
+                // entry count; that is all the statistics need of it.
+                let mut d = Decoder::new(rec);
+                let (no, n) = (d.get_u64()?, d.get_u64()?);
+                versions += n;
+                open += n;
+                *depth.entry(no).or_insert(0) += n;
+                bytes += rec.len() as u64;
+                Ok(true)
+            })?;
+        }
+        self.heap.scan(|_, rec| {
+            let r = VersionRecord::decode(rec)?;
+            versions += 1;
+            open += u64::from(r.is_current());
+            *depth.entry(r.atom_no.0).or_insert(0) += 1;
+            bytes += rec.len() as u64;
+            Ok(true)
+        })?;
+        let seg = self.segs.stats();
+        Ok(StoreStats {
+            atoms: self.atom_dir().len()?,
+            versions,
+            heap_pages,
+            record_bytes: bytes,
+            dir_height: self.atom_dir().height()?,
+            open_versions: open,
+            max_depth: depth.values().copied().max().unwrap_or(0),
+            time_entries: self.tix.len()?,
+            resident_pages: self.resident_pages(),
+            segments: seg.segments,
+            segment_pages: seg.pages,
+            segment_versions: seg.versions,
+        })
+    }
+
+    /// Diagnostic: payload forms in the chain heap and the page split
+    /// between current area and chains (scans the chain heap).
+    pub fn shape(&self) -> Result<HeapShape> {
+        let mut shape = HeapShape {
+            current_pages: self.cur.as_ref().map_or(0, |c| c.heap.data_pages()),
+            chain_pages: self.heap.data_pages(),
+            ..HeapShape::default()
+        };
+        self.heap.scan(|_, rec| {
+            match VersionRecord::decode(rec)?.payload {
+                Payload::Full(_) => shape.full += 1,
+                Payload::Delta(_) => shape.delta += 1,
+            }
+            Ok(true)
+        })?;
+        Ok(shape)
     }
 }
 
-impl<T: VersionStore + ?Sized> VersionStoreExt for T {}
+/// Decision 2, read side: outside a delta-layout walk every payload must
+/// be a full tuple.
+fn full_copy(payload: Payload) -> Result<Tuple> {
+    match payload {
+        Payload::Full(t) => Ok(t),
+        Payload::Delta(_) => Err(Error::corruption("delta record in a full-copy store")),
+    }
+}
 
-// ---- shared directory helpers ----
-
-/// Looks up an atom's chain head in a directory tree.
-pub(crate) fn dir_get(dir: &BTree, no: AtomNo) -> Result<Option<RecordId>> {
+/// Looks up an atom's entry in a directory tree.
+fn dir_get(dir: &BTree, no: AtomNo) -> Result<Option<RecordId>> {
     Ok(dir.get(BKey::new(no.0, 0))?.map(RecordId::unpack))
 }
 
 /// Points an atom's directory entry at `rid`.
-pub(crate) fn dir_set(dir: &BTree, no: AtomNo, rid: RecordId) -> Result<()> {
+fn dir_set(dir: &BTree, no: AtomNo, rid: RecordId) -> Result<()> {
     dir.insert(BKey::new(no.0, 0), rid.pack())?;
     Ok(())
 }
 
-/// Scans all atom numbers in a directory.
-pub(crate) fn dir_scan(dir: &BTree, f: &mut dyn FnMut(AtomNo) -> Result<bool>) -> Result<()> {
-    dir.scan_range(BKey::MIN, BKey::MAX, |k, _| f(AtomNo(k.hi)))
-}
-
 /// Sorts versions by valid-time start (the canonical result order).
-pub(crate) fn sort_by_vt(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
+fn sort_by_vt(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
     vs.sort_by_key(|v| v.vt.start());
     vs
 }
@@ -267,7 +911,7 @@ pub(crate) fn sort_by_vt(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
 /// interval (`tt.contains(FOREVER)` is false even for open intervals), so a
 /// slice at `∞` means "the versions recorded until changed" — exactly the
 /// tt-open ones.
-pub(crate) fn tt_visible(tt_iv: &Interval, tt: TimePoint) -> bool {
+fn tt_visible(tt_iv: &Interval, tt: TimePoint) -> bool {
     if tt.is_forever() {
         tt_iv.is_open_ended()
     } else {
@@ -275,30 +919,10 @@ pub(crate) fn tt_visible(tt_iv: &Interval, tt: TimePoint) -> bool {
     }
 }
 
-/// Shared helper: filters to versions visible at transaction time `tt`.
-pub(crate) fn filter_at_tt(vs: Vec<AtomVersion>, tt: TimePoint) -> Vec<AtomVersion> {
-    vs.into_iter().filter(|v| tt_visible(&v.tt, tt)).collect()
-}
-
-/// Shared `slice_at` epilogue: emits per-atom version groups in ascending
-/// atom-number order, each sorted by valid-time start.
-pub(crate) fn emit_slice(
-    groups: std::collections::BTreeMap<u64, Vec<AtomVersion>>,
-    f: &mut dyn FnMut(AtomNo, Vec<AtomVersion>) -> Result<bool>,
-) -> Result<()> {
-    for (no, vs) in groups {
-        if !f(AtomNo(no), sort_by_vt(vs))? {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
 /// Canonical history order: newest-recorded first
-/// (`tt.start` descending, then `vt.start`, then `tt.end`). Every store
-/// returns histories in this order so results are comparable across
-/// storage formats.
-pub(crate) fn sort_history(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
+/// (`tt.start` descending, then `vt.start`, then `tt.end`), so results are
+/// comparable across layouts.
+fn sort_history(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
     vs.sort_by(|a, b| {
         b.tt.start()
             .cmp(&a.tt.start())
@@ -308,5 +932,5 @@ pub(crate) fn sort_history(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
     vs
 }
 
-#[allow(unused)]
-pub(crate) fn _assert_object_safe(s: &dyn VersionStore) {}
+#[cfg(test)]
+mod tests;

@@ -13,24 +13,22 @@
 //! * the open partition restricted to `tt_start <= t` — every hit is
 //!   visible (an open interval contains every instant past its start);
 //! * the closed partition restricted to `tt_start <= t`, filtered by
-//!   `t < tt_end` — each store chooses what the payload word carries to
-//!   make that filter cheap (the chain and split stores put `tt_end`
+//!   `t < tt_end` — the store's layout chooses what the payload word
+//!   carries to make that filter cheap (chain and split put `tt_end`
 //!   there so invisible candidates are skipped *without* touching the
-//!   heap; the delta store stores the atom number, since reconstruction
-//!   must walk the chain anyway).
+//!   heap; delta stores the atom number, since reconstruction must walk
+//!   the chain anyway).
 //!
-//! The discriminator word `lo` is likewise store-chosen (record id where
+//! The discriminator word `lo` is likewise layout-chosen (record id where
 //! records are stable, atom number where they relocate). The index is
 //! maintained transactionally by `insert_version` / `close_version` /
-//! `prune`; because the engine's buffer pool is no-steal and flushes
+//! `extract_closed`; because the engine's buffer pool is no-steal and flushes
 //! through the double-write journal, heap and index pages always reach
 //! disk as one consistent snapshot, and recovery additionally rebuilds
 //! the index from the heaps after any WAL replay.
 
-use std::sync::Arc;
 use tcom_kernel::{Result, TimePoint};
 use tcom_storage::btree::BTree;
-use tcom_storage::buffer::{BufferPool, FileId};
 use tcom_storage::keys::{decode_tt_start, encode_tt_key, tt_scan_bounds, BKey};
 
 /// One entry surfaced by a [`TimeIndex`] scan.
@@ -50,18 +48,9 @@ pub struct TimeIndex {
 }
 
 impl TimeIndex {
-    /// Formats a fresh index over a pre-registered file.
-    pub fn create(pool: Arc<BufferPool>, file: FileId) -> Result<TimeIndex> {
-        Ok(TimeIndex {
-            tree: BTree::create(pool, file)?,
-        })
-    }
-
-    /// Opens an existing index.
-    pub fn open(pool: Arc<BufferPool>, file: FileId) -> Result<TimeIndex> {
-        Ok(TimeIndex {
-            tree: BTree::open(pool, file)?,
-        })
+    /// The index kept in `tree` (freshly created or opened by the store).
+    pub fn over(tree: BTree) -> TimeIndex {
+        TimeIndex { tree }
     }
 
     /// Inserts (or overwrites) an entry in the chosen partition.
@@ -148,6 +137,8 @@ impl TimeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tcom_storage::buffer::BufferPool;
     use tcom_storage::disk::DiskManager;
 
     fn index(name: &str) -> (TimeIndex, std::path::PathBuf) {
@@ -155,7 +146,7 @@ mod tests {
         let p = std::env::temp_dir().join(format!("tcom-tix-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
         let file = pool.register_file(Arc::new(DiskManager::open(&p).unwrap()));
-        (TimeIndex::create(pool, file).unwrap(), p)
+        (TimeIndex::over(BTree::create(pool, file).unwrap()), p)
     }
 
     fn collect(ix: &TimeIndex, open: bool, through: u64) -> Vec<(u64, u64, u64)> {

@@ -13,7 +13,7 @@ use tcom_kernel::{AtomNo, TimePoint, Tuple, Value};
 use tcom_storage::buffer::BufferPool;
 use tcom_storage::disk::DiskManager;
 use tcom_version::record::AtomVersion;
-use tcom_version::{ChainStore, DeltaStore, SplitStore, VersionStore};
+use tcom_version::{Store, StoreKind};
 
 /// Naive executable specification of a version store.
 #[derive(Default)]
@@ -74,32 +74,24 @@ impl Model {
     }
 }
 
-fn make_stores(tag: &str) -> (Vec<Box<dyn VersionStore>>, Vec<std::path::PathBuf>) {
+fn make_stores(tag: &str) -> (Vec<Store>, Vec<std::path::PathBuf>) {
     let pool = BufferPool::new(128);
     let mut paths = Vec::new();
-    let mut file = |suffix: &str| {
-        let p =
-            std::env::temp_dir().join(format!("tcom-eq-{}-{}-{}", std::process::id(), tag, suffix));
-        let _ = std::fs::remove_file(&p);
-        let id = pool.register_file(Arc::new(DiskManager::open(&p).unwrap()));
-        paths.push(p);
-        id
-    };
-    let chain = ChainStore::create(pool.clone(), file("c-h"), file("c-d"), file("c-x")).unwrap();
-    let delta = DeltaStore::create(pool.clone(), file("d-h"), file("d-d"), file("d-x")).unwrap();
-    let split = SplitStore::create(
-        pool.clone(),
-        file("s-ch"),
-        file("s-cd"),
-        file("s-hh"),
-        file("s-hd"),
-        file("s-x"),
-    )
-    .unwrap();
-    (
-        vec![Box::new(chain), Box::new(delta), Box::new(split)],
-        paths,
-    )
+    let mut stores = Vec::new();
+    for kind in [StoreKind::Chain, StoreKind::Delta, StoreKind::Split] {
+        let mut files = Vec::new();
+        for suffix in kind.file_suffixes() {
+            let p = std::env::temp_dir().join(format!(
+                "tcom-eq-{}-{tag}-{kind}-{suffix}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&p);
+            files.push(pool.register_file(Arc::new(DiskManager::open(&p).unwrap())));
+            paths.push(p);
+        }
+        stores.push(Store::open(kind, pool.clone(), &files, true).unwrap());
+    }
+    (stores, paths)
 }
 
 /// One mutation step of the generated workload.
@@ -152,15 +144,13 @@ fn tuple_for(val: i8, wide_change: bool) -> Tuple {
 
 /// The single-atom workload makes an index-backed slice easy to flatten:
 /// at most one group (atom 1) comes back.
-fn indexed_slice(s: &dyn VersionStore, tt: TimePoint) -> Vec<AtomVersion> {
-    let mut out = Vec::new();
-    s.slice_at(tt, &mut |no, vs| {
+fn indexed_slice(s: &Store, tt: TimePoint) -> Vec<AtomVersion> {
+    let mut groups = s.slice_at(tt).unwrap();
+    assert!(groups.len() <= 1, "unexpected atoms in slice");
+    groups.pop().map_or_else(Vec::new, |(no, vs)| {
         assert_eq!(no, AtomNo(1), "unexpected atom in slice");
-        out = vs;
-        Ok(true)
+        vs
     })
-    .unwrap();
-    out
 }
 
 fn assert_same(label: &str, got: &[AtomVersion], want: &[AtomVersion]) {
@@ -249,7 +239,7 @@ proptest! {
                 );
                 assert_same(
                     &format!("{} index-slice@{t}", s.kind()),
-                    &indexed_slice(s.as_ref(), tt),
+                    &indexed_slice(s, tt),
                     &want,
                 );
             }
@@ -258,7 +248,7 @@ proptest! {
         for s in &stores {
             assert_same(
                 &format!("{} index-slice@forever", s.kind()),
-                &indexed_slice(s.as_ref(), TimePoint::FOREVER),
+                &indexed_slice(s, TimePoint::FOREVER),
                 &model.current(),
             );
             assert_same(
@@ -339,7 +329,7 @@ fn long_history_equivalence() {
     model.versions.retain(|v| v.tt.end() > cutoff);
     let mut removed_counts = Vec::new();
     for s in &stores {
-        removed_counts.push(s.prune(no, cutoff).unwrap());
+        removed_counts.push(s.extract_closed(no, cutoff).unwrap().len());
     }
     assert!(removed_counts
         .iter()
@@ -370,7 +360,7 @@ fn long_history_equivalence() {
             );
             assert_same(
                 &format!("{} index-slice@{t} after prune", s.kind()),
-                &indexed_slice(s.as_ref(), tt),
+                &indexed_slice(s, tt),
                 &want,
             );
         }

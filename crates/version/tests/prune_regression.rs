@@ -15,9 +15,9 @@ use tcom_kernel::time::Interval;
 use tcom_kernel::{AtomNo, TimePoint, Tuple, Value};
 use tcom_storage::buffer::BufferPool;
 use tcom_storage::disk::DiskManager;
-use tcom_version::{DeltaStore, VersionStore};
+use tcom_version::{Store, StoreKind};
 
-fn make_store(tag: &str) -> (DeltaStore, Vec<std::path::PathBuf>) {
+fn make_store(tag: &str) -> (Store, Vec<std::path::PathBuf>) {
     let pool = BufferPool::new(128);
     let mut paths = Vec::new();
     let mut file = |suffix: &str| {
@@ -32,7 +32,9 @@ fn make_store(tag: &str) -> (DeltaStore, Vec<std::path::PathBuf>) {
         paths.push(p);
         id
     };
-    let s = DeltaStore::create(pool.clone(), file("heap"), file("dir"), file("tix")).unwrap();
+    let kind = StoreKind::Delta;
+    let files: Vec<_> = kind.file_suffixes().iter().map(|s| file(s)).collect();
+    let s = Store::open(kind, pool.clone(), &files, true).unwrap();
     (s, paths)
 }
 
@@ -64,13 +66,7 @@ impl Model {
 
 /// Runs `rounds` close+insert update rounds starting at `clock`, mirroring
 /// them into `model`; returns the advanced clock.
-fn update_rounds(
-    s: &DeltaStore,
-    model: &mut Model,
-    no: AtomNo,
-    mut clock: u64,
-    rounds: u64,
-) -> u64 {
+fn update_rounds(s: &Store, model: &mut Model, no: AtomNo, mut clock: u64, rounds: u64) -> u64 {
     let vt0 = TimePoint(0);
     for r in 0..rounds {
         let now = TimePoint(clock);
@@ -86,7 +82,7 @@ fn update_rounds(
     clock
 }
 
-fn assert_matches_model(s: &DeltaStore, model: &Model, no: AtomNo, clock: u64, label: &str) {
+fn assert_matches_model(s: &Store, model: &Model, no: AtomNo, clock: u64, label: &str) {
     // History reconstructs every surviving tuple (newest→oldest walk).
     let hist = s.history(no).unwrap();
     assert_eq!(hist.len(), model.rows.len(), "{label}: history cardinality");
@@ -126,19 +122,21 @@ fn prune_preserves_delta_reconstruction() {
     clock = update_rounds(&s, &mut model, no, clock, 48);
 
     // Precondition: compression engaged — the chain holds real deltas.
-    let (full, delta) = s.chain_shape(no).unwrap();
-    assert!(delta > 0, "chain never compressed (full={full})");
+    let shape = s.shape().unwrap();
+    assert!(shape.delta > 0, "chain never compressed ({shape:?})");
 
     // Prune a prefix whose cutoff lands strictly inside the chain, so the
     // oldest *kept* record was a delta against a now-deleted neighbour and
     // must have been re-based during the rebuild.
     let cutoff = TimePoint(clock / 3);
-    let removed = s.prune(no, cutoff).unwrap();
+    let removed = s.extract_closed(no, cutoff).unwrap().len();
     assert!(removed > 0, "nothing pruned");
     model.rows.retain(|(iv, _)| iv.end() > cutoff);
     assert_matches_model(&s, &model, no, clock, "after first prune");
-    let (_, delta) = s.chain_shape(no).unwrap();
-    assert!(delta > 0, "prune rebuilt everything as full records");
+    assert!(
+        s.shape().unwrap().delta > 0,
+        "prune rebuilt everything as full records"
+    );
 
     // Keep updating after the prune — new deltas stack on relocated bases.
     clock = update_rounds(&s, &mut model, no, clock, 16);
@@ -147,13 +145,13 @@ fn prune_preserves_delta_reconstruction() {
     // Prune again with a cutoff that removes most of the remaining chain,
     // leaving only a short suffix (head re-bases onto nothing).
     let cutoff = TimePoint(clock - 4);
-    let removed = s.prune(no, cutoff).unwrap();
+    let removed = s.extract_closed(no, cutoff).unwrap().len();
     assert!(removed > 0);
     model.rows.retain(|(iv, _)| iv.end() > cutoff);
     assert_matches_model(&s, &model, no, clock, "after second prune");
 
     // Idempotence: a cutoff that removes nothing leaves the chain intact.
-    assert_eq!(s.prune(no, cutoff).unwrap(), 0);
+    assert!(s.extract_closed(no, cutoff).unwrap().is_empty());
     assert_matches_model(&s, &model, no, clock, "after no-op prune");
 
     for p in paths {
@@ -187,7 +185,7 @@ fn prune_on_multiple_compressed_atoms() {
     for i in 0..3u64 {
         let no = AtomNo(i + 1);
         let cutoff = TimePoint(clock / 2 + i * 3);
-        s.prune(no, cutoff).unwrap();
+        s.extract_closed(no, cutoff).unwrap();
         models[i as usize].rows.retain(|(iv, _)| iv.end() > cutoff);
         for j in 0..3u64 {
             assert_matches_model(

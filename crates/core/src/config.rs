@@ -1,4 +1,7 @@
-//! Engine configuration.
+//! Engine configuration: a field exists only where callers need different
+//! values. The commit-stripe count ([`crate::stripes::COMMIT_STRIPES`])
+//! and the parallel read paths' worker count (the available parallelism)
+//! are fixed.
 
 use tcom_version::StoreKind;
 use tcom_wal::SyncPolicy;
@@ -19,15 +22,6 @@ pub struct DbConfig {
     /// Lock stripes of the buffer pool (`0` = derive from `buffer_frames`;
     /// `1` = the single-mutex pool, useful as a scaling baseline).
     pub buffer_shards: usize,
-    /// Threads used by parallel read paths such as
-    /// [`crate::Database::materialize_all_parallel`] (`0` = available
-    /// hardware parallelism; `1` = sequential).
-    pub worker_threads: usize,
-    /// Commit stripes: write transactions lock the stripe of every atom
-    /// type they touch (wait-die), so writers on disjoint stripes run
-    /// concurrently (`0` = the default of 64; `1` = one global stripe,
-    /// the pre-concurrency single-writer behavior).
-    pub commit_stripes: usize,
     /// Whether concurrently arriving commits may share one WAL fsync
     /// (leader/follower group commit). Durability is identical either
     /// way; disabling forces one fsync per commit — the scaling baseline.
@@ -52,8 +46,6 @@ impl Default for DbConfig {
             sync_policy: SyncPolicy::OnCommit,
             checkpoint_interval: 10_000,
             buffer_shards: 0,
-            worker_threads: 0,
-            commit_stripes: 0,
             group_commit: true,
             compaction: false,
             compact_min_closed: 512,
@@ -93,18 +85,6 @@ impl DbConfig {
         self
     }
 
-    /// Builder-style: sets the parallel read-path thread count.
-    pub fn worker_threads(mut self, threads: usize) -> DbConfig {
-        self.worker_threads = threads;
-        self
-    }
-
-    /// Builder-style: sets the commit stripe count.
-    pub fn commit_stripes(mut self, stripes: usize) -> DbConfig {
-        self.commit_stripes = stripes;
-        self
-    }
-
     /// Builder-style: enables or disables group commit.
     pub fn group_commit(mut self, enabled: bool) -> DbConfig {
         self.group_commit = enabled;
@@ -129,27 +109,6 @@ impl DbConfig {
         self.compact_interval_ms = ms;
         self
     }
-
-    /// Resolved commit stripe count: `commit_stripes`, or 64 when unset.
-    pub fn effective_commit_stripes(&self) -> usize {
-        if self.commit_stripes != 0 {
-            self.commit_stripes
-        } else {
-            64
-        }
-    }
-
-    /// Resolved worker count: `worker_threads`, or the machine's available
-    /// parallelism when unset.
-    pub fn effective_workers(&self) -> usize {
-        if self.worker_threads != 0 {
-            self.worker_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +123,6 @@ mod tests {
             .sync_policy(SyncPolicy::OnCheckpoint)
             .checkpoint_interval(0)
             .buffer_shards(4)
-            .worker_threads(2)
-            .commit_stripes(8)
             .group_commit(false)
             .compaction(true)
             .compact_min_closed(32)
@@ -175,9 +132,6 @@ mod tests {
         assert_eq!(c.sync_policy, SyncPolicy::OnCheckpoint);
         assert_eq!(c.checkpoint_interval, 0);
         assert_eq!(c.buffer_shards, 4);
-        assert_eq!(c.worker_threads, 2);
-        assert_eq!(c.commit_stripes, 8);
-        assert_eq!(c.effective_commit_stripes(), 8);
         assert!(!c.group_commit);
         assert!(DbConfig::default().group_commit);
         assert!(c.compaction);
@@ -186,8 +140,5 @@ mod tests {
         assert_eq!(c.compact_interval_ms, 50);
         assert_eq!(DbConfig::default().compact_min_closed, 512);
         assert_eq!(DbConfig::default().compact_interval_ms, 500);
-        assert_eq!(DbConfig::default().effective_commit_stripes(), 64);
-        assert_eq!(c.effective_workers(), 2);
-        assert!(DbConfig::default().effective_workers() >= 1);
     }
 }

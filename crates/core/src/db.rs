@@ -33,13 +33,15 @@
 //!   order equals tt order and a torn WAL tail always cuts a tt-suffix),
 //!   shares a leader/follower fsync with concurrently arriving commits,
 //!   then waits for its *publish turn* (`published == tt - 1`), applies
-//!   under `commit_lock.read()`, and publishes. `commit_lock.write()` is
-//!   reserved for page flushes, checkpoints and pruning, which must
-//!   exclude appliers — never readers.
+//!   under `commit_lock.read()`, and publishes ([`Database::apply_commit`]).
+//!   Only the maintenance guard (`db/maint.rs`) takes `commit_lock.write()`:
+//!   maintenance must exclude appliers, never readers.
+
+mod maint;
 
 use crate::config::DbConfig;
-use crate::journal::{self, JournalEntry};
-use crate::stripes::{StripeLocks, MAINTENANCE_ID};
+use crate::journal;
+use crate::stripes::{StripeLocks, COMMIT_STRIPES};
 use crate::txn::Txn;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -58,7 +60,7 @@ use tcom_storage::disk::DiskManager;
 use tcom_storage::keys::{encode_value, BKey};
 use tcom_storage::vfs::{StdVfs, Vfs};
 use tcom_version::record::AtomVersion;
-use tcom_version::{write_segment_file, Segment, Store, StoreKind, StoreStats};
+use tcom_version::{Store, StoreKind, StoreStats};
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
 /// A pinned snapshot for reads: the published transaction-time clock at
@@ -77,7 +79,7 @@ pub struct ReadView {
 
 /// Guard marking atom types as under apply (see [`Database`] internals);
 /// dropping it re-opens the types' validated read sections.
-pub(crate) struct ApplyGuard {
+struct ApplyGuard {
     cells: Vec<Arc<AtomicU64>>,
 }
 
@@ -120,7 +122,7 @@ pub struct Database {
     /// equal tt order (the crash matrix relies on durable commits always
     /// forming a tt-prefix).
     pub(crate) wal_order: Mutex<()>,
-    /// Serializes DDL and maintenance (pruning).
+    /// Serializes DDL and the writers-scope maintenance (pruning, swaps).
     maint: Mutex<()>,
     /// Per-atom-type commit stripes (wait-die).
     stripes: StripeLocks,
@@ -128,9 +130,9 @@ pub struct Database {
     /// for maintenance).
     txn_seq: AtomicU64,
     next_no: Mutex<HashMap<u32, u64>>,
-    /// Appliers shared, page flush / checkpoint / prune exclusive.
-    /// Readers never touch this lock.
-    pub(crate) commit_lock: RwLock<()>,
+    /// Appliers shared, the maintenance guard exclusive. Readers never
+    /// touch this lock.
+    commit_lock: RwLock<()>,
     txns_since_ckpt: AtomicU64,
     skip_checkpoint_on_drop: AtomicBool,
     /// Read-only replica mode: set by [`crate::repl::WalApplier`]. Local
@@ -234,7 +236,7 @@ impl Database {
             apply_seqs: RwLock::new(HashMap::new()),
             wal_order: Mutex::new(()),
             maint: Mutex::new(()),
-            stripes: StripeLocks::new(config.effective_commit_stripes()),
+            stripes: StripeLocks::new(COMMIT_STRIPES),
             txn_seq: AtomicU64::new(0),
             next_no: Mutex::new(HashMap::new()),
             commit_lock: RwLock::new(()),
@@ -333,14 +335,76 @@ impl Database {
         self.publish_cv.notify_all();
     }
 
-    /// Waits until every drawn transaction time has been published (no
-    /// commit between WAL staging and publish). Only meaningful while the
-    /// caller prevents new tt draws (holding `wal_order` or every stripe).
-    fn drain_commits(&self) {
-        let mut g = self.publish_mx.lock();
-        while self.published.load(Ordering::Acquire) != self.clock.load(Ordering::Acquire) {
-            self.publish_cv.wait(&mut g);
+    /// Applies one logged commit (`recs`, its WAL records) to the stores
+    /// and value indexes and publishes it: the one apply routine of a
+    /// leader's [`Txn::commit`] and a replica's [`crate::repl::WalApplier`].
+    /// `before`/`after` give a changed atom's current tuples before the
+    /// first mutation and after the last. `publish` runs while the apply
+    /// marks are still raised, so a reader that validates against an even
+    /// mark afterwards pins a clock that includes the whole commit.
+    pub(crate) fn apply_commit(
+        &self,
+        tt: TimePoint,
+        recs: &[LogRecord],
+        before: &dyn Fn(AtomId) -> Result<Vec<Tuple>>,
+        after: &dyn Fn(AtomId) -> Result<Vec<Tuple>>,
+        publish: fn(&Database, TimePoint),
+    ) -> Result<()> {
+        // Sorted by (type, number): apply marks go up once per type, and
+        // index maintenance runs in a deterministic order.
+        let mut changed: Vec<AtomId> =
+            recs.iter()
+                .filter_map(|r| match r {
+                    LogRecord::InsertVersion { atom, .. }
+                    | LogRecord::CloseVersion { atom, .. } => Some(*atom),
+                    _ => None,
+                })
+                .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        let mut tys: Vec<u32> = changed.iter().map(|a| a.ty.0).collect();
+        tys.dedup();
+        let befores: Vec<Vec<Tuple>> = changed.iter().map(|&a| before(a)).collect::<Result<_>>()?;
+        // Shared: appliers exclude maintenance, not each other (stripes,
+        // or the replica's single apply loop, serialize same-type
+        // appliers) and never readers, who retry around the apply marks.
+        let _shared = self.commit_lock.read();
+        let _apply = self.begin_apply(&tys);
+        for rec in recs {
+            match rec {
+                LogRecord::InsertVersion {
+                    atom,
+                    vt,
+                    tt_start,
+                    tuple,
+                    ..
+                } => {
+                    self.store(atom.ty)?
+                        .insert_version(atom.no, *vt, *tt_start, tuple)?;
+                }
+                LogRecord::CloseVersion {
+                    atom,
+                    vt_start,
+                    tt_end,
+                    ..
+                } => {
+                    let store = self.store(atom.ty)?;
+                    if !store.close_version(atom.no, *vt_start, *tt_end)? {
+                        return Err(Error::internal(format!(
+                            "apply of tt {tt}: close of missing version {atom} @vt {vt_start:?}"
+                        )));
+                    }
+                }
+                _ => {}
+            }
         }
+        for (atom, before) in changed.into_iter().zip(&befores) {
+            // Planner statistics age per changed atom.
+            self.stats.note(atom.ty.0);
+            self.update_indexes_for(atom, before, &after(atom)?)?;
+        }
+        publish(self, tt);
+        Ok(())
     }
 
     /// The commit stripe table.
@@ -366,7 +430,7 @@ impl Database {
     /// Marks the given atom types as under apply (their sequence counters
     /// go odd); the guard's drop makes them even again. Readers of those
     /// types retry their validated sections in between.
-    pub(crate) fn begin_apply(&self, tys: &[u32]) -> ApplyGuard {
+    fn begin_apply(&self, tys: &[u32]) -> ApplyGuard {
         let cells: Vec<Arc<AtomicU64>> = tys.iter().map(|&t| self.apply_seq_cell(t)).collect();
         for c in &cells {
             let prev = c.fetch_add(1, Ordering::AcqRel);
@@ -435,15 +499,6 @@ impl Database {
             }
         }
         self.read_stable(atom.ty, || store.versions_at(atom.no, view.tt))
-    }
-
-    /// Test hook: holds `commit_lock` exclusively, stalling every commit
-    /// apply, page flush and checkpoint — while snapshot readers must
-    /// still make progress (the reader-liveness regression test drives a
-    /// full scan to completion under this guard).
-    #[doc(hidden)]
-    pub fn block_applies_for_test(&self) -> parking_lot::RwLockWriteGuard<'_, ()> {
-        self.commit_lock.write()
     }
 
     // ---- observability plumbing ----
@@ -964,12 +1019,7 @@ impl Database {
 
     /// Re-derives the index entries of `atom` for every indexed attribute,
     /// given its before- and after-commit current value sets.
-    pub(crate) fn update_indexes_for(
-        &self,
-        atom: AtomId,
-        before: &[Tuple],
-        after: &[Tuple],
-    ) -> Result<()> {
+    fn update_indexes_for(&self, atom: AtomId, before: &[Tuple], after: &[Tuple]) -> Result<()> {
         let catalog = self.catalog.read();
         let t = catalog.atom_type(atom.ty)?;
         for (i, a) in t.attrs.iter().enumerate() {
@@ -998,85 +1048,7 @@ impl Database {
         Ok(())
     }
 
-    /// Records that an atom of type `ty` changed in a commit, ageing the
-    /// planner's cached statistics of the type.
-    pub(crate) fn note_change(&self, ty: AtomTypeId) {
-        self.stats.note(ty.0);
-    }
-
-    // ---- checkpoint & recovery ----
-
-    /// Crash-atomically flushes every dirty page: the images go to the
-    /// double-write journal first, then in place, then the journal is
-    /// truncated. Does **not** touch the WAL — safe at any transaction
-    /// boundary. Excludes in-flight commit applies (`commit_lock.write()`)
-    /// so no torn multi-page store mutation reaches disk.
-    pub fn sync_pages(&self) -> Result<()> {
-        let _x = self.commit_lock.write();
-        self.sync_pages_locked()
-    }
-
-    /// [`Database::sync_pages`] body, for callers already holding
-    /// `commit_lock` exclusively (checkpoint, pruning, recovery).
-    fn sync_pages_locked(&self) -> Result<()> {
-        let dirty = self.pool.dirty_pages();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let names = self.file_names.lock();
-        let entries: Vec<JournalEntry> = dirty
-            .into_iter()
-            .map(|(file, page, image)| JournalEntry {
-                file_name: names[file.0 as usize].clone(),
-                page,
-                image,
-            })
-            .collect();
-        drop(names);
-        let journal_path = self.dir.join("ckpt.jrnl");
-        journal::write_journal(self.vfs.as_ref(), &journal_path, &entries)?;
-        self.pool.flush_and_sync()?;
-        journal::truncate_journal(self.vfs.as_ref(), &journal_path)?;
-        Ok(())
-    }
-
-    /// The engine's buffer-pressure guard: with the no-steal policy, dirty
-    /// pages accumulate until a flush; this flushes once more than half the
-    /// pool is dirty. Called at transaction boundaries.
-    pub(crate) fn flush_if_pressured(&self) -> Result<()> {
-        if self.pool.dirty_count() * 2 >= self.pool.capacity() {
-            self.sync_pages()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes all data pages, fsyncs every file, and truncates the WAL to
-    /// a fresh checkpoint record.
-    ///
-    /// Quiesce protocol: take `wal_order` so no new commit can stage WAL
-    /// records, drain the publish pipeline so every staged commit has
-    /// fully applied, then exclude appliers via `commit_lock.write()` and
-    /// flush. The truncated WAL therefore never loses a commit that the
-    /// flushed pages don't already contain.
-    pub fn checkpoint(&self) -> Result<()> {
-        let _span = self.obs.span("db.checkpoint");
-        let _order = self.wal_order.lock();
-        self.drain_commits();
-        let _x = self.commit_lock.write();
-        self.sync_pages_locked()?;
-        let next_nos: Vec<(u32, u64)> = self
-            .next_no
-            .lock()
-            .iter()
-            .map(|(ty, no)| (*ty, *no))
-            .collect();
-        self.wal.reset_with(&LogRecord::Checkpoint {
-            clock: self.now(),
-            next_atom_nos: next_nos,
-        })?;
-        self.txns_since_ckpt.store(0, Ordering::Release);
-        Ok(())
-    }
+    // ---- recovery ----
 
     /// Recovery: replays committed transactions from the WAL with
     /// idempotent application, rebuilds value indexes when anything was
@@ -1168,15 +1140,9 @@ impl Database {
                     // already covered the extraction, nothing in the heap
                     // matches the cutoff anymore. No index rebuilds — the
                     // swap moves versions without changing the type's
-                    // logical content, and `extract_closed` maintains the
-                    // store's own interval index as it goes.
-                    let store = self.store(AtomTypeId(ty))?;
-                    for no in store.atoms()? {
-                        store.extract_closed(no, cutoff)?;
-                    }
-                    // As in `compact_type`: repack the lazily-pruned
-                    // time index so slices don't scan emptied leaves.
-                    store.compact_time_index()?;
+                    // logical content, and the extraction maintains (and
+                    // repacks) the store's own interval index.
+                    self.store(AtomTypeId(ty))?.extract_all_closed(cutoff)?;
                 }
                 _ => {}
             }
@@ -1228,267 +1194,11 @@ impl Database {
         Ok(())
     }
 
-    /// Physically discards every version whose transaction time ended at
-    /// or before `cutoff` (history pruning / vacuum). Time-slices at
-    /// `tt >= cutoff` are unaffected; earlier slices stop being faithful.
-    /// Finishes with a checkpoint so that WAL replay can never resurrect
-    /// pruned versions. Returns the number of versions removed.
-    pub fn prune_history(&self, cutoff: TimePoint) -> Result<u64> {
-        let _m = self.maint.lock();
-        // Quiesce writers: take every commit stripe as the reserved oldest
-        // id (waits out holders, never dies), then drain staged commits
-        // and exclude appliers. Readers retry around the apply marks.
-        self.stripes.lock_all(MAINTENANCE_ID)?;
-        let mut removed = 0u64;
-        let result: Result<()> = (|| {
-            self.drain_commits();
-            let _x = self.commit_lock.write();
-            let type_ids: Vec<AtomTypeId> = self
-                .catalog
-                .read()
-                .atom_types()
-                .iter()
-                .map(|t| t.id)
-                .collect();
-            let tys: Vec<u32> = type_ids.iter().map(|t| t.0).collect();
-            let _apply = self.begin_apply(&tys);
-            for ty in type_ids {
-                let store = self.store(ty)?;
-                for no in store.atoms()? {
-                    removed += store.extract_closed(no, cutoff)?.len() as u64;
-                }
-            }
-            Ok(())
-        })();
-        self.stripes.unlock_all(MAINTENANCE_ID);
-        result?;
-        // Pruning changes store shape outside the commit path; drop the
-        // planner's cached snapshots rather than let them lie.
-        self.stats.invalidate_all();
-        self.checkpoint()?;
-        Ok(removed)
-    }
-
-    // ---- tiered segment storage ----
-
-    /// Archives every closed (transaction-time-ended) version of one atom
-    /// type into a new compressed, checksummed, immutable segment file,
-    /// atomically swapping the heap records for the segment under full
-    /// quiescence. Crash-safe: the segment reaches its final name via
-    /// temp + rename *before* the swap's WAL record — the record is the
-    /// commit point, and recovery either redoes the heap extraction from
-    /// it or discards the unreferenced file. Returns the number of
-    /// versions archived (0 when the type holds no closed history).
-    pub fn compact_type(&self, ty: AtomTypeId) -> Result<u64> {
-        let _span = self.obs.span("db.compact");
-        let _m = self.maint.lock();
-        // Quiesce exactly like `prune_history`, with one addition: take
-        // `wal_order` before `commit_lock` — `checkpoint` acquires them in
-        // that order, and the reverse would deadlock against it.
-        self.stripes.lock_all(MAINTENANCE_ID)?;
-        let result: Result<u64> = (|| {
-            self.drain_commits();
-            let _order = self.wal_order.lock();
-            let _x = self.commit_lock.write();
-            let store = self.store(ty)?;
-            // With commits drained the published clock is exact, and any
-            // post-swap commit draws a higher tt: the archived set
-            // (closed versions with `tt.end <= cutoff`) is frozen, so
-            // recovery's redo selects exactly the same versions.
-            let cutoff = self.now();
-            let atoms = store.atoms()?;
-            let mut entries: Vec<(u64, AtomVersion)> = Vec::new();
-            for no in &atoms {
-                for v in store.collect_closed(*no, cutoff)? {
-                    entries.push((no.0, v));
-                }
-            }
-            if entries.is_empty() {
-                return Ok(0);
-            }
-            let seg = store.segments().max_seg_no().map_or(0, |n| n + 1);
-            let tmp = self.dir.join(segment_tmp_name(ty.0));
-            let name = segment_file_name(ty.0, seg);
-            write_segment_file(self.vfs.as_ref(), &tmp, ty.0, seg, &entries)?;
-            self.vfs.rename(&tmp, &self.dir.join(&name))?;
-            // Commit point. Unconditional fsync: unlike transaction
-            // commits, a swap must never be half-durable under the lazy
-            // sync policy — the extraction below mutates pages that may
-            // flush before the next WAL sync otherwise.
-            self.wal.append(&LogRecord::SegmentSwap {
-                ty: ty.0,
-                seg,
-                cutoff,
-            })?;
-            self.wal.sync()?;
-            {
-                let _apply = self.begin_apply(&[ty.0]);
-                let (file, _) = self.register(name, true)?;
-                let segment = Segment::open(self.pool.clone(), file, ty.0, seg)?;
-                store.segments().add(Arc::new(segment));
-                for no in &atoms {
-                    store.extract_closed(*no, cutoff)?;
-                }
-                // Extraction prunes the time index lazily — the emptied
-                // leaf pages would stay on its scan chain and every
-                // future slice would read the index at pre-swap size.
-                // Repack it while still quiescent.
-                store.compact_time_index()?;
-            }
-            // The manifest must cover the swap before the checkpoint
-            // below truncates its WAL record.
-            self.write_segment_manifest()?;
-            self.compactions.inc();
-            Ok(entries.len() as u64)
-        })();
-        self.stripes.unlock_all(MAINTENANCE_ID);
-        let archived = result?;
-        if archived == 0 {
-            return Ok(0);
-        }
-        // Compaction reshapes the store outside the commit path: refresh
-        // the planner's snapshots, persist the extracted heaps.
-        self.stats.invalidate_all();
-        self.checkpoint()?;
-        Ok(archived)
-    }
-
-    /// [`Database::compact_type`] over every cataloged atom type; returns
-    /// the total number of versions archived.
-    pub fn compact_all(&self) -> Result<u64> {
-        let ids: Vec<AtomTypeId> =
-            self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
-        let mut total = 0;
-        for id in ids {
-            total += self.compact_type(id)?;
-        }
-        Ok(total)
-    }
-
     /// A type's live `(segment reads, fence skips)` counters — how many
     /// segments were actually scanned vs. skipped on their interval
     /// fences. EXPLAIN ANALYZE samples these around each access operator.
     pub fn segment_counters(&self, ty: AtomTypeId) -> Result<(u64, u64)> {
         Ok(self.store(ty)?.segments().counters())
-    }
-
-    /// Loads the live segment set at open: the manifest plus any
-    /// [`LogRecord::SegmentSwap`] records the WAL holds beyond it (a crash
-    /// between a swap's WAL commit point and its manifest rewrite leaves
-    /// the WAL as the only witness). Opens every live segment into its
-    /// store's set, rewrites the manifest when the WAL knew more, and
-    /// removes the leftovers of an interrupted compaction.
-    fn load_segments(&self) -> Result<()> {
-        let mut live = self.read_segment_manifest()?;
-        let mut wal_extras = 0usize;
-        let mut cursor = self.wal.read_from(Lsn(0))?;
-        while let Some((_, rec)) = cursor.next_record()? {
-            if let LogRecord::SegmentSwap { ty, seg, .. } = rec {
-                if !live.contains(&(ty, seg)) {
-                    live.push((ty, seg));
-                    wal_extras += 1;
-                }
-            }
-        }
-        live.sort_unstable();
-        for &(ty, seg) in &live {
-            let store = self.stores.read().get(&ty).cloned().ok_or_else(|| {
-                Error::corruption(format!("segment manifest names unknown atom type #{ty}"))
-            })?;
-            let (file, _) = self.register(segment_file_name(ty, seg), true)?;
-            let segment = Segment::open(self.pool.clone(), file, ty, seg)?;
-            store.segments().add(Arc::new(segment));
-        }
-        if wal_extras > 0 {
-            self.write_segment_manifest()?;
-        }
-        // Leftover cleanup. The VFS has no readdir, so probe the
-        // deterministic names an interrupted compaction can leave: the
-        // manifest temp, the per-type segment temp, and the one segment
-        // number past the live maximum (a file renamed into place whose
-        // swap record never became durable is dead weight — recovery
-        // treats the swap as never having happened).
-        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
-        if self.vfs.exists(&tmp) {
-            self.vfs.remove(&tmp)?;
-        }
-        let type_ids: Vec<u32> =
-            self.with_catalog(|c| c.atom_types().iter().map(|t| t.id.0).collect());
-        for ty in type_ids {
-            // Earlier versions also kept a per-type change index here;
-            // nothing reads it, so a directory written by them sheds it.
-            for leftover in [segment_tmp_name(ty), format!("t{ty}_tix.tcm")] {
-                let path = self.dir.join(leftover);
-                if self.vfs.exists(&path) {
-                    self.vfs.remove(&path)?;
-                }
-            }
-            let next = live
-                .iter()
-                .filter(|(t, _)| *t == ty)
-                .map(|(_, s)| s + 1)
-                .max()
-                .unwrap_or(0);
-            let orphan = self.dir.join(segment_file_name(ty, next));
-            if self.vfs.exists(&orphan) {
-                self.vfs.remove(&orphan)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses the segment manifest: `<type> <segment>` per line.
-    fn read_segment_manifest(&self) -> Result<Vec<(u32, u64)>> {
-        let path = self.dir.join(SEGMENT_MANIFEST);
-        if !self.vfs.exists(&path) {
-            return Ok(Vec::new());
-        }
-        let f = self.vfs.open(&path)?;
-        let mut buf = vec![0u8; f.len()? as usize];
-        f.read_at(&mut buf, 0)?;
-        let text = String::from_utf8(buf)
-            .map_err(|_| Error::corruption("segment manifest is not UTF-8"))?;
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let parse = |s: &str| {
-                s.parse::<u64>().map_err(|_| {
-                    Error::corruption(format!("malformed segment manifest line '{line}'"))
-                })
-            };
-            let (ty, seg) = line
-                .split_once(' ')
-                .ok_or_else(|| Error::corruption("malformed segment manifest line"))?;
-            out.push((parse(ty)? as u32, parse(seg)?));
-        }
-        Ok(out)
-    }
-
-    /// Rewrites the segment manifest to the current live set, atomically
-    /// (temp + rename). The manifest is authoritative once the WAL's swap
-    /// records have been checkpoint-truncated.
-    fn write_segment_manifest(&self) -> Result<()> {
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        for (ty, store) in self.stores.read().iter() {
-            for seg in store.segments().list() {
-                entries.push((*ty, seg.seg));
-            }
-        }
-        entries.sort_unstable();
-        let mut text = String::from("# tcom live segments: <type> <segment>\n");
-        for (ty, seg) in entries {
-            text.push_str(&format!("{ty} {seg}\n"));
-        }
-        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
-        let f = self.vfs.open(&tmp)?;
-        f.set_len(0)?;
-        f.write_at(text.as_bytes(), 0)?;
-        f.sync()?;
-        self.vfs.rename(&tmp, &self.dir.join(SEGMENT_MANIFEST))?;
-        Ok(())
     }
 
     /// Test hook: direct access to a value index (for corruption-injection
@@ -1601,24 +1311,6 @@ impl Drop for Database {
             let _ = self.checkpoint();
         }
     }
-}
-
-/// The segment manifest: the durable list of live segment files. Rewritten
-/// atomically (via [`SEGMENT_MANIFEST_TMP`] + rename) after every swap.
-const SEGMENT_MANIFEST: &str = "segments.meta";
-/// Temp name the manifest is staged under before its rename.
-const SEGMENT_MANIFEST_TMP: &str = "segments.meta.tmp";
-
-/// Final name of segment `seg` of atom type `ty`.
-fn segment_file_name(ty: u32, seg: u64) -> String {
-    format!("t{ty}_seg{seg}.tcm")
-}
-
-/// Temp name a type's in-flight segment is written under before its
-/// rename (one per type: compaction is serialized by the maintenance
-/// lock, so there is never more than one in flight).
-fn segment_tmp_name(ty: u32) -> String {
-    format!("t{ty}_seg.tmp")
 }
 
 fn parse_meta(text: &str) -> Result<StoreKind> {

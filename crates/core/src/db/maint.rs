@@ -1,0 +1,396 @@
+//! Maintenance: page flushes, checkpoints, history pruning and segment
+//! swaps, and [`Quiesced`], the one guard they quiesce through. Only the
+//! guard takes every stripe, drains commits or excludes appliers, always
+//! in the order `maint` → every stripe (as `MAINTENANCE_ID`) →
+//! `wal_order` → drain → `commit_lock`. Each of its three scopes is a
+//! suffix of that order (DESIGN §10.2), so no two maintenance operations
+//! wait on each other in a cycle. Readers are never excluded; a writer
+//! meeting the writers scope dies under wait-die and retries.
+
+use super::Database;
+use crate::journal::{self, JournalEntry};
+use crate::stripes::{StripeLocks, MAINTENANCE_ID};
+use parking_lot::{MutexGuard, RwLockWriteGuard};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use tcom_kernel::{AtomTypeId, Error, Lsn, Result, TimePoint};
+use tcom_version::record::AtomVersion;
+use tcom_version::{write_segment_file, Segment};
+use tcom_wal::LogRecord;
+
+/// Maintenance quiescence, held until dropped. Each scope takes its own
+/// step and then the next narrower scope, so the order is written once;
+/// fields drop in declaration order, the reverse of acquisition.
+pub(crate) struct Quiesced<'db> {
+    _appliers: RwLockWriteGuard<'db, ()>,
+    _order: Option<MutexGuard<'db, ()>>,
+    _stripes: Option<AllStripes<'db>>,
+    _maint: Option<MutexGuard<'db, ()>>,
+}
+
+/// Every commit stripe, held under [`MAINTENANCE_ID`] until dropped.
+struct AllStripes<'db>(&'db StripeLocks);
+
+impl Drop for AllStripes<'_> {
+    fn drop(&mut self) {
+        self.0.unlock_all(MAINTENANCE_ID);
+    }
+}
+
+impl<'db> Quiesced<'db> {
+    /// The writers scope: `maint`, every commit stripe, then the commits
+    /// scope. `maint` comes first because two `lock_all(MAINTENANCE_ID)`
+    /// callers would each take the other's stripes for their own; the
+    /// reserved oldest id then waits out every holder, and a holder
+    /// releases only after its commit has published.
+    pub(crate) fn writers(db: &'db Database) -> Result<Quiesced<'db>> {
+        let maint = db.maint.lock();
+        db.stripes.lock_all(MAINTENANCE_ID)?;
+        Ok(Quiesced {
+            _maint: Some(maint),
+            _stripes: Some(AllStripes(&db.stripes)),
+            ..Quiesced::commits(db)
+        })
+    }
+
+    /// The commits scope: `wal_order`, so no transaction time can be
+    /// drawn; a drain until every drawn one is published (appliers still
+    /// run meanwhile); then the flush scope.
+    pub(crate) fn commits(db: &'db Database) -> Quiesced<'db> {
+        let order = db.wal_order.lock();
+        let mut g = db.publish_mx.lock();
+        while db.published.load(Ordering::Acquire) != db.clock.load(Ordering::Acquire) {
+            db.publish_cv.wait(&mut g);
+        }
+        // Released before `commit_lock`: appliers publish under it.
+        drop(g);
+        Quiesced {
+            _order: Some(order),
+            ..Quiesced::flush(db)
+        }
+    }
+
+    /// The flush scope: `commit_lock` exclusive, so appliers are excluded.
+    pub(crate) fn flush(db: &'db Database) -> Quiesced<'db> {
+        Quiesced {
+            _appliers: db.commit_lock.write(),
+            _order: None,
+            _stripes: None,
+            _maint: None,
+        }
+    }
+}
+
+impl Database {
+    /// Test hook: holds the flush scope, stalling every commit apply, page
+    /// flush and checkpoint — while snapshot readers must still make
+    /// progress (the reader-liveness regression test drives a full scan
+    /// to completion under this guard).
+    #[doc(hidden)]
+    pub fn block_applies_for_test(&self) -> impl Sized + '_ {
+        Quiesced::flush(self)
+    }
+
+    /// Crash-atomically flushes every dirty page: the images go to the
+    /// double-write journal first, then in place, then the journal is
+    /// truncated. Does **not** touch the WAL — safe at any transaction
+    /// boundary. Runs in the flush scope, so no torn multi-page store
+    /// mutation reaches disk.
+    pub fn sync_pages(&self) -> Result<()> {
+        self.flush_dirty(&Quiesced::flush(self))
+    }
+
+    /// [`Database::sync_pages`] body, under a guard that excludes appliers.
+    fn flush_dirty(&self, _quiesced: &Quiesced<'_>) -> Result<()> {
+        let dirty = self.pool.dirty_pages();
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        let names = self.file_names.lock();
+        let entries: Vec<JournalEntry> = dirty
+            .into_iter()
+            .map(|(file, page, image)| JournalEntry {
+                file_name: names[file.0 as usize].clone(),
+                page,
+                image,
+            })
+            .collect();
+        drop(names);
+        let journal_path = self.dir.join("ckpt.jrnl");
+        journal::write_journal(self.vfs.as_ref(), &journal_path, &entries)?;
+        self.pool.flush_and_sync()?;
+        journal::truncate_journal(self.vfs.as_ref(), &journal_path)?;
+        Ok(())
+    }
+
+    /// The engine's buffer-pressure guard: with the no-steal policy, dirty
+    /// pages accumulate until a flush; this flushes once more than half the
+    /// pool is dirty. Called at transaction boundaries.
+    pub(crate) fn flush_if_pressured(&self) -> Result<()> {
+        if self.pool.dirty_count() * 2 >= self.pool.capacity() {
+            self.sync_pages()?;
+        }
+        Ok(())
+    }
+
+    /// Flushes all data pages, fsyncs every file, and truncates the WAL to
+    /// a fresh checkpoint record. Runs in the commits scope, so the
+    /// truncated WAL never loses a commit that the flushed pages don't
+    /// already contain.
+    pub fn checkpoint(&self) -> Result<()> {
+        let _span = self.obs.span("db.checkpoint");
+        let quiesced = Quiesced::commits(self);
+        self.flush_dirty(&quiesced)?;
+        let next_nos: Vec<(u32, u64)> = self
+            .next_no
+            .lock()
+            .iter()
+            .map(|(ty, no)| (*ty, *no))
+            .collect();
+        self.wal.reset_with(&LogRecord::Checkpoint {
+            clock: self.now(),
+            next_atom_nos: next_nos,
+        })?;
+        self.txns_since_ckpt.store(0, Ordering::Release);
+        Ok(())
+    }
+
+    /// Physically discards every heap version whose transaction time ended
+    /// at or before `cutoff` (history pruning / vacuum); versions already
+    /// archived into segments stay. Time-slices at `tt >= cutoff` are
+    /// unaffected; earlier slices stop being faithful. Finishes with a
+    /// checkpoint so that WAL replay can never resurrect pruned versions.
+    /// Returns the number of versions removed.
+    pub fn prune_history(&self, cutoff: TimePoint) -> Result<u64> {
+        let removed = {
+            let _quiesced = Quiesced::writers(self)?;
+            let type_ids: Vec<AtomTypeId> =
+                self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
+            let tys: Vec<u32> = type_ids.iter().map(|t| t.0).collect();
+            let _apply = self.begin_apply(&tys);
+            let mut removed = 0;
+            for ty in type_ids {
+                removed += self.store(ty)?.extract_all_closed(cutoff)?;
+            }
+            removed
+        };
+        // Pruning changes store shape outside the commit path; drop the
+        // planner's cached snapshots rather than let them lie. The
+        // checkpoint runs after the writers scope is released, so no
+        // stripe is held through the page flush.
+        self.stats.invalidate_all();
+        self.checkpoint()?;
+        Ok(removed)
+    }
+
+    /// Archives every closed (transaction-time-ended) version of one atom
+    /// type into a new compressed, checksummed, immutable segment file,
+    /// atomically swapping the heap records for the segment in the writers
+    /// scope. Crash-safe: the segment reaches its final name via temp +
+    /// rename *before* the swap's WAL record — the record is the commit
+    /// point, and recovery either redoes the heap extraction from it or
+    /// discards the unreferenced file. Returns the number of versions
+    /// archived (0 when the type holds no closed history).
+    pub fn compact_type(&self, ty: AtomTypeId) -> Result<u64> {
+        let _span = self.obs.span("db.compact");
+        let archived = {
+            let _quiesced = Quiesced::writers(self)?;
+            let store = self.store(ty)?;
+            // With commits drained the published clock is exact, and any
+            // post-swap commit draws a higher tt: the archived set
+            // (closed versions with `tt.end <= cutoff`) is frozen, so
+            // recovery's redo selects exactly the same versions.
+            let cutoff = self.now();
+            let mut entries: Vec<(u64, AtomVersion)> = Vec::new();
+            for no in store.atoms()? {
+                for v in store.collect_closed(no, cutoff)? {
+                    entries.push((no.0, v));
+                }
+            }
+            if entries.is_empty() {
+                return Ok(0);
+            }
+            let seg = store.segments().max_seg_no().map_or(0, |n| n + 1);
+            let tmp = self.dir.join(segment_tmp_name(ty.0));
+            let name = segment_file_name(ty.0, seg);
+            write_segment_file(self.vfs.as_ref(), &tmp, ty.0, seg, &entries)?;
+            self.vfs.rename(&tmp, &self.dir.join(&name))?;
+            // Commit point. Unconditional fsync: unlike transaction
+            // commits, a swap must never be half-durable under the lazy
+            // sync policy — the extraction below mutates pages that may
+            // flush before the next WAL sync otherwise.
+            self.wal.append(&LogRecord::SegmentSwap {
+                ty: ty.0,
+                seg,
+                cutoff,
+            })?;
+            self.wal.sync()?;
+            {
+                let _apply = self.begin_apply(&[ty.0]);
+                let (file, _) = self.register(name, true)?;
+                let segment = Segment::open(self.pool.clone(), file, ty.0, seg)?;
+                store.segments().add(Arc::new(segment));
+                store.extract_all_closed(cutoff)?;
+            }
+            // The manifest must cover the swap before the checkpoint
+            // below truncates its WAL record.
+            self.write_segment_manifest()?;
+            self.compactions.inc();
+            entries.len() as u64
+        };
+        // Compaction reshapes the store outside the commit path: refresh
+        // the planner's snapshots, persist the extracted heaps.
+        self.stats.invalidate_all();
+        self.checkpoint()?;
+        Ok(archived)
+    }
+
+    /// [`Database::compact_type`] over every cataloged atom type; returns
+    /// the total number of versions archived.
+    pub fn compact_all(&self) -> Result<u64> {
+        let ids: Vec<AtomTypeId> =
+            self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
+        let mut total = 0;
+        for id in ids {
+            total += self.compact_type(id)?;
+        }
+        Ok(total)
+    }
+
+    /// Loads the live segment set at open: the manifest plus any
+    /// [`LogRecord::SegmentSwap`] records the WAL holds beyond it (a crash
+    /// between a swap's WAL commit point and its manifest rewrite leaves
+    /// the WAL as the only witness). Opens every live segment into its
+    /// store's set, rewrites the manifest when the WAL knew more, and
+    /// removes the leftovers of an interrupted compaction.
+    pub(super) fn load_segments(&self) -> Result<()> {
+        let mut live = self.read_segment_manifest()?;
+        let mut wal_extras = 0usize;
+        let mut cursor = self.wal.read_from(Lsn(0))?;
+        while let Some((_, rec)) = cursor.next_record()? {
+            if let LogRecord::SegmentSwap { ty, seg, .. } = rec {
+                if !live.contains(&(ty, seg)) {
+                    live.push((ty, seg));
+                    wal_extras += 1;
+                }
+            }
+        }
+        live.sort_unstable();
+        for &(ty, seg) in &live {
+            let store = self.stores.read().get(&ty).cloned().ok_or_else(|| {
+                Error::corruption(format!("segment manifest names unknown atom type #{ty}"))
+            })?;
+            let (file, _) = self.register(segment_file_name(ty, seg), true)?;
+            let segment = Segment::open(self.pool.clone(), file, ty, seg)?;
+            store.segments().add(Arc::new(segment));
+        }
+        if wal_extras > 0 {
+            self.write_segment_manifest()?;
+        }
+        // Leftover cleanup. The VFS has no readdir, so probe the
+        // deterministic names an interrupted compaction can leave: the
+        // manifest temp, the per-type segment temp, and the one segment
+        // number past the live maximum (a file renamed into place whose
+        // swap record never became durable is dead weight — recovery
+        // treats the swap as never having happened).
+        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
+        if self.vfs.exists(&tmp) {
+            self.vfs.remove(&tmp)?;
+        }
+        let type_ids: Vec<u32> =
+            self.with_catalog(|c| c.atom_types().iter().map(|t| t.id.0).collect());
+        for ty in type_ids {
+            // Earlier versions also kept a per-type change index here;
+            // nothing reads it, so a directory written by them sheds it.
+            for leftover in [segment_tmp_name(ty), format!("t{ty}_tix.tcm")] {
+                let path = self.dir.join(leftover);
+                if self.vfs.exists(&path) {
+                    self.vfs.remove(&path)?;
+                }
+            }
+            let next = live
+                .iter()
+                .filter(|(t, _)| *t == ty)
+                .map(|(_, s)| s + 1)
+                .max()
+                .unwrap_or(0);
+            let orphan = self.dir.join(segment_file_name(ty, next));
+            if self.vfs.exists(&orphan) {
+                self.vfs.remove(&orphan)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses the segment manifest: `<type> <segment>` per line.
+    fn read_segment_manifest(&self) -> Result<Vec<(u32, u64)>> {
+        let path = self.dir.join(SEGMENT_MANIFEST);
+        if !self.vfs.exists(&path) {
+            return Ok(Vec::new());
+        }
+        let f = self.vfs.open(&path)?;
+        let mut buf = vec![0u8; f.len()? as usize];
+        f.read_at(&mut buf, 0)?;
+        let text = String::from_utf8(buf)
+            .map_err(|_| Error::corruption("segment manifest is not UTF-8"))?;
+        let mut out = Vec::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let parse = |s: &str| {
+                s.parse::<u64>().map_err(|_| {
+                    Error::corruption(format!("malformed segment manifest line '{line}'"))
+                })
+            };
+            let (ty, seg) = line
+                .split_once(' ')
+                .ok_or_else(|| Error::corruption("malformed segment manifest line"))?;
+            out.push((parse(ty)? as u32, parse(seg)?));
+        }
+        Ok(out)
+    }
+
+    /// Rewrites the segment manifest to the current live set, atomically
+    /// (temp + rename). The manifest is authoritative once the WAL's swap
+    /// records have been checkpoint-truncated.
+    fn write_segment_manifest(&self) -> Result<()> {
+        let mut entries: Vec<(u32, u64)> = Vec::new();
+        for (ty, store) in self.stores.read().iter() {
+            for seg in store.segments().list() {
+                entries.push((*ty, seg.seg));
+            }
+        }
+        entries.sort_unstable();
+        let mut text = String::from("# tcom live segments: <type> <segment>\n");
+        for (ty, seg) in entries {
+            text.push_str(&format!("{ty} {seg}\n"));
+        }
+        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
+        let f = self.vfs.open(&tmp)?;
+        f.set_len(0)?;
+        f.write_at(text.as_bytes(), 0)?;
+        f.sync()?;
+        self.vfs.rename(&tmp, &self.dir.join(SEGMENT_MANIFEST))?;
+        Ok(())
+    }
+}
+
+/// The segment manifest: the durable list of live segment files. Rewritten
+/// atomically (via [`SEGMENT_MANIFEST_TMP`] + rename) after every swap.
+const SEGMENT_MANIFEST: &str = "segments.meta";
+/// Temp name the manifest is staged under before its rename.
+const SEGMENT_MANIFEST_TMP: &str = "segments.meta.tmp";
+
+/// Final name of segment `seg` of atom type `ty`.
+fn segment_file_name(ty: u32, seg: u64) -> String {
+    format!("t{ty}_seg{seg}.tcm")
+}
+
+/// Temp name a type's in-flight segment is written under before its
+/// rename (one per type: compaction runs in the writers scope, which
+/// holds `maint`, so there is never more than one in flight).
+fn segment_tmp_name(ty: u32) -> String {
+    format!("t{ty}_seg.tmp")
+}

@@ -187,9 +187,8 @@ impl Database {
     /// molecules in root-scan order (the same order
     /// [`Database::materialize_all`] visits them).
     ///
-    /// `threads == 0` uses the configured worker count
-    /// ([`crate::DbConfig::worker_threads`], itself defaulting to the
-    /// hardware parallelism); `threads == 1` degenerates to the sequential
+    /// `threads == 0` uses the machine's available parallelism;
+    /// `threads == 1` degenerates to the sequential
     /// path. Workers claim roots from a shared atomic cursor, so uneven
     /// molecule sizes balance dynamically. Reads run against committed
     /// state exactly like any other reader (validated retry around the
@@ -209,7 +208,7 @@ impl Database {
         let def = self.with_catalog(|c| c.molecule_type(mol_type).cloned())?;
         let roots = self.all_atoms(def.root)?;
         let threads = match threads {
-            0 => self.config().effective_workers(),
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             t => t,
         }
         .clamp(1, roots.len().max(1));

@@ -10,12 +10,15 @@
 //! 1. appends the batch to the replica's **own** WAL and makes it durable
 //!    first — a crash mid-apply recovers through the ordinary
 //!    [`Database::recover`] path, no replication-specific redo exists;
-//! 2. re-applies the mutation primitives to the version stores, maintains
-//!    the planner's change notes ([`Database::note_change`]) and the value
-//!    indexes incrementally, and raises the atom-number allocators past
-//!    every replicated number (a promoted replica never reuses one);
-//! 3. republishes the transaction time via `publish_replicated`, making
-//!    the commit visible to snapshot reads on the replica.
+//! 2. raises the atom-number allocators past every replicated number (a
+//!    promoted replica never reuses one);
+//! 3. applies the batch through the leader's own apply routine
+//!    (`Database::apply_commit`: store mutation, planner change notes,
+//!    value-index diff), which republishes the transaction time via
+//!    `publish_replicated`, making the commit visible to snapshot reads
+//!    on the replica. A close that finds no version to close means the
+//!    replica has diverged from its leader: the batch fails rather than
+//!    applying the rest.
 //!
 //! **Resume.** LSNs are byte offsets into one log *incarnation*; every
 //! leader checkpoint truncates the log and draws a fresh epoch. The
@@ -36,7 +39,6 @@
 //! atom type ids are allocation-ordered) before subscribing.
 
 use crate::db::Database;
-use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -310,67 +312,18 @@ impl WalApplier {
                 wal.sync_to(end)?;
             }
         }
-        let changed: HashSet<AtomId> =
-            recs.iter()
-                .filter_map(|r| match r {
-                    LogRecord::InsertVersion { atom, .. }
-                    | LogRecord::CloseVersion { atom, .. } => Some(*atom),
-                    _ => None,
-                })
-                .collect();
-        let mut tys: Vec<u32> = changed.iter().map(|a| a.ty.0).collect();
-        tys.sort_unstable();
-        tys.dedup();
-        let mut before: HashMap<AtomId, Vec<Tuple>> = HashMap::new();
-        for atom in &changed {
+        for rec in &recs {
+            if let LogRecord::InsertVersion { atom, .. } = rec {
+                db.bump_atom_no_at_least(atom.ty, atom.no.0 + 1);
+            }
+        }
+        // The leader's apply routine. A replica holds no overlay, so both
+        // images are read from the stores, around the mutation.
+        let current = |atom: AtomId| -> Result<Vec<Tuple>> {
             let vs = db.store(atom.ty)?.current_versions(atom.no)?;
-            before.insert(*atom, vs.into_iter().map(|v| v.tuple).collect());
-        }
-        {
-            let _shared = db.commit_lock.read();
-            let _apply = db.begin_apply(&tys);
-            for rec in &recs {
-                match rec {
-                    LogRecord::InsertVersion {
-                        atom,
-                        vt,
-                        tt_start,
-                        tuple,
-                        ..
-                    } => {
-                        db.store(atom.ty)?
-                            .insert_version(atom.no, *vt, *tt_start, tuple)?;
-                        db.bump_atom_no_at_least(atom.ty, atom.no.0 + 1);
-                    }
-                    LogRecord::CloseVersion {
-                        atom,
-                        vt_start,
-                        tt_end,
-                        ..
-                    } => {
-                        db.store(atom.ty)?
-                            .close_version(atom.no, *vt_start, *tt_end)?;
-                    }
-                    _ => {}
-                }
-            }
-            for atom in &changed {
-                db.note_change(atom.ty);
-            }
-            for atom in &changed {
-                let after: Vec<Tuple> = db
-                    .store(atom.ty)?
-                    .current_versions(atom.no)?
-                    .into_iter()
-                    .map(|v| v.tuple)
-                    .collect();
-                db.update_indexes_for(*atom, &before[atom], &after)?;
-            }
-            // Publish while the apply marks are raised, exactly like a
-            // leader commit: a reader validating afterwards pins a clock
-            // that includes this fully applied transaction.
-            db.publish_replicated(tt);
-        }
+            Ok(vs.into_iter().map(|v| v.tuple).collect())
+        };
+        db.apply_commit(tt, &recs, &current, &current, Database::publish_replicated)?;
         db.note_commit()?;
         self.txns_applied.inc();
         Ok(())
@@ -407,5 +360,62 @@ fn read_pos(path: &PathBuf) -> (u64, u64) {
     ) {
         (Some(e), Some(l)) => (e, l),
         _ => (0, 0),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DbConfig;
+    use tcom_catalog::AttrDef;
+    use tcom_kernel::{AtomNo, DataType, TxnId};
+    use tcom_wal::Wal;
+
+    /// A replicated close that finds no version to close means the replica
+    /// has diverged from its leader: the batch fails and publishes nothing.
+    #[test]
+    fn close_of_a_missing_version_fails_the_batch() {
+        let dir = std::env::temp_dir().join(format!("tcom-repl-diverged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Arc::new(Database::open(dir.join("replica"), DbConfig::default()).unwrap());
+        let ty = db
+            .define_atom_type("t", vec![AttrDef::new("v", DataType::Int)])
+            .unwrap();
+        // A leader log whose one commit closes a version of an atom this
+        // replica never received.
+        let leader = Wal::open(dir.join("leader.wal"), SyncPolicy::OnCommit).unwrap();
+        let txn = TxnId(1);
+        leader
+            .append_all(&[
+                LogRecord::Begin { txn },
+                LogRecord::CloseVersion {
+                    txn,
+                    atom: AtomId::new(ty, AtomNo(0)),
+                    vt_start: TimePoint(0),
+                    tt_end: TimePoint(1),
+                },
+                LogRecord::Commit { txn },
+            ])
+            .unwrap();
+        leader.sync().unwrap();
+        let chunk = leader.read_chunk(Lsn(0), 1 << 20).unwrap();
+        let mut applier = WalApplier::new(db.clone()).unwrap();
+        let err = applier
+            .apply_chunk(
+                chunk.epoch,
+                chunk.start,
+                &chunk.bytes,
+                leader.durable_len(),
+                1,
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("close of missing version"),
+            "{err}"
+        );
+        assert_eq!(db.now(), TimePoint(0));
+        drop(applier);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,8 @@
 //! numbers exactly means scanning the store ([`StoreStats`] is exhaustive),
 //! which is far too expensive per statement — so the registry caches one
 //! snapshot per type and maintains it incrementally: every commit bumps a
-//! per-type change counter (from [`crate::db::Database`]'s `note_change`
-//! hook, already called under the commit lock for every changed atom), and
+//! per-type change counter (from [`crate::db::Database`]'s apply routine,
+//! once per changed atom under the commit lock), and
 //! a cached snapshot is only recomputed once enough changes accumulate to
 //! make it materially stale. In between, the cached base is extrapolated
 //! by the change count, which over-counts slightly (a changed atom may

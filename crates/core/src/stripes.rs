@@ -12,9 +12,10 @@
 //! a *younger* requester (larger id) aborts immediately with a
 //! retryable [`Error::Txn`]. Waits therefore only ever run from older to
 //! younger transactions, so the wait-for graph is acyclic. Maintenance
-//! operations (history pruning) acquire every stripe under the reserved
-//! id [`MAINTENANCE_ID`], which is older than any transaction and thus
-//! never dies.
+//! that must exclude every writer (history pruning, segment swaps)
+//! acquires every stripe under the reserved id [`MAINTENANCE_ID`], which
+//! is older than any transaction and thus never dies; the engine's
+//! maintenance guard is the only caller of [`StripeLocks::lock_all`].
 
 use parking_lot::{Condvar, Mutex};
 use tcom_kernel::{AtomTypeId, Error, Result};
@@ -23,6 +24,10 @@ use tcom_obs::Counter;
 /// The reserved wait-die id used by maintenance ([`StripeLocks::lock_all`]).
 /// Real transaction ids start at 1, so maintenance always wins waits.
 pub const MAINTENANCE_ID: u64 = 0;
+
+/// The engine's commit-stripe count: atom type `t` maps to stripe
+/// `t % COMMIT_STRIPES`, so up to this many types commit in parallel.
+pub const COMMIT_STRIPES: usize = 64;
 
 struct Stripe {
     /// The id of the holding transaction, if any.

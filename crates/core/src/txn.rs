@@ -18,11 +18,12 @@
 //! 3. the batch is made durable: with group commit, via the
 //!    leader/follower fsync gate (`Wal::sync_to`), which lets commits
 //!    that arrive during another commit's fsync share the next one;
-//! 4. the primitives are applied to the version stores and the value
-//!    indexes in publish-turn order, under `commit_lock.read()` (appliers
-//!    exclude page flushes, not each other or readers) with the written
-//!    types' apply marks raised; then `t` is **published**, making the
-//!    commit visible to snapshot reads.
+//! 4. the logged records are applied to the version stores and the value
+//!    indexes in publish-turn order by `Database::apply_commit` — the
+//!    routine a replica applies through too — under `commit_lock.read()`
+//!    (appliers exclude maintenance, not each other or readers) with the
+//!    written types' apply marks raised; then `t` is **published**, making
+//!    the commit visible to snapshot reads.
 //!
 //! Commit work is bounded by the *write set* — the atoms with buffered
 //! primitives. Atoms the transaction only read (a claim scan, a
@@ -348,57 +349,23 @@ impl<'db> Txn<'db> {
             }
         }
 
-        // 3. Apply in publish-turn order, then publish. `commit_lock` is
-        //    taken *shared*: appliers exclude page flushes and
-        //    maintenance, not each other (stripes already serialize
-        //    same-type appliers) and never readers, who go through the
-        //    apply marks raised by `begin_apply`.
+        // 3. Apply in publish-turn order, then publish — the routine a
+        //    replica applies through too. The images come from the write
+        //    set (pre-transaction tuples) and the overlay, never the stores.
         self.db.wait_for_turn(tt);
-        {
-            let _shared = self.db.commit_lock.read();
-            // Sorted by (type, number): apply marks go up once per type,
-            // and index maintenance runs in a deterministic order.
-            let mut written: Vec<AtomId> = self.written.keys().copied().collect();
-            written.sort_unstable();
-            let mut tys: Vec<u32> = written.iter().map(|a| a.ty.0).collect();
-            tys.dedup();
-            let _apply = self.db.begin_apply(&tys);
-            for TaggedOp { atom, op } in &ops {
-                let store = self.db.store(atom.ty)?;
-                match op {
-                    Primitive::Close { vt_start } => {
-                        let closed = store.close_version(atom.no, *vt_start, tt)?;
-                        if !closed {
-                            return Err(Error::internal(format!(
-                                "commit: close of missing version {atom} @vt {vt_start:?}"
-                            )));
-                        }
-                    }
-                    Primitive::Insert { vt, tuple } => {
-                        store.insert_version(atom.no, *vt, tt, tuple)?;
-                    }
-                }
-            }
-            // Planner statistics: every atom with applied primitives changed.
-            let changed: std::collections::HashSet<AtomId> = ops.iter().map(|t| t.atom).collect();
-            for atom in changed {
-                self.db.note_change(atom.ty);
-            }
-            // Value indexes: per written atom, diff before/after values.
-            for atom in written {
-                let after: Vec<Tuple> = self.overlay[&atom]
+        self.db.apply_commit(
+            tt,
+            &recs,
+            &|atom| Ok(self.written[&atom].clone()),
+            &|atom| {
+                Ok(self.overlay[&atom]
                     .iter()
                     .map(|v| v.tuple.clone())
-                    .collect();
-                self.db
-                    .update_indexes_for(atom, &self.written[&atom], &after)?;
-            }
-            // Publish while the apply marks are still raised: a reader
-            // that validates against an even mark afterwards pins a clock
-            // that includes this fully-applied commit.
-            self.db.publish(tt);
-            plug.armed = false;
-        }
+                    .collect())
+            },
+            Database::publish,
+        )?;
+        plug.armed = false;
 
         // 4. Strict 2PL tail: stripes release only now, after publish.
         self.release_stripes();

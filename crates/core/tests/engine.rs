@@ -973,6 +973,85 @@ fn prune_keeps_multi_slice_current_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Pruning leaves the transaction-time index dense: a cold slice at a
+/// `tt >= cutoff` after a prune that removed most closed versions costs
+/// exactly the pool misses it costs once recovery has rebuilt that index
+/// from the heaps. Counted behind a 16-frame pool, as in `cost_golden`.
+#[test]
+fn prune_repacks_the_time_index() {
+    const ATOMS: i64 = 200;
+    const ROUNDS: i64 = 24;
+    for kind in all_kinds() {
+        let dir = tmpdir(&format!("prune-dense-{kind}"));
+        let db = Database::open(&dir, cfg(kind)).unwrap();
+        let ty = setup_emp(&db);
+        let side = db
+            .define_atom_type("side", vec![AttrDef::new("v", DataType::Int)])
+            .unwrap();
+        let mut txn = db.begin();
+        let atoms: Vec<AtomId> = (0..ATOMS)
+            .map(|i| txn.insert_atom(ty, iv_from(0), emp("e", i)).unwrap())
+            .collect();
+        txn.commit().unwrap(); // tt=1
+        for round in 1..=ROUNDS {
+            let mut txn = db.begin();
+            for a in &atoms {
+                txn.update(*a, iv_from(0), emp("e", round)).unwrap();
+            }
+            txn.commit().unwrap(); // tt=1+round
+        }
+        // Every version closed at tt <= ROUNDS goes: all but the last
+        // closed version of each atom.
+        let cutoff = TimePoint(ROUNDS as u64);
+        let removed = db.prune_history(cutoff).unwrap();
+        assert_eq!(removed, (ATOMS * (ROUNDS - 1)) as u64, "{kind}");
+        assert!(removed * 10 >= (ATOMS * ROUNDS) as u64 * 9);
+
+        let cold_slice = |db: &Database| {
+            let misses = db.buffer_stats().misses;
+            let mut rows = Vec::new();
+            db.slice_at(ty, cutoff, &mut |no, vs| {
+                rows.push((no, vs));
+                Ok(true)
+            })
+            .unwrap();
+            (db.buffer_stats().misses - misses, rows)
+        };
+        let small = cfg(kind).buffer_frames(16);
+        let write_side = |db: &Database| {
+            let mut txn = db.begin();
+            txn.insert_atom(side, iv_from(0), Tuple::new(vec![Value::Int(1)]))
+                .unwrap();
+            txn.commit().unwrap();
+        };
+
+        // As pruned.
+        write_side(&db);
+        drop(db);
+        let db = Database::open(&dir, small).unwrap();
+        let pruned = cold_slice(&db);
+        drop(db);
+
+        // Rebuilt: a commit the WAL still holds at a crash makes recovery
+        // rebuild every store's time index from its heap.
+        let db = Database::open(&dir, cfg(kind)).unwrap();
+        write_side(&db);
+        db.crash();
+        drop(Database::open(&dir, cfg(kind)).unwrap());
+        let db = Database::open(&dir, small).unwrap();
+        let rebuilt = cold_slice(&db);
+
+        assert_eq!(pruned.1.len(), ATOMS as usize, "{kind}");
+        assert_eq!(pruned.1, rebuilt.1, "{kind}: answers");
+        assert_eq!(
+            pruned.0, rebuilt.0,
+            "{kind}: pool misses, pruned vs rebuilt"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn integrity_verification_passes_on_real_workloads() {
     for kind in all_kinds() {

@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use tcom_core::stripes::StripeLocks;
+use tcom_core::stripes::{StripeLocks, MAINTENANCE_ID};
 use tcom_core::{
     is_wait_die_abort, AtomTypeId, AttrDef, DataType, Database, DbConfig, Interval, StoreKind,
     SyncPolicy, Tuple, Value,
@@ -55,6 +55,7 @@ proptest! {
         ),
     ) {
         let locks = Arc::new(StripeLocks::new(8));
+        let table = Arc::clone(&locks);
         let ids = Arc::new(AtomicU64::new(1));
         let sched2 = schedules.clone();
         with_deadline(30, "random stripe schedule", move || {
@@ -95,10 +96,15 @@ proptest! {
                 }
             });
         });
-        // Every stripe must be free again: a maintenance-style sweep
-        // (oldest id) acquires all of them without waiting.
-        let check = StripeLocks::new(1);
-        drop(check);
+        // Every stripe of the schedule's own table must be free again: a
+        // maintenance-style sweep (oldest id) takes each one without
+        // waiting — in no-wait mode a stripe still held would abort.
+        for idx in 0..table.len() {
+            prop_assert!(
+                table.acquire(idx, MAINTENANCE_ID, true).is_ok(),
+                "stripe {idx} still held after every schedule finished"
+            );
+        }
     }
 }
 
@@ -110,8 +116,7 @@ fn one_stripe_db(tag: &str) -> (Database, AtomTypeId, PathBuf) {
         &dir,
         DbConfig::default()
             .store_kind(StoreKind::Split)
-            .sync_policy(SyncPolicy::OnCheckpoint)
-            .commit_stripes(1),
+            .sync_policy(SyncPolicy::OnCheckpoint),
     )
     .unwrap();
     let ty = db
@@ -241,5 +246,116 @@ fn disjoint_writers_commit_in_parallel() {
     assert_eq!(db.metrics().counter("txn.wait_die_aborts"), 0);
     assert!(db.verify_integrity().unwrap().is_ok());
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writers on two atom types commit updates and inserts (retrying
+/// wait-die aborts) while one thread loops every maintenance entry point:
+/// segment swap, history pruning, checkpoint and page flush. The run must
+/// finish inside the deadline — maintenance that took its locks out of
+/// order would deadlock against a committer instead — pass the integrity
+/// check, and show every committed write.
+#[test]
+fn maintenance_never_wedges_commits() {
+    const COMMITS: i64 = 100;
+    let dir = tmpdir("maint");
+    let dir2 = dir.clone();
+    with_deadline(60, "writers beside maintenance", move || {
+        let db = Database::open(
+            &dir2,
+            DbConfig::default()
+                .store_kind(StoreKind::Split)
+                .sync_policy(SyncPolicy::OnCheckpoint)
+                .checkpoint_interval(8),
+        )
+        .unwrap();
+        let types: Vec<AtomTypeId> = ["a", "b"]
+            .iter()
+            .map(|n| {
+                db.define_atom_type(*n, vec![AttrDef::new("v", DataType::Int).indexed()])
+                    .unwrap()
+            })
+            .collect();
+        // One counter per writer; writer `w` updates its counter in type
+        // `w` and inserts into the other type, so every commit touches
+        // both stripes and the two writers collide under wait-die.
+        let mut seed = db.begin();
+        let counters: Vec<_> = types
+            .iter()
+            .map(|&ty| seed.insert_atom(ty, Interval::all(), tup(0)).unwrap())
+            .collect();
+        seed.commit().unwrap();
+
+        let writers_done = AtomicUsize::new(0);
+        let cycles = std::thread::scope(|s| {
+            let maintenance = s.spawn(|| {
+                let mut cycles = 0u64;
+                while writers_done.load(Ordering::Acquire) < types.len() || cycles == 0 {
+                    for &ty in &types {
+                        db.compact_type(ty).unwrap();
+                    }
+                    db.prune_history(db.now()).unwrap();
+                    db.checkpoint().unwrap();
+                    db.sync_pages().unwrap();
+                    cycles += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                cycles
+            });
+            for w in 0..types.len() {
+                let (db, types, counters, done) = (&db, &types, &counters, &writers_done);
+                s.spawn(move || {
+                    let other = types[(w + 1) % types.len()];
+                    for k in 1..=COMMITS {
+                        let value = w as i64 * 1000 + k;
+                        loop {
+                            let mut txn = db.begin();
+                            let attempt = txn
+                                .update(counters[w], Interval::all(), tup(value))
+                                .and_then(|()| txn.insert_atom(other, Interval::all(), tup(value)))
+                                .and_then(|_| txn.commit());
+                            match attempt {
+                                Ok(_) => break,
+                                Err(e) if is_wait_die_abort(&e) => std::thread::yield_now(),
+                                Err(e) => panic!("writer {w}: {e}"),
+                            }
+                        }
+                    }
+                    done.fetch_add(1, Ordering::AcqRel);
+                });
+            }
+            maintenance.join().unwrap()
+        });
+        assert!(cycles >= 1);
+
+        // Every committed write is visible: each counter holds its
+        // writer's last value, each type every value inserted into it.
+        for (w, &counter) in counters.iter().enumerate() {
+            let cur = db.current_versions(counter).unwrap();
+            assert_eq!(cur.len(), 1);
+            assert_eq!(cur[0].tuple, tup(w as i64 * 1000 + COMMITS));
+        }
+        for (t, &ty) in types.iter().enumerate() {
+            let writer = (t + 1) % types.len();
+            let mut got: Vec<Tuple> = Vec::new();
+            for atom in db.all_atoms(ty).unwrap() {
+                if atom != counters[t] {
+                    got.extend(
+                        db.current_versions(atom)
+                            .unwrap()
+                            .into_iter()
+                            .map(|v| v.tuple),
+                    );
+                }
+            }
+            // One writer inserts here, in commit order, and atom numbers
+            // are allocated in that order.
+            let want: Vec<Tuple> = (1..=COMMITS)
+                .map(|k| tup(writer as i64 * 1000 + k))
+                .collect();
+            assert_eq!(got, want, "inserts into type {t}");
+        }
+        assert!(db.verify_integrity().unwrap().is_ok());
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }

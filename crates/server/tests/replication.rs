@@ -154,8 +154,11 @@ fn wait_sync(leader: &Database, replica: &Database, follower: &ReplicaFollower) 
 }
 
 /// Asserts every battery statement and every `ASOF TT` slice renders
-/// byte-identically on leader and replica.
+/// byte-identically on leader and replica, and that the replica's own
+/// stores and value indexes agree (the apply routine maintains both).
 fn assert_identical(leader: &Database, replica: &Database, context: &str) {
+    let report = replica.verify_integrity().unwrap();
+    assert!(report.is_ok(), "{context}: replica integrity: {report:?}");
     for sql in BATTERY {
         assert_eq!(
             format!("{:?}", run(leader, sql)),

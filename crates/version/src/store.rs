@@ -757,6 +757,19 @@ impl Store {
             .collect())
     }
 
+    /// [`Store::extract_closed`] over every atom, then the time-index
+    /// repack: the one pass behind history pruning, the heap side of a
+    /// segment swap, and the swap's recovery redo. Returns the number of
+    /// versions removed.
+    pub fn extract_all_closed(&self, cutoff: TimePoint) -> Result<u64> {
+        let mut removed = 0;
+        for no in self.atoms()? {
+            removed += self.extract_closed(no, cutoff)?.len() as u64;
+        }
+        self.compact_time_index()?;
+        Ok(removed)
+    }
+
     /// Read-only preview of [`Store::extract_closed`]: this atom's
     /// *heap-resident* closed versions with `tt.end <= cutoff`, delta
     /// payloads materialized, already-archived segment versions excluded.
@@ -798,11 +811,10 @@ impl Store {
     }
 
     /// Repacks the transaction-time index into dense nodes. Index
-    /// deletion is lazy, so a segment swap that extracts most closed
+    /// deletion is lazy, so an extraction that removes most closed
     /// versions leaves the index's emptied leaf pages on the scan chain;
     /// until they are repacked, every slice reads the index at its
-    /// pre-extraction size. The engine calls this as the final step of a
-    /// swap, under the same quiescence as the extraction itself.
+    /// pre-extraction size. [`Store::extract_all_closed`] ends with it.
     pub fn compact_time_index(&self) -> Result<()> {
         self.tix.compact()
     }

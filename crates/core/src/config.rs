@@ -1,7 +1,7 @@
 //! Engine configuration: a field exists only where callers need different
 //! values. The commit-stripe count ([`crate::stripes::COMMIT_STRIPES`])
-//! and the parallel read paths' worker count (the available parallelism)
-//! are fixed.
+//! and the buffer pool's lock-stripe count (derived from
+//! `buffer_frames`) are fixed.
 
 use tcom_version::StoreKind;
 use tcom_wal::SyncPolicy;
@@ -19,9 +19,6 @@ pub struct DbConfig {
     /// Auto-checkpoint after this many committed transactions
     /// (`0` disables auto-checkpointing; `Database::checkpoint` is manual).
     pub checkpoint_interval: u64,
-    /// Lock stripes of the buffer pool (`0` = derive from `buffer_frames`;
-    /// `1` = the single-mutex pool, useful as a scaling baseline).
-    pub buffer_shards: usize,
     /// Whether concurrently arriving commits may share one WAL fsync
     /// (leader/follower group commit). Durability is identical either
     /// way; disabling forces one fsync per commit — the scaling baseline.
@@ -45,7 +42,6 @@ impl Default for DbConfig {
             store_kind: StoreKind::Split,
             sync_policy: SyncPolicy::OnCommit,
             checkpoint_interval: 10_000,
-            buffer_shards: 0,
             group_commit: true,
             compaction: false,
             compact_min_closed: 512,
@@ -76,12 +72,6 @@ impl DbConfig {
     /// Builder-style: sets the auto-checkpoint interval.
     pub fn checkpoint_interval(mut self, txns: u64) -> DbConfig {
         self.checkpoint_interval = txns;
-        self
-    }
-
-    /// Builder-style: sets the buffer pool shard count.
-    pub fn buffer_shards(mut self, shards: usize) -> DbConfig {
-        self.buffer_shards = shards;
         self
     }
 
@@ -122,7 +112,6 @@ mod tests {
             .store_kind(StoreKind::Chain)
             .sync_policy(SyncPolicy::OnCheckpoint)
             .checkpoint_interval(0)
-            .buffer_shards(4)
             .group_commit(false)
             .compaction(true)
             .compact_min_closed(32)
@@ -131,7 +120,6 @@ mod tests {
         assert_eq!(c.store_kind, StoreKind::Chain);
         assert_eq!(c.sync_policy, SyncPolicy::OnCheckpoint);
         assert_eq!(c.checkpoint_interval, 0);
-        assert_eq!(c.buffer_shards, 4);
         assert!(!c.group_commit);
         assert!(DbConfig::default().group_commit);
         assert!(c.compaction);

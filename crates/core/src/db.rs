@@ -210,7 +210,7 @@ impl Database {
 
         // No-steal: dirty pages reach disk only via journal-protected
         // flushes, keeping the on-disk state a consistent snapshot.
-        let pool = BufferPool::with_shards(config.buffer_frames, config.buffer_shards, false);
+        let pool = BufferPool::new_no_steal(config.buffer_frames);
         let wal = Wal::open_with(vfs.as_ref(), dir.join("wal.log"), config.sync_policy)?;
 
         let catalog_path = dir.join("catalog.tcat");

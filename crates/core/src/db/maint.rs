@@ -339,15 +339,20 @@ impl Database {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let parse = |s: &str| {
-                s.parse::<u64>().map_err(|_| {
-                    Error::corruption(format!("malformed segment manifest line '{line}'"))
-                })
-            };
-            let (ty, seg) = line
-                .split_once(' ')
-                .ok_or_else(|| Error::corruption("malformed segment manifest line"))?;
-            out.push((parse(ty)? as u32, parse(seg)?));
+            let malformed =
+                || Error::corruption(format!("malformed segment manifest line '{line}'"));
+            let (ty, seg) = line.split_once(' ').ok_or_else(malformed)?;
+            let entry = (
+                ty.parse::<u32>().map_err(|_| malformed())?,
+                seg.parse::<u64>().map_err(|_| malformed())?,
+            );
+            if out.contains(&entry) {
+                return Err(Error::corruption(format!(
+                    "segment manifest lists segment {} of type #{} twice",
+                    entry.1, entry.0
+                )));
+            }
+            out.push(entry);
         }
         Ok(out)
     }

@@ -16,7 +16,6 @@
 
 use crate::db::Database;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use tcom_catalog::MoleculeTypeDef;
 use tcom_kernel::{AtomId, AttrId, MoleculeTypeId, Result, TimePoint};
 use tcom_version::record::AtomVersion;
@@ -159,112 +158,6 @@ impl Database {
             version,
             children,
         }))
-    }
-
-    /// Materializes every molecule of a type at `(tt, vt)` — one per
-    /// visible root atom. `f` returning `false` stops the scan.
-    pub fn materialize_all(
-        &self,
-        mol_type: MoleculeTypeId,
-        tt: TimePoint,
-        vt: TimePoint,
-        mut f: impl FnMut(Molecule) -> Result<bool>,
-    ) -> Result<()> {
-        let def = self.with_catalog(|c| c.molecule_type(mol_type).cloned())?;
-        let roots = self.all_atoms(def.root)?;
-        for root in roots {
-            if let Some(m) = self.materialize(mol_type, root, tt, vt)? {
-                if !f(m)? {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes every molecule of a type at `(tt, vt)` with a pool of
-    /// worker threads fanning out over the root atoms, returning the
-    /// molecules in root-scan order (the same order
-    /// [`Database::materialize_all`] visits them).
-    ///
-    /// `threads == 0` uses the machine's available parallelism;
-    /// `threads == 1` degenerates to the sequential
-    /// path. Workers claim roots from a shared atomic cursor, so uneven
-    /// molecule sizes balance dynamically. Reads run against committed
-    /// state exactly like any other reader (validated retry around the
-    /// per-type apply marks inside the store accessors — never a lock);
-    /// the buffer pool below is fully latch-safe, which is what this
-    /// fan-out exercises.
-    ///
-    /// The first error encountered by any worker is returned; remaining
-    /// workers stop at their next claim.
-    pub fn materialize_all_parallel(
-        &self,
-        mol_type: MoleculeTypeId,
-        tt: TimePoint,
-        vt: TimePoint,
-        threads: usize,
-    ) -> Result<Vec<Molecule>> {
-        let def = self.with_catalog(|c| c.molecule_type(mol_type).cloned())?;
-        let roots = self.all_atoms(def.root)?;
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            t => t,
-        }
-        .clamp(1, roots.len().max(1));
-        if threads == 1 {
-            let mut out = Vec::with_capacity(roots.len());
-            for root in roots {
-                if let Some(m) = self.materialize(mol_type, root, tt, vt)? {
-                    out.push(m);
-                }
-            }
-            return Ok(out);
-        }
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let mut slots: Vec<std::sync::Mutex<Vec<(usize, Molecule)>>> = Vec::new();
-        slots.resize_with(threads, Default::default);
-        let mut first_err: Option<tcom_kernel::Error> = None;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(threads);
-            for slot in &slots {
-                let cursor = &cursor;
-                let done = &done;
-                let roots = &roots;
-                handles.push(s.spawn(move || -> Result<()> {
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= roots.len() || done.load(Ordering::Relaxed) {
-                            return Ok(());
-                        }
-                        match self.materialize(mol_type, roots[i], tt, vt) {
-                            Ok(Some(m)) => slot.lock().unwrap().push((i, m)),
-                            Ok(None) => {}
-                            Err(e) => {
-                                done.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                if let Err(e) = h.join().expect("materialization worker panicked") {
-                    first_err.get_or_insert(e);
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        // Deterministic result order: merge per-worker batches by root index.
-        let mut indexed: Vec<(usize, Molecule)> = slots
-            .into_iter()
-            .flat_map(|s| s.into_inner().unwrap())
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        Ok(indexed.into_iter().map(|(_, m)| m).collect())
     }
 
     /// The transaction-time *change points* of a molecule: every `tt` at

@@ -6,10 +6,17 @@
 //! ANALYZE keeps its exact page accounting (total == pool-miss delta,
 //! per-operator counts sum to the total) with segment pages in the mix;
 //! and the whole arrangement survives a clean reopen, with the background
-//! [`Compactor`] thread driving the same archival on its own.
+//! [`Compactor`] thread driving the same archival on its own. On a deep
+//! history compacted phase by phase, a cold mid-history slice reads
+//! strictly fewer pages than on a flat twin; and a manifest naming one
+//! segment twice fails the reopen.
 
+use rand::prelude::*;
 use std::sync::Arc;
-use tcom_core::{Compactor, Database, DbConfig, StoreKind};
+use tcom_core::{
+    AttrDef, Compactor, DataType, Database, DbConfig, Error, Interval, StoreKind, SyncPolicy,
+    Tuple, Value,
+};
 use tcom_query::{run_statement, StatementOutput};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -20,15 +27,15 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 
+fn config(kind: StoreKind) -> DbConfig {
+    DbConfig::default()
+        .store_kind(kind)
+        .buffer_frames(256)
+        .checkpoint_interval(0)
+}
+
 fn open(dir: &std::path::Path, kind: StoreKind) -> Database {
-    Database::open(
-        dir,
-        DbConfig::default()
-            .store_kind(kind)
-            .buffer_frames(256)
-            .checkpoint_interval(0),
-    )
-    .unwrap()
+    Database::open(dir, config(kind)).unwrap()
 }
 
 fn run(db: &Database, sql: &str) -> StatementOutput {
@@ -383,4 +390,134 @@ fn compactor_is_inert_when_disabled() {
     drop(compactor);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Loads `syn(a0 INT INDEXED, a1 .. a7 INT)` with 200 atoms, then updates
+/// every atom's `a1` 64 times, in 8 phases of 8 rounds that each visit
+/// the atoms in a seeded order. `tiered` compacts after every phase —
+/// the steady state a background compactor converges to, with each
+/// segment covering one narrow transaction-time band.
+fn deep_syn_history(db: &Database, tiered: bool) {
+    const ATOMS: usize = 200;
+    const WIDTH: usize = 8;
+    let tuple = |key: usize, a1: i64| -> Tuple {
+        (0..WIDTH)
+            .map(|i| match i {
+                0 => Value::Int(key as i64),
+                1 => Value::Int(a1),
+                _ => Value::Int(i as i64 * 1000),
+            })
+            .collect()
+    };
+    let attrs = (0..WIDTH)
+        .map(|i| {
+            let a = AttrDef::new(format!("a{i}"), DataType::Int);
+            if i == 0 {
+                a.indexed()
+            } else {
+                a
+            }
+        })
+        .collect();
+    let ty = db.define_atom_type("syn", attrs).unwrap();
+    let mut txn = db.begin();
+    let atoms: Vec<_> = (0..ATOMS)
+        .map(|k| txn.insert_atom(ty, Interval::all(), tuple(k, 0)).unwrap())
+        .collect();
+    txn.commit().unwrap();
+    for phase in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(42 + phase);
+        for round in 1..=8i64 {
+            let mut order: Vec<usize> = (0..ATOMS).collect();
+            order.shuffle(&mut rng);
+            let mut txn = db.begin();
+            for k in order {
+                txn.update(atoms[k], Interval::all(), tuple(k, round * 31 + 1))
+                    .unwrap();
+            }
+            txn.commit().unwrap();
+        }
+        if tiered {
+            assert!(
+                db.compact_all().unwrap() > 0,
+                "phase {phase} archived nothing"
+            );
+        }
+    }
+}
+
+/// Tiering pays on a deep history: after 64 rounds compacted in 8 phases,
+/// a cold `ASOF TT` slice at mid-history reads strictly fewer pages than
+/// on a flat twin with the same history, answers byte-identically, and
+/// skips whole segments by their fences — on every store layout. Both
+/// twins reopen behind 16 frames, so the planner's statistics sweep washes
+/// through the pool and the slice itself runs cold.
+#[test]
+fn tiered_cold_slice_reads_fewer_pages_than_flat() {
+    for kind in KINDS {
+        let load = config(kind)
+            .buffer_frames(4096)
+            .sync_policy(SyncPolicy::OnCheckpoint);
+        let flat_dir = tmpdir(&format!("deep-flat-{kind}"));
+        let tiered_dir = tmpdir(&format!("deep-tiered-{kind}"));
+        let tt = {
+            let flat = Database::open(&flat_dir, load).unwrap();
+            let tiered = Database::open(&tiered_dir, load).unwrap();
+            deep_syn_history(&flat, false);
+            deep_syn_history(&tiered, true);
+            assert_eq!(flat.now(), tiered.now(), "[{kind}] twin clocks diverged");
+            flat.now().0 / 2
+        };
+        let sql = format!("EXPLAIN ANALYZE SELECT * FROM syn ASOF TT {tt}");
+        let cold = |dir| {
+            let db = Database::open(dir, load.buffer_frames(16)).unwrap();
+            let (out, report) =
+                tcom_query::explain_analyze_with(&db, &sql, Default::default()).unwrap();
+            assert_eq!(report.pages_read(), report.total_pages_read, "[{kind}]");
+            let skips = db.metrics().counter("segment.skips");
+            (format!("{out:?}"), report.pages_read(), skips)
+        };
+        let (flat_out, flat_pages, _) = cold(&flat_dir);
+        let (tiered_out, tiered_pages, skips) = cold(&tiered_dir);
+        assert_eq!(flat_out, tiered_out, "[{kind}] tiering changed the slice");
+        assert!(
+            tiered_pages < flat_pages,
+            "[{kind}] tiered slice read {tiered_pages} pages, flat {flat_pages}"
+        );
+        assert!(skips > 0, "[{kind}] no segment was skipped by its fences");
+        let _ = std::fs::remove_dir_all(&flat_dir);
+        let _ = std::fs::remove_dir_all(&tiered_dir);
+    }
+}
+
+/// A segment manifest that names one live segment twice — as a repeated
+/// line, or through a type number past `u32` that would wrap onto the
+/// same type — fails the reopen with a `Corruption` naming the manifest,
+/// instead of adding the segment to its type's set a second time.
+#[test]
+fn manifest_naming_a_segment_twice_fails_open() {
+    for (case, wrap) in [("repeated", 0u64), ("wrapped", 1 << 32)] {
+        let dir = tmpdir(&format!("manifest-{case}"));
+        let db = open(&dir, StoreKind::Chain);
+        populate(&db);
+        assert!(db.compact_all().unwrap() > 0);
+        drop(db);
+
+        let path = dir.join("segments.meta");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let live = text.lines().find(|l| !l.starts_with('#')).unwrap();
+        let (ty, seg) = live.split_once(' ').unwrap();
+        let ty: u64 = ty.parse().unwrap();
+        let text = format!("{text}{} {seg}\n", ty + wrap);
+        std::fs::write(&path, text).unwrap();
+
+        let err = Database::open(&dir, config(StoreKind::Chain))
+            .err()
+            .unwrap_or_else(|| panic!("[{case}] reopen accepted a segment listed twice"));
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains("segment manifest")),
+            "[{case}] {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

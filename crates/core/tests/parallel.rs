@@ -1,9 +1,12 @@
-//! Parallel molecule materialization: equivalence with the sequential
-//! path, determinism across thread counts, and correctness under a pool
+//! Concurrent molecule reads through one shared buffer pool: scoped
+//! threads fanning `Database::materialize` over the root set return what
+//! the sequential reads return, on every store kind, and under a pool
 //! smaller than the working set (so the fan-out drives real evictions).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tcom_core::{
-    AttrDef, DataType, Database, DbConfig, MoleculeEdge, StoreKind, TimePoint, Tuple, Value,
+    AttrDef, DataType, Database, DbConfig, Molecule, MoleculeEdge, MoleculeTypeId, StoreKind,
+    TimePoint, Tuple, Value,
 };
 use tcom_kernel::time::iv_from;
 use tcom_kernel::AttrId;
@@ -17,7 +20,7 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 /// dept(name, employs REFSET emp) → emp(name, works_on REFSET proj)
 /// → proj(title), populated with `depts` departments of `fanout` employees
 /// each, every employee on 2 shared projects.
-fn build_university(db: &Database, depts: u64, fanout: u64) -> tcom_kernel::MoleculeTypeId {
+fn build_university(db: &Database, depts: u64, fanout: u64) -> MoleculeTypeId {
     let proj = db
         .define_atom_type("proj", vec![AttrDef::new("title", DataType::Text)])
         .unwrap();
@@ -105,8 +108,46 @@ fn build_university(db: &Database, depts: u64, fanout: u64) -> tcom_kernel::Mole
     mol
 }
 
+/// Every `dept_mol` molecule at `(tt, vt)`, in root order: one at a time
+/// when `threads` is 1, otherwise by scoped workers claiming roots from a
+/// shared cursor.
+fn materialize_roots(
+    db: &Database,
+    mol: MoleculeTypeId,
+    tt: TimePoint,
+    vt: TimePoint,
+    threads: usize,
+) -> Vec<Molecule> {
+    let roots = db.all_atoms(db.atom_type_id("dept").unwrap()).unwrap();
+    let cursor = AtomicUsize::new(0);
+    let mut got: Vec<(usize, Molecule)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&root) = roots.get(i) else {
+                            return mine;
+                        };
+                        if let Some(m) = db.materialize(mol, root, tt, vt).unwrap() {
+                            mine.push((i, m));
+                        }
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("materialization worker panicked"))
+            .collect()
+    });
+    got.sort_by_key(|(i, _)| *i);
+    got.into_iter().map(|(_, m)| m).collect()
+}
+
 #[test]
-fn parallel_matches_sequential_for_every_store_kind() {
+fn concurrent_reads_match_sequential_for_every_store_kind() {
     for kind in [StoreKind::Chain, StoreKind::Delta, StoreKind::Split] {
         let dir = tmpdir(&format!("eq-{kind}"));
         let db = Database::open(
@@ -121,18 +162,12 @@ fn parallel_matches_sequential_for_every_store_kind() {
 
         let tt = db.now();
         let vt = TimePoint(10);
-        let mut sequential = Vec::new();
-        db.materialize_all(mol, tt, vt, |m| {
-            sequential.push(m);
-            Ok(true)
-        })
-        .unwrap();
+        let sequential = materialize_roots(&db, mol, tt, vt, 1);
         assert_eq!(sequential.len(), 24);
-
-        for threads in [1, 2, 4, 8] {
-            let parallel = db.materialize_all_parallel(mol, tt, vt, threads).unwrap();
+        for threads in [2, 4, 8] {
             assert_eq!(
-                parallel, sequential,
+                materialize_roots(&db, mol, tt, vt, threads),
+                sequential,
                 "threads={threads} kind={kind} diverged from sequential"
             );
         }
@@ -141,57 +176,43 @@ fn parallel_matches_sequential_for_every_store_kind() {
 }
 
 #[test]
-fn parallel_under_eviction_pressure() {
-    // Build with a comfortable pool, then reopen with a pool far smaller
-    // than the working set: every materialization round churns frames
-    // through the striped clock while 8 threads race.
-    let dir = tmpdir("pressure");
-    {
-        let db = Database::open(&dir, DbConfig::default().checkpoint_interval(0)).unwrap();
-        build_university(&db, 64, 120);
-    }
-    let db = Database::open(
-        &dir,
-        DbConfig::default()
-            .buffer_frames(32)
-            .buffer_shards(2)
-            .checkpoint_interval(0),
-    )
-    .unwrap();
-    assert_eq!(db.pool().shard_count(), 2);
-    let mol = db.molecule_type_id("dept_mol").unwrap();
-    db.reset_buffer_stats();
+fn concurrent_reads_under_eviction_pressure() {
+    // Build with a comfortable pool, then reopen with a 128-frame pool —
+    // derived as two clock shards — smaller than the working set: every
+    // materialization round churns frames through the striped clock while
+    // 8 threads race.
+    for kind in [StoreKind::Chain, StoreKind::Delta, StoreKind::Split] {
+        let dir = tmpdir(&format!("pressure-{kind}"));
+        let config = DbConfig::default().store_kind(kind).checkpoint_interval(0);
+        {
+            let db = Database::open(&dir, config).unwrap();
+            build_university(&db, 128, 120);
+        }
+        let db = Database::open(&dir, config.buffer_frames(128)).unwrap();
+        assert_eq!(db.pool().shard_count(), 2, "[{kind}]");
+        let mol = db.molecule_type_id("dept_mol").unwrap();
+        db.reset_buffer_stats();
 
-    let tt = db.now();
-    let baseline = db
-        .materialize_all_parallel(mol, tt, TimePoint(10), 1)
-        .unwrap();
-    assert_eq!(baseline.len(), 64);
-    let cold = db.buffer_stats();
-    assert!(
-        cold.misses as usize > db.pool().capacity(),
-        "fixture must not fit in the pool: {cold:?}"
-    );
-    for _ in 0..3 {
-        let got = db
-            .materialize_all_parallel(mol, tt, TimePoint(10), 8)
-            .unwrap();
-        assert_eq!(got, baseline);
+        let tt = db.now();
+        let baseline = materialize_roots(&db, mol, tt, TimePoint(10), 1);
+        assert_eq!(baseline.len(), 128);
+        let cold = db.buffer_stats();
+        assert!(
+            cold.misses as usize > db.pool().capacity(),
+            "[{kind}] fixture must not fit in the pool: {cold:?}"
+        );
+        for _ in 0..3 {
+            assert_eq!(
+                materialize_roots(&db, mol, tt, TimePoint(10), 8),
+                baseline,
+                "[{kind}] concurrent reads under eviction diverged"
+            );
+        }
+        let s = db.buffer_stats();
+        assert!(
+            s.evictions > 0,
+            "[{kind}] working set must overflow the pool: {s:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let s = db.buffer_stats();
-    assert!(s.evictions > 0, "working set must overflow the pool: {s:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn worker_thread_config_is_respected() {
-    let dir = tmpdir("cfg");
-    let db = Database::open(&dir, DbConfig::default().checkpoint_interval(0)).unwrap();
-    let mol = build_university(&db, 4, 2);
-    // threads=0 resolves to the available parallelism; result must still match.
-    let auto = db
-        .materialize_all_parallel(mol, db.now(), TimePoint(10), 0)
-        .unwrap();
-    assert_eq!(auto.len(), 4);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,4 +1,4 @@
-//! Tier-1 soak smoke: the mixed-workload driver from `tcom-bench` at a
+//! Tier-1 soak smoke: the mixed-workload soak in [`mixed_workload`] at a
 //! small deterministic shape, across ≥ 8 fixed seeds and all three store
 //! kinds, including seeds with injected power cuts and seeds running the
 //! background compactor under the live workload (the replays never
@@ -17,8 +17,14 @@
 //!
 //! `TCOM_SOAK_SEEDS` overrides the seed count (e.g. `TCOM_SOAK_SEEDS=2`
 //! for an ultra-quick local run, or a larger value for a longer soak).
+//!
+//! [`long_soak_with_two_power_cuts_and_tiering`] is one longer run at a
+//! wider shape: five times the transactions, a deeper BOM and two power
+//! cuts striking while the background compactor archives history.
 
-use tcom_bench::soak::{run_soak, verify_soak, SoakConfig, SCENARIOS};
+mod mixed_workload;
+
+use mixed_workload::{run_soak, verify_soak, SoakConfig, SCENARIOS};
 use tcom_core::StoreKind;
 
 fn seed_count() -> u64 {
@@ -54,7 +60,7 @@ fn soak_kind(kind: StoreKind) {
             );
         }
         // Every writer scenario must have journaled work and every
-        // scenario must have recorded latency — the mix really ran.
+        // scenario must have counted operations — the mix really ran.
         for (i, name) in SCENARIOS.iter().enumerate() {
             let is_writer = matches!(*name, "oltp" | "correct" | "queue");
             if is_writer {
@@ -100,4 +106,36 @@ fn soak_journal_is_deterministic_per_seed() {
     verify_soak(&cfg, &a);
     verify_soak(&cfg, &b);
     assert_eq!(a.base_tt, b.base_tt);
+}
+
+/// One longer soak on the split store: 40 transactions per actor over a
+/// 3×3 BOM, two scheduled power cuts 60 mutating I/O operations apart,
+/// and the background compactor on. At least one cut must strike and
+/// recover, the live engine must have archived history, and the serial
+/// replays must reproduce every transaction time and sampled slice.
+#[test]
+fn long_soak_with_two_power_cuts_and_tiering() {
+    let cfg = SoakConfig {
+        seed: 1742,
+        kind: StoreKind::Split,
+        actors: 5,
+        txns_per_actor: 40,
+        rec_atoms: 8,
+        bom_fanout: 3,
+        bom_depth: 3,
+        power_cuts: 2,
+        crash_op_spacing: 60,
+        compaction: true,
+    };
+    let report = run_soak(&cfg);
+    verify_soak(&cfg, &report);
+    assert!(
+        report.crashes >= 1,
+        "no power cut struck: {}",
+        report.crashes
+    );
+    assert!(
+        report.compactions >= 1,
+        "the live engine archived no closed history before the slices were sampled"
+    );
 }

@@ -10,7 +10,11 @@
 //!    `versions_at` plus the transaction's own writes selects; committed,
 //!    they leave the histories of a scan-only twin.
 //! 4. `aggregate_batch` over a columnar [`VersionBatch`] equals the
-//!    scalar `temporal_aggregate` over the equivalent temporal relation.
+//!    scalar `temporal_aggregate` over the equivalent temporal relation;
+//!    `join_batches` and `coalesce_batch` answer what `temporal_join` and
+//!    `temporal_project` answer, on the shape where both define the same
+//!    result (the atom is a function of the key, and every row holds for
+//!    all transaction time).
 //!
 //! Case count defaults low for local runs; CI raises it with
 //! `PROPTEST_CASES` (the `planner` job runs ≥256 cases).
@@ -20,8 +24,10 @@ mod common;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use tcom_core::algebra::{temporal_aggregate, TemporalRow};
-use tcom_core::batch::{aggregate_batch, VersionBatch};
+use tcom_core::algebra::{
+    coalesce, temporal_aggregate, temporal_join, temporal_project, TemporalRelation, TemporalRow,
+};
+use tcom_core::batch::{aggregate_batch, coalesce_batch, join_batches, VersionBatch};
 use tcom_core::{Database, DbConfig, StoreKind, SyncPolicy, Txn};
 use tcom_kernel::{AtomId, AtomNo, AtomTypeId, Interval, TemporalElement, TimePoint, Tuple, Value};
 use tcom_query::ast::{CmpOp, Expr, Operand};
@@ -693,6 +699,45 @@ impl Model {
     }
 }
 
+// ---- batch operators vs the scalar algebra ---------------------------------
+
+/// `(key, val, vt start, vt length, open-ended)`.
+type KeyedRow = (u64, i64, u64, u64, bool);
+
+fn keyed_rows() -> BoxedStrategy<Vec<KeyedRow>> {
+    vec((0u64..5, 0i64..3, 0u64..40, 1u64..20, any::<bool>()), 0..24).boxed()
+}
+
+/// The rows as a batch of `(key, val)` tuples whose atom is numbered by
+/// the key, recorded for all transaction time.
+fn keyed_batch(rows: &[KeyedRow]) -> VersionBatch {
+    let mut b = VersionBatch::default();
+    for &(key, val, start, len, open) in rows {
+        let vt = if open {
+            Interval::from_start(TimePoint(start))
+        } else {
+            Interval::new(TimePoint(start), TimePoint(start + len)).unwrap()
+        };
+        b.push_row(
+            AtomId::new(AtomTypeId(1), AtomNo(key)),
+            Tuple::new(vec![Value::Int(key as i64), Value::Int(val)]),
+            vt,
+            Interval::all(),
+        );
+    }
+    b
+}
+
+/// One temporal row per batch row, in batch order.
+fn batch_relation(b: &VersionBatch) -> TemporalRelation {
+    b.rows()
+        .map(|(_, t, vt, _)| TemporalRow {
+            tuple: t.clone(),
+            time: TemporalElement::from_interval(vt),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
 
@@ -893,14 +938,43 @@ proptest! {
                 Interval::from_start(TimePoint(0)),
             );
         }
-        let rel: Vec<TemporalRow> = b
-            .rows()
-            .map(|(_, t, vt, _)| TemporalRow {
-                tuple: t.clone(),
-                time: TemporalElement::from_interval(vt),
-            })
-            .collect();
         let attr = if pick { Some(0) } else { None };
-        prop_assert_eq!(aggregate_batch(&b, attr), temporal_aggregate(&rel, attr));
+        prop_assert_eq!(aggregate_batch(&b, attr), temporal_aggregate(&batch_relation(&b), attr));
+    }
+
+    /// `join_batches` emits one row per matching pair; merged per tuple,
+    /// its rows equal `temporal_join`'s, and each pair keeps the left
+    /// row's atom and all of transaction time.
+    #[test]
+    fn join_batches_matches_scalar_algebra(left in keyed_rows(), right in keyed_rows()) {
+        let (lb, rb) = (keyed_batch(&left), keyed_batch(&right));
+        let joined = join_batches(&lb, &rb, 0, 0);
+        for (atom, t, _, tt) in joined.rows() {
+            prop_assert_eq!(Value::Int(atom.no.0 as i64), t.get(0).clone());
+            prop_assert_eq!(tt, Interval::all());
+        }
+        let key = |t: &Tuple| t.get(0).clone();
+        prop_assert_eq!(
+            coalesce(batch_relation(&joined)),
+            temporal_join(&batch_relation(&lb), &batch_relation(&rb), key, key)
+        );
+    }
+
+    /// `coalesce_batch` emits one row per maximal valid-time interval of
+    /// each group, in the order of `temporal_project`'s rows and of the
+    /// intervals within each row's element.
+    #[test]
+    fn coalesce_batch_matches_scalar_algebra(rows in keyed_rows(), whole in any::<bool>()) {
+        let b = keyed_batch(&rows);
+        let positions: &[usize] = if whole { &[0, 1] } else { &[0] };
+        let batch: Vec<(Tuple, Interval)> = coalesce_batch(&b, positions)
+            .rows()
+            .map(|(_, t, vt, _)| (t.clone(), vt))
+            .collect();
+        let mut scalar = Vec::new();
+        for r in temporal_project(batch_relation(&b), positions) {
+            scalar.extend(r.time.intervals().iter().map(|&iv| (r.tuple.clone(), iv)));
+        }
+        prop_assert_eq!(batch, scalar);
     }
 }

@@ -5,9 +5,15 @@
 //! delta store still replays chains, so the index adds pure overhead).
 //! The cost model must therefore choose the slice on chain/split and the
 //! heap walk on delta — and the per-statement hints must still override it.
+//! On a cold reopen of a wide, deep history the executed plan's pages stay
+//! within twice the model's estimate, and the estimate within twice the
+//! pages.
 
-use tcom_core::{Database, DbConfig, StoreKind};
-use tcom_query::{prepare_with, run_statement, AccessPath, ExecOptions};
+use rand::prelude::*;
+use tcom_core::{
+    AttrDef, DataType, Database, DbConfig, Interval, StoreKind, SyncPolicy, Tuple, Value,
+};
+use tcom_query::{explain_analyze_with, prepare_with, run_statement, AccessPath, ExecOptions};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-planner-{}-{}", std::process::id(), name));
@@ -138,4 +144,97 @@ fn override_knobs_beat_the_cost_model() {
     .unwrap();
     assert_eq!(p.access, AccessPath::Scan);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `syn(a0 INT INDEXED, a1 .. a7 INT)` with 200 atoms, each updated 64
+/// times (one attribute changed per version) in rounds that visit the
+/// atoms in a seeded order, checkpointed.
+fn wide_deep_history(db: &Database) {
+    const ATOMS: usize = 200;
+    const WIDTH: usize = 8;
+    let tuple = |key: usize, round: i64| -> Tuple {
+        (0..WIDTH)
+            .map(|i| match i {
+                0 => Value::Int(key as i64),
+                1 => Value::Int(round * 31 + 1),
+                _ => Value::Int(i as i64 * 1000),
+            })
+            .collect()
+    };
+    let attrs = (0..WIDTH)
+        .map(|i| {
+            let a = AttrDef::new(format!("a{i}"), DataType::Int);
+            if i == 0 {
+                a.indexed()
+            } else {
+                a
+            }
+        })
+        .collect();
+    let ty = db.define_atom_type("syn", attrs).unwrap();
+    let mut txn = db.begin();
+    let atoms: Vec<_> = (0..ATOMS)
+        .map(|k| txn.insert_atom(ty, Interval::all(), tuple(k, 0)).unwrap())
+        .collect();
+    txn.commit().unwrap();
+    let mut rng = StdRng::seed_from_u64(42);
+    for round in 1..=64 {
+        let mut order: Vec<usize> = (0..ATOMS).collect();
+        order.shuffle(&mut rng);
+        let mut txn = db.begin();
+        for k in order {
+            txn.update(atoms[k], Interval::all(), tuple(k, round))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    db.checkpoint().unwrap();
+}
+
+/// The cost model's page estimate holds on a cold reopen: for a
+/// mid-history `ASOF TT` slice over 65 versions of 200 atoms, the chosen
+/// plan (slice on chain/split, walk on delta) reads at most `2·est + 8`
+/// pages, and the estimate is at most `2·actual + 8`.
+#[test]
+fn deep_history_estimate_holds_on_a_cold_reopen() {
+    for kind in [StoreKind::Chain, StoreKind::Delta, StoreKind::Split] {
+        let dir = tmpdir(&format!("estimate-{kind}"));
+        let config = DbConfig::default()
+            .store_kind(kind)
+            .buffer_frames(4096)
+            .checkpoint_interval(0)
+            .sync_policy(SyncPolicy::OnCheckpoint);
+        let tt = {
+            let db = Database::open(&dir, config).unwrap();
+            wide_deep_history(&db);
+            db.now().0 / 2
+        };
+        let db = Database::open(&dir, config).unwrap();
+        let sql = format!("SELECT * FROM syn ASOF TT {tt}");
+        let p = prepare_with(&db, &sql, ExecOptions::default()).unwrap();
+        let est = p.est_pages.expect("cost-model estimate");
+        if kind == StoreKind::Delta {
+            assert_eq!(p.access, AccessPath::Scan, "[{kind}] {:?}", p.access);
+        } else {
+            assert!(
+                matches!(p.access, AccessPath::TimeSlice { .. }),
+                "[{kind}] {:?}",
+                p.access
+            );
+        }
+        let (_, report) = explain_analyze_with(
+            &db,
+            &format!("EXPLAIN ANALYZE {sql}"),
+            ExecOptions::default(),
+        )
+        .unwrap();
+        let actual = report.total_pages_read;
+        assert!(
+            actual <= 2 * est + 8 && est <= 2 * actual + 8,
+            "[{kind}] estimate off: est={est} actual={actual}\n{}",
+            report.render()
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -211,8 +211,8 @@ impl BufferPool {
 
     /// Creates a pool with an explicit shard count (`0` = derive from the
     /// capacity). The count is rounded down to a power of two and clamped
-    /// so every shard owns at least 2 frames; `shards == 1` reproduces the
-    /// single-mutex pool (the E13 scaling baseline).
+    /// so every shard owns at least 2 frames. The explicit count lets the
+    /// storage tests pin the shard layout.
     pub fn with_shards(capacity: usize, shards: usize, steal: bool) -> Arc<BufferPool> {
         let capacity = capacity.max(2);
         let want = if shards == 0 {

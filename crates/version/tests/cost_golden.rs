@@ -15,6 +15,11 @@
 //! the shared core, and the core reproduces them exactly. The one cell
 //! restated since — downward — is the delta layout's post-swap `slice_at`
 //! (see `GOLDEN`).
+//!
+//! The storage axis is pinned the same way: `StoreStats::record_bytes` per
+//! kind after every atom of a synthetic integer type was updated 16 times,
+//! across tuple widths and the number of attributes each update changes
+//! (see `BYTES_GOLDEN`).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,8 +39,8 @@ const MID: TimePoint = TimePoint(13);
 const CUTOFF: TimePoint = TimePoint(15);
 const SEG_NAME: &str = "seg0";
 
-fn dir_for(kind: StoreKind) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("tcom-golden-{}-{kind}", std::process::id()));
+fn dir_for(test: &str, kind: StoreKind) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("tcom-golden-{}-{test}-{kind}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -236,7 +241,7 @@ fn read_costs_are_pinned_per_kind() {
     let mut got = [[[(0u64, 0u64, 0u64); 4]; 2]; 3];
     let mut answers: Vec<Vec<Answer>> = Vec::new();
     for (kind, got) in kinds.into_iter().zip(&mut got) {
-        let dir = dir_for(kind);
+        let dir = dir_for("reads", kind);
         {
             let (pool, s) = open(kind, &dir, 512, true);
             load(&s);
@@ -267,4 +272,86 @@ fn read_costs_are_pinned_per_kind() {
         assert_eq!(answers[0][which], answers[0][READS.len() + which]);
     }
     assert_eq!(got, GOLDEN, "got {got:#?}");
+}
+
+/// Atoms of the storage script; each holds 17 versions at the end.
+const SYN_ATOMS: u64 = 64;
+const SYN_UPDATES: u64 = 16;
+
+/// `(width, changed)`: one changed attribute at widths 4, 16 and 64, then
+/// 1, 8, 16 and 31 changed attributes at width 32.
+const SHAPES: [(usize, usize); 7] = [
+    (4, 1),
+    (16, 1),
+    (64, 1),
+    (32, 1),
+    (32, 8),
+    (32, 16),
+    (32, 31),
+];
+
+/// Attribute 0 is the key, attributes `1..=changed` carry the round, the
+/// rest are constant.
+fn syn_tuple(width: usize, key: u64, round: u64, changed: usize) -> Tuple {
+    (0..width)
+        .map(|i| match i {
+            0 => Value::Int(key as i64),
+            _ if i <= changed => Value::Int(round as i64 * 31 + i as i64),
+            _ => Value::Int(i as i64 * 1000),
+        })
+        .collect()
+}
+
+/// Expected `record_bytes`: `BYTES_GOLDEN[kind][shape]`, shapes in
+/// [`SHAPES`] order. Per version (÷ 1 088) that is chain 30 / 73 / 265
+/// bytes and delta 24 / 26 / 37 across the widths, and a delta-to-chain
+/// ratio of 0.22 / 0.41 / 0.66 / 1.00 across the changed-attribute counts.
+#[rustfmt::skip]
+const BYTES_GOLDEN: [[u64; 7]; 3] = [
+    // chain: w4, w16, w64; w32 with 1, 8, 16, 31 changed
+    [33280, 80064, 289054, 149696, 148800, 139072, 120832],
+    // delta
+    [26112, 28864, 41152, 32960, 60736, 91968, 120832],
+    // split
+    [32448, 79232, 288158, 148864, 147968, 138240, 120000],
+];
+
+/// Inserts [`SYN_ATOMS`] atoms at tt 1, then updates every atom once per
+/// tick for [`SYN_UPDATES`] ticks (close the current version, insert its
+/// successor — the engine's order for an update over all valid time), and
+/// reads the stored bytes.
+#[test]
+fn record_bytes_are_pinned_per_kind() {
+    let kinds = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
+    let mut got = [[0u64; 7]; 3];
+    for (kind, got) in kinds.into_iter().zip(&mut got) {
+        for (&(width, changed), got) in SHAPES.iter().zip(got.iter_mut()) {
+            let dir = dir_for(&format!("bytes-{width}-{changed}"), kind);
+            let (_pool, s) = open(kind, &dir, 512, true);
+            for no in 0..SYN_ATOMS {
+                let t = syn_tuple(width, no, 0, changed);
+                s.insert_version(AtomNo(no), Interval::all(), TimePoint(1), &t)
+                    .unwrap();
+            }
+            for round in 1..=SYN_UPDATES {
+                let tt = TimePoint(round + 1);
+                for no in 0..SYN_ATOMS {
+                    assert!(s.close_version(AtomNo(no), TimePoint::MIN, tt).unwrap());
+                    let t = syn_tuple(width, no, round, changed);
+                    s.insert_version(AtomNo(no), Interval::all(), tt, &t)
+                        .unwrap();
+                }
+            }
+            let st = s.stats().unwrap();
+            assert_eq!(
+                st.versions,
+                SYN_ATOMS * (SYN_UPDATES + 1),
+                "{kind} {width}/{changed}"
+            );
+            *got = st.record_bytes;
+            drop(s);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    assert_eq!(got, BYTES_GOLDEN, "got {got:#?}");
 }

@@ -507,7 +507,7 @@ fn get_query_output(d: &mut Decoder<'_>) -> Result<QueryOutput> {
             let n = d.get_u64()? as usize;
             let mut steps = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                steps.push(tcom_core::algebra::AggStep {
+                steps.push(tcom_core::batch::AggStep {
                     during: d.get_interval()?,
                     count: d.get_u64()?,
                     sum: d.get_i64()?,

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use tcom_client::proto::{self, Ack};
-use tcom_core::algebra::AggStep;
+use tcom_core::batch::AggStep;
 use tcom_core::{MatAtom, Molecule};
 use tcom_kernel::{
     AtomId, AtomNo, AtomTypeId, AttrId, Interval, MoleculeTypeId, TimePoint, Tuple, Value,

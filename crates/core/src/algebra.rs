@@ -1,23 +1,27 @@
-//! Temporal relational algebra over versioned tuple sets.
+//! Scalar temporal relational algebra over versioned tuple sets — the
+//! reference the batched operators are checked against.
 //!
-//! A [`TemporalRelation`] is a bag of `(tuple, temporal element)` rows —
-//! the natural intermediate form of temporal query processing: the
-//! temporal element records *when* (on one time axis) the tuple holds.
-//! Operators:
+//! No production path calls this module: the executor runs the columnar
+//! operators of [`crate::batch`]. The property tests (`batch_prop.rs`,
+//! `full_stack.rs`) and `batch.rs`'s unit test compare those operators
+//! with the row-at-a-time definitions here.
+//!
+//! A [`TemporalRelation`] is a bag of `(tuple, temporal element)` rows:
+//! the temporal element records *when* (on one time axis) the tuple
+//! holds. Operators:
 //!
 //! * [`coalesce`] — merge rows with equal tuples, unioning their temporal
 //!   elements (the canonicalization every temporal algebra needs);
 //! * [`timeslice`] — restrict to one instant, yielding a snapshot;
-//! * [`window`] — restrict every row to an interval;
-//! * [`temporal_select`] — σ with a tuple predicate;
 //! * [`temporal_project`] — π with re-coalescing (projection can make
 //!   previously distinct tuples equal);
 //! * [`temporal_join`] — ⋈ on a key function with element intersection;
-//! * [`temporal_union`] / [`temporal_difference`] — set ops respecting time.
+//! * [`temporal_aggregate`] — count/sum per maximal constant interval.
 //!
-//! All operators preserve the invariant that output rows have distinct
-//! tuples and non-empty canonical temporal elements.
+//! The relation-valued operators return rows with distinct tuples and
+//! non-empty canonical temporal elements.
 
+use crate::batch::AggStep;
 use std::collections::HashMap;
 use tcom_kernel::{Interval, TemporalElement, TimePoint, Tuple, Value};
 
@@ -89,23 +93,6 @@ pub fn timeslice(rel: &TemporalRelation, t: TimePoint) -> Vec<Tuple> {
         .collect()
 }
 
-/// Restricts every row's element to `window`; empty rows vanish.
-pub fn window(rel: TemporalRelation, window: Interval) -> TemporalRelation {
-    let w = TemporalElement::from_interval(window);
-    rel.into_iter()
-        .map(|mut r| {
-            r.time = r.time.intersect(&w);
-            r
-        })
-        .filter(|r| !r.time.is_empty())
-        .collect()
-}
-
-/// σ: keeps rows whose tuple satisfies `pred`.
-pub fn temporal_select(rel: TemporalRelation, pred: impl Fn(&Tuple) -> bool) -> TemporalRelation {
-    rel.into_iter().filter(|r| pred(&r.tuple)).collect()
-}
-
 /// π: projects each tuple to the given attribute positions, re-coalescing
 /// rows that become equal.
 pub fn temporal_project(rel: TemporalRelation, positions: &[usize]) -> TemporalRelation {
@@ -161,40 +148,6 @@ pub fn temporal_join(
     coalesce(out)
 }
 
-/// ∪: temporal union (element union per equal tuple).
-pub fn temporal_union(a: TemporalRelation, b: TemporalRelation) -> TemporalRelation {
-    coalesce(a.into_iter().chain(b).collect())
-}
-
-/// −: temporal difference — each row of `a` minus the time during which an
-/// equal tuple exists in `b`.
-pub fn temporal_difference(a: TemporalRelation, b: &TemporalRelation) -> TemporalRelation {
-    let index: HashMap<String, &TemporalElement> =
-        b.iter().map(|r| (tuple_key(&r.tuple), &r.time)).collect();
-    a.into_iter()
-        .map(|mut r| {
-            if let Some(cut) = index.get(&tuple_key(&r.tuple)) {
-                r.time = r.time.difference(cut);
-            }
-            r
-        })
-        .filter(|r| !r.time.is_empty())
-        .collect()
-}
-
-/// ∩: temporal intersection — equal tuples, element intersection.
-pub fn temporal_intersect(a: TemporalRelation, b: &TemporalRelation) -> TemporalRelation {
-    let index: HashMap<String, &TemporalElement> =
-        b.iter().map(|r| (tuple_key(&r.tuple), &r.time)).collect();
-    a.into_iter()
-        .filter_map(|mut r| {
-            let cut = index.get(&tuple_key(&r.tuple))?;
-            r.time = r.time.intersect(cut);
-            (!r.time.is_empty()).then_some(r)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,30 +187,21 @@ mod tests {
     }
 
     #[test]
-    fn timeslice_and_window() {
+    fn timeslice_keeps_rows_covering_the_instant() {
         let rel = vec![row(&[1], &[(0, 10)]), row(&[2], &[(5, 15)])];
         let s = timeslice(&rel, TimePoint(7));
         assert_eq!(s.len(), 2);
         let s = timeslice(&rel, TimePoint(12));
         assert_eq!(s.len(), 1);
-        let w = window(rel, iv(8, 20));
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].time.intervals(), &[iv(8, 10)]);
-        assert_eq!(w[1].time.intervals(), &[iv(8, 15)]);
-        // Window that excludes a row entirely.
-        let rel2 = vec![row(&[1], &[(0, 5)])];
-        assert!(window(rel2, iv(10, 20)).is_empty());
     }
 
     #[test]
-    fn select_and_project() {
+    fn project_recoalesces() {
         let rel = vec![
             row(&[1, 10], &[(0, 5)]),
             row(&[2, 10], &[(5, 9)]),
             row(&[3, 20], &[(0, 9)]),
         ];
-        let s = temporal_select(rel.clone(), |t| t.get(1) == &Value::Int(10));
-        assert_eq!(s.len(), 2);
         // Projecting to attr 1 merges the two rows with value 10.
         let p = temporal_project(rel, &[1]);
         assert_eq!(p.len(), 2);
@@ -291,72 +235,9 @@ mod tests {
         let j = temporal_join(&a, &b, |t| t.get(0).clone(), |t| t.get(0).clone());
         assert!(j.is_empty());
     }
-
-    #[test]
-    fn union_difference_intersect() {
-        let a = vec![row(&[1], &[(0, 10)])];
-        let b = vec![row(&[1], &[(5, 15)]), row(&[2], &[(0, 3)])];
-        let u = temporal_union(a.clone(), b.clone());
-        assert_eq!(u.len(), 2);
-        assert_eq!(
-            u.iter()
-                .find(|r| r.tuple.get(0) == &Value::Int(1))
-                .unwrap()
-                .time
-                .intervals(),
-            &[iv(0, 15)]
-        );
-        let d = temporal_difference(a.clone(), &b);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].time.intervals(), &[iv(0, 5)]);
-        let i = temporal_intersect(a, &b);
-        assert_eq!(i.len(), 1);
-        assert_eq!(i[0].time.intervals(), &[iv(5, 10)]);
-    }
-
-    #[test]
-    fn difference_can_erase_rows() {
-        let a = vec![row(&[1], &[(0, 10)])];
-        let b = vec![row(&[1], &[(0, 10)])];
-        assert!(temporal_difference(a, &b).is_empty());
-    }
-
-    #[test]
-    fn set_op_laws_on_samples() {
-        // A − B and A ∩ B partition A (pointwise).
-        let a = vec![row(&[1], &[(0, 20)]), row(&[2], &[(5, 9)])];
-        let b = vec![row(&[1], &[(10, 30)])];
-        let d = temporal_difference(a.clone(), &b);
-        let i = temporal_intersect(a.clone(), &b);
-        let back = temporal_union(d, i);
-        let a_coalesced = coalesce(a);
-        // Compare as sets of (key, element).
-        let canon = |rel: &TemporalRelation| {
-            let mut v: Vec<(String, Vec<Interval>)> = rel
-                .iter()
-                .map(|r| (tuple_key(&r.tuple), r.time.intervals().to_vec()))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(canon(&back), canon(&a_coalesced));
-    }
 }
 
 // ---- temporal aggregation ----
-
-/// One step of a temporal aggregate: the aggregate value and the maximal
-/// interval over which it holds.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggStep {
-    /// When this aggregate value holds.
-    pub during: Interval,
-    /// Number of tuples alive.
-    pub count: u64,
-    /// Sum of the aggregated attribute (0 when `attr` is `None` or values
-    /// are non-numeric/NULL).
-    pub sum: i64,
-}
 
 /// Temporal aggregation: computes, for every maximal constant interval,
 /// how many tuples hold and (optionally) the sum of an integer attribute —

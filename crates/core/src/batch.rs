@@ -20,7 +20,6 @@
 //!   that agree on the projected values (and transaction time) merge their
 //!   valid-time periods into maximal intervals.
 
-use crate::algebra::AggStep;
 use std::collections::HashMap;
 use tcom_kernel::{AtomId, Interval, TemporalElement, TimePoint, Tuple, Value};
 use tcom_version::record::AtomVersion;
@@ -135,27 +134,6 @@ impl VersionBatch {
         self.tt_end.truncate(w);
     }
 
-    /// Batch-wise transaction-time visibility: keeps rows visible at `tt`
-    /// (`FOREVER` = rows still current). One pass over the tt columns.
-    pub fn retain_visible_at(&mut self, tt: TimePoint) {
-        let (starts, ends) = (
-            std::mem::take(&mut self.tt_start),
-            std::mem::take(&mut self.tt_end),
-        );
-        self.tt_start = starts;
-        self.tt_end = ends;
-        let vis: Vec<bool> = (0..self.len())
-            .map(|i| {
-                if tt.is_forever() {
-                    self.tt_end[i].is_forever()
-                } else {
-                    self.tt_start[i] <= tt && (self.tt_end[i].is_forever() || tt < self.tt_end[i])
-                }
-            })
-            .collect();
-        self.retain_indices(|i| vis[i]);
-    }
-
     /// Batch-wise valid-time clip to `[a, b)`: intervals intersect with the
     /// window in place, rows that lose all valid time drop out.
     pub fn clip_valid_window(&mut self, window: Interval) {
@@ -189,7 +167,7 @@ impl VersionBatch {
 /// to `out` — the grouping/join key the batched operators hash instead of
 /// the scalar algebra's display strings. Returns `false` for NULL (which
 /// never compares equal, so NULL keys never join or group).
-pub fn value_key_bytes(v: &Value, out: &mut Vec<u8>) -> bool {
+fn value_key_bytes(v: &Value, out: &mut Vec<u8>) -> bool {
     match v {
         Value::Null => return false,
         Value::Bool(b) => {
@@ -275,6 +253,19 @@ pub fn join_batches(
         }
     }
     out
+}
+
+/// One step of a temporal aggregate: the aggregate value and the maximal
+/// interval over which it holds.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AggStep {
+    /// When this aggregate value holds.
+    pub during: Interval,
+    /// Number of tuples alive.
+    pub count: u64,
+    /// Sum of the aggregated attribute (0 when `attr` is `None` or values
+    /// are non-numeric/NULL).
+    pub sum: i64,
 }
 
 /// Temporal aggregation over a batch's valid-time column: for every
@@ -465,25 +456,17 @@ mod tests {
     }
 
     #[test]
-    fn visibility_and_clipping_are_columnar() {
+    fn clipping_is_columnar() {
         let mut b = VersionBatch::default();
         push(&mut b, 1, &[10], (0, 10), 1);
         push(&mut b, 2, &[20], (5, 15), 1);
-        b.tt_end[0] = TimePoint(4); // row 0 closed at tt=4
-        let mut cur = b.clone();
-        cur.retain_visible_at(TimePoint::FOREVER);
-        assert_eq!(cur.len(), 1);
-        assert_eq!(cur.atoms[0], aid(2));
-        let mut past = b.clone();
-        past.retain_visible_at(TimePoint(2));
-        assert_eq!(past.len(), 2);
-        past.clip_valid_window(iv(8, 40));
-        assert_eq!(past.len(), 2);
-        assert_eq!(past.vt(0), iv(8, 10));
-        assert_eq!(past.vt(1), iv(8, 15));
-        past.retain_valid_at(TimePoint(12));
-        assert_eq!(past.len(), 1);
-        assert_eq!(past.atoms[0], aid(2));
+        b.clip_valid_window(iv(8, 40));
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.vt(0), iv(8, 10));
+        assert_eq!(b.vt(1), iv(8, 15));
+        b.retain_valid_at(TimePoint(12));
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.atoms[0], aid(2));
     }
 
     #[test]

@@ -50,8 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcom_catalog::{AttrDef, Catalog, MoleculeEdge};
 use tcom_kernel::{
-    AtomId, AtomNo, AtomTypeId, AttrId, Error, Interval, Lsn, MoleculeTypeId, Result, TimePoint,
-    Tuple,
+    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, Result, TimePoint, Tuple,
 };
 use tcom_obs::{Counter, MetricsSnapshot, Registry};
 use tcom_storage::btree::BTree;
@@ -60,7 +59,7 @@ use tcom_storage::disk::DiskManager;
 use tcom_storage::keys::{encode_value, BKey};
 use tcom_storage::vfs::{StdVfs, Vfs};
 use tcom_version::record::AtomVersion;
-use tcom_version::{Store, StoreKind, StoreStats};
+use tcom_version::{Store, StoreKind};
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
 /// A pinned snapshot for reads: the published transaction-time clock at
@@ -457,12 +456,6 @@ impl Database {
         }
     }
 
-    /// True while no apply to the view's type has started since the view
-    /// was pinned — reads made so far are coherent with the view.
-    pub fn view_valid(&self, view: &ReadView) -> bool {
-        self.apply_seq_cell(view.ty).load(Ordering::Acquire) == view.seq
-    }
-
     /// Runs `f` in a validated section: the result is returned only if no
     /// apply to `ty` ran concurrently; otherwise `f` retries. `f` must be
     /// side-effect free (it may run multiple times).
@@ -764,8 +757,9 @@ impl Database {
     }
 
     /// Like [`Database::begin`], but any stripe conflict aborts immediately
-    /// instead of ever blocking — the deterministic-schedule mode used by
-    /// the model-based concurrency oracle.
+    /// instead of ever blocking. A test seam: it lets the model-based
+    /// concurrency oracle force a deterministic schedule; no product path
+    /// uses it.
     pub fn begin_no_wait(&self) -> Txn<'_> {
         Txn::new(self, true)
     }
@@ -893,56 +887,6 @@ impl Database {
         self.read_stable(atom.ty, || store.exists(atom.no))
     }
 
-    /// Scans all atoms of a type at bitemporal point `(tt, vt)`; `f`
-    /// receives each visible `(atom, version)`; returning `false` stops.
-    /// For `tt` at or before the published clock the scan is an atomic
-    /// snapshot — versions recorded at `tt' <= tt` can never appear or
-    /// disappear mid-scan, whatever commits concurrently.
-    pub fn scan_at(
-        &self,
-        ty: AtomTypeId,
-        tt: TimePoint,
-        vt: TimePoint,
-        mut f: impl FnMut(AtomId, &AtomVersion) -> Result<bool>,
-    ) -> Result<()> {
-        let store = self.store(ty)?;
-        for atom in self.all_atoms(ty)? {
-            let vs = self.read_stable(ty, || store.versions_at(atom.no, tt))?;
-            for v in vs {
-                if v.vt.contains(vt) {
-                    if !f(atom, &v)? {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Scans the *current* state of a type at valid time `vt` — an atomic
-    /// snapshot: the scan sees all of a concurrent commit or none of it.
-    pub fn scan_current(
-        &self,
-        ty: AtomTypeId,
-        vt: TimePoint,
-        mut f: impl FnMut(AtomId, &AtomVersion) -> Result<bool>,
-    ) -> Result<()> {
-        let (atoms, view) = self.pinned_atoms(ty)?;
-        for atom in atoms {
-            let vs = self.versions_at_view(atom, &view)?;
-            for v in vs {
-                if v.vt.contains(vt) {
-                    if !f(atom, &v)? {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// All atom ids of a type (whether currently visible or not).
     pub fn all_atoms(&self, ty: AtomTypeId) -> Result<Vec<AtomId>> {
         let store = self.store(ty)?;
@@ -950,22 +894,6 @@ impl Database {
             let atoms = store.atoms()?;
             Ok(atoms.into_iter().map(|no| AtomId::new(ty, no)).collect())
         })
-    }
-
-    /// A type's atom ids together with a read view the enumeration is
-    /// coherent with: no apply to the type ran between the directory scan
-    /// and the view pin, so per-atom fetches through the view reconstruct
-    /// exactly the published state the enumeration saw. The statement
-    /// executor drives index probes the same way (probe, then re-check
-    /// the view) for torn-free index-backed reads.
-    pub fn pinned_atoms(&self, ty: AtomTypeId) -> Result<(Vec<AtomId>, ReadView)> {
-        loop {
-            let view = self.pin_view(ty);
-            let atoms = self.all_atoms(ty)?;
-            if self.view_valid(&view) {
-                return Ok((atoms, view));
-            }
-        }
     }
 
     /// Index range scan over an indexed attribute's **current** values:
@@ -1226,12 +1154,6 @@ impl Database {
         self.pool.stats()
     }
 
-    /// Resets buffer pool statistics (benchmark hygiene), returning the
-    /// pre-reset values.
-    pub fn reset_buffer_stats(&self) -> BufferStats {
-        self.pool.reset_stats()
-    }
-
     /// The metrics registry. Use it to open spans
     /// (`db.obs().span("phase")`), install a span sink, or register extra
     /// counters next to the engine's own.
@@ -1244,16 +1166,6 @@ impl Database {
     /// [`MetricsSnapshot::render_text`].
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
-    }
-
-    /// Storage statistics per atom type.
-    pub fn store_stats(&self) -> Result<Vec<(String, StoreStats)>> {
-        let catalog = self.catalog.read();
-        let mut out = Vec::new();
-        for t in catalog.atom_types() {
-            out.push((t.name.clone(), self.store(t.id)?.stats()?));
-        }
-        Ok(out)
     }
 
     /// Planner statistics for one atom type: a cached store-shape snapshot
@@ -1339,10 +1251,4 @@ pub(crate) fn to_current(vs: Vec<AtomVersion>) -> Vec<crate::dml::CurrentVersion
             tuple: v.tuple,
         })
         .collect()
-}
-
-/// Re-export used by transactions: a valid-time interval paired with the
-/// full axis, for "valid from now on" style helpers.
-pub fn vt_always() -> Interval {
-    Interval::all()
 }

@@ -27,7 +27,7 @@ const COMMIT_MAGIC: u32 = 0x4A43_4D54; // "JCMT"
 
 /// One journaled page image: the target file's *name* (file ids are
 /// session-scoped and useless across restarts) and the sealed page bytes.
-pub struct JournalEntry {
+pub(crate) struct JournalEntry {
     /// Store file name relative to the database directory.
     pub file_name: String,
     /// Target page.
@@ -37,7 +37,7 @@ pub struct JournalEntry {
 }
 
 /// Writes a complete journal (entries + commit marker) and fsyncs it.
-pub fn write_journal(vfs: &dyn Vfs, path: &Path, entries: &[JournalEntry]) -> Result<()> {
+pub(crate) fn write_journal(vfs: &dyn Vfs, path: &Path, entries: &[JournalEntry]) -> Result<()> {
     let mut buf: Vec<u8> = Vec::with_capacity(entries.len() * (PAGE_SIZE + 64));
     for e in entries {
         buf.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
@@ -60,7 +60,7 @@ pub fn write_journal(vfs: &dyn Vfs, path: &Path, entries: &[JournalEntry]) -> Re
 /// Parses the journal; returns the entries when (and only when) the
 /// journal is complete, `None` otherwise (incomplete journals are the
 /// normal no-crash-in-window case and are ignored).
-pub fn read_journal(vfs: &dyn Vfs, path: &Path) -> Result<Option<Vec<JournalEntry>>> {
+pub(crate) fn read_journal(vfs: &dyn Vfs, path: &Path) -> Result<Option<Vec<JournalEntry>>> {
     if !vfs.exists(path) {
         return Ok(None);
     }
@@ -121,7 +121,7 @@ pub fn read_journal(vfs: &dyn Vfs, path: &Path) -> Result<Option<Vec<JournalEntr
 /// Applies a complete journal's page images directly to the store files in
 /// `db_dir` (extending files as needed), fsyncs them, then truncates the
 /// journal. Idempotent.
-pub fn apply_journal(
+pub(crate) fn apply_journal(
     vfs: &dyn Vfs,
     db_dir: &Path,
     journal_path: &Path,
@@ -146,7 +146,7 @@ pub fn apply_journal(
 }
 
 /// Empties the journal file (step 3 of a successful flush).
-pub fn truncate_journal(vfs: &dyn Vfs, path: &Path) -> Result<()> {
+pub(crate) fn truncate_journal(vfs: &dyn Vfs, path: &Path) -> Result<()> {
     let f = vfs.open(path)?;
     f.set_len(0)?;
     f.sync()?;

@@ -1,41 +1,48 @@
 //! # tcom-core
 //!
 //! The engine of the tcom temporal complex-object database — the paper's
-//! primary contribution realized end-to-end:
+//! primary contribution realized end-to-end. Its surface is the root
+//! re-exports below:
 //!
-//! * [`db::Database`] — lifecycle, DDL, bitemporal reads, checkpointing,
-//!   crash recovery (logical idempotent redo);
-//! * [`txn::Txn`] — write transactions with deferred application,
+//! * [`Database`] — lifecycle, DDL, bitemporal reads, molecule
+//!   materialization and histories, checkpointing, crash recovery
+//!   (logical idempotent redo); snapshot reads pin the published TT clock
+//!   ([`ReadView`]) and never block on commits;
+//! * [`Txn`] — write transactions with deferred application,
 //!   read-your-writes overlays, and netting;
+//! * [`TypeStats`] — per-type statistics snapshots feeding the cost-based
+//!   planner, maintained incrementally at commit;
+//! * [`WalApplier`] and [`Compactor`] — replica apply and background
+//!   segment compaction.
+//!
+//! Four modules stay public because sibling crates and tests use them by
+//! path:
+//!
 //! * [`dml`] — the pure bitemporal planning algorithms (valid-time
 //!   splitting, remainders, coalescing);
-//! * [`molecule`] — complex-object materialization at any bitemporal
-//!   point, plus molecule histories over transaction time;
-//! * [`algebra`] — temporal relational algebra over versioned tuple sets;
 //! * [`batch`] — columnar version batches and the batched temporal
 //!   operators (join on vt/tt overlap, history aggregation, coalescing)
 //!   the executor pipelines instead of tuple-at-a-time;
-//! * [`stats`] — per-type statistics snapshots feeding the cost-based
-//!   planner, maintained incrementally at commit;
+//! * [`algebra`] — the scalar temporal algebra the batched operators are
+//!   checked against;
 //! * [`stripes`] — per-atom-type commit stripes (wait-die) behind the
-//!   concurrent-writer path; snapshot reads pin the published TT clock
-//!   ([`db::ReadView`]) and never block on commits.
+//!   concurrent-writer path.
 
 #![warn(missing_docs)]
 
 pub mod algebra;
 pub mod batch;
-pub mod compactor;
-pub mod config;
-pub mod db;
+mod compactor;
+mod config;
+mod db;
 pub mod dml;
-pub mod integrity;
-pub mod journal;
-pub mod molecule;
-pub mod repl;
-pub mod stats;
+mod integrity;
+mod journal;
+mod molecule;
+mod repl;
+mod stats;
 pub mod stripes;
-pub mod txn;
+mod txn;
 
 pub use batch::VersionBatch;
 pub use compactor::Compactor;

@@ -160,14 +160,15 @@ impl Database {
         }))
     }
 
-    /// The transaction-time *change points* of a molecule: every `tt` at
-    /// which the molecule's materialization (membership or any member's
-    /// content) may differ from the preceding instant, within `[from, to)`.
+    /// The transaction-time points at which `molecule_history` samples a
+    /// molecule within `[from, to)`: `from` itself, plus every `tt` in the
+    /// window at which the materialization (membership or any member's
+    /// content) may differ from the preceding instant.
     ///
-    /// Computed as a fixpoint: starting from the root's version boundaries,
-    /// each materialization contributes its members' boundaries until no
-    /// new change point appears.
-    pub fn molecule_change_points(
+    /// Computed as a fixpoint: starting from `from` and the root's version
+    /// boundaries, each materialization contributes its members'
+    /// boundaries until no new change point appears.
+    fn molecule_change_points(
         &self,
         mol_type: MoleculeTypeId,
         root: AtomId,
@@ -177,6 +178,9 @@ impl Database {
     ) -> Result<Vec<TimePoint>> {
         let in_range = |t: TimePoint| t >= from && t < to;
         let mut points: HashSet<TimePoint> = HashSet::new();
+        if from < to {
+            points.insert(from);
+        }
         let add_atom_boundaries = |points: &mut HashSet<TimePoint>, atom: AtomId| -> Result<()> {
             for v in self.history(atom)? {
                 if in_range(v.tt.start()) {
@@ -214,8 +218,9 @@ impl Database {
         Ok(out)
     }
 
-    /// The molecule's history within `[from, to)`: one materialization per
-    /// change point (points where the root is invisible yield no entry).
+    /// The molecule's history within `[from, to)`: its state at `from`,
+    /// then one materialization per later change point (points where the
+    /// root is invisible yield no entry).
     pub fn molecule_history(
         &self,
         mol_type: MoleculeTypeId,

@@ -8,6 +8,7 @@ use tcom_core::{
 };
 use tcom_kernel::time::{iv, iv_from};
 use tcom_kernel::AttrId;
+use tcom_query::execute;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-eng-{}-{}", std::process::id(), name));
@@ -375,20 +376,12 @@ fn scans_current_and_past() {
     }
     txn.commit().unwrap();
 
-    let mut n = 0;
-    db.scan_current(ty, TimePoint(0), |_, _| {
-        n += 1;
-        Ok(true)
-    })
-    .unwrap();
+    let n = execute(&db, "SELECT * FROM emp VALID AT 0").unwrap().len();
     assert_eq!(n, 5);
 
-    let mut n = 0;
-    db.scan_at(ty, TimePoint(1), TimePoint(0), |_, _| {
-        n += 1;
-        Ok(true)
-    })
-    .unwrap();
+    let n = execute(&db, "SELECT * FROM emp ASOF TT 1 VALID AT 0")
+        .unwrap()
+        .len();
     assert_eq!(n, 10);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -503,6 +496,15 @@ fn molecule_materialization_and_time_travel() {
     assert_eq!(hist.len(), 2);
     assert_eq!(hist[0].1.size(), 6);
     assert_eq!(hist[1].1.size(), 4);
+    // A window opening after the last change still starts with the state
+    // in force at its start.
+    for from in [2, 3] {
+        let hist = db
+            .molecule_history(mol, d, TimePoint(0), TimePoint(from), TimePoint(100))
+            .unwrap();
+        assert_eq!(hist.len(), 1, "window [{from}, 100)");
+        assert_eq!(hist[0].1.size(), 4, "window [{from}, 100)");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -191,15 +191,15 @@ fn concurrent_reads_under_eviction_pressure() {
         let db = Database::open(&dir, config.buffer_frames(128)).unwrap();
         assert_eq!(db.pool().shard_count(), 2, "[{kind}]");
         let mol = db.molecule_type_id("dept_mol").unwrap();
-        db.reset_buffer_stats();
+        let before = db.buffer_stats();
 
         let tt = db.now();
         let baseline = materialize_roots(&db, mol, tt, TimePoint(10), 1);
         assert_eq!(baseline.len(), 128);
         let cold = db.buffer_stats();
         assert!(
-            cold.misses as usize > db.pool().capacity(),
-            "[{kind}] fixture must not fit in the pool: {cold:?}"
+            (cold.misses - before.misses) as usize > db.pool().capacity(),
+            "[{kind}] fixture must not fit in the pool: {cold:?} since {before:?}"
         );
         for _ in 0..3 {
             assert_eq!(
@@ -210,8 +210,8 @@ fn concurrent_reads_under_eviction_pressure() {
         }
         let s = db.buffer_stats();
         assert!(
-            s.evictions > 0,
-            "[{kind}] working set must overflow the pool: {s:?}"
+            s.evictions > before.evictions,
+            "[{kind}] working set must overflow the pool: {s:?} since {before:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

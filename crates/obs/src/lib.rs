@@ -62,7 +62,7 @@ impl Counter {
 /// Number of buckets in a [`Histogram`]. Bucket `i` counts values whose
 /// bit length is `i` (i.e. `v` in `[2^(i-1), 2^i)`), with bucket 0 for
 /// zero and the last bucket absorbing everything wider.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+const HISTOGRAM_BUCKETS: usize = 32;
 
 #[derive(Debug)]
 struct HistogramInner {
@@ -478,15 +478,6 @@ impl MetricsSnapshot {
             .find(|h| h.name == name && h.label == label)
     }
 
-    /// All labels registered under histogram `name`, in sorted order.
-    pub fn histogram_labels(&self, name: &str) -> Vec<&str> {
-        self.histograms
-            .iter()
-            .filter(|h| h.name == name)
-            .map(|h| h.label.as_str())
-            .collect()
-    }
-
     /// Counter-wise difference `self - earlier` (saturating), dropping
     /// histograms. Used to attribute cost to a bounded piece of work by
     /// snapshotting before and after it.
@@ -705,7 +696,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), 15); // bucket [8, 15]
         assert_eq!(s.percentile(0.99), 15);
         assert!(snap.histogram_labeled("soak.lat", "bom").is_none());
-        assert_eq!(snap.histogram_labels("soak.lat"), vec!["oltp"]);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn segment_fences_price_admitted_pages_only() {
-        use tcom_core::stats::SegmentFence;
+        use tcom_core::SegmentFence;
         let mut stats = e15_stats(StoreKind::Chain, 65, 0);
         stats.segment_fences = vec![
             SegmentFence {

@@ -3,8 +3,7 @@
 use crate::ast::{AggFunc, CmpOp, Expr, Operand, Proj, Query, Targets, Valid};
 use std::cmp::Ordering;
 use tcom_catalog::{AtomTypeDef, AttrDef};
-use tcom_core::algebra::AggStep;
-use tcom_core::batch::{aggregate_batch, coalesce_batch, join_batches, value_integral};
+use tcom_core::batch::{aggregate_batch, coalesce_batch, join_batches, value_integral, AggStep};
 use tcom_core::{Database, Molecule, ReadView, Txn, VersionBatch};
 use tcom_kernel::{AtomId, AttrId, DataType, Error, Interval, Result, TimePoint, Tuple, Value};
 use tcom_storage::keys::{encode_float, encode_int, encode_text_prefix};
@@ -925,29 +924,10 @@ impl Prepared {
         Ok(self.execute(db, None)?.0)
     }
 
-    /// [`Prepared::run`] with read-your-writes against an open
-    /// transaction: atoms the transaction wrote (or created) are read
-    /// from its overlay instead of committed state, for the statements
-    /// DESIGN §13.2 puts in the overlay's scope; the rest read committed
-    /// state.
-    pub fn run_in_txn(&self, db: &Database, txn: &Txn<'_>) -> Result<QueryOutput> {
-        Ok(self.execute(db, Some(txn))?.0)
-    }
-
     /// [`Prepared::run`], also rendering the run's stage record as an
     /// `EXPLAIN ANALYZE` report.
-    pub fn run_explain(&self, db: &Database) -> Result<(QueryOutput, ExplainReport)> {
+    pub(crate) fn run_explain(&self, db: &Database) -> Result<(QueryOutput, ExplainReport)> {
         let (out, record) = self.execute(db, None)?;
-        Ok((out, self.report(&record)))
-    }
-
-    /// [`Prepared::run_in_txn`], also rendering the run's stage record.
-    pub fn run_explain_in_txn(
-        &self,
-        db: &Database,
-        txn: &Txn<'_>,
-    ) -> Result<(QueryOutput, ExplainReport)> {
-        let (out, record) = self.execute(db, Some(txn))?;
         Ok((out, self.report(&record)))
     }
 

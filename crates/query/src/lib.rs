@@ -1,7 +1,7 @@
 //! # tcom-query
 //!
 //! TQL — the declarative temporal query language of the tcom engine:
-//! lexer ([`token`]), recursive-descent parser ([`parser`] / [`ast`]),
+//! lexer, recursive-descent parser ([`parser`] / [`ast`]),
 //! semantic analysis, access-path planning and execution ([`exec`]).
 //!
 //! ```text
@@ -19,16 +19,16 @@
 //! overlapping valid/transaction time), `SELECT COALESCE …` (valid-time
 //! period normalization), and `SELECT COUNT(*) | SUM(a) | INTEGRAL(a)`
 //! (valid-time aggregation). `ASOF TT` access paths are priced by the
-//! statistics-fed [`cost`] model.
+//! statistics-fed cost model.
 
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod cost;
+mod cost;
 pub mod exec;
 pub mod parser;
 pub mod stmt;
-pub mod token;
+mod token;
 
 pub use exec::{
     execute, execute_with, explain_analyze, explain_analyze_with, prepare, prepare_query,

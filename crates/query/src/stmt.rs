@@ -9,7 +9,7 @@
 //! the slice cut to that extent (default: the slice's own extent);
 //! `DELETE` deletes over the same cuts. The slices are the rows of
 //! `SELECT * FROM ty WHERE … VALID IN …` run inside the transaction
-//! ([`dml_targets`]): a write finds its rows through the read planner and
+//! (`dml_targets`): a write finds its rows through the read planner and
 //! its one candidate source, so an indexed predicate costs a probe, not a
 //! scan of the type. One statement = one transaction.
 

@@ -32,8 +32,8 @@ use tcom_core::{Database, DbConfig, StoreKind, SyncPolicy, Txn};
 use tcom_kernel::{AtomId, AtomNo, AtomTypeId, Interval, TemporalElement, TimePoint, Tuple, Value};
 use tcom_query::ast::{CmpOp, Expr, Operand};
 use tcom_query::{
-    apply_statement, execute, execute_with, parse_statement, prepare_with, run_statement,
-    ExecOptions, QueryOutput, Row, StatementApply,
+    apply_statement, execute, execute_with, parse_statement, prepare_with, run_prepared,
+    run_statement, ExecOptions, QueryOutput, Row, StatementApply,
 };
 
 fn cases() -> u32 {
@@ -878,7 +878,7 @@ proptest! {
             }
             if let Dml::Update { filter: Some(f), .. } | Dml::Delete { filter: Some(f), .. } = d {
                 let sql = format!("SELECT * FROM t WHERE {f}");
-                let run = |opts| prepare_with(&db, &sql, opts).unwrap().run_in_txn(&db, &txn);
+                let run = |opts| run_prepared(&db, Some(&txn), &prepare_with(&db, &sql, opts).unwrap(), false);
                 prop_assert_eq!(
                     format!("{:?}", run(ExecOptions::default()).unwrap()),
                     format!("{:?}", run(ExecOptions { force_scan: true, ..Default::default() }).unwrap()),

@@ -42,9 +42,9 @@ const LEAF_STRIDE: usize = 24; // hi(8) lo(8) val(8)
 const INT_STRIDE: usize = 20; // hi(8) lo(8) child(4)
 
 /// Maximum entries in a leaf node at the default fanout.
-pub const LEAF_CAP: usize = (PAGE_SIZE - ENTRIES) / LEAF_STRIDE;
+const LEAF_CAP: usize = (PAGE_SIZE - ENTRIES) / LEAF_STRIDE;
 /// Maximum separator entries in an internal node at the default fanout.
-pub const INT_CAP: usize = (PAGE_SIZE - ENTRIES - 4) / INT_STRIDE;
+const INT_CAP: usize = (PAGE_SIZE - ENTRIES - 4) / INT_STRIDE;
 
 /// A disk-resident B⁺-tree bound to one buffer-pool file.
 pub struct BTree {

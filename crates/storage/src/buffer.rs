@@ -196,8 +196,7 @@ fn auto_shards(capacity: usize) -> usize {
 impl BufferPool {
     /// Creates a pool with `capacity` frames (min 2) that may steal
     /// (write back dirty frames on eviction). The shard count is derived
-    /// from the capacity (one stripe per [`MIN_FRAMES_PER_SHARD`] frames,
-    /// capped at [`MAX_SHARDS`]).
+    /// from the capacity (one stripe per 64 frames, capped at 64 shards).
     pub fn new(capacity: usize) -> Arc<BufferPool> {
         Self::with_shards(capacity, 0, true)
     }
@@ -281,11 +280,6 @@ impl BufferPool {
     /// Page count of a registered file (delegates to its disk manager).
     pub fn file_page_count(&self, file: FileId) -> u32 {
         self.disk(file).page_count()
-    }
-
-    /// Physical (reads, writes) of a registered file since it was opened.
-    pub fn file_io_counts(&self, file: FileId) -> (u64, u64) {
-        self.disk(file).io_counts()
     }
 
     /// Number of `file`'s pages currently resident in the pool. Walks the

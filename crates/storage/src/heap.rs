@@ -3,12 +3,12 @@
 //!
 //! Page 0 of a heap file is a meta page (magic + format); data pages start
 //! at page 1. Free space is tracked by an in-memory advisory cache that is
-//! populated as pages are touched; [`HeapFile::vacuum_scan`] rebuilds it
-//! exhaustively. Records keep their [`RecordId`] for their lifetime unless
-//! an update outgrows the page, in which case [`HeapFile::update`] returns
-//! the record's new address and the caller (atom directory, version store)
-//! re-points its references — exactly the "forwarding is the access path's
-//! problem" policy classic storage systems use.
+//! populated as pages are touched. Records keep their [`RecordId`] for
+//! their lifetime unless an update outgrows the page, in which case
+//! [`HeapFile::update`] returns the record's new address and the caller
+//! (atom directory, version store) re-points its references — exactly the
+//! "forwarding is the access path's problem" policy classic storage
+//! systems use.
 
 use crate::buffer::{BufferPool, FileId};
 use crate::page::PageKind;
@@ -58,11 +58,6 @@ impl HeapFile {
             file,
             fsm: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// The buffer-pool file id backing this heap.
-    pub fn file_id(&self) -> FileId {
-        self.file
     }
 
     /// Number of data pages currently allocated.
@@ -206,24 +201,6 @@ impl HeapFile {
         }
         Ok(())
     }
-
-    /// Rebuilds the free-space cache by scanning every data page. Returns
-    /// the number of live records seen.
-    pub fn vacuum_scan(&self) -> Result<u64> {
-        let count = self.page_count();
-        let mut live = 0u64;
-        let mut fsm = BTreeMap::new();
-        for p in 1..count {
-            let pid = PageId(p);
-            let page = self.pool.fetch_read(self.file, pid)?;
-            if let Ok(sp) = SlottedRef::attach(&page) {
-                live += sp.live_count() as u64;
-                fsm.insert(pid, sp.total_free());
-            }
-        }
-        *self.fsm.lock() = fsm;
-        Ok(live)
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +337,6 @@ mod tests {
             let file = pool.register_file(dm);
             let h = HeapFile::open(pool, file).unwrap();
             assert_eq!(h.get(rid).unwrap(), b"durable record");
-            assert_eq!(h.vacuum_scan().unwrap(), 1);
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -55,11 +55,6 @@ pub fn encode_int(v: i64) -> u64 {
     (v as u64) ^ (1 << 63)
 }
 
-/// Inverse of [`encode_int`].
-pub fn decode_int(v: u64) -> i64 {
-    (v ^ (1 << 63)) as i64
-}
-
 /// Order-preserving encoding of an `f64` (total order; NaNs sort high).
 pub fn encode_float(v: f64) -> u64 {
     let bits = v.to_bits();
@@ -79,11 +74,6 @@ pub fn encode_text_prefix(s: &str) -> u64 {
     u64::from_be_bytes(a)
 }
 
-/// Identity encoding of a time point.
-pub fn encode_time(t: TimePoint) -> u64 {
-    t.0
-}
-
 /// Encodes an indexable value into the key's high word. Returns `None` for
 /// value kinds no index is defined over (`Null`, `Bytes`, references).
 ///
@@ -98,12 +88,6 @@ pub fn encode_value(v: &Value) -> Option<u64> {
         Value::Text(s) => Some(encode_text_prefix(s)),
         _ => None,
     }
-}
-
-/// Whether the text encoding is exact (strings ≤ 8 bytes) or a prefix that
-/// needs residual comparison.
-pub fn text_encoding_exact(s: &str) -> bool {
-    s.len() <= 8
 }
 
 // ---------------------------------------------------------------------------
@@ -124,11 +108,12 @@ pub fn text_encoding_exact(s: &str) -> bool {
 
 /// Partition bit of composite transaction-time keys: set for tt-open
 /// (current) entries, clear for closed ones.
-pub const TT_OPEN_BIT: u64 = 1 << 63;
+const TT_OPEN_BIT: u64 = 1 << 63;
 
 /// Key of a transaction-time index entry: `(partition | tt_start, lo)`.
 ///
-/// `tt_start` must stay below [`TT_OPEN_BIT`] (commit ticks always do).
+/// `tt_start` must stay below the partition bit `1 << 63` (commit ticks
+/// always do).
 pub fn encode_tt_key(open: bool, tt_start: TimePoint, lo: u64) -> BKey {
     debug_assert!(
         tt_start.0 < TT_OPEN_BIT,
@@ -175,9 +160,6 @@ mod tests {
         for w in vals.windows(2) {
             assert!(encode_int(w[0]) < encode_int(w[1]), "{} vs {}", w[0], w[1]);
         }
-        for v in vals {
-            assert_eq!(decode_int(encode_int(v)), v);
-        }
     }
 
     #[test]
@@ -219,8 +201,6 @@ mod tests {
                 w[1]
             );
         }
-        assert!(text_encoding_exact("12345678"));
-        assert!(!text_encoding_exact("123456789"));
         // Shared 8-byte prefix collides, as documented.
         assert_eq!(
             encode_text_prefix("abcdefghX"),

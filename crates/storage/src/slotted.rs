@@ -88,7 +88,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Contiguous free bytes between the slot array and the cell area.
-    pub fn contiguous_free(&self) -> usize {
+    fn contiguous_free(&self) -> usize {
         self.free_end().saturating_sub(self.free_start())
     }
 
@@ -100,7 +100,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Whether a record of `len` bytes can be stored (possibly after
     /// compaction), accounting for a potentially new slot entry.
-    pub fn can_fit(&self, len: usize) -> bool {
+    fn can_fit(&self, len: usize) -> bool {
         let need_new_slot = !self.has_dead_slot();
         let overhead = if need_new_slot { SLOT_ENTRY } else { 0 };
         len + overhead <= self.total_free()
@@ -108,13 +108,6 @@ impl<'a> SlottedPage<'a> {
 
     fn has_dead_slot(&self) -> bool {
         (0..self.slot_count()).any(|s| self.slot_entry(s).0 == DEAD)
-    }
-
-    /// Number of live records.
-    pub fn live_count(&self) -> usize {
-        (0..self.slot_count())
-            .filter(|&s| self.slot_entry(s).0 != DEAD)
-            .count()
     }
 
     /// Iterates live `(slot, record bytes)` pairs.
@@ -312,19 +305,6 @@ impl<'a> SlottedRef<'a> {
         slot.0 < self.slot_count() && self.slot_entry(slot.0).0 != DEAD
     }
 
-    /// Number of live records.
-    pub fn live_count(&self) -> usize {
-        (0..self.slot_count())
-            .filter(|&s| self.slot_entry(s).0 != DEAD)
-            .count()
-    }
-
-    /// Free bytes reclaimable by compaction (dead cells + gap).
-    pub fn total_free(&self) -> usize {
-        let slots = self.slot_count() as usize * SLOT_ENTRY;
-        PAGE_SIZE - SLOTS_BASE - slots - self.page.read_u16(OFF_LIVE_BYTES) as usize
-    }
-
     /// Iterates live `(slot, record bytes)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + '_ {
         let page = self.page;
@@ -362,7 +342,6 @@ mod tests {
         let b = sp.insert(b"world!!").unwrap().unwrap();
         assert_eq!(sp.get(a).unwrap(), b"hello");
         assert_eq!(sp.get(b).unwrap(), b"world!!");
-        assert_eq!(sp.live_count(), 2);
     }
 
     #[test]

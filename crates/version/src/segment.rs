@@ -594,7 +594,7 @@ impl Segment {
     }
 
     /// Appends every archived version of atom `no` to `out`.
-    pub fn versions_for(&self, no: AtomNo, out: &mut Vec<AtomVersion>) -> Result<()> {
+    fn versions_for(&self, no: AtomNo, out: &mut Vec<AtomVersion>) -> Result<()> {
         for fence in &self.footer.blocks {
             if !fence.admits_atom(no) {
                 continue;

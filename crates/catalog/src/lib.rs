@@ -6,9 +6,9 @@
 
 #![warn(missing_docs)]
 
-pub mod catalog;
-pub mod molecule;
-pub mod schema;
+mod catalog;
+mod molecule;
+mod schema;
 
 pub use catalog::Catalog;
 pub use molecule::{MoleculeEdge, MoleculeTypeDef};

@@ -97,7 +97,7 @@ impl MoleculeTypeDef {
     }
 
     /// All atom types participating in the molecule.
-    pub fn member_types(&self) -> Vec<AtomTypeId> {
+    fn member_types(&self) -> Vec<AtomTypeId> {
         let mut v = vec![self.root];
         for e in &self.edges {
             v.push(e.from);
@@ -109,7 +109,7 @@ impl MoleculeTypeDef {
     }
 
     /// True iff the molecule graph has a cycle (recursive molecule type).
-    pub fn is_recursive(&self) -> bool {
+    pub(crate) fn is_recursive(&self) -> bool {
         // DFS cycle detection over the (small) type graph.
         let types = self.member_types();
         let idx = |t: AtomTypeId| types.binary_search(&t).expect("member type");

@@ -124,7 +124,7 @@ impl AtomTypeDef {
     }
 
     /// The link attributes (those of `REF`/`REFSET` type).
-    pub fn link_attrs(&self) -> impl Iterator<Item = (AttrId, &AttrDef)> {
+    pub(crate) fn link_attrs(&self) -> impl Iterator<Item = (AttrId, &AttrDef)> {
         self.attrs
             .iter()
             .enumerate()

@@ -23,14 +23,13 @@
 #![warn(missing_docs)]
 
 pub mod proto;
-pub mod repl;
+mod repl;
 
 pub use repl::ReplicaFollower;
 
 use proto::Ack;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 use tcom_kernel::frame::{Frame, FrameKind};
 use tcom_kernel::{Error, Result, TimePoint};
 use tcom_query::StatementOutput;
@@ -54,7 +53,6 @@ pub struct Client {
     stream: TcpStream,
     /// Unparsed bytes read off the socket (may hold partial frames).
     buf: Vec<u8>,
-    session: u64,
     server: String,
 }
 
@@ -66,7 +64,6 @@ impl Client {
         let mut c = Client {
             stream,
             buf: Vec::new(),
-            session: 0,
             server: String::new(),
         };
         c.send(&Frame::new(
@@ -76,8 +73,7 @@ impl Client {
         let reply = c.recv()?;
         match reply.kind {
             FrameKind::HelloOk => {
-                let (session, server, _tt) = proto::dec_hello_ok(&reply.payload)?;
-                c.session = session;
+                let (_session, server, _tt) = proto::dec_hello_ok(&reply.payload)?;
                 c.server = server;
                 Ok(c)
             }
@@ -89,20 +85,9 @@ impl Client {
         }
     }
 
-    /// The server-assigned session id.
-    pub fn session_id(&self) -> u64 {
-        self.session
-    }
-
     /// The server's self-description from the handshake.
     pub fn server_info(&self) -> &str {
         &self.server
-    }
-
-    /// Bounds every subsequent reply wait (`None` = wait forever).
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        Ok(())
     }
 
     /// Executes one TQL statement.

@@ -265,10 +265,6 @@ impl WalApplier {
                 }
                 self.pending.push(rec);
             }
-            LogRecord::Abort { .. } => {
-                self.pending.clear();
-                self.applied_lsn.store(end, Ordering::Release);
-            }
             LogRecord::Commit { txn } => {
                 let tt = TimePoint(txn.0);
                 let mut batch = std::mem::take(&mut self.pending);

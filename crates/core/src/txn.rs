@@ -26,9 +26,9 @@
 //!    the commit visible to snapshot reads.
 //!
 //! Commit work is bounded by the *write set* — the atoms with buffered
-//! primitives. Atoms the transaction only read (a claim scan, a
-//! `current_versions` peek) stay in the overlay as a read cache and cost
-//! the commit nothing.
+//! primitives. Atoms the transaction only read (a `current_versions` or
+//! `current_tuple` peek) stay in the overlay as a read cache and cost the
+//! commit nothing.
 //!
 //! Dropping an uncommitted transaction aborts it: since nothing was
 //! applied, abort only releases the stripes (allocated atom numbers are
@@ -208,44 +208,6 @@ impl<'db> Txn<'db> {
         let cur = self.current_versions(atom)?;
         let plan = dml::plan_delete(&cur, vt)?;
         self.record_plan(atom, plan)
-    }
-
-    /// Claims the oldest open row of a type: scans the type's atoms in
-    /// atom-number (insertion) order under the type's commit stripe, finds
-    /// the first whose current tuple at valid time `vt` satisfies `accept`,
-    /// and replaces that version slice with `claim(tuple)` — closing the
-    /// open row and re-inserting it in its claimed state, exactly the
-    /// `UPDATE … WHERE` row-claim idiom queue consumers need.
-    ///
-    /// The stripe makes the claim race-free: a concurrent claimer of the
-    /// same type either waits its turn or dies under wait-die, so two
-    /// transactions can never claim the same row. Returns the claimed atom
-    /// and its new tuple, or `None` when no row qualifies.
-    pub fn claim_next(
-        &mut self,
-        ty: AtomTypeId,
-        vt: TimePoint,
-        accept: impl Fn(&Tuple) -> bool,
-        claim: impl FnOnce(&Tuple) -> Tuple,
-    ) -> Result<Option<(AtomId, Tuple)>> {
-        // Stripe first: the enumeration below must be coherent with the
-        // per-atom reads that follow, and no concurrent commit to this
-        // type may wedge between the scan and this transaction's apply.
-        self.lock_type(ty)?;
-        for atom in self.db.all_atoms(ty)? {
-            let cur = self.current_versions(atom)?;
-            let Some(v) = cur.iter().find(|v| v.vt.contains(vt)) else {
-                continue;
-            };
-            if !accept(&v.tuple) {
-                continue;
-            }
-            let slice_vt = v.vt;
-            let claimed = claim(&v.tuple);
-            self.update(atom, slice_vt, claimed.clone())?;
-            return Ok(Some((atom, claimed)));
-        }
-        Ok(None)
     }
 
     fn require_exists(&mut self, atom: AtomId) -> Result<()> {

@@ -5,7 +5,7 @@
 //! correctors (updates strictly below the valid-time "present"
 //! watermark), ASOF analytical readers on pinned [`ReadView`]s, recursive
 //! BOM-explosion readers (complete part trees under a recursive molecule type),
-//! and a queue consumer built on the `claim_next` row-claim primitive —
+//! and a queue consumer that claims the oldest open job row —
 //! optionally above [`FaultVfs`] with scheduled power cuts followed by
 //! recovery-and-resume.
 //!
@@ -232,7 +232,12 @@ pub fn seed_world(db: &Database, cfg: &SoakConfig) -> Result<SoakWorld> {
 
 /// Applies one journaled op to a transaction. Returns the claimed key for
 /// [`SoakOp::Claim`], `None` otherwise.
-fn apply_soak_op(txn: &mut Txn<'_>, world: &SoakWorld, op: &SoakOp) -> Result<Option<i64>> {
+fn apply_soak_op(
+    db: &Database,
+    txn: &mut Txn<'_>,
+    world: &SoakWorld,
+    op: &SoakOp,
+) -> Result<Option<i64>> {
     match op {
         SoakOp::NewRec { key, val, vt } => {
             txn.insert_atom(world.rec, *vt, rec_tuple(*key, *val))?;
@@ -250,23 +255,36 @@ fn apply_soak_op(txn: &mut Txn<'_>, world: &SoakWorld, op: &SoakOp) -> Result<Op
             txn.insert_atom(world.job, Interval::all(), job_tuple(*key, 0))?;
             Ok(None)
         }
-        SoakOp::Claim { .. } => {
-            let claimed = txn.claim_next(
-                world.job,
-                TimePoint(0),
-                |t| t.get(1) == &Value::Int(0),
-                |t| {
-                    let mut t = t.clone();
-                    t.set(1, Value::Int(1));
-                    t
-                },
-            )?;
-            Ok(claimed.map(|(_, t)| match t.get(0) {
-                Value::Int(k) => *k,
-                other => panic!("job key must be an int, got {other:?}"),
-            }))
-        }
+        SoakOp::Claim { .. } => claim_job(db, txn, world.job),
     }
+}
+
+/// Claims the oldest open job: under the job type's stripe, walks the
+/// committed atoms in atom-number (insertion) order and rewrites the first
+/// whose current tuple at valid time 0 has state 0 to state 1, over that
+/// version's whole valid time. Returns the claimed job's key. The live run
+/// and the serial replays share this loop, so the oracle checks which row
+/// the scan order picks independently of TQL's `UPDATE … CLAIM`.
+fn claim_job(db: &Database, txn: &mut Txn<'_>, ty: AtomTypeId) -> Result<Option<i64>> {
+    txn.lock_type(ty)?;
+    for atom in db.all_atoms(ty)? {
+        let cur = txn.current_versions(atom)?;
+        let Some(v) = cur.iter().find(|v| v.vt.contains(TimePoint(0))) else {
+            continue;
+        };
+        if v.tuple.get(1) != &Value::Int(0) {
+            continue;
+        }
+        let (vt, mut claimed) = (v.vt, v.tuple.clone());
+        claimed.set(1, Value::Int(1));
+        let key = match claimed.get(0) {
+            Value::Int(k) => *k,
+            other => panic!("job key must be an int, got {other:?}"),
+        };
+        txn.update(atom, vt, claimed)?;
+        return Ok(Some(key));
+    }
+    Ok(None)
 }
 
 /// A bounded valid interval strictly below the [`VT_NOW`] watermark — the
@@ -473,7 +491,7 @@ fn writer_txn(
                         vt: live_vt(&mut actor.rng),
                     },
                 };
-                apply_soak_op(&mut txn, world, &op)?;
+                apply_soak_op(ctx.db, &mut txn, world, &op)?;
                 ops.push(op);
             }
         }
@@ -485,7 +503,7 @@ fn writer_txn(
                 val: actor.rng.below(1_000_000) as i64,
                 vt: past_vt(&mut actor.rng),
             };
-            apply_soak_op(&mut txn, world, &op)?;
+            apply_soak_op(ctx.db, &mut txn, world, &op)?;
             ops.push(op);
         }
         "queue" => {
@@ -493,10 +511,10 @@ fn writer_txn(
                 let key = actor.next_key;
                 actor.next_key += 1;
                 let op = SoakOp::NewJob { key };
-                apply_soak_op(&mut txn, world, &op)?;
+                apply_soak_op(ctx.db, &mut txn, world, &op)?;
                 ops.push(op);
             } else {
-                match apply_soak_op(&mut txn, world, &SoakOp::Claim { key: 0 })? {
+                match apply_soak_op(ctx.db, &mut txn, world, &SoakOp::Claim { key: 0 })? {
                     Some(key) => ops.push(SoakOp::Claim { key }),
                     None => {
                         txn.abort();
@@ -866,7 +884,7 @@ fn replay_slices(cfg: &SoakConfig, kind: StoreKind, report: &SoakReport) -> Vec<
     for (tt, _, ops) in &report.committed {
         let mut txn = db.begin();
         for op in ops {
-            let claimed = apply_soak_op(&mut txn, &world, op)
+            let claimed = apply_soak_op(&db, &mut txn, &world, op)
                 .expect("journaled op must re-apply in serial replay");
             if let SoakOp::Claim { key } = op {
                 assert_eq!(

@@ -76,7 +76,7 @@ impl Encoder {
     }
 
     /// Writes a little-endian f64.
-    pub fn put_f64(&mut self, v: f64) {
+    fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -229,7 +229,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian f64.
-    pub fn get_f64(&mut self) -> Result<f64> {
+    fn get_f64(&mut self) -> Result<f64> {
         self.need(8)?;
         let mut a = [0u8; 8];
         a.copy_from_slice(&self.buf[self.pos..self.pos + 8]);

@@ -2,8 +2,9 @@
 //!
 //! Foundation types shared by every crate of the `tcom` temporal
 //! complex-object database engine: the temporal domain ([`time`]), the
-//! value model ([`value`]), identifier newtypes ([`ids`]), the engine-wide
-//! error type ([`error`]) and the binary record codec ([`codec`]).
+//! value model ([`Value`], [`Tuple`]), identifier newtypes ([`AtomId`] and
+//! its kin), the engine-wide [`Error`], the binary record codec ([`codec`])
+//! and the wire frame ([`frame`]).
 //!
 //! Nothing in this crate performs I/O; it is pure data-model code with
 //! exhaustive unit and property tests.
@@ -11,15 +12,15 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod error;
+mod error;
 pub mod frame;
-pub mod ids;
+mod ids;
 pub mod time;
-pub mod value;
+mod value;
 
 pub use error::{Error, Result};
 pub use ids::{
     AtomId, AtomNo, AtomTypeId, AttrId, Lsn, MoleculeTypeId, PageId, RecordId, SlotId, TxnId,
 };
-pub use time::{BitemporalStamp, Interval, IntervalRelation, TemporalElement, TimePoint};
+pub use time::{Interval, TemporalElement, TimePoint};
 pub use value::{DataType, Tuple, Value};

@@ -1,5 +1,6 @@
-//! The temporal domain: time points, half-open intervals, temporal elements
-//! and bitemporal stamps.
+//! The temporal domain: time points, half-open intervals and temporal
+//! elements. A stored version's bitemporal stamp is its `vt` / `tt` pair
+//! (`tcom_version::AtomVersion`).
 //!
 //! The model follows the conventions of the temporal-database literature the
 //! paper builds on:
@@ -203,32 +204,6 @@ impl Interval {
         let right = Interval::new(other.end.max(self.start), self.end);
         (left, right)
     }
-
-    /// Allen-style relation classification, collapsed to the cases temporal
-    /// query processing distinguishes.
-    pub fn relate(&self, other: &Interval) -> IntervalRelation {
-        if self == other {
-            IntervalRelation::Equal
-        } else if self.end <= other.start {
-            if self.end == other.start {
-                IntervalRelation::Meets
-            } else {
-                IntervalRelation::Before
-            }
-        } else if other.end <= self.start {
-            if other.end == self.start {
-                IntervalRelation::MetBy
-            } else {
-                IntervalRelation::After
-            }
-        } else if self.covers(other) {
-            IntervalRelation::Contains
-        } else if other.covers(self) {
-            IntervalRelation::During
-        } else {
-            IntervalRelation::Overlaps
-        }
-    }
 }
 
 impl fmt::Debug for Interval {
@@ -241,28 +216,6 @@ impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }
-}
-
-/// Coarse interval relationship (Allen's algebra with the symmetric overlap
-/// cases collapsed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntervalRelation {
-    /// `self` ends strictly before `other` starts.
-    Before,
-    /// `self.end == other.start`.
-    Meets,
-    /// The intervals share instants but neither contains the other.
-    Overlaps,
-    /// `self` strictly contains `other` (and they differ).
-    Contains,
-    /// `other` strictly contains `self` (and they differ).
-    During,
-    /// The intervals are identical.
-    Equal,
-    /// `other.end == self.start`.
-    MetBy,
-    /// `self` starts strictly after `other` ends.
-    After,
 }
 
 /// A finite union of intervals in canonical form: sorted by start, pairwise
@@ -395,11 +348,6 @@ impl TemporalElement {
         TemporalElement::from_intervals(out)
     }
 
-    /// Complement relative to `universe`.
-    pub fn complement(&self, universe: &Interval) -> TemporalElement {
-        TemporalElement::from_interval(*universe).difference(self)
-    }
-
     /// True iff the two elements share at least one instant.
     pub fn overlaps(&self, other: &TemporalElement) -> bool {
         let (mut i, mut j) = (0, 0);
@@ -425,11 +373,6 @@ impl TemporalElement {
     pub fn min(&self) -> Option<TimePoint> {
         self.ivs.first().map(|iv| iv.start())
     }
-
-    /// Supremum of covered instants (exclusive).
-    pub fn max_end(&self) -> Option<TimePoint> {
-        self.ivs.last().map(|iv| iv.end())
-    }
 }
 
 impl fmt::Debug for TemporalElement {
@@ -448,46 +391,6 @@ impl fmt::Debug for TemporalElement {
 impl FromIterator<Interval> for TemporalElement {
     fn from_iter<T: IntoIterator<Item = Interval>>(iter: T) -> Self {
         TemporalElement::from_intervals(iter)
-    }
-}
-
-/// A bitemporal stamp: the valid-time and transaction-time rectangle of a
-/// stored version.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BitemporalStamp {
-    /// When the fact holds in the modeled reality.
-    pub vt: Interval,
-    /// When the fact was part of the recorded database state.
-    pub tt: Interval,
-}
-
-impl BitemporalStamp {
-    /// A fact valid over `vt`, recorded from transaction time `tt_start` and
-    /// still current.
-    pub fn current(vt: Interval, tt_start: TimePoint) -> BitemporalStamp {
-        BitemporalStamp {
-            vt,
-            tt: Interval::from_start(tt_start),
-        }
-    }
-
-    /// True iff the version is visible at bitemporal point `(tt, vt)`.
-    #[inline]
-    pub fn visible_at(&self, tt: TimePoint, vt: TimePoint) -> bool {
-        self.tt.contains(tt) && self.vt.contains(vt)
-    }
-
-    /// True iff the version is part of the current database state
-    /// (transaction-time end is open).
-    #[inline]
-    pub fn is_tt_current(&self) -> bool {
-        self.tt.is_open_ended()
-    }
-}
-
-impl fmt::Debug for BitemporalStamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "vt{:?}×tt{:?}", self.vt, self.tt)
     }
 }
 
@@ -574,19 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_relations() {
-        use IntervalRelation::*;
-        assert_eq!(iv(0, 2).relate(&iv(5, 7)), Before);
-        assert_eq!(iv(0, 5).relate(&iv(5, 7)), Meets);
-        assert_eq!(iv(0, 6).relate(&iv(5, 7)), Overlaps);
-        assert_eq!(iv(0, 9).relate(&iv(5, 7)), Contains);
-        assert_eq!(iv(5, 7).relate(&iv(0, 9)), During);
-        assert_eq!(iv(5, 7).relate(&iv(5, 7)), Equal);
-        assert_eq!(iv(5, 7).relate(&iv(0, 5)), MetBy);
-        assert_eq!(iv(5, 7).relate(&iv(0, 3)), After);
-    }
-
-    #[test]
     fn element_canonicalization_merges_overlaps_and_adjacency() {
         let e = TemporalElement::from_intervals([iv(5, 8), iv(0, 3), iv(3, 5), iv(20, 25)]);
         assert_eq!(e.intervals(), &[iv(0, 8), iv(20, 25)]);
@@ -624,17 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn element_complement() {
-        let a = TemporalElement::from_intervals([iv(10, 20)]);
-        let u = iv(0, 30);
-        assert_eq!(a.complement(&u).intervals(), &[iv(0, 10), iv(20, 30)]);
-        assert_eq!(
-            TemporalElement::empty().complement(&u).intervals(),
-            &[iv(0, 30)]
-        );
-    }
-
-    #[test]
     fn element_overlaps_and_duration() {
         let a = TemporalElement::from_intervals([iv(0, 5), iv(10, 15)]);
         let b = TemporalElement::from_intervals([iv(5, 10)]);
@@ -646,20 +525,9 @@ mod tests {
     }
 
     #[test]
-    fn element_min_max() {
+    fn element_min() {
         let a = TemporalElement::from_intervals([iv(3, 5), iv(10, 15)]);
         assert_eq!(a.min(), Some(TimePoint(3)));
-        assert_eq!(a.max_end(), Some(TimePoint(15)));
         assert_eq!(TemporalElement::empty().min(), None);
-    }
-
-    #[test]
-    fn stamp_visibility() {
-        let s = BitemporalStamp::current(iv(10, 20), TimePoint(5));
-        assert!(s.visible_at(TimePoint(5), TimePoint(10)));
-        assert!(s.visible_at(TimePoint(1000), TimePoint(19)));
-        assert!(!s.visible_at(TimePoint(4), TimePoint(15)));
-        assert!(!s.visible_at(TimePoint(5), TimePoint(20)));
-        assert!(s.is_tt_current());
     }
 }

@@ -150,20 +150,6 @@ impl Value {
             _ => &[],
         }
     }
-
-    /// Approximate in-memory/encoded size in bytes; used by the storage
-    /// format planners and benchmarks.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Text(s) => 5 + s.len(),
-            Value::Bytes(b) => 5 + b.len(),
-            Value::Ref(_) => 9,
-            Value::RefSet(v) => 5 + 8 * v.len(),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -264,21 +250,11 @@ impl Tuple {
         &self.values
     }
 
-    /// Consumes into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// All atoms referenced from any link attribute of this tuple.
     pub fn referenced_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
         self.values
             .iter()
             .flat_map(|v| v.referenced_atoms().iter().copied())
-    }
-
-    /// Sum of per-value approximate sizes.
-    pub fn approx_size(&self) -> usize {
-        self.values.iter().map(Value::approx_size).sum()
     }
 }
 
@@ -371,6 +347,5 @@ mod tests {
         assert_eq!(t.try_get(5), None);
         t.set(0, Value::Int(9));
         assert_eq!(t.get(0), &Value::Int(9));
-        assert!(t.approx_size() > 0);
     }
 }

@@ -852,7 +852,7 @@ fn flip(op: CmpOp) -> CmpOp {
 }
 
 /// Three-valued predicate evaluation; a row qualifies iff `Some(true)`.
-pub(crate) fn eval(e: &Expr, tuple: &Tuple, ty: &AtomTypeDef) -> Option<bool> {
+fn eval(e: &Expr, tuple: &Tuple, ty: &AtomTypeDef) -> Option<bool> {
     match e {
         Expr::Or(a, b) => match (eval(a, tuple, ty), eval(b, tuple, ty)) {
             (Some(true), _) | (_, Some(true)) => Some(true),

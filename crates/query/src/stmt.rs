@@ -14,7 +14,7 @@
 //! scan of the type. One statement = one transaction.
 
 use crate::ast::{Expr, Query, Targets, Valid};
-use crate::exec::{eval, prepare_query, ExecOptions, Prepared, QueryOutput, Row};
+use crate::exec::{prepare_query, ExecOptions, Prepared, QueryOutput, Row};
 use crate::parser::parse_statement;
 use tcom_catalog::AttrDef;
 use tcom_core::{Database, Txn};
@@ -296,37 +296,20 @@ pub fn apply_statement(
                     .ok_or_else(|| Error::query(format!("unknown attribute '{ty}.{name}'")))?;
                 resolved.push((id, value.clone()));
             }
-            if claim {
-                // Row-claim path: scan-and-claim inside the transaction,
-                // under the type's commit stripe, so concurrent claimers
-                // serialize and never double-claim a row. The claim is
-                // evaluated at the valid point given by the VALID clause
-                // start (default 0) and rewrites that version slice.
-                let at = match &valid {
-                    None => TimePoint(0),
-                    Some((a, _)) => *a,
-                };
-                let claimed = txn.claim_next(
-                    ty_id,
-                    at,
-                    |t| match &filter {
-                        None => true,
-                        Some(f) => eval(f, t, &def) == Some(true),
-                    },
-                    |t| {
-                        let mut t = t.clone();
-                        for (id, value) in &resolved {
-                            t.set(id.0 as usize, value.clone());
-                        }
-                        t
-                    },
-                )?;
-                return Ok(StatementApply::Modified(usize::from(claimed.is_some())));
-            }
+            // CLAIM rewrites only the oldest qualifying row (ascending atom
+            // number) live at the VALID clause's start (default 0), over
+            // that version's whole valid time: `VALID AT` filters slices
+            // without clipping them.
+            let (valid, limit) = if claim {
+                let at = valid.map_or(TimePoint(0), |(a, _)| a);
+                (Valid::At(at), Some(1))
+            } else {
+                (valid_window(valid)?, None)
+            };
             let mut atoms_touched = std::collections::HashSet::new();
             for Row {
                 atom, values, vt, ..
-            } in dml_targets(db, txn, ty, filter, valid)?
+            } in dml_targets(db, txn, ty, filter, valid, limit)?
             {
                 let mut tuple = Tuple::new(values);
                 for (id, value) in &resolved {
@@ -339,7 +322,8 @@ pub fn apply_statement(
         }
         Statement::Delete { ty, filter, valid } => {
             let mut atoms_touched = std::collections::HashSet::new();
-            for Row { atom, vt, .. } in dml_targets(db, txn, ty, filter, valid)? {
+            let valid = valid_window(valid)?;
+            for Row { atom, vt, .. } in dml_targets(db, txn, ty, filter, valid, None)? {
                 txn.delete(atom, vt)?;
                 atoms_touched.insert(atom);
             }
@@ -385,31 +369,38 @@ fn valid_to_interval(valid: Option<(TimePoint, Option<TimePoint>)>) -> Result<In
     })
 }
 
-/// The rows an `UPDATE` / `DELETE` rewrites: `SELECT * FROM ty WHERE
-/// filter VALID IN extent`, planned by the read planner and run inside
-/// `txn` (read-your-writes), so each row is one qualifying current slice
-/// of one atom, its valid time already cut to the extent, in ascending
-/// (atom, valid time) order. Only these rows' atoms enter the overlay,
-/// when the caller writes them.
-///
-/// The type's commit stripe is taken before the candidates are
-/// enumerated, so the enumeration sees every commit ordered before this
-/// transaction — and, the stripe held, no later one can change what it
-/// saw.
-fn dml_targets(
-    db: &Database,
-    txn: &mut Txn<'_>,
-    ty: String,
-    filter: Option<Expr>,
-    valid: Option<(TimePoint, Option<TimePoint>)>,
-) -> Result<Vec<Row>> {
-    let valid = match valid {
+/// An `UPDATE` / `DELETE` extent as a read clause: `VALID IN` the
+/// window, or every slice without one.
+fn valid_window(valid: Option<(TimePoint, Option<TimePoint>)>) -> Result<Valid> {
+    Ok(match valid {
         None => Valid::Any,
         Some(_) => {
             let w = valid_to_interval(valid)?;
             Valid::In(w.start(), w.end())
         }
-    };
+    })
+}
+
+/// The rows an `UPDATE` / `DELETE` rewrites: `SELECT * FROM ty WHERE
+/// filter <valid> LIMIT <limit>`, planned by the read planner and run
+/// inside `txn` (read-your-writes), so each row is one qualifying current
+/// slice of one atom, its valid time cut to a `VALID IN` window, in
+/// ascending (atom, valid time) order. Only these rows' atoms enter the
+/// overlay, when the caller writes them.
+///
+/// The type's commit stripe is taken before the candidates are
+/// enumerated, so the enumeration sees every commit ordered before this
+/// transaction — and, the stripe held, no later one can change what it
+/// saw. Concurrent claimers of one type therefore serialize and never
+/// claim the same row.
+fn dml_targets(
+    db: &Database,
+    txn: &mut Txn<'_>,
+    ty: String,
+    filter: Option<Expr>,
+    valid: Valid,
+    limit: Option<usize>,
+) -> Result<Vec<Row>> {
     let query = Query {
         targets: Targets::All,
         source: ty,
@@ -418,7 +409,7 @@ fn dml_targets(
         filter,
         asof_tt: None,
         valid,
-        limit: None,
+        limit,
     };
     txn.lock_type(db.atom_type_id(&query.source)?)?;
     let plan = prepare_query(db, query, ExecOptions::default())?;

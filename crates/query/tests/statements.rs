@@ -286,6 +286,41 @@ fn update_claim_takes_oldest_qualifying_row() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `UPDATE … CLAIM` inside a transaction sees the rows that transaction
+/// inserted, like every other DML statement: the committed row is claimed
+/// first (oldest atom), then the transaction's own, then the queue is
+/// empty. Scanned and index-probed predicates alike.
+fn claim_sees_the_transactions_own_insert(tag: &str, state_attr: &str) {
+    let (db, dir) = db(tag);
+    run_statement(&db, &format!("CREATE TYPE job (key INT, {state_attr})")).unwrap();
+    run_statement(&db, "INSERT INTO job (key, state) VALUES (1, 0)").unwrap();
+    let mut txn = db.begin();
+    let mut apply = |sql: &str| apply_statement(&db, &mut txn, parse_statement(sql).unwrap());
+    assert!(matches!(
+        apply("INSERT INTO job (key, state) VALUES (7, 0)").unwrap(),
+        StatementApply::Inserted(_)
+    ));
+    let claim = "UPDATE job CLAIM SET state = 1 WHERE state = 0";
+    assert_eq!(apply(claim).unwrap(), StatementApply::Modified(1));
+    assert_eq!(apply(claim).unwrap(), StatementApply::Modified(1));
+    assert_eq!(apply(claim).unwrap(), StatementApply::Modified(0));
+    txn.commit().unwrap();
+    let r = rows(run_statement(&db, "SELECT key FROM job WHERE state = 1").unwrap());
+    assert_eq!(r, vec![vec![Value::Int(1)], vec![Value::Int(7)]]);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn update_claim_sees_the_transactions_own_insert() {
+    claim_sees_the_transactions_own_insert("claim-own", "state INT");
+}
+
+#[test]
+fn indexed_update_claim_sees_the_transactions_own_insert() {
+    claim_sees_the_transactions_own_insert("claim-own-ix", "state INT INDEXED");
+}
+
 /// Stripe order is serialization order for DML too. An older transaction
 /// whose `UPDATE` / `DELETE` waits on the type's stripe behind a younger
 /// inserter must, once the insert commits, see the new row: the statement

@@ -18,9 +18,15 @@
 //! * [`BufferPool::fetch_read`] / [`BufferPool::fetch_write`] return RAII
 //!   guards that pin the frame; unpinning happens on drop. Pinned frames
 //!   are never evicted (pins are only granted under the shard lock).
-//! * Write guards mark the frame dirty; dirty frames are written back on
-//!   eviction ("steal") and by [`BufferPool::flush_all`]. Crash consistency
-//!   is the WAL's job (logical, idempotent redo), so stealing is safe.
+//! * Write guards mark the frame dirty. The engine runs a **no-steal** pool
+//!   ([`BufferPool::new_no_steal`]): eviction never writes a dirty frame
+//!   back, dirty pages reach disk only through the owner's flushes (the
+//!   engine routes them through its double-write checkpoint journal), so
+//!   the files on disk are always one transaction-consistent snapshot for
+//!   logical redo to start from. A steal pool ([`BufferPool::new`]) writes
+//!   dirty frames back on eviction and by [`BufferPool::flush_all`]; it
+//!   gives no crash consistency and serves only the storage and
+//!   version-store tests, which drive pages without an engine.
 //! * The pool counts hits, misses, evictions and write-backs in lock-free
 //!   atomics — the currency of experiments E9 (buffer-size sensitivity)
 //!   and E13 (parallel scaling); [`BufferPool::stats`] takes no lock.

@@ -1,9 +1,9 @@
 //! # tcom-storage
 //!
 //! The paged storage substrate of the tcom engine: a disk manager with
-//! checksummed 8 KiB pages ([`disk`]), slotted data pages ([`slotted`]), a
-//! shared clock-replacement buffer pool ([`buffer`]), heap files ([`heap`])
-//! and a disk-resident B⁺-tree ([`btree`]) used for atom directories, value
+//! checksummed 8 KiB pages ([`disk`]), a shared clock-replacement buffer
+//! pool ([`buffer`]), heap files of slotted data pages ([`HeapFile`]) and a
+//! disk-resident B⁺-tree ([`btree`]) used for atom directories, value
 //! indexes and the time index.
 //!
 //! This crate substitutes for the 1992 PRIMA storage system the paper ran
@@ -15,15 +15,14 @@
 pub mod btree;
 pub mod buffer;
 pub mod disk;
-pub mod heap;
+mod heap;
 pub mod keys;
 pub mod page;
-pub mod slotted;
+mod slotted;
 pub mod vfs;
 
 pub use buffer::{BufferPool, BufferStats, FileId, PageMut, PageRef};
 pub use disk::{DiskIoStats, DiskManager};
 pub use heap::HeapFile;
 pub use page::{Page, PageKind, PAGE_SIZE};
-pub use slotted::{SlottedPage, SlottedRef, MAX_RECORD};
 pub use vfs::{Fault, FaultSchedule, FaultVfs, StdVfs, Vfs, VfsFile};

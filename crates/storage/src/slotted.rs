@@ -29,19 +29,19 @@ const SLOT_ENTRY: usize = 4;
 const DEAD: u16 = u16::MAX;
 
 /// Largest record that fits on an empty page.
-pub const MAX_RECORD: usize = PAGE_SIZE - SLOTS_BASE - SLOT_ENTRY;
+const MAX_RECORD: usize = PAGE_SIZE - SLOTS_BASE - SLOT_ENTRY;
 
 /// Typed view over a [`Page`] using the slotted layout.
 ///
 /// The view borrows the page mutably; all layout invariants are kept local
 /// to this module.
-pub struct SlottedPage<'a> {
+pub(crate) struct SlottedPage<'a> {
     page: &'a mut Page,
 }
 
 impl<'a> SlottedPage<'a> {
     /// Formats `page` as an empty slotted page.
-    pub fn init(page: &'a mut Page) -> SlottedPage<'a> {
+    pub(crate) fn init(page: &'a mut Page) -> SlottedPage<'a> {
         page.set_kind(PageKind::Slotted);
         page.write_u16(OFF_SLOT_COUNT, 0);
         page.write_u16(OFF_FREE_START, SLOTS_BASE as u16);
@@ -51,7 +51,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Wraps an existing slotted page.
-    pub fn attach(page: &'a mut Page) -> Result<SlottedPage<'a>> {
+    pub(crate) fn attach(page: &'a mut Page) -> Result<SlottedPage<'a>> {
         match page.kind()? {
             PageKind::Slotted => Ok(SlottedPage { page }),
             k => Err(Error::corruption(format!(
@@ -93,7 +93,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Free bytes reclaimable by compaction (dead cells + gap).
-    pub fn total_free(&self) -> usize {
+    pub(crate) fn total_free(&self) -> usize {
         let slots = self.slot_count() as usize * SLOT_ENTRY;
         PAGE_SIZE - SLOTS_BASE - slots - self.live_bytes()
     }
@@ -110,25 +110,10 @@ impl<'a> SlottedPage<'a> {
         (0..self.slot_count()).any(|s| self.slot_entry(s).0 == DEAD)
     }
 
-    /// Iterates live `(slot, record bytes)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |s| {
-            let (off, len) = self.slot_entry(s);
-            if off == DEAD {
-                None
-            } else {
-                Some((
-                    SlotId(s),
-                    &self.page.bytes()[off as usize..off as usize + len as usize],
-                ))
-            }
-        })
-    }
-
     /// Inserts a record, compacting first if needed. Fails with
     /// [`Error::RecordTooLarge`] when the record can never fit on a page and
     /// with `Ok(None)` when this particular page is too full.
-    pub fn insert(&mut self, rec: &[u8]) -> Result<Option<SlotId>> {
+    pub(crate) fn insert(&mut self, rec: &[u8]) -> Result<Option<SlotId>> {
         if rec.len() > MAX_RECORD {
             return Err(Error::RecordTooLarge(rec.len()));
         }
@@ -168,7 +153,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Returns the record stored in `slot`.
-    pub fn get(&self, slot: SlotId) -> Result<&[u8]> {
+    pub(crate) fn get(&self, slot: SlotId) -> Result<&[u8]> {
         if slot.0 >= self.slot_count() {
             return Err(Error::corruption(format!("slot {} out of range", slot.0)));
         }
@@ -179,14 +164,9 @@ impl<'a> SlottedPage<'a> {
         Ok(&self.page.bytes()[off as usize..off as usize + len as usize])
     }
 
-    /// True iff `slot` holds a live record.
-    pub fn is_live(&self, slot: SlotId) -> bool {
-        slot.0 < self.slot_count() && self.slot_entry(slot.0).0 != DEAD
-    }
-
     /// Deletes the record in `slot` (tombstones the slot; cell space is
     /// reclaimed lazily by compaction).
-    pub fn delete(&mut self, slot: SlotId) -> Result<()> {
+    pub(crate) fn delete(&mut self, slot: SlotId) -> Result<()> {
         let _ = self.get(slot)?;
         let (_, len) = self.slot_entry(slot.0);
         self.set_slot_entry(slot.0, DEAD, 0);
@@ -199,7 +179,7 @@ impl<'a> SlottedPage<'a> {
     /// record does not fit on this page even after compaction (the caller
     /// must then relocate the record — record ids are not stable across
     /// pages, so the relocation is the owner's policy decision).
-    pub fn update(&mut self, slot: SlotId, rec: &[u8]) -> Result<bool> {
+    pub(crate) fn update(&mut self, slot: SlotId, rec: &[u8]) -> Result<bool> {
         let _ = self.get(slot)?;
         if rec.len() > MAX_RECORD {
             return Err(Error::RecordTooLarge(rec.len()));
@@ -240,7 +220,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Slides all live cells to the end of the page, squeezing out dead
     /// space. Slot ids are untouched.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         let mut live: Vec<(u16, u16, u16)> = (0..self.slot_count())
             .filter_map(|s| {
                 let (off, len) = self.slot_entry(s);
@@ -264,13 +244,13 @@ impl<'a> SlottedPage<'a> {
 }
 
 /// Read-only view over a slotted page (usable under a shared page latch).
-pub struct SlottedRef<'a> {
+pub(crate) struct SlottedRef<'a> {
     page: &'a Page,
 }
 
 impl<'a> SlottedRef<'a> {
     /// Wraps an existing slotted page for reading.
-    pub fn attach(page: &'a Page) -> Result<SlottedRef<'a>> {
+    pub(crate) fn attach(page: &'a Page) -> Result<SlottedRef<'a>> {
         match page.kind()? {
             PageKind::Slotted => Ok(SlottedRef { page }),
             k => Err(Error::corruption(format!(
@@ -289,7 +269,7 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// Returns the record stored in `slot`.
-    pub fn get(&self, slot: SlotId) -> Result<&'a [u8]> {
+    pub(crate) fn get(&self, slot: SlotId) -> Result<&'a [u8]> {
         if slot.0 >= self.slot_count() {
             return Err(Error::corruption(format!("slot {} out of range", slot.0)));
         }
@@ -301,12 +281,12 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// True iff `slot` holds a live record.
-    pub fn is_live(&self, slot: SlotId) -> bool {
+    pub(crate) fn is_live(&self, slot: SlotId) -> bool {
         slot.0 < self.slot_count() && self.slot_entry(slot.0).0 != DEAD
     }
 
     /// Iterates live `(slot, record bytes)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SlotId, &'a [u8])> + '_ {
         let page = self.page;
         (0..self.slot_count()).filter_map(move |s| {
             let base = SLOTS_BASE + s as usize * SLOT_ENTRY;
@@ -351,7 +331,6 @@ mod tests {
         let a = sp.insert(b"aaa").unwrap().unwrap();
         let _b = sp.insert(b"bbb").unwrap().unwrap();
         sp.delete(a).unwrap();
-        assert!(!sp.is_live(a));
         assert!(sp.get(a).is_err());
         let c = sp.insert(b"ccc").unwrap().unwrap();
         assert_eq!(c, a, "dead slot id should be reused");
@@ -427,6 +406,7 @@ mod tests {
         let b = sp.insert(b"b").unwrap().unwrap();
         let c = sp.insert(b"c").unwrap().unwrap();
         sp.delete(b).unwrap();
+        let sp = SlottedRef::attach(&p).unwrap();
         let live: Vec<(SlotId, Vec<u8>)> = sp.iter().map(|(s, r)| (s, r.to_vec())).collect();
         assert_eq!(live, vec![(a, b"a".to_vec()), (c, b"c".to_vec())]);
     }

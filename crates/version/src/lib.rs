@@ -1,6 +1,6 @@
 //! # tcom-version
 //!
-//! Temporal version management: one version store, [`store::Store`], that
+//! Temporal version management: one version store, [`Store`], that
 //! lays atom version histories on pages in one of the three competing
 //! record layouts the paper's realization evaluates ([`StoreKind`]):
 //!
@@ -18,15 +18,10 @@
 #![warn(missing_docs)]
 
 pub mod record;
-pub mod segment;
-pub mod store;
-pub mod timeindex;
+mod segment;
+mod store;
+mod timeindex;
 
-pub use record::{AtomVersion, Payload, TupleDelta, VersionRecord};
-pub use segment::{
-    build_segment_stream, decode_block, encode_block, lzss_compress, lzss_decompress,
-    write_segment_file, BlockFence, Segment, SegmentFooter, SegmentSet, SegmentSetStats,
-    SEGMENT_FORMAT, SEGMENT_MAGIC,
-};
+pub use record::AtomVersion;
+pub use segment::{write_segment_file, Segment, SegmentFooter, SegmentSet, SegmentSetStats};
 pub use store::{HeapShape, Store, StoreKind, StoreObs, StoreStats};
-pub use timeindex::{TimeIndex, TimeIndexEntry};

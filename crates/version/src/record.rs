@@ -16,9 +16,7 @@
 //! `CurrentSet` record outside the chain.
 
 use tcom_kernel::codec::{Decoder, Encoder};
-use tcom_kernel::{
-    AtomNo, BitemporalStamp, Error, Interval, RecordId, Result, TimePoint, Tuple, Value,
-};
+use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple, Value};
 
 /// A materialized (decoded) atom version.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,30 +29,10 @@ pub struct AtomVersion {
     pub tuple: Tuple,
 }
 
-impl AtomVersion {
-    /// The bitemporal stamp of this version.
-    pub fn stamp(&self) -> BitemporalStamp {
-        BitemporalStamp {
-            vt: self.vt,
-            tt: self.tt,
-        }
-    }
-
-    /// True iff part of the current database state.
-    pub fn is_current(&self) -> bool {
-        self.tt.is_open_ended()
-    }
-
-    /// True iff visible at bitemporal point `(tt, vt)`.
-    pub fn visible_at(&self, tt: TimePoint, vt: TimePoint) -> bool {
-        self.tt.contains(tt) && self.vt.contains(vt)
-    }
-}
-
 /// An attribute-level backward delta: the changes turning the newer
 /// neighbour's tuple into the older tuple.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct TupleDelta {
+pub(crate) struct TupleDelta {
     /// `(attribute ordinal, value in the older tuple)` pairs, ascending.
     pub changes: Vec<(u16, Value)>,
 }
@@ -64,7 +42,7 @@ impl TupleDelta {
     ///
     /// Both tuples must have equal arity (schema evolution is out of scope;
     /// the engine enforces a fixed arity per atom type).
-    pub fn diff(newer: &Tuple, older: &Tuple) -> TupleDelta {
+    pub(crate) fn diff(newer: &Tuple, older: &Tuple) -> TupleDelta {
         debug_assert_eq!(newer.arity(), older.arity());
         let changes = newer
             .values()
@@ -78,28 +56,18 @@ impl TupleDelta {
     }
 
     /// Applies the delta to the newer tuple, producing the older one.
-    pub fn apply(&self, newer: &Tuple) -> Tuple {
+    pub(crate) fn apply(&self, newer: &Tuple) -> Tuple {
         let mut t = newer.clone();
         for (i, v) in &self.changes {
             t.set(*i as usize, v.clone());
         }
         t
     }
-
-    /// Number of changed attributes.
-    pub fn len(&self) -> usize {
-        self.changes.len()
-    }
-
-    /// True when the delta is empty (identical tuples).
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
 }
 
 /// Payload of a stored version record.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// Complete tuple.
     Full(Tuple),
     /// Backward delta relative to the chain predecessor (the newer record).
@@ -108,7 +76,7 @@ pub enum Payload {
 
 /// A stored version record: stamp, chain link and payload.
 #[derive(Clone, Debug, PartialEq)]
-pub struct VersionRecord {
+pub(crate) struct VersionRecord {
     /// Owning atom (self-identification for scans and integrity checks).
     pub atom_no: AtomNo,
     /// Valid-time extent.
@@ -123,7 +91,7 @@ pub struct VersionRecord {
 
 impl VersionRecord {
     /// Encodes to the on-disk byte form.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64);
         e.put_u64(self.atom_no.0);
         e.put_u8(match self.payload {
@@ -147,7 +115,7 @@ impl VersionRecord {
     }
 
     /// Decodes the on-disk byte form.
-    pub fn decode(bytes: &[u8]) -> Result<VersionRecord> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<VersionRecord> {
         let mut d = Decoder::new(bytes);
         let atom_no = AtomNo(d.get_u64()?);
         let kind = d.get_u8()?;
@@ -187,7 +155,7 @@ impl VersionRecord {
     }
 
     /// True iff the record's transaction time is still open.
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.tt.is_open_ended()
     }
 }
@@ -266,10 +234,10 @@ mod tests {
         let newer = tup(&[1, 2, 3, 4]);
         let older = tup(&[1, 9, 3, 8]);
         let d = TupleDelta::diff(&newer, &older);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.changes.len(), 2);
         assert_eq!(d.apply(&newer), older);
         // identical tuples -> empty delta
-        assert!(TupleDelta::diff(&newer, &newer).is_empty());
+        assert!(TupleDelta::diff(&newer, &newer).changes.is_empty());
         assert_eq!(TupleDelta::diff(&newer, &newer).apply(&newer), newer);
     }
 
@@ -278,7 +246,7 @@ mod tests {
         let newer = Tuple::new(vec![Value::from("alice"), Value::Int(100), Value::Null]);
         let older = Tuple::new(vec![Value::from("alice"), Value::Int(90), Value::from("x")]);
         let d = TupleDelta::diff(&newer, &older);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.changes.len(), 2);
         assert_eq!(d.apply(&newer), older);
     }
 
@@ -332,19 +300,5 @@ mod tests {
         // atom_no varint(1) is 1 byte; tag is at offset 1
         bytes[1] = 9;
         assert!(VersionRecord::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn version_visibility() {
-        let v = AtomVersion {
-            vt: iv(10, 20),
-            tt: iv(5, 8),
-            tuple: tup(&[1]),
-        };
-        assert!(v.visible_at(TimePoint(5), TimePoint(15)));
-        assert!(!v.visible_at(TimePoint(8), TimePoint(15)));
-        assert!(!v.visible_at(TimePoint(5), TimePoint(20)));
-        assert!(!v.is_current());
-        assert_eq!(v.stamp().vt, iv(10, 20));
     }
 }

@@ -41,9 +41,9 @@ use tcom_storage::page::{Page, PageKind, PAGE_HEADER_LEN, PAGE_SIZE};
 use tcom_storage::vfs::Vfs;
 
 /// Magic number of segment files ("TCOMSEG1" little-endian).
-pub const SEGMENT_MAGIC: u64 = 0x3147_4553_4D4F_4354;
+const SEGMENT_MAGIC: u64 = 0x3147_4553_4D4F_4354;
 /// Segment format version.
-pub const SEGMENT_FORMAT: u32 = 1;
+const SEGMENT_FORMAT: u32 = 1;
 /// Usable bytes per page (body after the checksummed header).
 const BODY_LEN: usize = PAGE_SIZE - PAGE_HEADER_LEN;
 /// Target versions per block; blocks cut at atom boundaries.
@@ -78,7 +78,7 @@ fn push_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
 /// `(c & 0x7F) + 4` at a little-endian `u16` distance that follows.
 /// Control byte `0` never occurs. The output is self-delimiting only
 /// together with the uncompressed length, which the caller stores.
-pub fn lzss_compress(src: &[u8]) -> Vec<u8> {
+fn lzss_compress(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
     let mut table: HashMap<[u8; 4], Vec<u32>> = HashMap::new();
     let remember = |table: &mut HashMap<[u8; 4], Vec<u32>>, src: &[u8], at: usize| {
@@ -144,7 +144,7 @@ pub fn lzss_compress(src: &[u8]) -> Vec<u8> {
 /// Every malformation — zero control byte, zero or out-of-window
 /// distance, output overrun or underrun, truncated token — is a clean
 /// [`Error::Corruption`]; the function never panics on any input.
-pub fn lzss_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+fn lzss_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(raw_len);
     let mut i = 0usize;
     while i < src.len() {
@@ -197,7 +197,7 @@ pub fn lzss_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 
 /// Per-block interval fences and location, stored in the footer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockFence {
+pub(crate) struct BlockFence {
     /// Smallest atom number in the block.
     pub atom_min: u64,
     /// Largest atom number in the block.
@@ -226,12 +226,12 @@ impl BlockFence {
     /// True iff a version visible at transaction time `tt` may be in this
     /// block. `FOREVER` (current state) never admits: blocks hold closed
     /// versions only.
-    pub fn admits_tt(&self, tt: TimePoint) -> bool {
+    fn admits_tt(&self, tt: TimePoint) -> bool {
         !tt.is_forever() && self.tt_min <= tt && tt < self.tt_max
     }
 
     /// True iff atom `no` may have versions in this block.
-    pub fn admits_atom(&self, no: AtomNo) -> bool {
+    fn admits_atom(&self, no: AtomNo) -> bool {
         self.atom_min <= no.0 && no.0 <= self.atom_max
     }
 }
@@ -240,13 +240,13 @@ impl BlockFence {
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct SegmentFooter {
     /// One fence per block, in stream order (ascending atom ranges).
-    pub blocks: Vec<BlockFence>,
+    pub(crate) blocks: Vec<BlockFence>,
     /// Total versions across all blocks.
-    pub versions: u64,
+    pub(crate) versions: u64,
     /// Total uncompressed bytes across all blocks.
-    pub raw_bytes: u64,
+    pub(crate) raw_bytes: u64,
     /// Total compressed bytes across all blocks.
-    pub comp_bytes: u64,
+    pub(crate) comp_bytes: u64,
 }
 
 impl SegmentFooter {
@@ -269,18 +269,18 @@ impl SegmentFooter {
     }
 
     /// True iff a version visible at `tt` may be anywhere in the segment.
-    pub fn admits_tt(&self, tt: TimePoint) -> bool {
+    fn admits_tt(&self, tt: TimePoint) -> bool {
         !tt.is_forever() && self.tt_min() <= tt && tt < self.tt_max()
     }
 
     /// True iff atom `no` may have versions anywhere in the segment.
-    pub fn admits_atom(&self, no: AtomNo) -> bool {
+    fn admits_atom(&self, no: AtomNo) -> bool {
         self.blocks.iter().any(|b| b.admits_atom(no))
     }
 
     /// Encodes the footer (without its trailing crc — the meta page holds
     /// that).
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64 + self.blocks.len() * 64);
         e.put_u64(self.versions);
         e.put_u64(self.raw_bytes);
@@ -303,7 +303,7 @@ impl SegmentFooter {
     }
 
     /// Decodes a footer, rejecting truncation and trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Result<SegmentFooter> {
+    fn decode(bytes: &[u8]) -> Result<SegmentFooter> {
         let mut d = Decoder::new(bytes);
         let versions = d.get_u64()?;
         let raw_bytes = d.get_u64()?;
@@ -346,7 +346,7 @@ impl SegmentFooter {
 ///
 /// Entries are `(atom number, version)` and must already be in segment
 /// order (ascending atom number, then `tt.start`, `vt.start`, `tt.end`).
-pub fn encode_block(entries: &[(u64, AtomVersion)]) -> Vec<u8> {
+fn encode_block(entries: &[(u64, AtomVersion)]) -> Vec<u8> {
     let mut e = Encoder::with_capacity(entries.len() * 64);
     e.put_u64(entries.len() as u64);
     for (no, v) in entries {
@@ -359,7 +359,7 @@ pub fn encode_block(entries: &[(u64, AtomVersion)]) -> Vec<u8> {
 }
 
 /// Decodes a block produced by [`encode_block`].
-pub fn decode_block(bytes: &[u8]) -> Result<Vec<(u64, AtomVersion)>> {
+fn decode_block(bytes: &[u8]) -> Result<Vec<(u64, AtomVersion)>> {
     let mut d = Decoder::new(bytes);
     let n = d.get_u64()? as usize;
     if n > d.remaining() {
@@ -382,7 +382,7 @@ pub fn decode_block(bytes: &[u8]) -> Result<Vec<(u64, AtomVersion)>> {
 /// Builds the complete segment byte stream (blocks then footer) from the
 /// archived versions, plus the footer. Exposed separately from file I/O so
 /// property tests can round-trip the codec in memory.
-pub fn build_segment_stream(versions: &[(u64, AtomVersion)]) -> (Vec<u8>, SegmentFooter) {
+fn build_segment_stream(versions: &[(u64, AtomVersion)]) -> (Vec<u8>, SegmentFooter) {
     // Deterministic segment order: ascending atom, then recording order.
     let mut by_atom: BTreeMap<u64, Vec<AtomVersion>> = BTreeMap::new();
     for (no, v) in versions {
@@ -610,7 +610,7 @@ impl Segment {
 
     /// Adds the versions visible at transaction time `tt`, grouped by atom
     /// number, to `groups`.
-    pub fn slice_into(
+    pub(crate) fn slice_into(
         &self,
         tt: TimePoint,
         groups: &mut BTreeMap<u64, Vec<AtomVersion>>,
@@ -715,7 +715,7 @@ impl SegmentSet {
 
     /// Appends every archived version of `no` across all segments
     /// (history reads ignore tt fences but still skip on atom fences).
-    pub fn history_for(&self, no: AtomNo, out: &mut Vec<AtomVersion>) -> Result<()> {
+    pub(crate) fn history_for(&self, no: AtomNo, out: &mut Vec<AtomVersion>) -> Result<()> {
         for seg in self.list() {
             if seg.footer().admits_atom(no) {
                 self.reads.inc();
@@ -729,7 +729,7 @@ impl SegmentSet {
 
     /// Appends the archived versions of `no` visible at `tt`. A `FOREVER`
     /// slice (current state) touches no segment at all.
-    pub fn versions_at_for(
+    pub(crate) fn versions_at_for(
         &self,
         no: AtomNo,
         tt: TimePoint,
@@ -752,7 +752,7 @@ impl SegmentSet {
     }
 
     /// Adds segment versions visible at `tt`, grouped by atom, to `groups`.
-    pub fn slice_into(
+    pub(crate) fn slice_into(
         &self,
         tt: TimePoint,
         groups: &mut BTreeMap<u64, Vec<AtomVersion>>,
@@ -773,174 +773,4 @@ impl SegmentSet {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use tcom_kernel::time::iv;
-    use tcom_kernel::{Tuple, Value};
-
-    fn v(no: u64, tts: u64, tte: u64, val: i64) -> (u64, AtomVersion) {
-        (
-            no,
-            AtomVersion {
-                vt: iv(0, 100),
-                tt: iv(tts, tte),
-                tuple: Tuple::new(vec![
-                    Value::Int(val),
-                    Value::Text(
-                        "constant payload text that should compress well \
-                                 constant payload text"
-                            .into(),
-                    ),
-                ]),
-            },
-        )
-    }
-
-    #[test]
-    fn lzss_roundtrip_shapes() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![7],
-            vec![0; 4096],
-            (0..=255u8).cycle().take(10_000).collect(),
-            b"abcabcabcabcabcabcabcabc".to_vec(),
-            (0..2048).map(|i| (i % 7) as u8).collect(),
-        ];
-        for raw in cases {
-            let comp = lzss_compress(&raw);
-            assert_eq!(lzss_decompress(&comp, raw.len()).unwrap(), raw);
-        }
-    }
-
-    #[test]
-    fn lzss_compresses_redundancy() {
-        let raw: Vec<u8> = b"0123456789".iter().cycle().take(8000).copied().collect();
-        let comp = lzss_compress(&raw);
-        assert!(
-            comp.len() < raw.len() / 4,
-            "repetitive input should shrink: {} -> {}",
-            raw.len(),
-            comp.len()
-        );
-    }
-
-    #[test]
-    fn lzss_decompress_rejects_garbage() {
-        assert!(lzss_decompress(&[0], 1).is_err(), "zero control byte");
-        assert!(lzss_decompress(&[5, 1, 2], 3).is_err(), "truncated run");
-        assert!(lzss_decompress(&[0x80, 1], 4).is_err(), "truncated match");
-        assert!(lzss_decompress(&[0x80, 0, 0], 4).is_err(), "zero distance");
-        assert!(
-            lzss_decompress(&[1, 9, 0x80, 5, 0], 5).is_err(),
-            "distance outside window"
-        );
-        assert!(lzss_decompress(&[1, 9], 2).is_err(), "underrun");
-        assert!(lzss_decompress(&[2, 9, 9], 1).is_err(), "overrun");
-    }
-
-    #[test]
-    fn block_and_footer_roundtrip() {
-        let entries = vec![v(1, 1, 5, 10), v(1, 5, 9, 11), v(3, 2, 4, 30)];
-        let raw = encode_block(&entries);
-        assert_eq!(decode_block(&raw).unwrap(), entries);
-        // Truncations reject cleanly.
-        for cut in 0..raw.len() {
-            assert!(decode_block(&raw[..cut]).is_err(), "cut at {cut}");
-        }
-        let (stream, footer) = build_segment_stream(&entries);
-        assert_eq!(footer.versions, 3);
-        assert_eq!(footer.blocks.len(), 1);
-        assert_eq!(footer.comp_bytes as usize, stream.len());
-        let enc = footer.encode();
-        assert_eq!(SegmentFooter::decode(&enc).unwrap(), footer);
-        for cut in 0..enc.len() {
-            assert!(SegmentFooter::decode(&enc[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn fences_bound_visibility() {
-        let entries = vec![v(1, 1, 5, 10), v(2, 3, 8, 20)];
-        let (_, footer) = build_segment_stream(&entries);
-        assert_eq!(footer.tt_min(), TimePoint(1));
-        assert_eq!(footer.tt_max(), TimePoint(8));
-        assert!(footer.admits_tt(TimePoint(1)));
-        assert!(footer.admits_tt(TimePoint(7)));
-        assert!(!footer.admits_tt(TimePoint(0)));
-        assert!(!footer.admits_tt(TimePoint(8)));
-        assert!(!footer.admits_tt(TimePoint::FOREVER));
-        assert!(footer.admits_atom(AtomNo(1)));
-        assert!(!footer.admits_atom(AtomNo(9)));
-    }
-
-    #[test]
-    fn file_roundtrip_through_pool() {
-        use tcom_storage::vfs::FaultVfs;
-        let vfs = FaultVfs::new();
-        let path = std::path::Path::new("/mem/seg1");
-        let entries: Vec<(u64, AtomVersion)> = (0..200u64)
-            .flat_map(|no| (0..5u64).map(move |i| v(no, i + 1, i + 2, (no * 10 + i) as i64)))
-            .collect();
-        let footer = write_segment_file(&vfs, path, 2, 7, &entries).unwrap();
-        assert_eq!(footer.versions, 1000);
-        assert!(footer.comp_bytes < footer.raw_bytes, "payload must shrink");
-
-        let pool = BufferPool::new(64);
-        let dm = Arc::new(DiskManager::open_with(&vfs, path).unwrap());
-        let file = pool.register_file(dm);
-        let seg = Segment::open(pool.clone(), file, 2, 7).unwrap();
-        assert_eq!(seg.footer(), &footer);
-        // Identity checks.
-        assert!(Segment::open(pool.clone(), file, 2, 8).is_err());
-        assert!(Segment::open(pool, file, 3, 7).is_err());
-
-        let mut out = Vec::new();
-        seg.versions_for(AtomNo(17), &mut out).unwrap();
-        assert_eq!(out.len(), 5);
-        assert_eq!(out[0].tuple.values()[0], Value::Int(170));
-
-        let mut groups = BTreeMap::new();
-        seg.slice_into(TimePoint(3), &mut groups).unwrap();
-        assert_eq!(groups.len(), 200, "every atom has a version at tt=3");
-        for vs in groups.values() {
-            assert_eq!(vs.len(), 1);
-            assert!(vs[0].tt.contains(TimePoint(3)));
-        }
-    }
-
-    #[test]
-    fn segment_set_counts_reads_and_skips() {
-        use tcom_storage::vfs::FaultVfs;
-        let vfs = FaultVfs::new();
-        let pool = BufferPool::new(64);
-        let set = SegmentSet::new();
-        // Two segments with disjoint tt ranges.
-        for (i, (lo, hi)) in [(1u64, 10u64), (20, 30)].iter().enumerate() {
-            let path = format!("/mem/seg{i}");
-            let entries = vec![v(1, *lo, *hi, 1)];
-            write_segment_file(&vfs, Path::new(&path), 0, i as u64, &entries).unwrap();
-            let dm = Arc::new(DiskManager::open_with(&vfs, Path::new(&path)).unwrap());
-            let file = pool.register_file(dm);
-            set.add(Arc::new(
-                Segment::open(pool.clone(), file, 0, i as u64).unwrap(),
-            ));
-        }
-        let mut groups = BTreeMap::new();
-        set.slice_into(TimePoint(5), &mut groups).unwrap();
-        assert_eq!(groups[&1].len(), 1);
-        assert_eq!(set.counters(), (1, 1), "one admitted, one fence-skipped");
-        let mut out = Vec::new();
-        set.versions_at_for(AtomNo(1), TimePoint(25), &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        let mut all = Vec::new();
-        set.history_for(AtomNo(1), &mut all).unwrap();
-        assert_eq!(all.len(), 2, "history ignores tt fences");
-        // FOREVER touches nothing.
-        let (r, s) = set.counters();
-        let mut g2 = BTreeMap::new();
-        set.slice_into(TimePoint::FOREVER, &mut g2).unwrap();
-        assert!(g2.is_empty());
-        assert_eq!(set.counters(), (r, s));
-    }
-}
+mod tests;

@@ -38,8 +38,8 @@ use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_obs::Counter;
 use tcom_storage::btree::BTree;
 use tcom_storage::buffer::{BufferPool, FileId};
-use tcom_storage::heap::HeapFile;
 use tcom_storage::keys::BKey;
+use tcom_storage::HeapFile;
 
 /// Which record layout a store uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -766,7 +766,11 @@ impl Store {
         for no in self.atoms()? {
             removed += self.extract_closed(no, cutoff)?.len() as u64;
         }
-        self.compact_time_index()?;
+        // Index deletion is lazy, so an extraction that removes most
+        // closed versions leaves the emptied leaf pages on the scan chain;
+        // until they are repacked, every slice reads the index at its
+        // pre-extraction size.
+        self.tix.compact()?;
         Ok(removed)
     }
 
@@ -807,15 +811,6 @@ impl Store {
         })?;
         // `clear` deletes lazily and the re-inserts land back in the old
         // sparse node structure; repack so the rebuilt index scans dense.
-        self.tix.compact()
-    }
-
-    /// Repacks the transaction-time index into dense nodes. Index
-    /// deletion is lazy, so an extraction that removes most closed
-    /// versions leaves the index's emptied leaf pages on the scan chain;
-    /// until they are repacked, every slice reads the index at its
-    /// pre-extraction size. [`Store::extract_all_closed`] ends with it.
-    pub fn compact_time_index(&self) -> Result<()> {
         self.tix.compact()
     }
 

@@ -33,7 +33,7 @@ use tcom_storage::keys::{decode_tt_start, encode_tt_key, tt_scan_bounds, BKey};
 
 /// One entry surfaced by a [`TimeIndex`] scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimeIndexEntry {
+pub(crate) struct TimeIndexEntry {
     /// Transaction-time start of the indexed version.
     pub tt_start: TimePoint,
     /// Store-chosen discriminator (record id or atom number).
@@ -43,18 +43,24 @@ pub struct TimeIndexEntry {
 }
 
 /// Secondary transaction-time index of one version store.
-pub struct TimeIndex {
+pub(crate) struct TimeIndex {
     tree: BTree,
 }
 
 impl TimeIndex {
     /// The index kept in `tree` (freshly created or opened by the store).
-    pub fn over(tree: BTree) -> TimeIndex {
+    pub(crate) fn over(tree: BTree) -> TimeIndex {
         TimeIndex { tree }
     }
 
     /// Inserts (or overwrites) an entry in the chosen partition.
-    pub fn insert(&self, open: bool, tt_start: TimePoint, lo: u64, payload: u64) -> Result<()> {
+    pub(crate) fn insert(
+        &self,
+        open: bool,
+        tt_start: TimePoint,
+        lo: u64,
+        payload: u64,
+    ) -> Result<()> {
         self.tree
             .insert(encode_tt_key(open, tt_start, lo), payload)?;
         Ok(())
@@ -62,14 +68,14 @@ impl TimeIndex {
 
     /// Removes an entry; missing keys are ignored (idempotent-redo
     /// friendly, like the stores' own primitives).
-    pub fn remove(&self, open: bool, tt_start: TimePoint, lo: u64) -> Result<()> {
+    pub(crate) fn remove(&self, open: bool, tt_start: TimePoint, lo: u64) -> Result<()> {
         self.tree.remove(encode_tt_key(open, tt_start, lo))?;
         Ok(())
     }
 
     /// Moves an entry from the open to the closed partition, updating its
     /// discriminator and payload (what `close_version` does).
-    pub fn close(
+    pub(crate) fn close(
         &self,
         tt_start: TimePoint,
         open_lo: u64,
@@ -83,7 +89,7 @@ impl TimeIndex {
     /// Scans one partition for entries with `tt_start <= through`
     /// (`TimePoint::FOREVER` covers the whole partition); `f` returning
     /// `false` stops the scan.
-    pub fn scan(
+    pub(crate) fn scan(
         &self,
         open: bool,
         through: TimePoint,
@@ -102,7 +108,7 @@ impl TimeIndex {
     /// Deletes every entry (the first half of a rebuild — the tree file
     /// cannot be reformatted in place, so the keys are removed one by one;
     /// lazy deletion makes this cheap).
-    pub fn clear(&self) -> Result<()> {
+    pub(crate) fn clear(&self) -> Result<()> {
         let mut keys = Vec::new();
         self.tree.scan_range(BKey::MIN, BKey::MAX, |k, _| {
             keys.push(k);
@@ -119,18 +125,13 @@ impl TimeIndex {
     /// still threads every historical leaf page — a slice would read the
     /// index at its pre-extraction size forever. Call under the engine's
     /// quiescence (single writer), as for any index mutation.
-    pub fn compact(&self) -> Result<()> {
+    pub(crate) fn compact(&self) -> Result<()> {
         self.tree.compact()
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> Result<u64> {
+    pub(crate) fn len(&self) -> Result<u64> {
         self.tree.len()
-    }
-
-    /// True iff the index holds no entries.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
     }
 }
 
@@ -191,7 +192,7 @@ mod tests {
         }
         assert_eq!(ix.len().unwrap(), 50);
         ix.clear().unwrap();
-        assert!(ix.is_empty().unwrap());
+        assert_eq!(ix.len().unwrap(), 0);
         assert_eq!(collect(&ix, true, u64::MAX), vec![]);
         assert_eq!(collect(&ix, false, u64::MAX), vec![]);
         // Reusable after a clear (rebuild path).
@@ -232,7 +233,7 @@ mod tests {
         ix.insert(true, TimePoint(1), 1, 1).unwrap();
         ix.remove(true, TimePoint(1), 1).unwrap();
         ix.remove(true, TimePoint(1), 1).unwrap(); // no-op, no error
-        assert!(ix.is_empty().unwrap());
+        assert_eq!(ix.len().unwrap(), 0);
         let _ = std::fs::remove_file(p);
     }
 }

@@ -152,12 +152,8 @@ fn compact(kind: StoreKind, dir: &Path) {
     }
     assert!(!entries.is_empty());
     write_segment_file(&StdVfs, &dir.join(SEG_NAME), 0, 0, &entries).unwrap();
-    let mut extracted = 0;
-    for no in 0..ATOMS {
-        extracted += s.extract_closed(AtomNo(no), CUTOFF).unwrap().len();
-    }
-    assert_eq!(extracted, entries.len());
-    s.compact_time_index().unwrap();
+    let extracted = s.extract_all_closed(CUTOFF).unwrap();
+    assert_eq!(extracted, entries.len() as u64);
     pool.flush_and_sync().unwrap();
 }
 

@@ -4,12 +4,16 @@
 //!
 //! The engine uses **logical, redo-only** logging: every committed
 //! transaction's mutation primitives (`InsertVersion`, `CloseVersion`) are
-//! appended to the log before its commit record. Recovery replays the
-//! primitives of committed transactions in log order; replay is
-//! **idempotent** at the engine level (an already-applied insert is
-//! detected by its `(atom, vt, tt_start)` stamp, and closing an
-//! already-closed version is a no-op), so the buffer manager may steal
-//! (write back dirty pages) at any time without undo.
+//! appended to the log before its commit record. No undo is ever needed
+//! because the engine's buffer pool is no-steal: dirty pages reach disk
+//! only through checkpoint flushes behind a double-write journal, so the
+//! data files always hold a transaction-consistent snapshot. Recovery
+//! replays the primitives of committed transactions in log order on top of
+//! it, and replay is **idempotent** at the engine level: an insert is
+//! skipped when its `(atom, vt, tt_start, tuple)` version is already
+//! stored, and a close is applied only when the current version it names
+//! predates the closing transaction (a same-`vt` version that transaction
+//! itself created is left open).
 //!
 //! Checkpointing truncates the log after flushing and fsyncing all data
 //! files; the checkpoint record carries the engine clock and per-type atom
@@ -22,7 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod record;
-pub mod wal;
+mod wal;
 
 pub use record::LogRecord;
 pub use wal::{decode_frames, SyncPolicy, Wal, WalChunk, WalCursor, WalObs};

@@ -16,11 +16,6 @@ pub enum LogRecord {
         /// The transaction.
         txn: TxnId,
     },
-    /// Transaction abort — everything logged for `txn` is ignored by redo.
-    Abort {
-        /// The transaction.
-        txn: TxnId,
-    },
     /// A version was stored with `tt = [tt_start, ∞)`.
     InsertVersion {
         /// Owning transaction.
@@ -70,18 +65,6 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
-    /// The owning transaction, when the record has one.
-    pub fn txn(&self) -> Option<TxnId> {
-        match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn }
-            | LogRecord::InsertVersion { txn, .. }
-            | LogRecord::CloseVersion { txn, .. } => Some(*txn),
-            LogRecord::Checkpoint { .. } | LogRecord::SegmentSwap { .. } => None,
-        }
-    }
-
     /// Encodes to the frame payload form.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64);
@@ -92,10 +75,6 @@ impl LogRecord {
             }
             LogRecord::Commit { txn } => {
                 e.put_u8(1);
-                e.put_u64(txn.0);
-            }
-            LogRecord::Abort { txn } => {
-                e.put_u8(2);
                 e.put_u64(txn.0);
             }
             LogRecord::InsertVersion {
@@ -156,9 +135,6 @@ impl LogRecord {
             1 => LogRecord::Commit {
                 txn: TxnId(d.get_u64()?),
             },
-            2 => LogRecord::Abort {
-                txn: TxnId(d.get_u64()?),
-            },
             3 => LogRecord::InsertVersion {
                 txn: TxnId(d.get_u64()?),
                 atom: d.get_atom_id()?,
@@ -213,7 +189,6 @@ mod tests {
         vec![
             LogRecord::Begin { txn: TxnId(7) },
             LogRecord::Commit { txn: TxnId(7) },
-            LogRecord::Abort { txn: TxnId(8) },
             LogRecord::InsertVersion {
                 txn: TxnId(7),
                 atom: AtomId::new(AtomTypeId(1), AtomNo(99)),
@@ -248,17 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn txn_extraction() {
-        let rs = all_records();
-        assert_eq!(rs[0].txn(), Some(TxnId(7)));
-        assert_eq!(rs[5].txn(), None);
-        assert_eq!(rs[6].txn(), None);
-    }
-
-    #[test]
     fn decode_rejects_garbage() {
         assert!(LogRecord::decode(&[]).is_err());
         assert!(LogRecord::decode(&[99]).is_err());
+        // Tag 2 is unassigned (no writer ever produced it); a later record
+        // kind must not reuse it silently.
+        assert!(LogRecord::decode(&[2, 1]).is_err());
         let mut bytes = LogRecord::Begin { txn: TxnId(1) }.encode();
         bytes.push(0xFF);
         assert!(LogRecord::decode(&bytes).is_err());

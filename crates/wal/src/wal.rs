@@ -275,18 +275,6 @@ impl Wal {
         }
     }
 
-    /// Reads every valid record from the start of the log. A torn tail
-    /// (bad length or CRC) ends the scan cleanly. Thin wrapper over
-    /// [`Wal::read_from`]; prefer the cursor for anything large.
-    pub fn read_all(&self) -> Result<Vec<(Lsn, LogRecord)>> {
-        let mut out = Vec::new();
-        let mut cursor = self.read_from(Lsn(0))?;
-        while let Some(item) = cursor.next_record()? {
-            out.push(item);
-        }
-        Ok(out)
-    }
-
     /// Opens an incremental cursor over the valid records starting at
     /// byte offset `from` (must be a frame boundary previously handed out
     /// as an LSN, or 0). The cursor snapshots the log length at creation;
@@ -517,6 +505,16 @@ mod tests {
     use std::io::Write;
     use tcom_kernel::{TimePoint, TxnId};
 
+    /// Every valid record from the start of the log, through the cursor.
+    fn read_all(wal: &Wal) -> Result<Vec<(Lsn, LogRecord)>> {
+        let mut out = Vec::new();
+        let mut cursor = wal.read_from(Lsn(0))?;
+        while let Some(item) = cursor.next_record()? {
+            out.push(item);
+        }
+        Ok(out)
+    }
+
     fn tmplog(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("tcom-wal-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
@@ -543,7 +541,7 @@ mod tests {
             lsns.push(wal.append(r).unwrap());
         }
         wal.sync().unwrap();
-        let back = wal.read_all().unwrap();
+        let back = read_all(&wal).unwrap();
         assert_eq!(back.len(), 3);
         for ((lsn, rec), (want_lsn, want_rec)) in back.iter().zip(lsns.iter().zip(&recs)) {
             assert_eq!(lsn, want_lsn);
@@ -562,12 +560,12 @@ mod tests {
                 .unwrap();
         }
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
-        let back = wal.read_all().unwrap();
+        let back = read_all(&wal).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].1, LogRecord::Commit { txn: TxnId(9) });
         // Appends continue after the existing records.
         wal.append(&LogRecord::Begin { txn: TxnId(10) }).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 3);
+        assert_eq!(read_all(&wal).unwrap().len(), 3);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -586,11 +584,11 @@ mod tests {
             f.write_all(&[200, 0, 0, 0, 0xDE, 0xAD]).unwrap();
         }
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
-        let back = wal.read_all().unwrap();
+        let back = read_all(&wal).unwrap();
         assert_eq!(back.len(), 2, "torn tail must not surface");
         // New appends land cleanly after the valid prefix.
         wal.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 3);
+        assert_eq!(read_all(&wal).unwrap().len(), 3);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -613,7 +611,7 @@ mod tests {
             std::fs::write(&path, &data).unwrap();
         }
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
-        let back = wal.read_all().unwrap();
+        let back = read_all(&wal).unwrap();
         assert!(back.len() < 5, "records after the corruption are dropped");
         let _ = std::fs::remove_file(&path);
     }
@@ -632,7 +630,7 @@ mod tests {
         })
         .unwrap();
         assert!(wal.len() < before);
-        let back = wal.read_all().unwrap();
+        let back = read_all(&wal).unwrap();
         assert_eq!(back.len(), 1);
         assert!(matches!(
             back[0].1,
@@ -656,8 +654,8 @@ mod tests {
         for r in &recs {
             w2.append(r).unwrap();
         }
-        let a: Vec<_> = w1.read_all().unwrap();
-        let b: Vec<_> = w2.read_all().unwrap();
+        let a: Vec<_> = read_all(&w1).unwrap();
+        let b: Vec<_> = read_all(&w2).unwrap();
         assert_eq!(a, b, "batched and sequential appends must be identical");
         let _ = std::fs::remove_file(&p1);
         let _ = std::fs::remove_file(&p2);
@@ -717,7 +715,7 @@ mod tests {
             lsns.push(wal.append(r).unwrap());
         }
         wal.sync().unwrap();
-        let all = wal.read_all().unwrap();
+        let all = read_all(&wal).unwrap();
         assert_eq!(all.len(), 50);
         // Resume from the LSN of record 30: the cursor yields the suffix.
         let mut cursor = wal.read_from(lsns[30]).unwrap();

@@ -7,6 +7,8 @@
 //! <dir>/db.meta            persisted creation options (store kind)
 //! <dir>/catalog.tcat       the schema (atomic rewrite on DDL)
 //! <dir>/wal.log            redo-only write-ahead log
+//! <dir>/ckpt.jrnl          double-write journal of the page flush in flight
+//! <dir>/flushed.tcm        flush watermark: which commits the files hold
 //! <dir>/t<ty>_*.tcm        per-type store files (layout depends on kind)
 //! <dir>/t<ty>_idx<a>.tcm   value indexes over indexed attributes
 //! ```
@@ -50,7 +52,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcom_catalog::{AttrDef, Catalog, MoleculeEdge};
 use tcom_kernel::{
-    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, Result, TimePoint, Tuple,
+    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, PageId, Result, TimePoint,
+    Tuple,
 };
 use tcom_obs::{Counter, MetricsSnapshot, Registry};
 use tcom_storage::btree::BTree;
@@ -104,6 +107,11 @@ pub struct Database {
     stores: RwLock<HashMap<u32, Arc<Store>>>,
     indexes: RwLock<HashMap<(u32, u16), Arc<BTree>>>,
     wal: Wal,
+    /// The flush watermark's one-page file ([`journal::WATERMARK_FILE`]).
+    /// Written beside the pool, never cached in it, so it takes no frame
+    /// from the pages statements read: every flush journals a fresh image
+    /// and writes it in place, and only recovery reads it.
+    watermark: DiskManager,
     /// Transaction-time *allocation* clock: the last tt handed to a
     /// committing transaction (drawn under `wal_order`).
     clock: AtomicU64,
@@ -211,6 +219,7 @@ impl Database {
         // flushes, keeping the on-disk state a consistent snapshot.
         let pool = BufferPool::new_no_steal(config.buffer_frames);
         let wal = Wal::open_with(vfs.as_ref(), dir.join("wal.log"), config.sync_policy)?;
+        let watermark = DiskManager::open_with(vfs.as_ref(), dir.join(journal::WATERMARK_FILE))?;
 
         let catalog_path = dir.join("catalog.tcat");
         let catalog = if catalog_path.exists() {
@@ -228,6 +237,7 @@ impl Database {
             stores: RwLock::new(HashMap::new()),
             indexes: RwLock::new(HashMap::new()),
             wal,
+            watermark,
             clock: AtomicU64::new(0),
             published: AtomicU64::new(0),
             publish_mx: Mutex::new(()),
@@ -265,8 +275,8 @@ impl Database {
             }
         }
 
-        // Segments must be live before WAL replay: the replay's duplicate
-        // checks read merged (heap + segment) histories.
+        // Segments must be live before WAL replay: a swap's redo drops the
+        // heap copies of the versions they hold.
         db.load_segments()?;
         db.recover()?;
         Ok(db)
@@ -320,13 +330,14 @@ impl Database {
         self.publish_cv.notify_all();
     }
 
-    /// Publishes `tt` on a replica: advances `published` monotonically,
-    /// *without* the leader's contiguity invariant. A leader's WAL can
-    /// legitimately skip transaction times (a commit that failed after its
-    /// tt draw published empty, leaving no records), so the replay loop —
-    /// single-threaded and in WAL order — publishes whatever tt it just
-    /// applied. Also advances the allocation clock so a later promotion
-    /// (or the replica's own checkpoints) never reuses a leader tt.
+    /// Publishes a replayed `tt` (a replica's, or recovery's): advances
+    /// `published` monotonically, *without* the leader's contiguity
+    /// invariant. A WAL can legitimately skip transaction times (a commit
+    /// that failed after its tt draw published empty, leaving no records),
+    /// so a replay loop — single-threaded and in WAL order — publishes
+    /// whatever tt it just applied. Also advances the allocation clock so
+    /// a later commit (after a promotion or a reopen) never reuses a
+    /// replayed tt.
     pub(crate) fn publish_replicated(&self, tt: TimePoint) {
         let _g = self.publish_mx.lock();
         self.clock.fetch_max(tt.0, Ordering::AcqRel);
@@ -336,7 +347,7 @@ impl Database {
 
     /// Applies one logged commit (`recs`, its WAL records) to the stores
     /// and value indexes and publishes it: the one apply routine of a
-    /// leader's [`Txn::commit`] and a replica's [`crate::repl::WalApplier`].
+    /// leader's [`Txn::commit`] and of [`Database::replay_commit`].
     /// `before`/`after` give a changed atom's current tuples before the
     /// first mutation and after the last. `publish` runs while the apply
     /// marks are still raised, so a reader that validates against an even
@@ -404,6 +415,28 @@ impl Database {
         }
         publish(self, tt);
         Ok(())
+    }
+
+    /// Redoes one logged commit at `tt` over the stores: the one replay
+    /// routine of a replica's [`crate::repl::WalApplier`] and of crash
+    /// recovery. Raises the atom-number allocators past the commit's
+    /// inserts (a promoted replica or a reopened leader never reuses one),
+    /// then applies through [`Database::apply_commit`] with both images
+    /// read from the stores around the mutation (a replay holds no
+    /// overlay) and publishes via [`Database::publish_replicated`]. A
+    /// close that finds no version to close fails the replay.
+    pub(crate) fn replay_commit(&self, tt: TimePoint, recs: &[LogRecord]) -> Result<()> {
+        self.flush_if_pressured()?;
+        for rec in recs {
+            if let LogRecord::InsertVersion { atom, .. } = rec {
+                self.bump_atom_no_at_least(atom.ty, atom.no.0 + 1);
+            }
+        }
+        let current = |atom: AtomId| -> Result<Vec<Tuple>> {
+            let vs = self.store(atom.ty)?.current_versions(atom.no)?;
+            Ok(vs.into_iter().map(|v| v.tuple).collect())
+        };
+        self.apply_commit(tt, recs, &current, &current, Database::publish_replicated)
     }
 
     /// The commit stripe table.
@@ -733,9 +766,9 @@ impl Database {
     }
 
     /// Raises a type's atom-number allocator to at least `at_least`.
-    /// Replication replay allocates nothing itself — it re-applies the
-    /// leader's numbered inserts — but must keep the allocator ahead of
-    /// every replicated number so a promoted replica never reuses one.
+    /// Replay allocates nothing itself — it re-applies logged numbered
+    /// inserts — but must keep the allocator ahead of every replayed
+    /// number so a later insert never reuses one.
     pub(crate) fn bump_atom_no_at_least(&self, ty: AtomTypeId, at_least: u64) {
         let mut m = self.next_no.lock();
         let slot = m.entry(ty.0).or_insert(0);
@@ -978,148 +1011,72 @@ impl Database {
 
     // ---- recovery ----
 
-    /// Recovery: replays committed transactions from the WAL with
-    /// idempotent application, rebuilds value indexes when anything was
-    /// replayed, and checkpoints.
+    /// Crash recovery: redoes the logged commits the store files do not
+    /// hold yet, in one WAL pass, then checkpoints. The flush watermark
+    /// says how far the files reach; each committed batch above it goes
+    /// through [`Database::replay_commit`], the replica's routine, and
+    /// batches at or below it are skipped unread. A batch whose `Commit`
+    /// never became durable is dropped; a segment swap's heap extraction
+    /// is redone (it finds nothing when the files already hold it).
     fn recover(&self) -> Result<()> {
         let _span = self.obs.span("db.recover");
-        // Pass 1 — a streaming cursor (O(#transactions) memory, never the
-        // whole log): restore counters from the last checkpoint (normally
-        // record 0) and collect the committed transaction set.
-        let mut committed: HashSet<u64> = HashSet::new();
+        let mark = match self.watermark.page_count() {
+            0 => None,
+            _ => Some(journal::read_watermark(
+                &self.watermark.read_page(PageId(0))?,
+            )?),
+        };
+        if let Some((published, next_atom_nos)) = &mark {
+            self.restore_counters(*published, next_atom_nos);
+        }
+        let mut batch: Vec<LogRecord> = Vec::new();
         let mut cursor = self.wal.read_from(Lsn(0))?;
-        while let Some((_, rec)) = cursor.next_record()? {
+        while let Some((lsn, rec)) = cursor.next_record()? {
+            if mark.is_none() && !(lsn == Lsn(0) && matches!(rec, LogRecord::Checkpoint { .. })) {
+                return Err(Error::corruption(format!(
+                    "{} holds no flush watermark, but the WAL holds records past its head \
+                     checkpoint: the store files cannot say which of them they contain",
+                    self.dir.join(journal::WATERMARK_FILE).display()
+                )));
+            }
             match rec {
                 LogRecord::Checkpoint {
                     clock,
                     next_atom_nos,
-                } => {
-                    self.clock.store(clock.0, Ordering::Release);
-                    let mut m = self.next_no.lock();
-                    for (ty, no) in &next_atom_nos {
-                        let e = m.entry(*ty).or_insert(0);
-                        *e = (*e).max(*no);
-                    }
+                } => self.restore_counters(clock, &next_atom_nos),
+                LogRecord::Begin { .. } => {
+                    batch.clear();
+                    batch.push(rec);
                 }
+                LogRecord::InsertVersion { .. } | LogRecord::CloseVersion { .. } => batch.push(rec),
                 LogRecord::Commit { txn } => {
-                    committed.insert(txn.0);
-                }
-                _ => {}
-            }
-        }
-
-        // Pass 2 — replay committed transactions in log order, again
-        // through a bounded cursor rather than a materialized record list.
-        let mut replayed_any = false;
-        let mut cursor = self.wal.read_from(Lsn(0))?;
-        while let Some((_, rec)) = cursor.next_record()? {
-            match rec {
-                LogRecord::InsertVersion {
-                    txn,
-                    atom,
-                    vt,
-                    tt_start,
-                    tuple,
-                } if committed.contains(&txn.0) => {
-                    let store = self.store(atom.ty)?;
-                    let already = store
-                        .history(atom.no)?
-                        .iter()
-                        .any(|v| v.vt == vt && v.tt.start() == tt_start && v.tuple == tuple);
-                    if !already {
-                        store.insert_version(atom.no, vt, tt_start, &tuple)?;
-                        replayed_any = true;
+                    batch.push(rec);
+                    let tt = TimePoint(txn.0);
+                    if tt > self.now() {
+                        self.replay_commit(tt, &batch)?;
                     }
-                    // Counters advance regardless.
-                    let mut m = self.next_no.lock();
-                    let e = m.entry(atom.ty.0).or_insert(0);
-                    *e = (*e).max(atom.no.0 + 1);
-                    self.clock.fetch_max(tt_start.0, Ordering::AcqRel);
-                }
-                LogRecord::CloseVersion {
-                    txn,
-                    atom,
-                    vt_start,
-                    tt_end,
-                } if committed.contains(&txn.0) => {
-                    let store = self.store(atom.ty)?;
-                    // Only close a version that predates this transaction;
-                    // a same-vt version created *by* this transaction (and
-                    // already applied pre-crash) must not be re-closed.
-                    let target_is_older = store
-                        .current_versions(atom.no)?
-                        .iter()
-                        .any(|v| v.vt.start() == vt_start && v.tt.start() < tt_end);
-                    if target_is_older {
-                        store.close_version(atom.no, vt_start, tt_end)?;
-                        replayed_any = true;
-                    }
-                    self.clock.fetch_max(tt_end.0, Ordering::AcqRel);
-                }
-                LogRecord::Commit { txn } => {
-                    self.clock.fetch_max(txn.0, Ordering::AcqRel);
-                    // Transaction boundary: safe flush point under pressure.
-                    self.flush_if_pressured()?;
+                    batch.clear();
                 }
                 LogRecord::SegmentSwap { ty, cutoff, .. } => {
-                    // Redo the heap extraction of a segment that is
-                    // already live (`load_segments` opened it before
-                    // replay). Idempotent: when the pre-crash flush
-                    // already covered the extraction, nothing in the heap
-                    // matches the cutoff anymore. No index rebuilds — the
-                    // swap moves versions without changing the type's
-                    // logical content, and the extraction maintains (and
-                    // repacks) the store's own interval index.
+                    // The segment is live already (`load_segments`); no
+                    // index work — the swap moves versions without changing
+                    // the type's logical content, and the extraction keeps
+                    // (and repacks) the store's own time index.
                     self.store(AtomTypeId(ty))?.extract_all_closed(cutoff)?;
                 }
-                _ => {}
             }
         }
-
-        if replayed_any {
-            self.rebuild_indexes()?;
-            // Replay maintained the per-store transaction-time interval
-            // indexes incrementally through the store primitives; rebuild
-            // them from the heaps anyway — replay starts from whatever
-            // partial flush survived the crash, and the rebuild makes the
-            // index authoritative regardless of what that flush contained.
-            let catalog = self.catalog.read();
-            for t in catalog.atom_types() {
-                self.store(t.id)?.rebuild_time_index()?;
-            }
-            drop(catalog);
-        }
-        // Every replayed commit is now in the stores: publish the whole
-        // clock before checkpointing (whose drain waits for exactly that).
-        self.published
-            .store(self.clock.load(Ordering::Acquire), Ordering::Release);
         // Leave a clean state: everything applied, log truncated.
-        self.checkpoint()?;
-        Ok(())
+        self.checkpoint()
     }
 
-    /// Drops and rebuilds every value index from the stores' current state.
-    fn rebuild_indexes(&self) -> Result<()> {
-        let catalog = self.catalog.read();
-        for t in catalog.atom_types() {
-            let store = self.store(t.id)?;
-            for (i, a) in t.attrs.iter().enumerate() {
-                if !a.indexed {
-                    continue;
-                }
-                let attr = AttrId(i as u16);
-                let idx = self.open_or_create_index(t.id, attr, true)?;
-                for no in store.atoms()? {
-                    for v in store.current_versions(no)? {
-                        if let Some(enc) = encode_value(v.tuple.get(i)) {
-                            idx.insert(BKey::new(enc, no.0), no.0)?;
-                        }
-                    }
-                }
-                self.indexes.write().insert((t.id.0, attr.0), idx);
-            }
+    /// Raises the clocks to `published` and the atom-number allocators to
+    /// `next_atom_nos`, as a watermark or a checkpoint record recorded them.
+    fn restore_counters(&self, published: TimePoint, next_atom_nos: &[(u32, u64)]) {
+        self.publish_replicated(published);
+        for &(ty, no) in next_atom_nos {
+            self.bump_atom_no_at_least(AtomTypeId(ty), no);
         }
-        Ok(())
     }
 
     /// A type's live `(segment reads, fence skips)` counters — how many

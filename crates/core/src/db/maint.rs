@@ -13,7 +13,7 @@ use crate::stripes::{StripeLocks, MAINTENANCE_ID};
 use parking_lot::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use tcom_kernel::{AtomTypeId, Error, Lsn, Result, TimePoint};
+use tcom_kernel::{AtomTypeId, Error, Lsn, PageId, Result, TimePoint};
 use tcom_version::record::AtomVersion;
 use tcom_version::{write_segment_file, Segment};
 use tcom_wal::LogRecord;
@@ -93,21 +93,27 @@ impl Database {
 
     /// Crash-atomically flushes every dirty page: the images go to the
     /// double-write journal first, then in place, then the journal is
-    /// truncated. Does **not** touch the WAL — safe at any transaction
-    /// boundary. Runs in the flush scope, so no torn multi-page store
-    /// mutation reaches disk.
+    /// truncated. The same journal carries the flush watermark — the
+    /// published clock and the atom-number allocators — so the files on
+    /// disk always say which commits they hold. Does **not** touch the
+    /// WAL — safe at any transaction boundary. Runs in the flush scope, so
+    /// no torn multi-page store mutation reaches disk.
     pub fn sync_pages(&self) -> Result<()> {
         self.flush_dirty(&Quiesced::flush(self))
     }
 
-    /// [`Database::sync_pages`] body, under a guard that excludes appliers.
+    /// [`Database::sync_pages`] body, under a guard that excludes appliers:
+    /// no apply runs, and applies run in tt order, so the pool holds
+    /// exactly the commits up to `published`.
     fn flush_dirty(&self, _quiesced: &Quiesced<'_>) -> Result<()> {
         let dirty = self.pool.dirty_pages();
-        if dirty.is_empty() {
+        // A directory without a watermark gets one even from a clean pool.
+        if dirty.is_empty() && self.watermark.page_count() > 0 {
             return Ok(());
         }
+        let mut mark = journal::watermark_page(self.now(), self.next_atom_nos())?;
         let names = self.file_names.lock();
-        let entries: Vec<JournalEntry> = dirty
+        let mut entries: Vec<JournalEntry> = dirty
             .into_iter()
             .map(|(file, page, image)| JournalEntry {
                 file_name: names[file.0 as usize].clone(),
@@ -116,11 +122,26 @@ impl Database {
             })
             .collect();
         drop(names);
+        entries.push(JournalEntry {
+            file_name: journal::WATERMARK_FILE.into(),
+            page: PageId(0),
+            image: Box::new(*mark.bytes()),
+        });
         let journal_path = self.dir.join("ckpt.jrnl");
         journal::write_journal(self.vfs.as_ref(), &journal_path, &entries)?;
         self.pool.flush_and_sync()?;
+        if self.watermark.page_count() == 0 {
+            self.watermark.allocate_page()?;
+        }
+        self.watermark.write_page(PageId(0), &mut mark)?;
+        self.watermark.sync()?;
         journal::truncate_journal(self.vfs.as_ref(), &journal_path)?;
         Ok(())
+    }
+
+    /// Per atom type, the next atom number to allocate.
+    fn next_atom_nos(&self) -> Vec<(u32, u64)> {
+        self.next_no.lock().iter().map(|(t, n)| (*t, *n)).collect()
     }
 
     /// The engine's buffer-pressure guard: with the no-steal policy, dirty
@@ -141,15 +162,9 @@ impl Database {
         let _span = self.obs.span("db.checkpoint");
         let quiesced = Quiesced::commits(self);
         self.flush_dirty(&quiesced)?;
-        let next_nos: Vec<(u32, u64)> = self
-            .next_no
-            .lock()
-            .iter()
-            .map(|(ty, no)| (*ty, *no))
-            .collect();
         self.wal.reset_with(&LogRecord::Checkpoint {
             clock: self.now(),
-            next_atom_nos: next_nos,
+            next_atom_nos: self.next_atom_nos(),
         })?;
         self.txns_since_ckpt.store(0, Ordering::Release);
         Ok(())
@@ -158,9 +173,11 @@ impl Database {
     /// Physically discards every heap version whose transaction time ended
     /// at or before `cutoff` (history pruning / vacuum); versions already
     /// archived into segments stay. Time-slices at `tt >= cutoff` are
-    /// unaffected; earlier slices stop being faithful. Finishes with a
-    /// checkpoint so that WAL replay can never resurrect pruned versions.
-    /// Returns the number of versions removed.
+    /// unaffected; earlier slices stop being faithful. Pruning is not
+    /// logged: it finishes with a checkpoint, whose flush lands the pruned
+    /// pages under a watermark past every logged commit they contain, so
+    /// recovery skips those commits instead of replaying them over the
+    /// pruned pages. Returns the number of versions removed.
     pub fn prune_history(&self, cutoff: TimePoint) -> Result<u64> {
         let removed = {
             let _quiesced = Quiesced::writers(self)?;

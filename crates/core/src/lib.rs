@@ -6,7 +6,7 @@
 //!
 //! * [`Database`] — lifecycle, DDL, bitemporal reads, molecule
 //!   materialization and histories, checkpointing, crash recovery
-//!   (logical idempotent redo); snapshot reads pin the published TT clock
+//!   (logical redo above a flush watermark); snapshot reads pin the published TT clock
 //!   ([`ReadView`]) and never block on commits;
 //! * [`Txn`] — write transactions with deferred application,
 //!   read-your-writes overlays, and netting;

@@ -8,17 +8,18 @@
 //! published tt. Per committed transaction batch the applier:
 //!
 //! 1. appends the batch to the replica's **own** WAL and makes it durable
-//!    first — a crash mid-apply recovers through the ordinary
-//!    [`Database::recover`] path, no replication-specific redo exists;
-//! 2. raises the atom-number allocators past every replicated number (a
-//!    promoted replica never reuses one);
-//! 3. applies the batch through the leader's own apply routine
-//!    (`Database::apply_commit`: store mutation, planner change notes,
-//!    value-index diff), which republishes the transaction time via
-//!    `publish_replicated`, making the commit visible to snapshot reads
-//!    on the replica. A close that finds no version to close means the
-//!    replica has diverged from its leader: the batch fails rather than
-//!    applying the rest.
+//!    first — a crash mid-apply recovers through the ordinary recovery in
+//!    `Database::open`, which redoes the batches above the replica's flush
+//!    watermark through the very routine of step 2;
+//! 2. redoes the batch through `Database::replay_commit`: raises the
+//!    atom-number allocators past every replicated number (a promoted
+//!    replica never reuses one), then applies it through the leader's own
+//!    apply routine (`Database::apply_commit`: store mutation, planner
+//!    change notes, value-index diff), which republishes the transaction
+//!    time via `publish_replicated`, making the commit visible to
+//!    snapshot reads on the replica. A close that finds no version to
+//!    close means the replica has diverged from its leader: the batch
+//!    fails rather than applying the rest.
 //!
 //! **Resume.** LSNs are byte offsets into one log *incarnation*; every
 //! leader checkpoint truncates the log and draws a fresh epoch. The
@@ -27,7 +28,7 @@
 //! applied commit record — never mid-batch, so a resumed stream always
 //! starts at a `Begin`. Loss or staleness of the sidecar is safe:
 //! resuming earlier merely re-streams transactions the replica skips
-//! idempotently (their tt is at or below its published clock).
+//! (their tt is at or below its published clock).
 //!
 //! **Gaps.** If the leader truncated log records the replica never
 //! received, the fresh epoch's head checkpoint carries a clock *ahead* of
@@ -42,7 +43,7 @@ use crate::db::Database;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tcom_kernel::{AtomId, AtomTypeId, Error, Lsn, Result, TimePoint, Tuple};
+use tcom_kernel::{AtomTypeId, Error, Lsn, Result, TimePoint};
 use tcom_obs::Counter;
 use tcom_wal::{decode_frames, LogRecord, SyncPolicy};
 
@@ -297,9 +298,8 @@ impl WalApplier {
             return Ok(());
         }
         let db = &self.db;
-        db.flush_if_pressured()?;
-        // Own-log durability first: after a crash mid-apply the ordinary
-        // recovery path replays this batch idempotently.
+        // Own-log durability first: after a crash mid-apply, recovery
+        // redoes this batch from the replica's own log.
         {
             let _order = db.wal_order.lock();
             let wal = db.wal();
@@ -308,18 +308,7 @@ impl WalApplier {
                 wal.sync_to(end)?;
             }
         }
-        for rec in &recs {
-            if let LogRecord::InsertVersion { atom, .. } = rec {
-                db.bump_atom_no_at_least(atom.ty, atom.no.0 + 1);
-            }
-        }
-        // The leader's apply routine. A replica holds no overlay, so both
-        // images are read from the stores, around the mutation.
-        let current = |atom: AtomId| -> Result<Vec<Tuple>> {
-            let vs = db.store(atom.ty)?.current_versions(atom.no)?;
-            Ok(vs.into_iter().map(|v| v.tuple).collect())
-        };
-        db.apply_commit(tt, &recs, &current, &current, Database::publish_replicated)?;
+        db.replay_commit(tt, &recs)?;
         db.note_commit()?;
         self.txns_applied.inc();
         Ok(())
@@ -364,7 +353,7 @@ mod tests {
     use super::*;
     use crate::config::DbConfig;
     use tcom_catalog::AttrDef;
-    use tcom_kernel::{AtomNo, DataType, TxnId};
+    use tcom_kernel::{AtomId, AtomNo, DataType, TxnId};
     use tcom_wal::Wal;
 
     /// A replicated close that finds no version to close means the replica

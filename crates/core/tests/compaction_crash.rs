@@ -15,8 +15,11 @@
 //! uncompacted twin, and support a fresh compaction afterwards.
 //!
 //! `TCOM_CRASH_SAMPLE=k` strides the matrix exactly like the recovery
-//! suite's.
+//! suite's, and reopens run under the same deadline.
 
+mod reopen;
+
+use reopen::reopen;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tcom_core::{
@@ -199,7 +202,7 @@ fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) {
     // Reopen on exactly the durable bytes; segment recovery (manifest ∪
     // WAL swap records, orphan cleanup, extraction redo) runs inside open.
     vfs.reset_after_crash();
-    let db = Database::open_with_vfs(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
     assert_eq!(
         dump(&db, ty),
         g.dump,

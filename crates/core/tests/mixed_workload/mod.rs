@@ -785,7 +785,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
                 .crash();
             vfs.reset_after_crash();
             db = Arc::new(
-                Database::open_with_vfs(&dir, live_cfg(), vfs_handle.clone())
+                crate::reopen::reopen(&dir, live_cfg(), vfs_handle.clone())
                     .expect("reopen after power cut"),
             );
             compactor = cfg.compaction.then(|| Compactor::spawn(db.clone()));

@@ -13,13 +13,23 @@
 //!
 //! `TCOM_CRASH_SAMPLE=k` strides the matrix (test every k-th op index) to
 //! bound CI wall-clock; the default tests every single crash point.
+//!
+//! Beside it: the group-commit batch matrix, the same batches with buffer
+//! pressure flushing pages ahead of the durable WAL, a cut at every op of
+//! a history prune, and the cost of a reopen against history depth. Every
+//! reopen runs under [`reopen::reopen`]'s deadline.
 
+mod reopen;
+
+use reopen::reopen;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tcom_core::{
-    AtomId, AtomTypeId, AttrDef, DataType, Database, DbConfig, Fault, FaultVfs, Interval,
-    StoreKind, SyncPolicy, TimePoint, Tuple, Value,
+    AtomId, AtomTypeId, AttrDef, DataType, Database, DbConfig, Error, Fault, FaultVfs, Interval,
+    StoreKind, SyncPolicy, TimePoint, Tuple, Value, Vfs,
 };
+
+const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 
 /// Transactions in the workload. Sized so the mutation-op window
 /// comfortably exceeds the 50-crash-point floor for every store kind.
@@ -181,7 +191,7 @@ fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) -> CrashOutco
 
     // Reopen on exactly the durable bytes; recovery runs inside open.
     vfs.reset_after_crash();
-    let db = Database::open_with_vfs(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
     let got = dump(&db, ty);
 
     // Invariant: recovered state is the exact post-commit snapshot for
@@ -313,40 +323,68 @@ fn run_batch_txn(db: &Database, ty: AtomTypeId, k: usize) -> tcom_core::Result<T
 
 const BATCH_TXNS: usize = 32;
 
-fn batch_golden(kind: StoreKind, tag: &str) -> Golden {
+/// A batch matrix: its configuration and its transaction `k`.
+struct Batch {
+    cfg: fn(StoreKind) -> DbConfig,
+    txn: fn(&Database, AtomTypeId, usize) -> tcom_core::Result<TimePoint>,
+}
+
+const BATCH: Batch = Batch {
+    cfg: batch_cfg,
+    txn: run_batch_txn,
+};
+
+/// The batch workload's golden run, plus which of its transactions found
+/// the pool under pressure and flushed it first (`flushed[k]`: the flush
+/// at the start of transaction `k` wrote the state after `k` commits).
+fn batch_golden(kind: StoreKind, b: &Batch, tag: &str) -> (Golden, Vec<bool>) {
     let dir = tmpdir(tag);
     let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let db = Database::open_with_vfs(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
     let ty = setup(&db);
     let op_base = vfs.mut_ops();
     let mut snapshots = vec![dump(&db, ty)];
+    let mut flushed = Vec::with_capacity(BATCH_TXNS);
     for k in 0..BATCH_TXNS {
-        run_batch_txn(&db, ty, k).unwrap();
+        let writebacks = db.buffer_stats().writebacks;
+        (b.txn)(&db, ty, k).unwrap();
+        flushed.push(db.buffer_stats().writebacks > writebacks);
         snapshots.push(dump(&db, ty));
     }
     let op_end = vfs.mut_ops();
     db.crash();
     let _ = std::fs::remove_dir_all(&dir);
-    Golden {
-        op_base,
-        op_end,
-        snapshots,
-    }
+    (
+        Golden {
+            op_base,
+            op_end,
+            snapshots,
+        },
+        flushed,
+    )
 }
 
 /// One cell: cut the power at op `j` mid-batch, reopen, and demand that
-/// recovery kept exactly a prefix of the batch's commits.
-fn run_batch_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) {
+/// recovery kept exactly a prefix of the batch's commits — at least as
+/// long as the last flush an acked transaction completed, at most one
+/// past the acked ones — with the clock at that prefix's last commit.
+fn run_batch_crash_point(
+    kind: StoreKind,
+    b: &Batch,
+    (g, flushed): &(Golden, Vec<bool>),
+    j: u64,
+    tag: &str,
+) {
     let dir = tmpdir(tag);
     let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let db = Database::open_with_vfs(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
     let ty = setup(&db);
     assert_eq!(vfs.mut_ops(), g.op_base, "batch setup I/O deterministic");
     vfs.power_cut_at(j);
 
     let mut acked = 0usize;
     for k in 0..BATCH_TXNS {
-        match run_batch_txn(&db, ty, k) {
+        match (b.txn)(&db, ty, k) {
             Ok(_) => acked += 1,
             Err(_) => break,
         }
@@ -355,7 +393,7 @@ fn run_batch_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) {
     assert!(vfs.crashed(), "cut at op {j} inside the window must fire");
 
     vfs.reset_after_crash();
-    let db = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let db = reopen(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
     let got = dump(&db, ty);
 
     // Exactly-a-prefix: the recovered dump must equal snapshots[m] for
@@ -374,47 +412,342 @@ fn run_batch_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) {
         m <= acked + 1,
         "batch crash at op {j}: {m} commits recovered but only {acked} acked"
     );
+    // A completed flush is durable whatever the WAL lost: the pages it
+    // wrote hold `k` commits, and recovery must not fall behind them.
+    let floor = (0..acked).filter(|&k| flushed[k]).max().unwrap_or(0);
+    assert!(
+        m >= floor,
+        "batch crash at op {j}: {m} commits recovered behind a flush of {floor}"
+    );
+    // Commit k draws tt k: the clock must resume at the recovered prefix,
+    // or the next commit would reuse a transaction time already stored.
+    assert_eq!(
+        db.now(),
+        TimePoint(m as u64),
+        "batch crash at op {j}: clock after recovering {m} commits"
+    );
     let report = db.verify_integrity().unwrap();
     assert!(
         report.is_ok(),
         "batch crash at op {j}: integrity violations: {:?}",
         report.violations
     );
+    assert_slices_agree(&db, ty, &format!("batch crash at op {j}"));
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn batch_crash_matrix(kind: StoreKind, tag: &str) {
-    let g = batch_golden(kind, &format!("{tag}-golden"));
-    let window = g.op_end - g.op_base;
+fn batch_crash_matrix(kind: StoreKind, b: &Batch, tag: &str) -> usize {
+    let golden = batch_golden(kind, b, &format!("{tag}-golden"));
+    let window = golden.0.op_end - golden.0.op_base;
     assert!(
         window >= 30,
         "batch workload must expose at least 30 crash points, got {window}"
     );
     let step = crash_sample();
     let mut tested = 0u64;
-    let mut j = g.op_base;
-    while j < g.op_end {
-        run_batch_crash_point(kind, &g, j, &format!("{tag}-p{j}"));
+    let mut j = golden.0.op_base;
+    while j < golden.0.op_end {
+        run_batch_crash_point(kind, b, &golden, j, &format!("{tag}-p{j}"));
         tested += 1;
         j += step;
     }
     eprintln!("batch crash matrix [{tag}]: {tested} crash points over {window} ops");
+    golden.1.iter().filter(|&&f| f).count()
 }
 
 #[test]
 fn batch_crash_matrix_split() {
-    batch_crash_matrix(StoreKind::Split, "batch-split");
+    batch_crash_matrix(StoreKind::Split, &BATCH, "batch-split");
 }
 
 #[test]
 fn batch_crash_matrix_chain() {
-    batch_crash_matrix(StoreKind::Chain, "batch-chain");
+    batch_crash_matrix(StoreKind::Chain, &BATCH, "batch-chain");
 }
 
 #[test]
 fn batch_crash_matrix_delta() {
-    batch_crash_matrix(StoreKind::Delta, "batch-delta");
+    batch_crash_matrix(StoreKind::Delta, &BATCH, "batch-delta");
+}
+
+// ---- pressure-flush crash matrix ----
+//
+// The batch matrix again, with rows wide enough to fill a heap page every
+// other commit behind a pool small enough that the no-steal pressure
+// guard flushes it at transaction boundaries. Under `OnCheckpoint` no
+// commit fsyncs the WAL, so each such flush puts pages on disk that are
+// *ahead* of the durable log: after a cut, the store files hold commits
+// the WAL no longer has.
+
+fn pressure_cfg(kind: StoreKind) -> DbConfig {
+    batch_cfg(kind).buffer_frames(16)
+}
+
+/// Transaction `k` of the pressure workload: one atom with a 3 KB note.
+fn run_wide_batch_txn(db: &Database, ty: AtomTypeId, k: usize) -> tcom_core::Result<TimePoint> {
+    let mut txn = db.begin();
+    txn.insert_atom(ty, Interval::all(), tup(3000 + k as i64, &"w".repeat(3000)))?;
+    txn.commit()
+}
+
+const PRESSURE: Batch = Batch {
+    cfg: pressure_cfg,
+    txn: run_wide_batch_txn,
+};
+
+fn pressure_crash_matrix(kind: StoreKind, tag: &str) {
+    let flushes = batch_crash_matrix(kind, &PRESSURE, tag);
+    eprintln!("pressure crash matrix [{tag}]: {flushes} flushes in the window");
+    assert!(
+        flushes >= 2,
+        "the pressure guard must flush inside the window, flushed {flushes} times"
+    );
+}
+
+#[test]
+fn pressure_crash_matrix_split() {
+    pressure_crash_matrix(StoreKind::Split, "pressure-split");
+}
+
+#[test]
+fn pressure_crash_matrix_chain() {
+    pressure_crash_matrix(StoreKind::Chain, "pressure-chain");
+}
+
+#[test]
+fn pressure_crash_matrix_delta() {
+    pressure_crash_matrix(StoreKind::Delta, "pressure-delta");
+}
+
+/// The index-backed slice of `ty` must agree with per-atom walks at every
+/// transaction time, and at `FOREVER`: nothing rebuilds the time index
+/// after recovery, so replay must have kept it.
+fn assert_slices_agree(db: &Database, ty: AtomTypeId, what: &str) {
+    let tts = (0..=db.now().0 + 1).map(TimePoint);
+    for tt in tts.chain([TimePoint::FOREVER]) {
+        let mut sliced = Vec::new();
+        db.slice_at(ty, tt, &mut |no, vs| {
+            sliced.push((no, vs));
+            Ok(true)
+        })
+        .unwrap();
+        let mut walked = Vec::new();
+        for atom in db.all_atoms(ty).unwrap() {
+            let vs = db.versions_at(atom, tt).unwrap();
+            if !vs.is_empty() {
+                walked.push((atom.no, vs));
+            }
+        }
+        assert_eq!(
+            sliced, walked,
+            "{what}: the slice at tt {tt} disagrees with the walks"
+        );
+    }
+}
+
+// ---- prune crash matrix ----
+//
+// `prune_history` rewrites heap pages outside the commit path, then
+// checkpoints: the checkpoint's flush lands the pruned pages while the
+// WAL still holds the commits those pages already contain. A cut at
+// every mutation op of the prune must recover exactly the pre-prune or
+// the post-prune history — never logged commits replayed over pruned
+// pages.
+
+fn prune_cfg(kind: StoreKind) -> DbConfig {
+    DbConfig::default()
+        .store_kind(kind)
+        .buffer_frames(128)
+        .sync_policy(SyncPolicy::OnCommit)
+        .checkpoint_interval(0)
+}
+
+/// One atom inserted and updated twice, a checkpoint, then three more
+/// updates: six versions, the last three logged past the checkpoint.
+fn prune_shape(db: &Database) -> (AtomTypeId, AtomId) {
+    let ty = setup(db);
+    let mut txn = db.begin();
+    let atom = txn.insert_atom(ty, Interval::all(), tup(0, "v0")).unwrap();
+    txn.commit().unwrap();
+    for k in 1..6 {
+        if k == 3 {
+            db.checkpoint().unwrap();
+        }
+        let mut txn = db.begin();
+        txn.update(atom, Interval::all(), tup(k, &format!("v{k}")))
+            .unwrap();
+        txn.commit().unwrap();
+    }
+    (ty, atom)
+}
+
+fn history(db: &Database, atom: AtomId) -> Vec<String> {
+    db.history(atom)
+        .unwrap()
+        .iter()
+        .map(|v| format!("vt={} tt={} tuple={:?}", v.vt, v.tt, v.tuple))
+        .collect()
+}
+
+fn prune_crash_matrix(kind: StoreKind, tag: &str) {
+    let dir = tmpdir(&format!("{tag}-golden"));
+    let vfs = FaultVfs::new();
+    let db = Database::open_with_vfs(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let (_, atom) = prune_shape(&db);
+    let pre = history(&db, atom);
+    let op_base = vfs.mut_ops();
+    assert_eq!(db.prune_history(db.now()).unwrap(), 5);
+    let op_end = vfs.mut_ops();
+    let post = history(&db, atom);
+    assert_eq!((pre.len(), post.len()), (6, 1));
+    db.crash();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let step = crash_sample();
+    let mut j = op_base;
+    while j < op_end {
+        let dir = tmpdir(&format!("{tag}-p{j}"));
+        let vfs = FaultVfs::new();
+        let db = Database::open_with_vfs(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
+        let (ty, atom) = prune_shape(&db);
+        assert_eq!(vfs.mut_ops(), op_base, "prune setup I/O deterministic");
+        vfs.power_cut_at(j);
+        assert!(
+            db.prune_history(db.now()).is_err(),
+            "cut at op {j} must surface through prune_history"
+        );
+        db.crash();
+        assert!(vfs.crashed(), "cut at op {j} inside the prune must fire");
+
+        vfs.reset_after_crash();
+        let db = reopen(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
+        let got = history(&db, atom);
+        assert!(
+            got == pre || got == post,
+            "prune crash at op {j}: recovered a history of {} versions, neither the \
+             pre-prune {} nor the post-prune {}\ngot:\n  {}",
+            got.len(),
+            pre.len(),
+            post.len(),
+            got.join("\n  ")
+        );
+        let report = db.verify_integrity().unwrap();
+        assert!(
+            report.is_ok(),
+            "prune crash at op {j}: integrity violations: {:?}",
+            report.violations
+        );
+        assert_slices_agree(&db, ty, &format!("prune crash at op {j}"));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        j += step;
+    }
+    eprintln!(
+        "prune crash matrix [{tag}]: a window of {} mutation ops",
+        op_end - op_base
+    );
+}
+
+#[test]
+fn prune_crash_matrix_chain() {
+    prune_crash_matrix(StoreKind::Chain, "prune-chain");
+}
+
+#[test]
+fn prune_crash_matrix_delta() {
+    prune_crash_matrix(StoreKind::Delta, "prune-delta");
+}
+
+#[test]
+fn prune_crash_matrix_split() {
+    prune_crash_matrix(StoreKind::Split, "prune-split");
+}
+
+// ---- recovery cost ----
+
+/// Pool fetches of a reopen that redoes 20 logged updates of three
+/// one-version atoms, beside one atom whose checkpointed history is
+/// `depth` versions deep.
+fn reopen_fetches(kind: StoreKind, depth: i64, tag: &str) -> u64 {
+    let dir = tmpdir(tag);
+    let cfg = prune_cfg(kind).buffer_frames(1024);
+    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new());
+    let db = Database::open_with_vfs(&dir, cfg, vfs.clone()).unwrap();
+    let ty = setup(&db);
+    let mut txn = db.begin();
+    let atoms: Vec<AtomId> = (0..4)
+        .map(|i| {
+            txn.insert_atom(ty, Interval::all(), tup(i, "flat"))
+                .unwrap()
+        })
+        .collect();
+    txn.commit().unwrap();
+    let update = |atom: AtomId, k: i64, note: &str| {
+        let mut txn = db.begin();
+        txn.update(atom, Interval::all(), tup(k, note)).unwrap();
+        txn.commit().unwrap();
+    };
+    for k in 1..depth {
+        update(atoms[0], k, "deep");
+    }
+    db.checkpoint().unwrap();
+    for k in 0..20 {
+        update(atoms[1 + k as usize % 3], 10_000 + k, "replayed");
+    }
+    db.crash();
+
+    let db = reopen(&dir, cfg, vfs).unwrap();
+    let fetches = db.buffer_stats().fetches;
+    assert_eq!(db.history(atoms[0]).unwrap().len() as i64, depth);
+    assert_eq!(db.now(), TimePoint(depth as u64 + 20));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    fetches
+}
+
+/// Recovery redoes the logged batches above the flush watermark and
+/// nothing else: it neither probes nor rebuilds the histories they do
+/// not touch, so what a reopen reads does not grow with their depth.
+#[test]
+fn recovery_cost_does_not_grow_with_history_depth() {
+    for kind in KINDS {
+        let shallow = reopen_fetches(kind, 8, &format!("depth8-{kind}"));
+        let deep = reopen_fetches(kind, 256, &format!("depth256-{kind}"));
+        eprintln!("reopen fetches [{kind}]: {shallow} at depth 8, {deep} at depth 256");
+        assert!(
+            shallow.abs_diff(deep) <= 4,
+            "{kind}: the reopen fetched {shallow} pages over a depth-8 history \
+             but {deep} over a depth-256 one"
+        );
+    }
+}
+
+/// A directory without a flush watermark opens only when its WAL holds
+/// nothing past the head checkpoint: otherwise its store files cannot say
+/// which logged commits they already hold, and the open fails naming the
+/// missing file rather than guess.
+#[test]
+fn directory_without_a_watermark_opens_only_with_a_clean_wal() {
+    let dir = tmpdir("no-watermark");
+    let cfg = cfg(StoreKind::Chain);
+    let db = Database::open(&dir, cfg).unwrap();
+    let ty = setup(&db);
+    let mut atoms = Vec::new();
+    run_txn(&db, ty, 0, &mut atoms).unwrap();
+    drop(db);
+    let _ = std::fs::remove_file(dir.join("flushed.tcm"));
+    let db = reopen(&dir, cfg, tcom_core::StdVfs::arc()).unwrap();
+    assert_eq!(db.all_atoms(ty).unwrap().len(), 3);
+    run_txn(&db, ty, 3, &mut atoms).unwrap();
+    db.crash();
+    let _ = std::fs::remove_file(dir.join("flushed.tcm"));
+    match reopen(&dir, cfg, tcom_core::StdVfs::arc()) {
+        Err(e @ Error::Corruption(_)) => assert!(e.to_string().contains("flushed.tcm"), "{e}"),
+        Err(e) => panic!("expected a corruption error naming flushed.tcm, got {e}"),
+        Ok(_) => panic!("opened a WAL with commits past its checkpoint without a watermark"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A transient write failure (no power cut) fails the in-flight commit but
@@ -457,7 +790,7 @@ fn transient_write_failure_fails_commit_cleanly() {
 
     // And the failed txn stays invisible across a clean reopen.
     drop(db);
-    let db = Database::open_with_vfs(&dir, cfg(StoreKind::Split), Arc::new(vfs.clone())).unwrap();
+    let db = reopen(&dir, cfg(StoreKind::Split), Arc::new(vfs.clone())).unwrap();
     let t = db.current_tuple(atom, TimePoint(5)).unwrap().unwrap();
     assert_eq!(t.values()[0], Value::Int(777));
     assert!(db.verify_integrity().unwrap().is_ok());

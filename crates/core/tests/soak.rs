@@ -23,6 +23,7 @@
 //! cuts striking while the background compactor archives history.
 
 mod mixed_workload;
+mod reopen;
 
 use mixed_workload::{run_soak, verify_soak, SoakConfig, SCENARIOS};
 use tcom_core::StoreKind;

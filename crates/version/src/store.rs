@@ -476,7 +476,7 @@ impl Store {
 
     /// Closes the transaction time of the current version whose valid time
     /// starts at `vt_start`. Returns `false` when no such current version
-    /// exists (idempotent-redo friendly).
+    /// exists.
     pub fn close_version(
         &self,
         no: AtomNo,
@@ -789,29 +789,6 @@ impl Store {
             Ok(true)
         })?;
         Ok(out)
-    }
-
-    /// Drops and rebuilds the transaction-time interval index from the
-    /// store's heaps (recovery / consistency repair).
-    pub fn rebuild_time_index(&self) -> Result<()> {
-        self.tix.clear()?;
-        if let Some(cur) = &self.cur {
-            for no in self.atoms()? {
-                if let Some((_, set)) = cur.load(no)? {
-                    for (_, tt_start, _) in &set.entries {
-                        self.tix.insert(true, *tt_start, no.0, no.0)?;
-                    }
-                }
-            }
-        }
-        self.heap.scan(|rid, bytes| {
-            let rec = VersionRecord::decode(bytes)?;
-            self.index_record(rid, rec.atom_no, &rec.tt)?;
-            Ok(true)
-        })?;
-        // `clear` deletes lazily and the re-inserts land back in the old
-        // sparse node structure; repack so the rebuilt index scans dense.
-        self.tix.compact()
     }
 
     // ---- statistics ----

@@ -24,12 +24,12 @@
 //! maintained transactionally by `insert_version` / `close_version` /
 //! `extract_closed`; because the engine's buffer pool is no-steal and flushes
 //! through the double-write journal, heap and index pages always reach
-//! disk as one consistent snapshot, and recovery additionally rebuilds
-//! the index from the heaps after any WAL replay.
+//! disk as one consistent snapshot; recovery redoes later commits through
+//! the same primitives, so nothing ever rebuilds the index.
 
 use tcom_kernel::{Result, TimePoint};
 use tcom_storage::btree::BTree;
-use tcom_storage::keys::{decode_tt_start, encode_tt_key, tt_scan_bounds, BKey};
+use tcom_storage::keys::{decode_tt_start, encode_tt_key, tt_scan_bounds};
 
 /// One entry surfaced by a [`TimeIndex`] scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,8 +66,7 @@ impl TimeIndex {
         Ok(())
     }
 
-    /// Removes an entry; missing keys are ignored (idempotent-redo
-    /// friendly, like the stores' own primitives).
+    /// Removes an entry; missing keys are ignored.
     pub(crate) fn remove(&self, open: bool, tt_start: TimePoint, lo: u64) -> Result<()> {
         self.tree.remove(encode_tt_key(open, tt_start, lo))?;
         Ok(())
@@ -103,21 +102,6 @@ impl TimeIndex {
                 payload: v,
             })
         })
-    }
-
-    /// Deletes every entry (the first half of a rebuild — the tree file
-    /// cannot be reformatted in place, so the keys are removed one by one;
-    /// lazy deletion makes this cheap).
-    pub(crate) fn clear(&self) -> Result<()> {
-        let mut keys = Vec::new();
-        self.tree.scan_range(BKey::MIN, BKey::MAX, |k, _| {
-            keys.push(k);
-            Ok(true)
-        })?;
-        for k in keys {
-            self.tree.remove(k)?;
-        }
-        Ok(())
     }
 
     /// Repacks the index into dense B⁺-tree nodes. Deletion is lazy, so
@@ -181,23 +165,6 @@ mod tests {
         ix.close(TimePoint(3), 11, 42, 8).unwrap();
         assert_eq!(collect(&ix, true, u64::MAX), vec![]);
         assert_eq!(collect(&ix, false, u64::MAX), vec![(3, 42, 8)]);
-        let _ = std::fs::remove_file(p);
-    }
-
-    #[test]
-    fn clear_empties_the_index() {
-        let (ix, p) = index("clear");
-        for t in 0..50u64 {
-            ix.insert(t % 2 == 0, TimePoint(t), t, t).unwrap();
-        }
-        assert_eq!(ix.len().unwrap(), 50);
-        ix.clear().unwrap();
-        assert_eq!(ix.len().unwrap(), 0);
-        assert_eq!(collect(&ix, true, u64::MAX), vec![]);
-        assert_eq!(collect(&ix, false, u64::MAX), vec![]);
-        // Reusable after a clear (rebuild path).
-        ix.insert(false, TimePoint(1), 2, 3).unwrap();
-        assert_eq!(collect(&ix, false, u64::MAX), vec![(1, 2, 3)]);
         let _ = std::fs::remove_file(p);
     }
 

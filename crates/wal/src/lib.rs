@@ -6,18 +6,18 @@
 //! transaction's mutation primitives (`InsertVersion`, `CloseVersion`) are
 //! appended to the log before its commit record. No undo is ever needed
 //! because the engine's buffer pool is no-steal: dirty pages reach disk
-//! only through checkpoint flushes behind a double-write journal, so the
-//! data files always hold a transaction-consistent snapshot. Recovery
-//! replays the primitives of committed transactions in log order on top of
-//! it, and replay is **idempotent** at the engine level: an insert is
-//! skipped when its `(atom, vt, tt_start, tuple)` version is already
-//! stored, and a close is applied only when the current version it names
-//! predates the closing transaction (a same-`vt` version that transaction
-//! itself created is left open).
+//! only through flushes behind a double-write journal, so the data files
+//! always hold a transaction-consistent snapshot — and every flush
+//! journals, beside the pages, a *watermark*: the transaction time of the
+//! last commit that snapshot holds. Recovery makes one pass over the log,
+//! groups records `Begin … Commit`, skips every batch at or below the
+//! watermark and redoes each later one, in log order, exactly once; a
+//! batch whose commit record never became durable is dropped. Replay is
+//! not idempotent and need not be: the watermark says where to start.
 //!
 //! Checkpointing truncates the log after flushing and fsyncing all data
 //! files; the checkpoint record carries the engine clock and per-type atom
-//! counters so they survive without a separate metadata file.
+//! counters, as the watermark does.
 //!
 //! Format: a sequence of `[len: u32][crc32c: u32][payload]` frames. A
 //! torn final frame (crash mid-append) fails its CRC or length check and

@@ -1,20 +1,12 @@
-//! The catalog: the registry of atom types and molecule types, with
-//! durable persistence.
-//!
-//! Persistence uses the kernel binary codec in a single versioned,
-//! CRC-protected file written atomically (temp file + rename + fsync).
-//! DDL is rare, so full rewrites are the right trade-off.
+//! The catalog: the registry of atom types and molecule types, and its
+//! binary image ([`Catalog::encode`], [`Catalog::decode`]). The engine
+//! stores the image in its control file; the catalog does no I/O.
 
 use crate::molecule::{MoleculeEdge, MoleculeTypeDef};
 use crate::schema::{AtomTypeDef, AttrDef};
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::Path;
-use tcom_kernel::codec::{crc32c, Decoder, Encoder};
+use tcom_kernel::codec::{Decoder, Encoder};
 use tcom_kernel::{AtomTypeId, AttrId, DataType, Error, MoleculeTypeId, Result};
-
-const CATALOG_MAGIC: u32 = 0x5443_4341; // "TCCA"
-const CATALOG_VERSION: u8 = 1;
 
 /// The schema registry.
 #[derive(Default, Clone)]
@@ -163,9 +155,10 @@ impl Catalog {
         &self.molecule_types
     }
 
-    // ---- persistence ----
+    // ---- image ----
 
-    fn encode(&self) -> Vec<u8> {
+    /// The catalog's binary image.
+    pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(1024);
         e.put_u64(self.atom_types.len() as u64);
         for t in &self.atom_types {
@@ -199,13 +192,20 @@ impl Catalog {
         e.finish()
     }
 
-    fn decode(body: &[u8]) -> Result<Catalog> {
+    /// Rebuilds a catalog from its [`Catalog::encode`] image, revalidating
+    /// every definition. A damaged or hostile image is an `Err`.
+    pub fn decode(body: &[u8]) -> Result<Catalog> {
         let mut d = Decoder::new(body);
         let mut cat = Catalog::new();
         let n_types = d.get_u64()? as usize;
         for _ in 0..n_types {
             let name = d.get_str()?.to_owned();
             let n_attrs = d.get_u64()? as usize;
+            if n_attrs > d.remaining() {
+                return Err(Error::corruption(
+                    "attribute count exceeds the catalog image",
+                ));
+            }
             let mut attrs = Vec::with_capacity(n_attrs);
             for _ in 0..n_attrs {
                 let aname = d.get_str()?.to_owned();
@@ -226,6 +226,9 @@ impl Catalog {
             let name = d.get_str()?.to_owned();
             let root = AtomTypeId(d.get_u64()? as u32);
             let n_edges = d.get_u64()? as usize;
+            if n_edges > d.remaining() {
+                return Err(Error::corruption("edge count exceeds the catalog image"));
+            }
             let mut edges = Vec::with_capacity(n_edges);
             for _ in 0..n_edges {
                 edges.push(MoleculeEdge {
@@ -242,57 +245,9 @@ impl Catalog {
             cat.define_molecule_type(name, root, edges, max_depth)?;
         }
         if !d.is_exhausted() {
-            return Err(Error::corruption("trailing bytes in catalog file"));
+            return Err(Error::corruption("trailing bytes in the catalog image"));
         }
         Ok(cat)
-    }
-
-    /// Writes the catalog atomically to `path`.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let body = self.encode();
-        let mut out = Vec::with_capacity(body.len() + 16);
-        out.extend_from_slice(&CATALOG_MAGIC.to_le_bytes());
-        out.push(CATALOG_VERSION);
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32c(&body).to_le_bytes());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads a catalog previously written by [`Catalog::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Catalog> {
-        let data = std::fs::read(path.as_ref())?;
-        if data.len() < 17 {
-            return Err(Error::corruption("catalog file truncated"));
-        }
-        let magic = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
-        if magic != CATALOG_MAGIC {
-            return Err(Error::corruption("bad catalog magic"));
-        }
-        if data[4] != CATALOG_VERSION {
-            return Err(Error::corruption(format!(
-                "unsupported catalog version {}",
-                data[4]
-            )));
-        }
-        let len = u64::from_le_bytes(data[5..13].try_into().expect("8 bytes")) as usize;
-        if data.len() != 13 + len + 4 {
-            return Err(Error::corruption("catalog length mismatch"));
-        }
-        let body = &data[13..13 + len];
-        let stored = u32::from_le_bytes(data[13 + len..].try_into().expect("4 bytes"));
-        if stored != crc32c(body) {
-            return Err(Error::corruption("catalog checksum mismatch"));
-        }
-        Catalog::decode(body)
     }
 }
 
@@ -474,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
+    fn encode_decode_roundtrip() {
         let mut c = university();
         let org = c.atom_type_by_name("org").unwrap().id;
         let emp = c.atom_type_by_name("emp").unwrap().id;
@@ -497,28 +452,42 @@ mod tests {
             Some(5),
         )
         .unwrap();
-
-        let path = std::env::temp_dir().join(format!("tcom-cat-{}.bin", std::process::id()));
-        c.save(&path).unwrap();
-        let back = Catalog::load(&path).unwrap();
+        let back = Catalog::decode(&c.encode()).unwrap();
         assert_eq!(back.atom_types(), c.atom_types());
         assert_eq!(back.molecule_types(), c.molecule_types());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn load_rejects_corruption() {
-        let path = std::env::temp_dir().join(format!("tcom-cat-bad-{}.bin", std::process::id()));
-        let c = university();
-        c.save(&path).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xFF;
-        std::fs::write(&path, &data).unwrap();
-        assert!(Catalog::load(&path).is_err());
-        // Truncation
-        std::fs::write(&path, [1, 2, 3]).unwrap();
-        assert!(Catalog::load(&path).is_err());
-        let _ = std::fs::remove_file(&path);
+    fn decode_rejects_truncation_and_trailing_bytes() {
+        let image = university().encode();
+        for len in 0..image.len() {
+            assert!(
+                Catalog::decode(&image[..len]).is_err(),
+                "truncation to {len}"
+            );
+        }
+        let mut longer = image.clone();
+        longer.push(0);
+        assert!(Catalog::decode(&longer).is_err());
+    }
+
+    /// Hostile attribute and edge counts are errors, not huge allocations.
+    #[test]
+    fn decode_rejects_hostile_counts() {
+        let mut e = Encoder::new();
+        e.put_u64(1);
+        e.put_str("t");
+        e.put_u64(u64::MAX);
+        assert!(Catalog::decode(&e.finish()).is_err());
+
+        let mut e = Encoder::new();
+        e.put_u64(1);
+        e.put_str("t");
+        e.put_u64(0);
+        e.put_u64(1);
+        e.put_str("m");
+        e.put_u64(0);
+        e.put_u64(u64::MAX);
+        assert!(Catalog::decode(&e.finish()).is_err());
     }
 }

@@ -4,14 +4,18 @@
 //! A database is a directory:
 //!
 //! ```text
-//! <dir>/db.meta            persisted creation options (store kind)
-//! <dir>/catalog.tcat       the schema (atomic rewrite on DDL)
+//! <dir>/control.tcm        store kind, catalog, live segments, flush watermark
 //! <dir>/wal.log            redo-only write-ahead log
 //! <dir>/ckpt.jrnl          double-write journal of the page flush in flight
-//! <dir>/flushed.tcm        flush watermark: which commits the files hold
 //! <dir>/t<ty>_*.tcm        per-type store files (layout depends on kind)
 //! <dir>/t<ty>_idx<a>.tcm   value indexes over indexed attributes
+//! <dir>/t<ty>_seg<n>.tcm   immutable segments of archived history
+//! <dir>/repl.pos           a replica's resume position (replicas only)
 //! ```
+//!
+//! The control file is written only through the checkpoint journal, beside
+//! the dirty pages of every flush, DDL included ([`crate::control`]): it
+//! always describes exactly the store files on disk.
 //!
 //! Concurrency model (DESIGN.md §10). Three mechanisms compose:
 //!
@@ -41,7 +45,9 @@
 
 mod maint;
 
+use self::maint::Quiesced;
 use crate::config::DbConfig;
+use crate::control::{Control, ControlFile, CONTROL_FILE};
 use crate::journal;
 use crate::stripes::{StripeLocks, COMMIT_STRIPES};
 use crate::txn::Txn;
@@ -52,8 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcom_catalog::{AttrDef, Catalog, MoleculeEdge};
 use tcom_kernel::{
-    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, PageId, Result, TimePoint,
-    Tuple,
+    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, Result, TimePoint, Tuple,
 };
 use tcom_obs::{Counter, MetricsSnapshot, Registry};
 use tcom_storage::btree::BTree;
@@ -62,7 +67,7 @@ use tcom_storage::disk::DiskManager;
 use tcom_storage::keys::{encode_value, BKey};
 use tcom_storage::vfs::{StdVfs, Vfs};
 use tcom_version::record::AtomVersion;
-use tcom_version::{Store, StoreKind};
+use tcom_version::Store;
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
 /// A pinned snapshot for reads: the published transaction-time clock at
@@ -107,11 +112,11 @@ pub struct Database {
     stores: RwLock<HashMap<u32, Arc<Store>>>,
     indexes: RwLock<HashMap<(u32, u16), Arc<BTree>>>,
     wal: Wal,
-    /// The flush watermark's one-page file ([`journal::WATERMARK_FILE`]).
-    /// Written beside the pool, never cached in it, so it takes no frame
-    /// from the pages statements read: every flush journals a fresh image
-    /// and writes it in place, and only recovery reads it.
-    watermark: DiskManager,
+    /// The control file ([`CONTROL_FILE`]). Written beside the pool, never
+    /// cached in it, so it takes no frame from the pages statements read:
+    /// a flush journals a fresh image and writes it in place, and only
+    /// `open` reads it.
+    control: Mutex<ControlFile>,
     /// Transaction-time *allocation* clock: the last tt handed to a
     /// committing transaction (drawn under `wal_order`).
     clock: AtomicU64,
@@ -165,17 +170,19 @@ pub struct Database {
 
 impl Database {
     /// Opens a database directory, creating it if missing. Runs crash
-    /// recovery (WAL replay) when the log holds work past the last
-    /// checkpoint.
+    /// recovery (WAL redo) when the log holds work past the flush
+    /// watermark.
     pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> Result<Database> {
         Database::open_with_vfs(dir, config, StdVfs::arc())
     }
 
-    /// Like [`Database::open`] but with an explicit [`Vfs`] for all store,
-    /// WAL and journal I/O. The database directory itself plus the two
-    /// DDL-time artifacts (`db.meta`, `catalog.tcat`) stay on the real file
-    /// system: they change only on create/DDL, outside the fault domain the
-    /// crash harness probes.
+    /// Like [`Database::open`] but with an explicit [`Vfs`] for every file
+    /// of the directory (only the directory itself is made on the real
+    /// file system). The open applies a complete checkpoint journal, reads
+    /// the control file, opens the stores, indexes and segments it names,
+    /// and redoes the WAL above its clock in one pass. A directory with an
+    /// earlier version's `db.meta` or `catalog.tcat` and no control file
+    /// fails with a `Corruption`.
     pub fn open_with_vfs(
         dir: impl AsRef<Path>,
         config: DbConfig,
@@ -184,30 +191,9 @@ impl Database {
         let dir = dir.as_ref().to_owned();
         std::fs::create_dir_all(&dir)?;
 
-        // Persisted creation options.
-        let meta_path = dir.join("db.meta");
-        let config = if meta_path.exists() {
-            let text = std::fs::read_to_string(&meta_path)?;
-            let stored_kind = parse_meta(&text)?;
-            if stored_kind != config.store_kind {
-                // The on-disk layout wins; the caller's runtime knobs stay.
-                DbConfig {
-                    store_kind: stored_kind,
-                    ..config
-                }
-            } else {
-                config
-            }
-        } else {
-            std::fs::write(
-                &meta_path,
-                format!("tcom v1\nstore_kind={}\n", config.store_kind),
-            )?;
-            config
-        };
-
         // A complete checkpoint journal means a crash hit the in-place
-        // flush window; re-apply it before anything reads the store files.
+        // flush window; re-apply it before anything reads the files it
+        // covers, the control file among them.
         let journal_path = dir.join("ckpt.jrnl");
         if let Some(entries) = journal::read_journal(vfs.as_ref(), &journal_path)? {
             journal::apply_journal(vfs.as_ref(), &dir, &journal_path, &entries)?;
@@ -215,29 +201,44 @@ impl Database {
             journal::truncate_journal(vfs.as_ref(), &journal_path)?;
         }
 
+        let (control_file, control) = ControlFile::open(vfs.as_ref(), &dir)?;
+        let controlled = control.is_some();
+        for legacy in ["db.meta", "catalog.tcat"] {
+            if !controlled && vfs.exists(&dir.join(legacy)) {
+                return Err(Error::corruption(format!(
+                    "{} holds {legacy} but no {CONTROL_FILE}: an earlier version wrote it",
+                    dir.display()
+                )));
+            }
+        }
+        let control = control.unwrap_or_else(|| Control {
+            kind: config.store_kind,
+            published: TimePoint(0),
+            next_atom_nos: Vec::new(),
+            segments: Vec::new(),
+            catalog: Catalog::new(),
+        });
+        // The on-disk layout wins; the caller's runtime knobs stay.
+        let config = DbConfig {
+            store_kind: control.kind,
+            ..config
+        };
+
         // No-steal: dirty pages reach disk only via journal-protected
         // flushes, keeping the on-disk state a consistent snapshot.
         let pool = BufferPool::new_no_steal(config.buffer_frames);
         let wal = Wal::open_with(vfs.as_ref(), dir.join("wal.log"), config.sync_policy)?;
-        let watermark = DiskManager::open_with(vfs.as_ref(), dir.join(journal::WATERMARK_FILE))?;
-
-        let catalog_path = dir.join("catalog.tcat");
-        let catalog = if catalog_path.exists() {
-            Catalog::load(&catalog_path)?
-        } else {
-            Catalog::new()
-        };
 
         let db = Database {
             dir,
             config,
             vfs,
             pool,
-            catalog: RwLock::new(catalog),
+            catalog: RwLock::new(control.catalog),
             stores: RwLock::new(HashMap::new()),
             indexes: RwLock::new(HashMap::new()),
             wal,
-            watermark,
+            control: Mutex::new(control_file),
             clock: AtomicU64::new(0),
             published: AtomicU64::new(0),
             publish_mx: Mutex::new(()),
@@ -259,8 +260,10 @@ impl Database {
             compactions: Counter::new(),
         };
         db.register_engine_metrics();
+        db.restore_counters(control.published, &control.next_atom_nos);
 
-        // Open stores and indexes for every cataloged type.
+        // Open stores and indexes for every cataloged type, then the
+        // segments the control file lists.
         {
             let catalog = db.catalog.read();
             for t in catalog.atom_types() {
@@ -274,11 +277,10 @@ impl Database {
                 }
             }
         }
-
-        // Segments must be live before WAL replay: a swap's redo drops the
-        // heap copies of the versions they hold.
-        db.load_segments()?;
-        db.recover()?;
+        for &(ty, seg) in &control.segments {
+            db.add_segment(&*db.store(AtomTypeId(ty))?, ty, seg)?;
+        }
+        db.recover(controlled)?;
         Ok(db)
     }
 
@@ -617,13 +619,16 @@ impl Database {
 
     // ---- file plumbing ----
 
-    fn register(&self, name: String, must_exist: bool) -> Result<(FileId, bool)> {
+    /// Registers the file `name` with the pool. Unless it is `fresh` (about
+    /// to be formatted), it must hold pages already: every file that a
+    /// flushed control state names was flushed with it, so a missing or
+    /// empty one is damage, reported naming `owner` and the file.
+    fn register(&self, name: String, fresh: bool, owner: &str) -> Result<FileId> {
         let path = self.dir.join(&name);
-        let existed = self.vfs.exists(&path) && self.vfs.open(&path)?.len()? > 0;
-        if must_exist && !existed {
+        let holds_pages = self.vfs.exists(&path) && self.vfs.open(&path)?.len()? > 0;
+        if !fresh && !holds_pages {
             return Err(Error::corruption(format!(
-                "missing store file {}",
-                path.display()
+                "{owner}: file {name} is missing or empty"
             )));
         }
         let dm = Arc::new(DiskManager::open_with(self.vfs.as_ref(), &path)?);
@@ -632,33 +637,20 @@ impl Database {
         let mut names = self.file_names.lock();
         debug_assert_eq!(names.len(), id.0 as usize);
         names.push(name);
-        Ok((id, existed))
+        Ok(id)
     }
 
-    /// Opens (or, when `fresh` or nothing is there yet, formats) the store
-    /// of one atom type over the files its layout names. A cataloged type
-    /// whose files are all empty is the crash window between the catalog
-    /// save and the first page flush of `define_atom_type`; a *mix* of
-    /// empty and non-empty files is damage no flush order produces.
+    /// Opens (or, when `fresh`, formats) the store of one atom type over
+    /// the files its layout names.
     fn open_or_create_store(&self, ty: AtomTypeId, fresh: bool) -> Result<Arc<Store>> {
         let kind = self.config.store_kind;
-        let (mut files, mut empty) = (Vec::new(), Vec::new());
-        for suffix in kind.file_suffixes() {
-            let name = format!("t{}_{suffix}.tcm", ty.0);
-            let (file, existed) = self.register(name.clone(), false)?;
-            files.push(file);
-            if !existed {
-                empty.push(name);
-            }
-        }
-        let create = fresh || empty.len() == files.len();
-        if let (false, Some(name)) = (create, empty.first()) {
-            return Err(Error::corruption(format!(
-                "atom type #{}: store file {name} is missing or empty beside its companions",
-                ty.0
-            )));
-        }
-        let store = Store::open(kind, self.pool.clone(), &files, create)?;
+        let owner = format!("atom type #{}", ty.0);
+        let files = kind
+            .file_suffixes()
+            .iter()
+            .map(|suffix| self.register(format!("t{}_{suffix}.tcm", ty.0), fresh, &owner))
+            .collect::<Result<Vec<FileId>>>()?;
+        let store = Store::open(kind, self.pool.clone(), &files, fresh)?;
         self.register_store_obs(&store);
         Ok(Arc::new(store))
     }
@@ -673,28 +665,27 @@ impl Database {
         if fresh {
             let _ = self.vfs.remove(&self.dir.join(&name));
         }
-        let (file, existed) = self.register(name, false)?;
-        Ok(Arc::new(if existed && !fresh {
-            BTree::open(self.pool.clone(), file)?
-        } else {
+        let file = self.register(name, fresh, &format!("atom type #{}", ty.0))?;
+        Ok(Arc::new(if fresh {
             BTree::create(self.pool.clone(), file)?
+        } else {
+            BTree::open(self.pool.clone(), file)?
         }))
     }
 
     // ---- DDL ----
 
-    /// Defines a new atom type (with its storage and index files) and
-    /// persists the catalog. DDL is auto-committed and flushed.
+    /// Defines a new atom type with its store and index files. DDL is a
+    /// journaled flush: the catalog change and the new type's formatted
+    /// pages are made in the schema scope, where no other flush can land,
+    /// and reach disk together in the flush that ends it.
     pub fn define_atom_type(
         &self,
         name: impl Into<String>,
         attrs: Vec<AttrDef>,
     ) -> Result<AtomTypeId> {
-        let _m = self.maint.lock();
-        let id = {
-            let mut catalog = self.catalog.write();
-            catalog.define_atom_type(name, attrs)?
-        };
+        let quiesced = Quiesced::schema(self);
+        let id = self.catalog.write().define_atom_type(name, attrs)?;
         let store = self.open_or_create_store(id, true)?;
         self.stores.write().insert(id.0, store);
         {
@@ -707,13 +698,11 @@ impl Database {
                 }
             }
         }
-        self.catalog.read().save(self.dir.join("catalog.tcat"))?;
-        // New (empty) files must survive a crash without WAL coverage.
-        self.sync_pages()?;
+        self.flush_dirty(&quiesced)?;
         Ok(id)
     }
 
-    /// Defines a molecule type and persists the catalog.
+    /// Defines a molecule type; like every DDL, a journaled flush.
     pub fn define_molecule_type(
         &self,
         name: impl Into<String>,
@@ -721,12 +710,12 @@ impl Database {
         edges: Vec<MoleculeEdge>,
         max_depth: Option<u32>,
     ) -> Result<MoleculeTypeId> {
-        let _m = self.maint.lock();
-        let id = {
-            let mut catalog = self.catalog.write();
-            catalog.define_molecule_type(name, root, edges, max_depth)?
-        };
-        self.catalog.read().save(self.dir.join("catalog.tcat"))?;
+        let quiesced = Quiesced::schema(self);
+        let id = self
+            .catalog
+            .write()
+            .define_molecule_type(name, root, edges, max_depth)?;
+        self.flush_dirty(&quiesced)?;
         Ok(id)
     }
 
@@ -1011,32 +1000,26 @@ impl Database {
 
     // ---- recovery ----
 
-    /// Crash recovery: redoes the logged commits the store files do not
-    /// hold yet, in one WAL pass, then checkpoints. The flush watermark
+    /// Crash recovery: redoes the logged work the store files do not hold
+    /// yet, in one WAL pass, then checkpoints. The control file's clock
     /// says how far the files reach; each committed batch above it goes
     /// through [`Database::replay_commit`], the replica's routine, and
     /// batches at or below it are skipped unread. A batch whose `Commit`
-    /// never became durable is dropped; a segment swap's heap extraction
+    /// never became durable is dropped. A segment swap adopts its segment
+    /// when the control file does not list it yet, and its heap extraction
     /// is redone (it finds nothing when the files already hold it).
-    fn recover(&self) -> Result<()> {
+    /// `controlled` says whether the directory had a control file.
+    fn recover(&self, controlled: bool) -> Result<()> {
         let _span = self.obs.span("db.recover");
-        let mark = match self.watermark.page_count() {
-            0 => None,
-            _ => Some(journal::read_watermark(
-                &self.watermark.read_page(PageId(0))?,
-            )?),
-        };
-        if let Some((published, next_atom_nos)) = &mark {
-            self.restore_counters(*published, next_atom_nos);
-        }
         let mut batch: Vec<LogRecord> = Vec::new();
         let mut cursor = self.wal.read_from(Lsn(0))?;
         while let Some((lsn, rec)) = cursor.next_record()? {
-            if mark.is_none() && !(lsn == Lsn(0) && matches!(rec, LogRecord::Checkpoint { .. })) {
+            let head = lsn == Lsn(0) && matches!(rec, LogRecord::Checkpoint { .. });
+            if !controlled && !head {
                 return Err(Error::corruption(format!(
-                    "{} holds no flush watermark, but the WAL holds records past its head \
-                     checkpoint: the store files cannot say which of them they contain",
-                    self.dir.join(journal::WATERMARK_FILE).display()
+                    "{} is missing, but the WAL holds records past its head checkpoint: \
+                     without it the store files cannot say which of them they contain",
+                    self.dir.join(CONTROL_FILE).display()
                 )));
             }
             match rec {
@@ -1057,21 +1040,27 @@ impl Database {
                     }
                     batch.clear();
                 }
-                LogRecord::SegmentSwap { ty, cutoff, .. } => {
-                    // The segment is live already (`load_segments`); no
-                    // index work — the swap moves versions without changing
-                    // the type's logical content, and the extraction keeps
-                    // (and repacks) the store's own time index.
-                    self.store(AtomTypeId(ty))?.extract_all_closed(cutoff)?;
+                LogRecord::SegmentSwap { ty, seg, cutoff } => {
+                    // No index work: the swap moves versions without
+                    // changing the type's logical content, and the
+                    // extraction keeps (and repacks) the store's own time
+                    // index.
+                    let store = self.store(AtomTypeId(ty))?;
+                    if !store.segments().list().iter().any(|s| s.seg == seg) {
+                        self.add_segment(&store, ty, seg)?;
+                    }
+                    store.extract_all_closed(cutoff)?;
                 }
             }
         }
+        self.remove_compaction_leftovers()?;
         // Leave a clean state: everything applied, log truncated.
         self.checkpoint()
     }
 
     /// Raises the clocks to `published` and the atom-number allocators to
-    /// `next_atom_nos`, as a watermark or a checkpoint record recorded them.
+    /// `next_atom_nos`, as the control file or a checkpoint record recorded
+    /// them.
     fn restore_counters(&self, published: TimePoint, next_atom_nos: &[(u32, u64)]) {
         self.publish_replicated(published);
         for &(ty, no) in next_atom_nos {
@@ -1180,24 +1169,6 @@ impl Drop for Database {
             let _ = self.checkpoint();
         }
     }
-}
-
-fn parse_meta(text: &str) -> Result<StoreKind> {
-    for line in text.lines() {
-        if let Some(v) = line.strip_prefix("store_kind=") {
-            return Ok(match v.trim() {
-                "chain" => StoreKind::Chain,
-                "delta" => StoreKind::Delta,
-                "split" => StoreKind::Split,
-                other => {
-                    return Err(Error::corruption(format!(
-                        "unknown store kind '{other}' in db.meta"
-                    )))
-                }
-            });
-        }
-    }
-    Err(Error::corruption("db.meta missing store_kind"))
 }
 
 /// Converts store versions to the DML planner's view of current state.

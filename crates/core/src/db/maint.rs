@@ -1,21 +1,24 @@
 //! Maintenance: page flushes, checkpoints, history pruning and segment
-//! swaps, and [`Quiesced`], the one guard they quiesce through. Only the
-//! guard takes every stripe, drains commits or excludes appliers, always
-//! in the order `maint` → every stripe (as `MAINTENANCE_ID`) →
-//! `wal_order` → drain → `commit_lock`. Each of its three scopes is a
-//! suffix of that order (DESIGN §10.2), so no two maintenance operations
-//! wait on each other in a cycle. Readers are never excluded; a writer
-//! meeting the writers scope dies under wait-die and retries.
+//! swaps, and [`Quiesced`], the one guard they (and DDL) quiesce through.
+//! Only the guard takes every stripe, drains commits or excludes
+//! appliers, always in the order `maint` → every stripe (as
+//! `MAINTENANCE_ID`) → `wal_order` → drain → `commit_lock`. Each of its
+//! scopes takes a subsequence of that order (DESIGN §10.2), so no two
+//! maintenance operations wait on each other in a cycle. Readers are
+//! never excluded; a writer meeting the writers scope dies under wait-die
+//! and retries.
 
 use super::Database;
+use crate::control::{Control, CONTROL_FILE};
 use crate::journal::{self, JournalEntry};
 use crate::stripes::{StripeLocks, MAINTENANCE_ID};
 use parking_lot::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use tcom_kernel::{AtomTypeId, Error, Lsn, PageId, Result, TimePoint};
+use tcom_kernel::{AtomTypeId, PageId, Result, TimePoint};
+use tcom_storage::page::PAGE_SIZE;
 use tcom_version::record::AtomVersion;
-use tcom_version::{write_segment_file, Segment};
+use tcom_version::{write_segment_file, Segment, Store};
 use tcom_wal::LogRecord;
 
 /// Maintenance quiescence, held until dropped. Each scope takes its own
@@ -70,6 +73,17 @@ impl<'db> Quiesced<'db> {
         }
     }
 
+    /// The schema scope: `maint`, then the flush scope. DDL changes the
+    /// catalog and formats a new type's pages in it, so no flush can
+    /// capture the one without the other.
+    pub(crate) fn schema(db: &'db Database) -> Quiesced<'db> {
+        let maint = db.maint.lock();
+        Quiesced {
+            _maint: Some(maint),
+            ..Quiesced::flush(db)
+        }
+    }
+
     /// The flush scope: `commit_lock` exclusive, so appliers are excluded.
     pub(crate) fn flush(db: &'db Database) -> Quiesced<'db> {
         Quiesced {
@@ -93,11 +107,11 @@ impl Database {
 
     /// Crash-atomically flushes every dirty page: the images go to the
     /// double-write journal first, then in place, then the journal is
-    /// truncated. The same journal carries the flush watermark — the
-    /// published clock and the atom-number allocators — so the files on
-    /// disk always say which commits they hold. Does **not** touch the
-    /// WAL — safe at any transaction boundary. Runs in the flush scope, so
-    /// no torn multi-page store mutation reaches disk.
+    /// truncated. The same journal carries the control file — store kind,
+    /// catalog, live segments, published clock and atom-number allocators
+    /// — so the files on disk always say what they hold. Does **not**
+    /// touch the WAL — safe at any transaction boundary. Runs in the flush
+    /// scope, so no torn multi-page store mutation reaches disk.
     pub fn sync_pages(&self) -> Result<()> {
         self.flush_dirty(&Quiesced::flush(self))
     }
@@ -105,13 +119,14 @@ impl Database {
     /// [`Database::sync_pages`] body, under a guard that excludes appliers:
     /// no apply runs, and applies run in tt order, so the pool holds
     /// exactly the commits up to `published`.
-    fn flush_dirty(&self, _quiesced: &Quiesced<'_>) -> Result<()> {
+    pub(super) fn flush_dirty(&self, _quiesced: &Quiesced<'_>) -> Result<()> {
         let dirty = self.pool.dirty_pages();
-        // A directory without a watermark gets one even from a clean pool.
-        if dirty.is_empty() && self.watermark.page_count() > 0 {
+        let image = self.control_state().image();
+        let mut control = self.control.lock();
+        // A changed control state is written even from a clean pool.
+        if dirty.is_empty() && control.holds(&image) {
             return Ok(());
         }
-        let mut mark = journal::watermark_page(self.now(), self.next_atom_nos())?;
         let names = self.file_names.lock();
         let mut entries: Vec<JournalEntry> = dirty
             .into_iter()
@@ -122,26 +137,43 @@ impl Database {
             })
             .collect();
         drop(names);
-        entries.push(JournalEntry {
-            file_name: journal::WATERMARK_FILE.into(),
-            page: PageId(0),
-            image: Box::new(*mark.bytes()),
-        });
+        for (i, page) in image.chunks(PAGE_SIZE).enumerate() {
+            entries.push(JournalEntry {
+                file_name: CONTROL_FILE.into(),
+                page: PageId(i as u32),
+                image: Box::new(page.try_into().expect("whole pages")),
+            });
+        }
         let journal_path = self.dir.join("ckpt.jrnl");
         journal::write_journal(self.vfs.as_ref(), &journal_path, &entries)?;
         self.pool.flush_and_sync()?;
-        if self.watermark.page_count() == 0 {
-            self.watermark.allocate_page()?;
-        }
-        self.watermark.write_page(PageId(0), &mut mark)?;
-        self.watermark.sync()?;
+        control.write(image)?;
         journal::truncate_journal(self.vfs.as_ref(), &journal_path)?;
         Ok(())
     }
 
-    /// Per atom type, the next atom number to allocate.
+    /// The control state the pool holds: with appliers excluded, the
+    /// commits up to `published`, under the current catalog and segments.
+    fn control_state(&self) -> Control {
+        let mut segments: Vec<(u32, u64)> = Vec::new();
+        for (ty, store) in self.stores.read().iter() {
+            segments.extend(store.segments().list().iter().map(|s| (*ty, s.seg)));
+        }
+        segments.sort_unstable();
+        Control {
+            kind: self.config.store_kind,
+            published: self.now(),
+            next_atom_nos: self.next_atom_nos(),
+            segments,
+            catalog: self.catalog.read().clone(),
+        }
+    }
+
+    /// Per atom type, the next atom number to allocate, by type.
     fn next_atom_nos(&self) -> Vec<(u32, u64)> {
-        self.next_no.lock().iter().map(|(t, n)| (*t, *n)).collect()
+        let mut nos: Vec<(u32, u64)> = self.next_no.lock().iter().map(|(t, n)| (*t, *n)).collect();
+        nos.sort_unstable();
+        nos
     }
 
     /// The engine's buffer-pressure guard: with the no-steal policy, dirty
@@ -205,9 +237,10 @@ impl Database {
     /// atomically swapping the heap records for the segment in the writers
     /// scope. Crash-safe: the segment reaches its final name via temp +
     /// rename *before* the swap's WAL record — the record is the commit
-    /// point, and recovery either redoes the heap extraction from it or
-    /// discards the unreferenced file. Returns the number of versions
-    /// archived (0 when the type holds no closed history).
+    /// point, and recovery either adopts the segment and redoes the heap
+    /// extraction from it or discards the unreferenced file. The control
+    /// file lists the segment from the next flush on. Returns the number
+    /// of versions archived (0 when the type holds no closed history).
     pub fn compact_type(&self, ty: AtomTypeId) -> Result<u64> {
         let _span = self.obs.span("db.compact");
         let archived = {
@@ -229,9 +262,9 @@ impl Database {
             }
             let seg = store.segments().max_seg_no().map_or(0, |n| n + 1);
             let tmp = self.dir.join(segment_tmp_name(ty.0));
-            let name = segment_file_name(ty.0, seg);
             write_segment_file(self.vfs.as_ref(), &tmp, ty.0, seg, &entries)?;
-            self.vfs.rename(&tmp, &self.dir.join(&name))?;
+            self.vfs
+                .rename(&tmp, &self.dir.join(segment_file_name(ty.0, seg)))?;
             // Commit point. Unconditional fsync: unlike transaction
             // commits, a swap must never be half-durable under the lazy
             // sync policy — the extraction below mutates pages that may
@@ -244,14 +277,9 @@ impl Database {
             self.wal.sync()?;
             {
                 let _apply = self.begin_apply(&[ty.0]);
-                let (file, _) = self.register(name, true)?;
-                let segment = Segment::open(self.pool.clone(), file, ty.0, seg)?;
-                store.segments().add(Arc::new(segment));
+                self.add_segment(&store, ty.0, seg)?;
                 store.extract_all_closed(cutoff)?;
             }
-            // The manifest must cover the swap before the checkpoint
-            // below truncates its WAL record.
-            self.write_segment_manifest()?;
             self.compactions.inc();
             entries.len() as u64
         };
@@ -274,136 +302,33 @@ impl Database {
         Ok(total)
     }
 
-    /// Loads the live segment set at open: the manifest plus any
-    /// [`LogRecord::SegmentSwap`] records the WAL holds beyond it (a crash
-    /// between a swap's WAL commit point and its manifest rewrite leaves
-    /// the WAL as the only witness). Opens every live segment into its
-    /// store's set, rewrites the manifest when the WAL knew more, and
-    /// removes the leftovers of an interrupted compaction.
-    pub(super) fn load_segments(&self) -> Result<()> {
-        let mut live = self.read_segment_manifest()?;
-        let mut wal_extras = 0usize;
-        let mut cursor = self.wal.read_from(Lsn(0))?;
-        while let Some((_, rec)) = cursor.next_record()? {
-            if let LogRecord::SegmentSwap { ty, seg, .. } = rec {
-                if !live.contains(&(ty, seg)) {
-                    live.push((ty, seg));
-                    wal_extras += 1;
-                }
-            }
-        }
-        live.sort_unstable();
-        for &(ty, seg) in &live {
-            let store = self.stores.read().get(&ty).cloned().ok_or_else(|| {
-                Error::corruption(format!("segment manifest names unknown atom type #{ty}"))
-            })?;
-            let (file, _) = self.register(segment_file_name(ty, seg), true)?;
-            let segment = Segment::open(self.pool.clone(), file, ty, seg)?;
-            store.segments().add(Arc::new(segment));
-        }
-        if wal_extras > 0 {
-            self.write_segment_manifest()?;
-        }
-        // Leftover cleanup. The VFS has no readdir, so probe the
-        // deterministic names an interrupted compaction can leave: the
-        // manifest temp, the per-type segment temp, and the one segment
-        // number past the live maximum (a file renamed into place whose
-        // swap record never became durable is dead weight — recovery
-        // treats the swap as never having happened).
-        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
-        if self.vfs.exists(&tmp) {
-            self.vfs.remove(&tmp)?;
-        }
-        let type_ids: Vec<u32> =
-            self.with_catalog(|c| c.atom_types().iter().map(|t| t.id.0).collect());
-        for ty in type_ids {
-            // Earlier versions also kept a per-type change index here;
-            // nothing reads it, so a directory written by them sheds it.
-            for leftover in [segment_tmp_name(ty), format!("t{ty}_tix.tcm")] {
+    /// Opens segment `seg` of atom type `ty` into `store`'s set.
+    pub(super) fn add_segment(&self, store: &Store, ty: u32, seg: u64) -> Result<()> {
+        let file = self.register(segment_file_name(ty, seg), false, "segment list")?;
+        let segment = Segment::open(self.pool.clone(), file, ty, seg)?;
+        store.segments().add(Arc::new(segment));
+        Ok(())
+    }
+
+    /// Removes what an interrupted compaction can leave, once recovery
+    /// has adopted every segment whose swap became durable. The VFS has no
+    /// readdir, so this probes the deterministic names: a type's segment
+    /// temp, and the one segment number past its live maximum (a file
+    /// renamed into place whose swap record never became durable is dead
+    /// weight: recovery treats the swap as never having happened).
+    pub(super) fn remove_compaction_leftovers(&self) -> Result<()> {
+        for (&ty, store) in self.stores.read().iter() {
+            let next = store.segments().max_seg_no().map_or(0, |n| n + 1);
+            for leftover in [segment_tmp_name(ty), segment_file_name(ty, next)] {
                 let path = self.dir.join(leftover);
                 if self.vfs.exists(&path) {
                     self.vfs.remove(&path)?;
                 }
             }
-            let next = live
-                .iter()
-                .filter(|(t, _)| *t == ty)
-                .map(|(_, s)| s + 1)
-                .max()
-                .unwrap_or(0);
-            let orphan = self.dir.join(segment_file_name(ty, next));
-            if self.vfs.exists(&orphan) {
-                self.vfs.remove(&orphan)?;
-            }
         }
-        Ok(())
-    }
-
-    /// Parses the segment manifest: `<type> <segment>` per line.
-    fn read_segment_manifest(&self) -> Result<Vec<(u32, u64)>> {
-        let path = self.dir.join(SEGMENT_MANIFEST);
-        if !self.vfs.exists(&path) {
-            return Ok(Vec::new());
-        }
-        let f = self.vfs.open(&path)?;
-        let mut buf = vec![0u8; f.len()? as usize];
-        f.read_at(&mut buf, 0)?;
-        let text = String::from_utf8(buf)
-            .map_err(|_| Error::corruption("segment manifest is not UTF-8"))?;
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let malformed =
-                || Error::corruption(format!("malformed segment manifest line '{line}'"));
-            let (ty, seg) = line.split_once(' ').ok_or_else(malformed)?;
-            let entry = (
-                ty.parse::<u32>().map_err(|_| malformed())?,
-                seg.parse::<u64>().map_err(|_| malformed())?,
-            );
-            if out.contains(&entry) {
-                return Err(Error::corruption(format!(
-                    "segment manifest lists segment {} of type #{} twice",
-                    entry.1, entry.0
-                )));
-            }
-            out.push(entry);
-        }
-        Ok(out)
-    }
-
-    /// Rewrites the segment manifest to the current live set, atomically
-    /// (temp + rename). The manifest is authoritative once the WAL's swap
-    /// records have been checkpoint-truncated.
-    fn write_segment_manifest(&self) -> Result<()> {
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        for (ty, store) in self.stores.read().iter() {
-            for seg in store.segments().list() {
-                entries.push((*ty, seg.seg));
-            }
-        }
-        entries.sort_unstable();
-        let mut text = String::from("# tcom live segments: <type> <segment>\n");
-        for (ty, seg) in entries {
-            text.push_str(&format!("{ty} {seg}\n"));
-        }
-        let tmp = self.dir.join(SEGMENT_MANIFEST_TMP);
-        let f = self.vfs.open(&tmp)?;
-        f.set_len(0)?;
-        f.write_at(text.as_bytes(), 0)?;
-        f.sync()?;
-        self.vfs.rename(&tmp, &self.dir.join(SEGMENT_MANIFEST))?;
         Ok(())
     }
 }
-
-/// The segment manifest: the durable list of live segment files. Rewritten
-/// atomically (via [`SEGMENT_MANIFEST_TMP`] + rename) after every swap.
-const SEGMENT_MANIFEST: &str = "segments.meta";
-/// Temp name the manifest is staged under before its rename.
-const SEGMENT_MANIFEST_TMP: &str = "segments.meta.tmp";
 
 /// Final name of segment `seg` of atom type `ty`.
 fn segment_file_name(ty: u32, seg: u64) -> String {

@@ -1,4 +1,4 @@
-//! The checkpoint double-write journal, and the flush watermark it carries.
+//! The checkpoint double-write journal.
 //!
 //! With the no-steal buffer policy, on-disk store files change only during
 //! a flush. A crash *during* the flush would otherwise tear the snapshot
@@ -16,19 +16,16 @@
 //! in-place write never started, so it is simply discarded. Either way the
 //! store files are a consistent transaction-boundary snapshot afterwards.
 //!
-//! Every flush journals one more page beside the dirty ones: the
-//! watermark in [`WATERMARK_FILE`], saying which snapshot that is.
-//! Flushes exclude appliers and commits apply in transaction-time order,
-//! so the store files hold exactly the commits with `tt <= published` —
-//! and, written in the same journal, the watermark can never disagree
-//! with the pages it describes. WAL redo starts above it.
+//! Every flush journals the control file's pages beside the dirty ones
+//! (see [`crate::control`]), saying which snapshot that is: written in
+//! the same journal, the control file can never disagree with the pages
+//! it describes.
 
 use std::path::Path;
 use tcom_kernel::codec::crc32c;
-use tcom_kernel::{Error, PageId, Result, TimePoint};
-use tcom_storage::page::{Page, PageKind, PAGE_SIZE};
+use tcom_kernel::{PageId, Result};
+use tcom_storage::page::PAGE_SIZE;
 use tcom_storage::vfs::Vfs;
-use tcom_wal::LogRecord;
 
 const ENTRY_MAGIC: u32 = 0x4A52_4E4C; // "JRNL"
 const COMMIT_MAGIC: u32 = 0x4A43_4D54; // "JCMT"
@@ -161,48 +158,6 @@ pub(crate) fn truncate_journal(vfs: &dyn Vfs, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// The one-page file holding the flush watermark.
-pub(crate) const WATERMARK_FILE: &str = "flushed.tcm";
-
-/// The flush watermark's page: a [`LogRecord::Checkpoint`] of the
-/// published clock and the atom-number allocators under the flush — how
-/// far the store files on disk reach.
-pub(crate) fn watermark_page(published: TimePoint, next_atom_nos: Vec<(u32, u64)>) -> Result<Page> {
-    let rec = LogRecord::Checkpoint {
-        clock: published,
-        next_atom_nos,
-    }
-    .encode();
-    let mut page = Page::new(PageKind::Meta);
-    let body = page.body_mut();
-    if rec.len() + 4 > body.len() {
-        return Err(Error::internal("flush watermark does not fit one page"));
-    }
-    body[..4].copy_from_slice(&(rec.len() as u32).to_le_bytes());
-    body[4..4 + rec.len()].copy_from_slice(&rec);
-    page.seal();
-    Ok(page)
-}
-
-/// Decodes a [`watermark_page`]: `(published, next_atom_nos)`.
-pub(crate) fn read_watermark(page: &Page) -> Result<(TimePoint, Vec<(u32, u64)>)> {
-    let body = page.body();
-    let len = u32::from_le_bytes(body[..4].try_into().expect("4 bytes")) as usize;
-    match body
-        .get(4..)
-        .and_then(|b| b.get(..len))
-        .map(LogRecord::decode)
-    {
-        Some(Ok(LogRecord::Checkpoint {
-            clock,
-            next_atom_nos,
-        })) => Ok((clock, next_atom_nos)),
-        _ => Err(Error::corruption(format!(
-            "{WATERMARK_FILE}: page 0 holds no flush watermark"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,15 +229,6 @@ mod tests {
         assert_eq!(std::fs::metadata(&j).unwrap().len(), 0);
         assert!(read_journal(&StdVfs, &j).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn watermark_page_roundtrip() {
-        let nos = vec![(0, 3), (7, u64::MAX)];
-        let page = watermark_page(TimePoint(1 << 40), nos.clone()).unwrap();
-        page.verify().unwrap();
-        assert_eq!(read_watermark(&page).unwrap(), (TimePoint(1 << 40), nos));
-        assert!(read_watermark(&Page::default()).is_err());
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod algebra;
 pub mod batch;
 mod compactor;
 mod config;
+mod control;
 mod db;
 pub mod dml;
 mod integrity;

@@ -4,7 +4,7 @@
 //! A fixed workload builds a deep closed history, then a *golden* run
 //! compacts it with an unarmed [`FaultVfs`] to learn the exact mutation
 //! I/O window of one compaction cycle (segment build, rename, WAL commit
-//! point, heap extraction, manifest rewrite, checkpoint). Then, for every
+//! point, heap extraction, checkpoint). Then, for every
 //! mutation-op index in that window, the run repeats with a power cut
 //! armed at that index: the cut strikes mid-compaction, the engine is
 //! reopened on the surviving bytes, and recovery must land on a state
@@ -199,8 +199,9 @@ fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) {
         "cut armed at op {j} inside the window must fire"
     );
 
-    // Reopen on exactly the durable bytes; segment recovery (manifest ∪
-    // WAL swap records, orphan cleanup, extraction redo) runs inside open.
+    // Reopen on exactly the durable bytes; segment recovery (the control
+    // file's list, then the WAL's swap records adopted in the redo pass,
+    // extraction redo, orphan cleanup) runs inside open.
     vfs.reset_after_crash();
     let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
     assert_eq!(

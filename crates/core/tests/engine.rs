@@ -771,11 +771,11 @@ fn truncated_store_file_is_reported_as_corruption() {
     }
 }
 
-/// The crash window between `define_atom_type`'s catalog save and its
-/// first page flush leaves a cataloged type with only empty files; the
-/// next open formats them instead of failing.
+/// DDL flushes a new type's files with the catalog that names it, so a
+/// cataloged type whose files are all empty is damage too, not a crash
+/// window to paper over.
 #[test]
-fn cataloged_type_with_only_empty_files_is_created_at_open() {
+fn cataloged_type_with_only_empty_files_is_reported_as_corruption() {
     for kind in all_kinds() {
         let dir = tmpdir(&format!("unflushed-{kind}"));
         {
@@ -786,38 +786,17 @@ fn cataloged_type_with_only_empty_files_is_created_at_open() {
             std::fs::File::create(dir.join(format!("t0_{suffix}.tcm"))).unwrap();
         }
         std::fs::File::create(dir.join("t0_idx1.tcm")).unwrap();
-        let db = Database::open(&dir, cfg(kind)).unwrap();
-        let ty = db.atom_type_id("emp").unwrap();
-        let mut txn = db.begin();
-        let ann = txn.insert_atom(ty, iv_from(0), emp("ann", 100)).unwrap();
-        txn.commit().unwrap();
-        assert_eq!(db.current_versions(ann).unwrap().len(), 1);
-        drop(db);
+        let Err(err) = Database::open(&dir, cfg(kind)) else {
+            panic!("{kind}: opened a cataloged type over empty files");
+        };
+        let text = err.to_string();
+        assert!(
+            matches!(err, tcom_kernel::Error::Corruption(_)),
+            "{kind}: {text}"
+        );
+        assert!(text.contains("atom type #0"), "{kind}: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Directories written before the per-type change index was dropped
-/// still carry its file; open removes it and everything else reads on.
-#[test]
-fn leftover_change_index_file_is_removed_at_open() {
-    let dir = tmpdir("old-tix");
-    let ann;
-    {
-        let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
-        let ty = setup_emp(&db);
-        let mut txn = db.begin();
-        ann = txn.insert_atom(ty, iv_from(0), emp("ann", 100)).unwrap();
-        txn.commit().unwrap();
-    }
-    let leftover = dir.join("t0_tix.tcm");
-    assert!(!leftover.exists(), "no change index is created any more");
-    std::fs::write(&leftover, vec![0u8; 8192]).unwrap();
-    let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
-    assert!(!leftover.exists());
-    assert_eq!(db.history(ann).unwrap().len(), 1);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -16,18 +16,22 @@
 //!
 //! Beside it: the group-commit batch matrix, the same batches with buffer
 //! pressure flushing pages ahead of the durable WAL, a cut at every op of
-//! a history prune, and the cost of a reopen against history depth. Every
-//! reopen runs under [`reopen::reopen`]'s deadline.
+//! a history prune, a cut at every op of DDL, the cost of a reopen against
+//! history depth, and the one WAL pass an open makes. Every reopen runs
+//! under [`reopen::reopen`]'s deadline.
 
 mod reopen;
 
 use reopen::reopen;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tcom_core::{
-    AtomId, AtomTypeId, AttrDef, DataType, Database, DbConfig, Error, Fault, FaultVfs, Interval,
-    StoreKind, SyncPolicy, TimePoint, Tuple, Value, Vfs,
+    AtomId, AtomTypeId, AttrDef, AttrId, DataType, Database, DbConfig, Error, Fault, FaultVfs,
+    Interval, MoleculeEdge, StoreKind, SyncPolicy, TimePoint, Tuple, Value, Vfs, VfsFile,
 };
+use tcom_kernel::Lsn;
+use tcom_wal::{LogRecord, Wal};
 
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 
@@ -723,30 +727,378 @@ fn recovery_cost_does_not_grow_with_history_depth() {
     }
 }
 
-/// A directory without a flush watermark opens only when its WAL holds
+/// A directory without a control file opens only when its WAL holds
 /// nothing past the head checkpoint: otherwise its store files cannot say
 /// which logged commits they already hold, and the open fails naming the
-/// missing file rather than guess.
+/// missing file rather than guess. A directory an earlier version wrote
+/// (`db.meta`, no control file) fails naming what it holds.
 #[test]
-fn directory_without_a_watermark_opens_only_with_a_clean_wal() {
-    let dir = tmpdir("no-watermark");
+fn directory_without_a_control_file_fails_naming_it() {
+    let dir = tmpdir("no-control");
     let cfg = cfg(StoreKind::Chain);
     let db = Database::open(&dir, cfg).unwrap();
     let ty = setup(&db);
-    let mut atoms = Vec::new();
-    run_txn(&db, ty, 0, &mut atoms).unwrap();
-    drop(db);
-    let _ = std::fs::remove_file(dir.join("flushed.tcm"));
-    let db = reopen(&dir, cfg, tcom_core::StdVfs::arc()).unwrap();
-    assert_eq!(db.all_atoms(ty).unwrap().len(), 3);
-    run_txn(&db, ty, 3, &mut atoms).unwrap();
+    run_txn(&db, ty, 0, &mut Vec::new()).unwrap();
     db.crash();
-    let _ = std::fs::remove_file(dir.join("flushed.tcm"));
+    std::fs::remove_file(dir.join("control.tcm")).unwrap();
     match reopen(&dir, cfg, tcom_core::StdVfs::arc()) {
-        Err(e @ Error::Corruption(_)) => assert!(e.to_string().contains("flushed.tcm"), "{e}"),
-        Err(e) => panic!("expected a corruption error naming flushed.tcm, got {e}"),
-        Ok(_) => panic!("opened a WAL with commits past its checkpoint without a watermark"),
+        Err(e @ Error::Corruption(_)) => assert!(e.to_string().contains("control.tcm"), "{e}"),
+        Err(e) => panic!("expected a corruption error naming control.tcm, got {e}"),
+        Ok(_) => panic!("opened a WAL with commits past its checkpoint without a control file"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmpdir("legacy");
+    std::fs::write(dir.join("db.meta"), "tcom v1\nstore_kind=chain\n").unwrap();
+    match reopen(&dir, cfg, tcom_core::StdVfs::arc()) {
+        Err(e @ Error::Corruption(_)) => assert!(e.to_string().contains("db.meta"), "{e}"),
+        Err(e) => panic!("expected a corruption error naming db.meta, got {e}"),
+        Ok(_) => panic!("opened an earlier version's directory"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A control state larger than one page (a catalog of sixteen types with
+/// twenty long-named attributes each) survives a clean reopen and a
+/// crash reopen.
+#[test]
+fn control_state_larger_than_a_page_survives_reopen() {
+    let dir = tmpdir("wide-catalog");
+    let fault = FaultVfs::new();
+    let vfs: Arc<dyn Vfs> = Arc::new(fault.clone());
+    let db = Database::open_with_vfs(&dir, cfg(StoreKind::Split), vfs.clone()).unwrap();
+    let mut last = None;
+    for t in 0..16 {
+        let attrs = (0..20)
+            .map(|a| {
+                AttrDef::new(
+                    format!("attribute_{a:02}_of_the_wide_type_{t:02}"),
+                    DataType::Int,
+                )
+            })
+            .collect();
+        last = Some(db.define_atom_type(format!("wide_{t}"), attrs).unwrap());
+    }
+    let ty = last.unwrap();
+    let control = dir.join("control.tcm");
+    assert!(
+        fault.durable_len(&control).unwrap() > 8192,
+        "the control state fits one page"
+    );
+    let catalog = |db: &Database| db.with_catalog(|c| format!("{:?}", c.atom_types()));
+    let want = catalog(&db);
+    let insert = |db: &Database, k: i64| {
+        let mut txn = db.begin();
+        txn.insert_atom(
+            ty,
+            Interval::all(),
+            Tuple::new((0..20).map(|a| Value::Int(k + a)).collect()),
+        )
+        .unwrap();
+        txn.commit().unwrap();
+    };
+    insert(&db, 0);
+    drop(db);
+
+    let db = reopen(&dir, cfg(StoreKind::Split), vfs.clone()).unwrap();
+    assert_eq!(catalog(&db), want, "clean reopen");
+    assert_eq!(db.all_atoms(ty).unwrap().len(), 1);
+    insert(&db, 100);
+    db.crash();
+
+    let db = reopen(&dir, cfg(StoreKind::Split), vfs).unwrap();
+    assert_eq!(catalog(&db), want, "crash reopen");
+    assert_eq!(db.all_atoms(ty).unwrap().len(), 2);
+    assert!(db.verify_integrity().unwrap().is_ok());
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- DDL crash matrix ----
+//
+// DDL is a journaled flush: a catalog change reaches disk in the control
+// file, in the same journal as the new type's formatted store and index
+// pages. A cut at every mutation op of a `CREATE TYPE` with an indexed
+// attribute, a `CREATE MOLECULE` over it and the first inserts into the
+// new type must recover the state before or after the step it cut: the
+// type absent, or present with every file and index.
+
+/// The DDL workload's steps: step 0 creates `dept`, step 1 a molecule
+/// type rooted at it, every later step inserts one `dept` atom.
+const DDL_STEPS: usize = 5;
+
+fn run_ddl_step(db: &Database, emp: AtomTypeId, k: usize) -> tcom_core::Result<()> {
+    match k {
+        0 => db
+            .define_atom_type(
+                "dept",
+                vec![
+                    AttrDef::new("name", DataType::Text),
+                    AttrDef::new("budget", DataType::Int).indexed(),
+                    AttrDef::new("staff", DataType::RefSet(emp)),
+                ],
+            )
+            .map(drop),
+        1 => {
+            let dept = db.atom_type_id("dept")?;
+            let edge = MoleculeEdge {
+                from: dept,
+                attr: AttrId(2),
+                to: emp,
+            };
+            db.define_molecule_type("dept_staff", dept, vec![edge], None)
+                .map(drop)
+        }
+        _ => {
+            let dept = db.atom_type_id("dept")?;
+            let mut txn = db.begin();
+            let row = vec![
+                Value::from(format!("d{k}")),
+                Value::Int(k as i64 * 10),
+                Value::Null,
+            ];
+            txn.insert_atom(dept, Interval::all(), Tuple::new(row))?;
+            txn.commit().map(drop)
+        }
+    }
+}
+
+/// The catalog's names and every `dept` version.
+fn ddl_state(db: &Database) -> String {
+    let names = db.with_catalog(|c| {
+        let types: Vec<&str> = c.atom_types().iter().map(|t| t.name.as_str()).collect();
+        let mols: Vec<&str> = c.molecule_types().iter().map(|m| m.name.as_str()).collect();
+        format!("types={types:?} molecules={mols:?}")
+    });
+    match db.atom_type_id("dept") {
+        Ok(dept) => format!("{names} dept={:?}", dump(db, dept)),
+        Err(_) => names,
+    }
+}
+
+/// Opens a directory holding `emp` and three of its atoms: the state the
+/// DDL workload starts from.
+fn ddl_base(dir: &std::path::Path, kind: StoreKind, vfs: &FaultVfs) -> (Database, AtomTypeId) {
+    let db = Database::open_with_vfs(dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let emp = setup(&db);
+    run_txn(&db, emp, 0, &mut Vec::new()).unwrap();
+    (db, emp)
+}
+
+fn ddl_crash_matrix(kind: StoreKind, tag: &str) {
+    let dir = tmpdir(&format!("{tag}-golden"));
+    let vfs = FaultVfs::new();
+    let (db, emp) = ddl_base(&dir, kind, &vfs);
+    let op_base = vfs.mut_ops();
+    let mut snapshots = vec![ddl_state(&db)];
+    for k in 0..DDL_STEPS {
+        run_ddl_step(&db, emp, k).unwrap();
+        snapshots.push(ddl_state(&db));
+    }
+    let op_end = vfs.mut_ops();
+    db.crash();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let step = crash_sample();
+    let mut j = op_base;
+    while j < op_end {
+        let dir = tmpdir(&format!("{tag}-p{j}"));
+        let vfs = FaultVfs::new();
+        let (db, emp) = ddl_base(&dir, kind, &vfs);
+        assert_eq!(vfs.mut_ops(), op_base, "DDL setup I/O deterministic");
+        vfs.power_cut_at(j);
+        let acked = (0..DDL_STEPS)
+            .take_while(|&k| run_ddl_step(&db, emp, k).is_ok())
+            .count();
+        db.crash();
+        assert!(
+            vfs.crashed(),
+            "cut at op {j} inside the DDL window must fire"
+        );
+
+        vfs.reset_after_crash();
+        let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
+        let got = ddl_state(&db);
+        assert!(
+            got == snapshots[acked] || (acked < DDL_STEPS && got == snapshots[acked + 1]),
+            "DDL crash at op {j} (acked={acked}): recovered\n  {got}\nwant\n  {}",
+            snapshots[acked]
+        );
+        let report = db.verify_integrity().unwrap();
+        assert!(
+            report.is_ok(),
+            "DDL crash at op {j}: integrity violations: {:?}",
+            report.violations
+        );
+        if let Ok(dept) = db.atom_type_id("dept") {
+            let files = kind.file_suffixes().iter().chain(&["idx1"]);
+            for suffix in files {
+                let path = dir.join(format!("t{}_{suffix}.tcm", dept.0));
+                assert!(
+                    vfs.durable_len(&path).unwrap_or(0) > 0,
+                    "DDL crash at op {j}: dept is cataloged but {} is empty",
+                    path.display()
+                );
+            }
+            let mut indexed = false;
+            db.with_index_for_test(dept, AttrId(1), |_| indexed = true);
+            assert!(indexed, "DDL crash at op {j}: dept's index is not open");
+            assert_slices_agree(&db, dept, &format!("DDL crash at op {j}"));
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        j += step;
+    }
+    eprintln!(
+        "DDL crash matrix [{tag}]: a window of {} mutation ops",
+        op_end - op_base
+    );
+}
+
+#[test]
+fn ddl_crash_matrix_chain() {
+    ddl_crash_matrix(StoreKind::Chain, "ddl-chain");
+}
+
+#[test]
+fn ddl_crash_matrix_delta() {
+    ddl_crash_matrix(StoreKind::Delta, "ddl-delta");
+}
+
+#[test]
+fn ddl_crash_matrix_split() {
+    ddl_crash_matrix(StoreKind::Split, "ddl-split");
+}
+
+// ---- one WAL pass at open ----
+
+/// A [`Vfs`] that counts the reads of `wal.log` and passes everything
+/// through to a [`FaultVfs`], which counts every read.
+struct WalReads {
+    inner: FaultVfs,
+    reads: Arc<AtomicU64>,
+}
+
+struct CountedFile(Arc<dyn VfsFile>, Arc<AtomicU64>);
+
+impl VfsFile for CountedFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> tcom_core::Result<()> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> tcom_core::Result<()> {
+        self.0.write_at(buf, offset)
+    }
+    fn sync(&self) -> tcom_core::Result<()> {
+        self.0.sync()
+    }
+    fn set_len(&self, len: u64) -> tcom_core::Result<()> {
+        self.0.set_len(len)
+    }
+    fn len(&self) -> tcom_core::Result<u64> {
+        self.0.len()
+    }
+}
+
+impl Vfs for WalReads {
+    fn open(&self, path: &Path) -> tcom_core::Result<Arc<dyn VfsFile>> {
+        let file = self.inner.open(path)?;
+        if path.ends_with("wal.log") {
+            Ok(Arc::new(CountedFile(file, self.reads.clone())))
+        } else {
+            Ok(file)
+        }
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn remove(&self, path: &Path) -> tcom_core::Result<()> {
+        self.inner.remove(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> tcom_core::Result<()> {
+        self.inner.rename(from, to)
+    }
+}
+
+/// Builds a directory whose WAL holds commits above the flush watermark
+/// and a segment swap the control file does not list yet: the history
+/// is compacted, and the power is cut at the first op after the swap's
+/// record became durable. Returns the cut directory's file system.
+fn dir_with_swap_in_the_wal(dir: &Path) -> FaultVfs {
+    let cfg = prune_cfg(StoreKind::Chain);
+    let build = |cut: Option<u64>| {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        let vfs = FaultVfs::new();
+        let db = Database::open_with_vfs(dir, cfg, Arc::new(vfs.clone())).unwrap();
+        let (ty, atom) = prune_shape(&db);
+        let ops = vfs.mut_ops();
+        if let Some(cut) = cut {
+            vfs.power_cut_at(ops + cut);
+        }
+        let compacted = db.compact_type(ty);
+        let mut txn = db.begin();
+        let _ = txn.update(atom, Interval::all(), tup(99, "after"));
+        let _ = txn.commit();
+        db.crash();
+        vfs.reset_after_crash();
+        (vfs, compacted.is_ok())
+    };
+    assert!(build(None).1, "the uncut compaction archives history");
+    for cut in 0..64 {
+        let (vfs, _) = build(Some(cut));
+        let wal = Wal::open_with(&vfs, dir.join("wal.log"), SyncPolicy::OnCommit).unwrap();
+        let mut cursor = wal.read_from(Lsn(0)).unwrap();
+        let (mut swap, mut commits) = (false, 0);
+        while let Some((_, rec)) = cursor.next_record().unwrap() {
+            swap |= matches!(rec, LogRecord::SegmentSwap { .. });
+            commits += matches!(rec, LogRecord::Commit { .. }) as usize;
+        }
+        if swap {
+            assert!(commits > 0, "the WAL holds the swap but no commit");
+            return vfs;
+        }
+    }
+    panic!("no cut left the swap record in the WAL");
+}
+
+/// `Database::open` reads the WAL once: over a directory whose WAL holds
+/// commits above the watermark and a segment swap, the open reads
+/// `wal.log` exactly as often as a bare `Wal::open_with` plus one
+/// `Wal::read_from` pass does, and every other read is of another file.
+#[test]
+fn open_reads_the_wal_once() {
+    let dir = tmpdir("one-pass");
+    let fault = dir_with_swap_in_the_wal(&dir);
+    let before = fault.read_ops();
+    {
+        let wal = Wal::open_with(&fault, dir.join("wal.log"), SyncPolicy::OnCommit).unwrap();
+        let mut cursor = wal.read_from(Lsn(0)).unwrap();
+        while cursor.next_record().unwrap().is_some() {}
+    }
+    let bare = fault.read_ops() - before;
+
+    let reads = Arc::new(AtomicU64::new(0));
+    let vfs = WalReads {
+        inner: fault.clone(),
+        reads: reads.clone(),
+    };
+    let before = fault.read_ops();
+    let db = reopen(&dir, prune_cfg(StoreKind::Chain), Arc::new(vfs)).unwrap();
+    let other = fault.read_ops() - before - reads.load(Ordering::Relaxed);
+    let wal = reads.load(Ordering::Relaxed);
+    assert_eq!(
+        wal, bare,
+        "open read the WAL {wal} times and other files {other} times; \
+         one pass reads the WAL {bare} times"
+    );
+    assert_eq!(
+        db.metrics().counter("segment.live"),
+        1,
+        "the swap's segment was adopted"
+    );
+    assert!(db.verify_integrity().unwrap().is_ok());
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

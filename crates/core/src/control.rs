@@ -20,8 +20,11 @@ pub(crate) const CONTROL_FILE: &str = "control.tcm";
 
 /// Bytes of page 0's body ahead of the record: its length and CRC.
 const HEAD: usize = 8;
-/// Store kinds by their tag in the record.
+/// Store kinds by their tag in the record's low nibble.
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
+/// The directory format, in the kind tag's high nibble: 1 counts current
+/// versions in value-index payloads, where 0 stored atom numbers.
+const FORMAT: u8 = 1;
 
 /// The control state of a directory, as of one flush.
 pub(crate) struct Control {
@@ -41,12 +44,11 @@ impl Control {
     /// The record as sealed pages, concatenated.
     pub fn image(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_u8(
-            KINDS
-                .iter()
-                .position(|k| *k == self.kind)
-                .expect("known kind") as u8,
-        );
+        let kind = KINDS
+            .iter()
+            .position(|k| *k == self.kind)
+            .expect("known kind");
+        e.put_u8(FORMAT << 4 | kind as u8);
         e.put_time(self.published);
         for pairs in [&self.next_atom_nos, &self.segments] {
             e.put_u64(pairs.len() as u64);
@@ -107,8 +109,15 @@ fn decode_image(image: &[u8]) -> Result<Control> {
         return Err(Error::corruption("record checksum mismatch"));
     }
     let mut d = Decoder::new(rec);
+    let tag = d.get_u8()?;
+    if tag >> 4 != FORMAT {
+        return Err(Error::corruption(format!(
+            "format {} is not {FORMAT}: value indexes before format 1 predate counts",
+            tag >> 4
+        )));
+    }
     let kind = *KINDS
-        .get(d.get_u8()? as usize)
+        .get((tag & 0xf) as usize)
         .ok_or_else(|| Error::corruption("unknown store kind"))?;
     let published = d.get_time()?;
     let next_atom_nos = decode_pairs(&mut d, "allocator")?;
@@ -253,6 +262,51 @@ mod tests {
         }
     }
 
+    /// One sealed control page holding the record `rec`.
+    fn one_page(rec: &[u8]) -> Vec<u8> {
+        let mut page = Page::new(PageKind::Meta);
+        page.body_mut()[..4].copy_from_slice(&(rec.len() as u32).to_le_bytes());
+        page.body_mut()[4..HEAD].copy_from_slice(&crc32c(rec).to_le_bytes());
+        page.body_mut()[HEAD..HEAD + rec.len()].copy_from_slice(rec);
+        page.seal();
+        page.bytes().to_vec()
+    }
+
+    /// A record in format 0, whose value-index payloads are atom numbers
+    /// rather than counts, fails the decode naming the file and the cause
+    /// rather than let the payloads be read as counts; so does a format
+    /// this version does not know.
+    #[test]
+    fn earlier_format_is_corruption() {
+        let image = Control {
+            kind: StoreKind::Delta,
+            published: TimePoint(9),
+            next_atom_nos: vec![(0, 4)],
+            segments: Vec::new(),
+            catalog: Catalog::new(),
+        }
+        .image();
+        let len = u32::from_le_bytes(
+            image[PAGE_HEADER_LEN..PAGE_HEADER_LEN + 4]
+                .try_into()
+                .unwrap(),
+        );
+        let rec = &image[PAGE_HEADER_LEN + HEAD..PAGE_HEADER_LEN + HEAD + len as usize];
+        assert_eq!(rec[0], FORMAT << 4 | 1);
+        for (tag, want) in [(1, "format 0 is not 1"), (0x21, "format 2 is not 1")] {
+            let mut old = rec.to_vec();
+            old[0] = tag;
+            match Control::from_image(&one_page(&old)) {
+                Err(Error::Corruption(m)) => {
+                    assert!(m.starts_with(CONTROL_FILE), "{m}");
+                    assert!(m.contains(want), "{m}");
+                }
+                Err(e) => panic!("tag {tag:#x}: not a corruption: {e}"),
+                Ok(_) => panic!("tag {tag:#x}: decoded"),
+            }
+        }
+    }
+
     /// A segment listed twice, or under a type number past `u32` that
     /// would wrap onto a listed type, fails the decode naming the file.
     #[test]
@@ -264,7 +318,7 @@ mod tests {
         for (case, segments) in cases {
             // Encoded by hand: `Control` cannot hold a type past `u32`.
             let mut e = Encoder::new();
-            e.put_u8(0);
+            e.put_u8(FORMAT << 4);
             e.put_time(TimePoint(5));
             e.put_u64(0);
             e.put_u64(segments.len() as u64);
@@ -277,13 +331,7 @@ mod tests {
                 .define_atom_type("emp", vec![AttrDef::new("salary", DataType::Int)])
                 .unwrap();
             e.put_bytes(&catalog.encode());
-            let rec = e.finish();
-            let mut page = Page::new(PageKind::Meta);
-            page.body_mut()[..4].copy_from_slice(&(rec.len() as u32).to_le_bytes());
-            page.body_mut()[4..HEAD].copy_from_slice(&crc32c(&rec).to_le_bytes());
-            page.body_mut()[HEAD..HEAD + rec.len()].copy_from_slice(&rec);
-            page.seal();
-            match Control::from_image(page.bytes()) {
+            match Control::from_image(&one_page(&e.finish())) {
                 Err(Error::Corruption(m)) => {
                     assert!(m.starts_with(CONTROL_FILE), "[{case}] {m}");
                     assert!(m.contains("segment"), "[{case}] {m}");

@@ -8,7 +8,7 @@
 //! <dir>/wal.log            redo-only write-ahead log
 //! <dir>/ckpt.jrnl          double-write journal of the page flush in flight
 //! <dir>/t<ty>_*.tcm        per-type store files (layout depends on kind)
-//! <dir>/t<ty>_idx<a>.tcm   value indexes over indexed attributes
+//! <dir>/t<ty>_idx<a>.tcm   value indexes: (value, atom) → count of its current versions
 //! <dir>/t<ty>_seg<n>.tcm   immutable segments of archived history
 //! <dir>/repl.pos           a replica's resume position (replicas only)
 //! ```
@@ -52,7 +52,7 @@ use crate::journal;
 use crate::stripes::{StripeLocks, COMMIT_STRIPES};
 use crate::txn::Txn;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -349,21 +349,21 @@ impl Database {
 
     /// Applies one logged commit (`recs`, its WAL records) to the stores
     /// and value indexes and publishes it: the one apply routine of a
-    /// leader's [`Txn::commit`] and of [`Database::replay_commit`].
-    /// `before`/`after` give a changed atom's current tuples before the
-    /// first mutation and after the last. `publish` runs while the apply
-    /// marks are still raised, so a reader that validates against an even
-    /// mark afterwards pins a clock that includes the whole commit.
+    /// leader's [`Txn::commit`] and of [`Database::replay_commit`]. The
+    /// records alone drive the value indexes, whose entries count the
+    /// atom's current versions holding a value: an insert counts its
+    /// tuple, a close uncounts the one the store hands back, and only net
+    /// changes touch an index. A close of a missing version, or a count
+    /// below zero, fails the batch. `publish` runs while the apply marks
+    /// are still raised, so a reader that validates against an even mark
+    /// afterwards pins a clock that includes the whole commit.
     pub(crate) fn apply_commit(
         &self,
         tt: TimePoint,
         recs: &[LogRecord],
-        before: &dyn Fn(AtomId) -> Result<Vec<Tuple>>,
-        after: &dyn Fn(AtomId) -> Result<Vec<Tuple>>,
         publish: fn(&Database, TimePoint),
     ) -> Result<()> {
-        // Sorted by (type, number): apply marks go up once per type, and
-        // index maintenance runs in a deterministic order.
+        // Sorted by (type, number): apply marks go up once per type.
         let mut changed: Vec<AtomId> =
             recs.iter()
                 .filter_map(|r| match r {
@@ -376,12 +376,23 @@ impl Database {
         changed.dedup();
         let mut tys: Vec<u32> = changed.iter().map(|a| a.ty.0).collect();
         tys.dedup();
-        let befores: Vec<Vec<Tuple>> = changed.iter().map(|&a| before(a)).collect::<Result<_>>()?;
         // Shared: appliers exclude maintenance, not each other (stripes,
         // or the replica's single apply loop, serialize same-type
         // appliers) and never readers, who retry around the apply marks.
         let _shared = self.commit_lock.read();
         let _apply = self.begin_apply(&tys);
+        // ((type, attribute, index key), change of the key's count)
+        let mut deltas: Vec<((AtomTypeId, AttrId, BKey), i64)> = Vec::new();
+        let catalog = self.catalog.read();
+        let mut count = |atom: AtomId, tuple: &Tuple, by: i64| -> Result<()> {
+            for (i, a) in catalog.atom_type(atom.ty)?.attrs.iter().enumerate() {
+                if let (true, Some(enc)) = (a.indexed, encode_value(tuple.get(i))) {
+                    let key = BKey::new(enc, atom.no.0);
+                    deltas.push(((atom.ty, AttrId(i as u16), key), by));
+                }
+            }
+            Ok(())
+        };
         for rec in recs {
             match rec {
                 LogRecord::InsertVersion {
@@ -393,6 +404,7 @@ impl Database {
                 } => {
                     self.store(atom.ty)?
                         .insert_version(atom.no, *vt, *tt_start, tuple)?;
+                    count(*atom, tuple, 1)?;
                 }
                 LogRecord::CloseVersion {
                     atom,
@@ -401,19 +413,36 @@ impl Database {
                     ..
                 } => {
                     let store = self.store(atom.ty)?;
-                    if !store.close_version(atom.no, *vt_start, *tt_end)? {
+                    let Some(closed) = store.close_version(atom.no, *vt_start, *tt_end)? else {
                         return Err(Error::internal(format!(
                             "apply of tt {tt}: close of missing version {atom} @vt {vt_start:?}"
                         )));
-                    }
+                    };
+                    count(*atom, &closed, -1)?;
                 }
                 _ => {}
             }
         }
-        for (atom, before) in changed.into_iter().zip(&befores) {
-            // Planner statistics age per changed atom.
+        drop(catalog);
+        deltas.sort_unstable_by_key(|d| d.0);
+        for run in deltas.chunk_by(|a, b| a.0 == b.0) {
+            let ((ty, attr, key), by) = (run[0].0, run.iter().map(|d| d.1).sum());
+            let Some(idx) = self.index(ty, attr).filter(|_| by != 0) else {
+                continue;
+            };
+            if !add_to_count(&idx, key, by)? {
+                return Err(Error::internal(format!(
+                    "apply of tt {tt}: the count of {} under value {} of attribute #{} \
+                     would drop below zero",
+                    AtomId::new(ty, AtomNo(key.lo)),
+                    key.hi,
+                    attr.0
+                )));
+            }
+        }
+        // Planner statistics age per changed atom.
+        for atom in changed {
             self.stats.note(atom.ty.0);
-            self.update_indexes_for(atom, before, &after(atom)?)?;
         }
         publish(self, tt);
         Ok(())
@@ -423,10 +452,10 @@ impl Database {
     /// routine of a replica's [`crate::repl::WalApplier`] and of crash
     /// recovery. Raises the atom-number allocators past the commit's
     /// inserts (a promoted replica or a reopened leader never reuses one),
-    /// then applies through [`Database::apply_commit`] with both images
-    /// read from the stores around the mutation (a replay holds no
-    /// overlay) and publishes via [`Database::publish_replicated`]. A
-    /// close that finds no version to close fails the replay.
+    /// then applies the batch as it stands through
+    /// [`Database::apply_commit`], reading no store first, and publishes
+    /// via [`Database::publish_replicated`]. A close that finds no version
+    /// to close fails the replay.
     pub(crate) fn replay_commit(&self, tt: TimePoint, recs: &[LogRecord]) -> Result<()> {
         self.flush_if_pressured()?;
         for rec in recs {
@@ -434,11 +463,7 @@ impl Database {
                 self.bump_atom_no_at_least(atom.ty, atom.no.0 + 1);
             }
         }
-        let current = |atom: AtomId| -> Result<Vec<Tuple>> {
-            let vs = self.store(atom.ty)?.current_versions(atom.no)?;
-            Ok(vs.into_iter().map(|v| v.tuple).collect())
-        };
-        self.apply_commit(tt, recs, &current, &current, Database::publish_replicated)
+        self.apply_commit(tt, recs, Database::publish_replicated)
     }
 
     /// The commit stripe table.
@@ -965,39 +990,6 @@ impl Database {
         })
     }
 
-    // ---- index maintenance (called under the commit lock) ----
-
-    /// Re-derives the index entries of `atom` for every indexed attribute,
-    /// given its before- and after-commit current value sets.
-    fn update_indexes_for(&self, atom: AtomId, before: &[Tuple], after: &[Tuple]) -> Result<()> {
-        let catalog = self.catalog.read();
-        let t = catalog.atom_type(atom.ty)?;
-        for (i, a) in t.attrs.iter().enumerate() {
-            if !a.indexed {
-                continue;
-            }
-            let attr = AttrId(i as u16);
-            let Some(idx) = self.index(atom.ty, attr) else {
-                continue;
-            };
-            let old: HashSet<u64> = before
-                .iter()
-                .filter_map(|tp| encode_value(tp.get(i)))
-                .collect();
-            let new: HashSet<u64> = after
-                .iter()
-                .filter_map(|tp| encode_value(tp.get(i)))
-                .collect();
-            for gone in old.difference(&new) {
-                idx.remove(BKey::new(*gone, atom.no.0))?;
-            }
-            for added in new.difference(&old) {
-                idx.insert(BKey::new(*added, atom.no.0), atom.no.0)?;
-            }
-        }
-        Ok(())
-    }
-
     // ---- recovery ----
 
     /// Crash recovery: redoes the logged work the store files do not hold
@@ -1169,6 +1161,17 @@ impl Drop for Database {
             let _ = self.checkpoint();
         }
     }
+}
+
+/// Adds `by` to the value-index count under `key` in one descent, removing
+/// the entry at zero; `false` when the count would drop below zero.
+fn add_to_count(idx: &BTree, key: BKey, by: i64) -> Result<bool> {
+    let mut sum = 0;
+    idx.update(key, |old| {
+        sum = old.unwrap_or(0) as i64 + by;
+        (sum > 0).then_some(sum as u64)
+    })?;
+    Ok(sum >= 0)
 }
 
 /// Converts store versions to the DML planner's view of current state.

@@ -10,14 +10,15 @@
 //! * time-slices are internally consistent: at any version boundary, the
 //!   visible valid-time intervals are pairwise disjoint (no bitemporal
 //!   overlap was ever stored);
-//! * value indexes: every indexed current value has an entry, and every
-//!   entry corresponds to a current value (no ghosts, no misses);
+//! * value indexes: every indexed current value has an entry, every
+//!   entry corresponds to a current value (no ghosts, no misses), and
+//!   each entry counts exactly the atom's current versions holding it;
 //! * references: every link in a *current* version resolves to an atom
 //!   that exists (temporal dangling references to deleted atoms are legal
 //!   and reported separately as informational counts).
 
 use crate::db::Database;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use tcom_kernel::{AtomId, Error, Result, TimePoint};
 use tcom_storage::keys::{encode_value, BKey};
 
@@ -130,39 +131,39 @@ impl Database {
                 if !a.indexed {
                     continue;
                 }
-                let attr = tcom_kernel::AttrId(i as u16);
-                let Some(idx) = self.index(*ty, attr) else {
+                let Some(idx) = self.index(*ty, tcom_kernel::AttrId(i as u16)) else {
                     report
                         .violations
                         .push(format!("{ty_name}.{}: declared index missing", a.name));
                     continue;
                 };
-                // Expected entries from the store.
-                let mut expected: HashSet<(u64, u64)> = HashSet::new();
+                // Per (enc, atom): the current versions holding the value,
+                // and the index entry's count.
+                let mut counts: BTreeMap<(u64, u64), (u64, Option<u64>)> = BTreeMap::new();
                 for no in store.atoms()? {
                     for v in store.current_versions(no)? {
                         if let Some(enc) = encode_value(v.tuple.get(i)) {
-                            expected.insert((enc, no.0));
+                            counts.entry((enc, no.0)).or_default().0 += 1;
                         }
                     }
                 }
-                // Actual entries from the index.
-                let mut actual: HashSet<(u64, u64)> = HashSet::new();
-                idx.scan_range(BKey::MIN, BKey::MAX, |k, _| {
-                    actual.insert((k.hi, k.lo));
+                idx.scan_range(BKey::MIN, BKey::MAX, |k, n| {
+                    counts.entry((k.hi, k.lo)).or_default().1 = Some(n);
                     Ok(true)
                 })?;
-                for missing in expected.difference(&actual) {
-                    report.violations.push(format!(
-                        "{ty_name}.{}: index missing entry for atom {} (enc {})",
-                        a.name, missing.1, missing.0
-                    ));
-                }
-                for ghost in actual.difference(&expected) {
-                    report.violations.push(format!(
-                        "{ty_name}.{}: ghost index entry for atom {} (enc {})",
-                        a.name, ghost.1, ghost.0
-                    ));
+                let name = &a.name;
+                for ((enc, no), (want, got)) in counts {
+                    if want == 0 {
+                        report.violations.push(format!(
+                            "{ty_name}.{name}: ghost index entry for atom {no} (enc {enc})"
+                        ));
+                    } else if got != Some(want) {
+                        report.violations.push(format!(
+                            "{ty_name}.{name}: index counts {} current versions of atom {no} \
+                             under enc {enc}, the store holds {want}",
+                            got.unwrap_or(0)
+                        ));
+                    }
                 }
             }
         }

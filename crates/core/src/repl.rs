@@ -15,11 +15,11 @@
 //!    atom-number allocators past every replicated number (a promoted
 //!    replica never reuses one), then applies it through the leader's own
 //!    apply routine (`Database::apply_commit`: store mutation, planner
-//!    change notes, value-index diff), which republishes the transaction
-//!    time via `publish_replicated`, making the commit visible to
-//!    snapshot reads on the replica. A close that finds no version to
-//!    close means the replica has diverged from its leader: the batch
-//!    fails rather than applying the rest.
+//!    change notes, value-index counts from the batch alone), which
+//!    republishes the transaction time via `publish_replicated`, making
+//!    the commit visible to snapshot reads on the replica. A close that
+//!    finds no version to close means the replica has diverged from its
+//!    leader: the batch fails rather than applying the rest.
 //!
 //! **Resume.** LSNs are byte offsets into one log *incarnation*; every
 //! leader checkpoint truncates the log and draws a fresh epoch. The

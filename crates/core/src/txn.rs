@@ -36,7 +36,7 @@
 
 use crate::db::{to_current, Database};
 use crate::dml::{self, CurrentVersion, Plan, Primitive};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use tcom_kernel::{AtomId, AtomTypeId, Error, Interval, Result, TimePoint, Tuple, TxnId};
 use tcom_wal::{LogRecord, SyncPolicy};
 
@@ -60,12 +60,8 @@ pub struct Txn<'db> {
     /// Overlay current state of touched atoms: everything written, plus
     /// atoms read for write.
     overlay: HashMap<AtomId, Vec<CurrentVersion>>,
-    /// The write set: every atom with buffered primitives, mapped to its
-    /// pre-transaction current tuples (for the value-index diff at commit).
-    /// Snapshotted at the first write, from an overlay entry read under the
-    /// atom type's stripe, so no concurrent commit can wedge between the
-    /// snapshot and this transaction's apply.
-    written: HashMap<AtomId, Vec<Tuple>>,
+    /// The write set: every atom with buffered primitives.
+    written: HashSet<AtomId>,
 }
 
 impl<'db> Txn<'db> {
@@ -77,7 +73,7 @@ impl<'db> Txn<'db> {
             held: vec![false; db.stripes().len()],
             ops: Vec::new(),
             overlay: HashMap::new(),
-            written: HashMap::new(),
+            written: HashSet::new(),
         }
     }
 
@@ -152,14 +148,9 @@ impl<'db> Txn<'db> {
     }
 
     fn record_plan(&mut self, atom: AtomId, plan: Plan) -> Result<()> {
-        let cur = self.current_versions(atom)?;
-        let next = dml::apply_plan(&cur, &plan)?;
+        let next = dml::apply_plan(&self.current_versions(atom)?, &plan)?;
         if !plan.is_empty() {
-            // Until its first write an atom's overlay entry is its
-            // pre-transaction state (empty for a created atom).
-            self.written
-                .entry(atom)
-                .or_insert_with(|| cur.into_iter().map(|v| v.tuple).collect());
+            self.written.insert(atom);
         }
         self.overlay.insert(atom, next);
         self.ops
@@ -233,7 +224,7 @@ impl<'db> Txn<'db> {
     /// in-transaction queries do not restamp unmodified rows with the
     /// provisional transaction time.
     pub fn written_versions(&self, atom: AtomId) -> Option<&[CurrentVersion]> {
-        if !self.written.contains_key(&atom) {
+        if !self.written.contains(&atom) {
             return None;
         }
         self.overlay.get(&atom).map(|v| v.as_slice())
@@ -241,7 +232,7 @@ impl<'db> Txn<'db> {
 
     /// Every atom with buffered writes, each once, in no particular order.
     pub fn written_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
-        self.written.keys().copied()
+        self.written.iter().copied()
     }
 
     /// Commits: logs and applies every buffered primitive at a single new
@@ -312,21 +303,10 @@ impl<'db> Txn<'db> {
         }
 
         // 3. Apply in publish-turn order, then publish — the routine a
-        //    replica applies through too. The images come from the write
-        //    set (pre-transaction tuples) and the overlay, never the stores.
+        //    replica applies through too: the logged records alone drive
+        //    the stores and the value indexes.
         self.db.wait_for_turn(tt);
-        self.db.apply_commit(
-            tt,
-            &recs,
-            &|atom| Ok(self.written[&atom].clone()),
-            &|atom| {
-                Ok(self.overlay[&atom]
-                    .iter()
-                    .map(|v| v.tuple.clone())
-                    .collect())
-            },
-            Database::publish,
-        )?;
+        self.db.apply_commit(tt, &recs, Database::publish)?;
         plug.armed = false;
 
         // 4. Strict 2PL tail: stripes release only now, after publish.

@@ -1126,3 +1126,111 @@ fn integrity_detects_manual_corruption() {
     assert!(db.assert_integrity().is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn integrity_detects_a_wrong_count() {
+    let dir = tmpdir("fsck-count");
+    let db = Database::open(&dir, cfg(StoreKind::Split)).unwrap();
+    let ty = setup_emp(&db);
+    let mut txn = db.begin();
+    let a = txn.insert_atom(ty, iv_from(0), emp("a", 7)).unwrap();
+    txn.commit().unwrap();
+    db.assert_integrity().unwrap();
+    // The atom's one current version holds 7; claim two do.
+    use tcom_storage::keys::{encode_int, BKey};
+    db.with_index_for_test(ty, tcom_kernel::AttrId(1), |idx| {
+        assert_eq!(
+            idx.insert(BKey::new(encode_int(7), a.no.0), 2).unwrap(),
+            Some(1)
+        );
+    });
+    let report = db.verify_integrity().unwrap();
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+    let v = &report.violations[0];
+    assert!(v.contains(&format!("atom {}", a.no.0)), "{v}");
+    assert!(v.contains("counts 2") && v.contains("holds 1"), "{v}");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A close whose value the index does not count fails the commit, as a
+/// close of a missing version does, rather than drive a count negative.
+#[test]
+fn a_count_below_zero_fails_the_commit() {
+    let dir = tmpdir("count-below-zero");
+    let db = Database::open(&dir, cfg(StoreKind::Chain)).unwrap();
+    let ty = setup_emp(&db);
+    let mut txn = db.begin();
+    let a = txn.insert_atom(ty, iv_from(0), emp("a", 7)).unwrap();
+    txn.commit().unwrap();
+    use tcom_storage::keys::{encode_int, BKey};
+    db.with_index_for_test(ty, AttrId(1), |idx| {
+        assert_eq!(
+            idx.remove(BKey::new(encode_int(7), a.no.0)).unwrap(),
+            Some(1)
+        );
+    });
+    let mut txn = db.begin();
+    txn.update(a, iv_from(0), emp("a", 8)).unwrap();
+    let err = txn.commit().unwrap_err();
+    assert!(err.to_string().contains("would drop below zero"), "{err}");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two current versions of one atom can share an indexed value; its index
+/// entry must outlive the close of either and go with the last. A
+/// partial-valid-time update of the name splits the one version into a
+/// renamed middle and two remainders, all with salary 50; deleting the
+/// middle and then each remainder closes them one by one. The leader is
+/// checked after every commit, and again after a crash and a reopen that
+/// redoes it.
+#[test]
+fn shared_index_value_survives_until_its_last_version_closes() {
+    use tcom_storage::keys::encode_int;
+    for kind in all_kinds() {
+        let dir = tmpdir(&format!("shared-{kind}"));
+        let mut db = Database::open(&dir, cfg(kind)).unwrap();
+        let ty = setup_emp(&db);
+        let mut txn = db.begin();
+        let a = txn.insert_atom(ty, iv_from(0), emp("a", 50)).unwrap();
+        txn.commit().unwrap();
+        // An update to the tuple, or a delete where there is none.
+        let steps = [
+            ("rename [10, 20)", iv(10, 20), Some(emp("b", 50)), true),
+            ("delete the middle", iv(10, 20), None, true),
+            ("delete one remainder", iv(0, 10), None, true),
+            ("delete the other", iv_from(20), None, false),
+        ];
+        for (what, vt, tuple, found) in steps {
+            let mut txn = db.begin();
+            match tuple {
+                Some(t) => txn.update(a, vt, t).unwrap(),
+                None => txn.delete(a, vt).unwrap(),
+            }
+            txn.commit().unwrap();
+            for role in ["leader", "reopened"] {
+                if role == "reopened" {
+                    db.crash();
+                    db = Database::open(&dir, cfg(kind)).unwrap();
+                }
+                let hits = db
+                    .index_range_inclusive(ty, AttrId(1), encode_int(50), encode_int(50))
+                    .unwrap();
+                assert_eq!(
+                    hits,
+                    if found { vec![a] } else { vec![] },
+                    "{kind} {role}: {what}"
+                );
+                let report = db.verify_integrity().unwrap();
+                assert!(
+                    report.is_ok(),
+                    "{kind} {role}: {what}: {:?}",
+                    report.violations
+                );
+            }
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -525,3 +525,80 @@ fn reconnect_resumes_idempotently() {
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&rdir);
 }
+
+/// Two current versions of one atom can share an indexed value, and a
+/// replica maintains that value's index entry from the streamed batches
+/// alone: it must outlive the close of either version and go with the
+/// last. A partial-valid-time rename splits the one version into three
+/// with salary 50; deleting the middle and then each remainder closes
+/// them one by one. After every commit the caught-up replica finds the
+/// atom through the index exactly when the leader does, and both pass
+/// the integrity check.
+#[test]
+fn replica_keeps_a_shared_index_value_until_its_last_version_closes() {
+    for kind in KINDS {
+        let tag = format!("{kind:?}").to_lowercase();
+        let ldir = tmpdir(&format!("shared-lead-{tag}"));
+        let rdir = tmpdir(&format!("shared-repl-{tag}"));
+        let ddl = "CREATE TYPE acct (owner TEXT NOT NULL, level INT INDEXED)";
+        let leader = Arc::new(Database::open(&ldir, cfg(kind)).unwrap());
+        run(&leader, ddl);
+        let server =
+            Server::start(leader.clone(), ServerConfig::default().server_threads(2)).unwrap();
+        let replica = Arc::new(Database::open(&rdir, cfg(kind)).unwrap());
+        run(&replica, ddl);
+        let applier = WalApplier::new(replica.clone()).unwrap();
+        let follower = ReplicaFollower::start(server.local_addr().to_string(), applier);
+        let ty = leader.atom_type_id("acct").unwrap();
+        let level = tcom_kernel::AttrId(1);
+        let steps = [
+            (
+                "insert",
+                "INSERT INTO acct (owner, level) VALUES ('a', 50) VALID IN [0, 100)",
+                true,
+            ),
+            (
+                "rename [10, 20)",
+                "UPDATE acct SET owner = 'b' WHERE level = 50 VALID IN [10, 20)",
+                true,
+            ),
+            (
+                "delete the middle",
+                "DELETE FROM acct WHERE level = 50 VALID IN [10, 20)",
+                true,
+            ),
+            (
+                "delete one remainder",
+                "DELETE FROM acct WHERE level = 50 VALID IN [0, 10)",
+                true,
+            ),
+            (
+                "delete the other",
+                "DELETE FROM acct WHERE level = 50 VALID IN [20, 100)",
+                false,
+            ),
+        ];
+        for (what, sql, found) in steps {
+            run(&leader, sql);
+            wait_sync(&leader, &replica, &follower);
+            for (role, db) in [("leader", &leader), ("replica", &replica)] {
+                let hits = db.index_range_inclusive(ty, level, 0, u64::MAX).unwrap();
+                assert_eq!(
+                    hits.len(),
+                    usize::from(found),
+                    "{tag} {role}: {what}: {hits:?}"
+                );
+                let report = db.verify_integrity().unwrap();
+                assert!(report.is_ok(), "{tag} {role}: {what}: {report:?}");
+            }
+        }
+        assert!(follower.last_error().is_none());
+
+        follower.stop();
+        drop(server);
+        drop(leader);
+        drop(replica);
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&rdir);
+    }
+}

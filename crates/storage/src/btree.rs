@@ -259,8 +259,29 @@ impl BTree {
 
     /// Inserts or replaces; returns the previous value if the key existed.
     pub fn insert(&self, key: BKey, value: u64) -> Result<Option<u64>> {
+        self.update(key, |_| Some(value))
+    }
+
+    /// Removes a key; returns its value if present. Lazy (no rebalancing).
+    pub fn remove(&self, key: BKey) -> Result<Option<u64>> {
+        self.update(key, |_| None)
+    }
+
+    /// Sets the value under `key` to `f` of its current value (`None` when
+    /// absent) in one descent: `None` from `f` removes the key (lazily, no
+    /// rebalancing). Returns the previous value.
+    pub fn update(
+        &self,
+        key: BKey,
+        f: impl FnOnce(Option<u64>) -> Option<u64>,
+    ) -> Result<Option<u64>> {
         let root = self.root()?;
-        let (old, split) = self.insert_rec(root, key, value)?;
+        let mut kept = false;
+        let (old, split) = self.update_rec(root, key, |old| {
+            let new = f(old);
+            kept = new.is_some();
+            new
+        })?;
         if let Some((sep, new_child)) = split {
             let new_root = self.alloc_int(IntNode {
                 keys: vec![sep],
@@ -268,52 +289,52 @@ impl BTree {
             })?;
             self.set_root(new_root)?;
         }
-        if old.is_none() {
-            self.bump_count(1)?;
+        let delta = kept as i64 - old.is_some() as i64;
+        if delta != 0 {
+            self.bump_count(delta)?;
         }
         Ok(old)
     }
 
     #[allow(clippy::type_complexity)]
-    fn insert_rec(
+    fn update_rec(
         &self,
         pid: PageId,
         key: BKey,
-        value: u64,
+        f: impl FnOnce(Option<u64>) -> Option<u64>,
     ) -> Result<(Option<u64>, Option<(BKey, PageId)>)> {
         match self.node_kind(pid)? {
             PageKind::BTreeLeaf => {
                 let mut page = self.pool.fetch_write(self.file, pid)?;
                 let mut node = Self::load_leaf(&page)?;
-                match node.entries.binary_search_by_key(&key, |e| e.0) {
-                    Ok(i) => {
-                        let old = node.entries[i].1;
-                        node.entries[i].1 = value;
-                        Self::store_leaf(&mut page, &node);
-                        Ok((Some(old), None))
+                let found = node.entries.binary_search_by_key(&key, |e| e.0);
+                let old = found.ok().map(|i| node.entries[i].1);
+                match (found, f(old)) {
+                    (Ok(i), Some(value)) => node.entries[i].1 = value,
+                    (Ok(i), None) => {
+                        node.entries.remove(i);
                     }
-                    Err(i) => {
-                        node.entries.insert(i, (key, value));
-                        if node.entries.len() <= self.leaf_cap {
-                            Self::store_leaf(&mut page, &node);
-                            return Ok((None, None));
-                        }
-                        // Split: upper half moves to a fresh right sibling.
-                        let mid = node.entries.len() / 2;
-                        let right_entries = node.entries.split_off(mid);
-                        let sep = right_entries[0].0;
-                        let right = LeafNode {
-                            entries: right_entries,
-                            next: node.next,
-                        };
-                        drop(page); // release latch before allocating
-                        let right_id = self.alloc_leaf(right)?;
-                        let mut page = self.pool.fetch_write(self.file, pid)?;
-                        node.next = right_id;
-                        Self::store_leaf(&mut page, &node);
-                        Ok((None, Some((sep, right_id))))
-                    }
+                    (Err(_), None) => return Ok((None, None)),
+                    (Err(i), Some(value)) => node.entries.insert(i, (key, value)),
                 }
+                if node.entries.len() <= self.leaf_cap {
+                    Self::store_leaf(&mut page, &node);
+                    return Ok((old, None));
+                }
+                // Split: upper half moves to a fresh right sibling.
+                let mid = node.entries.len() / 2;
+                let right_entries = node.entries.split_off(mid);
+                let sep = right_entries[0].0;
+                let right = LeafNode {
+                    entries: right_entries,
+                    next: node.next,
+                };
+                drop(page); // release latch before allocating
+                let right_id = self.alloc_leaf(right)?;
+                let mut page = self.pool.fetch_write(self.file, pid)?;
+                node.next = right_id;
+                Self::store_leaf(&mut page, &node);
+                Ok((old, Some((sep, right_id))))
             }
             PageKind::BTreeInternal => {
                 let node = {
@@ -321,11 +342,11 @@ impl BTree {
                     Self::load_int(&page)?
                 };
                 let ci = child_index(&node.keys, key);
-                let (old, split) = self.insert_rec(node.children[ci], key, value)?;
+                let (old, split) = self.update_rec(node.children[ci], key, f)?;
                 let Some((sep, new_child)) = split else {
                     return Ok((old, None));
                 };
-                // Reload: the child insert may have restructured nothing at
+                // Reload: the child update may have restructured nothing at
                 // this level, but stay defensive about ordering.
                 let mut page = self.pool.fetch_write(self.file, pid)?;
                 let mut node = Self::load_int(&page)?;
@@ -352,39 +373,6 @@ impl BTree {
             k => Err(Error::corruption(format!(
                 "unexpected page kind {k:?} in btree"
             ))),
-        }
-    }
-
-    /// Removes a key; returns its value if present. Lazy (no rebalancing).
-    pub fn remove(&self, key: BKey) -> Result<Option<u64>> {
-        let mut pid = self.root()?;
-        loop {
-            match self.node_kind(pid)? {
-                PageKind::BTreeInternal => {
-                    let page = self.pool.fetch_read(self.file, pid)?;
-                    let node = Self::load_int(&page)?;
-                    pid = node.children[child_index(&node.keys, key)];
-                }
-                PageKind::BTreeLeaf => {
-                    let mut page = self.pool.fetch_write(self.file, pid)?;
-                    let mut node = Self::load_leaf(&page)?;
-                    return match node.entries.binary_search_by_key(&key, |e| e.0) {
-                        Ok(i) => {
-                            let (_, v) = node.entries.remove(i);
-                            Self::store_leaf(&mut page, &node);
-                            drop(page);
-                            self.bump_count(-1)?;
-                            Ok(Some(v))
-                        }
-                        Err(_) => Ok(None),
-                    };
-                }
-                k => {
-                    return Err(Error::corruption(format!(
-                        "unexpected page kind {k:?} in btree"
-                    )))
-                }
-            }
         }
     }
 
@@ -614,6 +602,34 @@ mod tests {
         assert_eq!(t.insert(k(10), 111).unwrap(), Some(100));
         assert_eq!(t.get(k(10)).unwrap(), Some(111));
         assert_eq!(t.len().unwrap(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `update` sees the old value, writes what `f` returns, removes on
+    /// `None`, leaves a missing key alone on `None`, and keeps `len` exact,
+    /// also when the insert it makes splits leaves.
+    #[test]
+    fn update_reads_writes_and_removes() {
+        let (t, path) = tree("update", 32);
+        let t = t.with_fanout(4, 4);
+        let add = |key: u64, by: i64| {
+            t.update(k(key), |old| {
+                let n = old.unwrap_or(0) as i64 + by;
+                (n > 0).then_some(n as u64)
+            })
+            .unwrap()
+        };
+        for i in 0..40 {
+            assert_eq!(add(i, 1), None);
+        }
+        assert!(t.height().unwrap() > 2);
+        assert_eq!(add(7, 2), Some(1));
+        assert_eq!(t.get(k(7)).unwrap(), Some(3));
+        assert_eq!(add(8, -1), Some(1));
+        assert_eq!(t.get(k(8)).unwrap(), None);
+        assert_eq!(add(99, -1), None);
+        assert_eq!(t.get(k(99)).unwrap(), None);
+        assert_eq!(t.len().unwrap(), 39);
         let _ = std::fs::remove_file(&path);
     }
 

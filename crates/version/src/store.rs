@@ -475,28 +475,28 @@ impl Store {
     }
 
     /// Closes the transaction time of the current version whose valid time
-    /// starts at `vt_start`. Returns `false` when no such current version
-    /// exists.
+    /// starts at `vt_start` and returns the tuple it held: `None` when no
+    /// such current version exists.
     pub fn close_version(
         &self,
         no: AtomNo,
         vt_start: TimePoint,
         tt_end: TimePoint,
-    ) -> Result<bool> {
+    ) -> Result<Option<Tuple>> {
         let closed = |tt_start: TimePoint| {
             Interval::new(tt_start, tt_end)
                 .ok_or_else(|| Error::internal("tt close before tt start"))
         };
         if let Some(cur) = &self.cur {
             let Some((set_rid, mut set)) = cur.load(no)? else {
-                return Ok(false);
+                return Ok(None);
             };
             let Some(pos) = set
                 .entries
                 .iter()
                 .position(|(vt, _, _)| vt.start() == vt_start)
             else {
-                return Ok(false);
+                return Ok(None);
             };
             let (vt, tt_start, tuple) = set.entries.remove(pos);
             // Append the closed version to the history chain.
@@ -519,7 +519,7 @@ impl Store {
             if !set.entries.iter().any(|(_, s, _)| *s == tt_start) {
                 self.tix.remove(true, tt_start, no.0)?;
             }
-            return Ok(true);
+            return full_copy(rec.payload).map(Some);
         }
         // Find the target; the delta layout also remembers its newer
         // neighbour's tuple for the compression pass.
@@ -536,7 +536,7 @@ impl Store {
             Ok(true)
         })?;
         let Some(t) = target else {
-            return Ok(false);
+            return Ok(None);
         };
         let rec = VersionRecord {
             atom_no: no,
@@ -557,7 +557,7 @@ impl Store {
         if let Some(base) = newer {
             self.try_compress(new_rid, &rec, bytes.len(), &base)?;
         }
-        Ok(true)
+        full_copy(rec.payload).map(Some)
     }
 
     // ---- reads ----

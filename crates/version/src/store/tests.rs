@@ -128,10 +128,16 @@ fn update_sequence_builds_history() {
         // tt=1: value 10; tt=2: close and write 20; tt=3: close and write 30.
         s.insert_version(no, iv_from(0), TimePoint(1), &tup(10))
             .unwrap();
-        assert!(s.close_version(no, TimePoint(0), TimePoint(2)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(0), TimePoint(2))
+            .unwrap()
+            .is_some());
         s.insert_version(no, iv_from(0), TimePoint(2), &tup(20))
             .unwrap();
-        assert!(s.close_version(no, TimePoint(0), TimePoint(3)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(0), TimePoint(3))
+            .unwrap()
+            .is_some());
         s.insert_version(no, iv_from(0), TimePoint(3), &tup(30))
             .unwrap();
 
@@ -185,17 +191,36 @@ fn close_false_cases() {
     for kind in KINDS {
         let (s, _files) = store(kind, "false");
         let no = AtomNo(3);
-        assert!(!s.close_version(no, TimePoint(0), TimePoint(5)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(0), TimePoint(5))
+            .unwrap()
+            .is_none());
         s.insert_version(no, iv(0, 10), TimePoint(1), &tup(1))
             .unwrap();
         // wrong vt start
-        assert!(!s.close_version(no, TimePoint(5), TimePoint(5)).unwrap());
-        assert!(!s.close_version(no, TimePoint(42), TimePoint(5)).unwrap());
-        assert!(!s.close_version(no, TimePoint(99), TimePoint(5)).unwrap());
-        // right vt start
-        assert!(s.close_version(no, TimePoint(0), TimePoint(5)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(5), TimePoint(5))
+            .unwrap()
+            .is_none());
+        assert!(s
+            .close_version(no, TimePoint(42), TimePoint(5))
+            .unwrap()
+            .is_none());
+        assert!(s
+            .close_version(no, TimePoint(99), TimePoint(5))
+            .unwrap()
+            .is_none());
+        // right vt start: the close hands back the tuple it closed
+        assert_eq!(
+            s.close_version(no, TimePoint(0), TimePoint(5)).unwrap(),
+            Some(tup(1)),
+            "{kind}"
+        );
         // already closed: idempotent false
-        assert!(!s.close_version(no, TimePoint(0), TimePoint(6)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(0), TimePoint(6))
+            .unwrap()
+            .is_none());
     }
 }
 
@@ -216,7 +241,10 @@ fn multiple_current_vt_slices() {
         assert_eq!(cur[0].vt, iv(0, 10)); // sorted by vt
         assert_eq!(cur[2].vt, iv_from(20));
         // Close the middle slice.
-        assert!(s.close_version(no, TimePoint(10), TimePoint(5)).unwrap());
+        assert!(s
+            .close_version(no, TimePoint(10), TimePoint(5))
+            .unwrap()
+            .is_some());
         assert_eq!(s.current_versions(no).unwrap().len(), 2);
         // At tt=4, all three were visible.
         assert_eq!(s.versions_at(no, TimePoint(4)).unwrap().len(), 3);
@@ -366,7 +394,10 @@ fn logical_delete_empties_current() {
     let no = AtomNo(2);
     s.insert_version(no, iv_from(0), TimePoint(1), &tup(5))
         .unwrap();
-    assert!(s.close_version(no, TimePoint(0), TimePoint(3)).unwrap());
+    assert!(s
+        .close_version(no, TimePoint(0), TimePoint(3))
+        .unwrap()
+        .is_some());
     assert!(s.current_versions(no).unwrap().is_empty());
     assert!(
         s.exists(no).unwrap(),

@@ -122,7 +122,8 @@ fn load(s: &Store) {
             let vt_start = if no % 8 == 0 { 10 } else { 0 };
             assert!(s
                 .close_version(AtomNo(no), TimePoint(vt_start), TimePoint(tick))
-                .unwrap());
+                .unwrap()
+                .is_some());
             let wide = rand() % 4 == 0;
             s.insert_version(
                 AtomNo(no),
@@ -136,7 +137,8 @@ fn load(s: &Store) {
     for no in (5..ATOMS).step_by(16) {
         assert!(s
             .close_version(AtomNo(no), TimePoint(0), TimePoint(LAST_TICK))
-            .unwrap());
+            .unwrap()
+            .is_some());
     }
 }
 
@@ -332,7 +334,10 @@ fn record_bytes_are_pinned_per_kind() {
             for round in 1..=SYN_UPDATES {
                 let tt = TimePoint(round + 1);
                 for no in 0..SYN_ATOMS {
-                    assert!(s.close_version(AtomNo(no), TimePoint::MIN, tt).unwrap());
+                    assert!(s
+                        .close_version(AtomNo(no), TimePoint::MIN, tt)
+                        .unwrap()
+                        .is_some());
                     let t = syn_tuple(width, no, round, changed);
                     s.insert_version(AtomNo(no), Interval::all(), tt, &t)
                         .unwrap();

@@ -70,7 +70,7 @@ fn update_rounds(s: &Store, model: &mut Model, no: AtomNo, mut clock: u64, round
     let vt0 = TimePoint(0);
     for r in 0..rounds {
         let now = TimePoint(clock);
-        assert!(s.close_version(no, vt0, now).unwrap());
+        assert!(s.close_version(no, vt0, now).unwrap().is_some());
         let (iv, _) = model.rows.last_mut().unwrap();
         *iv = Interval::new(iv.start(), now).unwrap();
         let t = tuple_for(clock + r);

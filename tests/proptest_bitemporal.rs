@@ -4,6 +4,7 @@
 //! storage format, including across a simulated crash.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tcom::prelude::*;
 
 /// The executable specification: a growing list of immutable version
@@ -177,6 +178,78 @@ fn check(db: &Database, atom: AtomId, spec: &Spec, label: &str) {
     }
 }
 
+/// Runs `ops` against one fresh atom of a `kind` database and the spec,
+/// checking every transaction-time slice and the integrity of the stores
+/// and value indexes after every op and again after a crash and recovery.
+fn run_case(ops: &[Op], kind: StoreKind) {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "tcom-prop-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DbConfig::default()
+        .store_kind(kind)
+        .buffer_frames(128)
+        .checkpoint_interval(0);
+    let db = Database::open(&dir, cfg).unwrap();
+    let ty = db
+        .define_atom_type(
+            "t",
+            vec![
+                AttrDef::new("v", DataType::Int).indexed(),
+                AttrDef::new("pad", DataType::Text),
+            ],
+        )
+        .unwrap();
+
+    // Seed version covering everything so updates always apply.
+    let mut spec = Spec::default();
+    let mut txn = db.begin();
+    let atom = txn.insert_atom(ty, Interval::all(), tuple(1000)).unwrap();
+    txn.commit().unwrap();
+    spec.clock += 1;
+    spec.versions.push((
+        Interval::all(),
+        Interval::from_start(TimePoint(spec.clock)),
+        1000,
+    ));
+    let verify = |db: &Database, spec: &Spec, label: &str| {
+        check(db, atom, spec, label);
+        let report = db.verify_integrity().unwrap();
+        assert!(report.is_ok(), "{label}: {:?}", report.violations);
+    };
+
+    for op in ops {
+        match op {
+            Op::Update { start, len, val } => {
+                let vt = iv8(*start, *len);
+                let mut txn = db.begin();
+                txn.update(atom, vt, tuple(*val as i64)).unwrap();
+                txn.commit().unwrap();
+                spec.update(vt, *val as i64);
+            }
+            Op::Delete { start, len } => {
+                let vt = iv8(*start, *len);
+                let mut txn = db.begin();
+                txn.delete(atom, vt).unwrap();
+                txn.commit().unwrap();
+                spec.delete(vt);
+            }
+        }
+        verify(&db, &spec, &format!("{kind} after {op:?}"));
+    }
+
+    // Crash and recover: the spec must still hold.
+    db.crash();
+    let db = Database::open(&dir, cfg).unwrap();
+    verify(&db, &spec, &format!("{kind} after crash recovery"));
+
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
 
@@ -184,60 +257,25 @@ proptest! {
     fn engine_matches_bitemporal_spec(
         ops in proptest::collection::vec(op_strategy(), 1..25),
         kind_sel in 0usize..3,
-        seed in 0u64..u64::MAX,
     ) {
-        let kind = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split][kind_sel];
-        let dir = std::env::temp_dir().join(format!(
-            "tcom-prop-{}-{seed:x}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Database::open(
-            &dir,
-            DbConfig::default().store_kind(kind).buffer_frames(128).checkpoint_interval(0),
-        ).unwrap();
-        let ty = db.define_atom_type(
-            "t",
-            vec![AttrDef::new("v", DataType::Int).indexed(), AttrDef::new("pad", DataType::Text)],
-        ).unwrap();
-
-        // Seed version covering everything so updates always apply.
-        let mut spec = Spec::default();
-        let mut txn = db.begin();
-        let atom = txn.insert_atom(ty, Interval::all(), tuple(1000)).unwrap();
-        txn.commit().unwrap();
-        spec.clock += 1;
-        spec.versions.push((Interval::all(), Interval::from_start(TimePoint(spec.clock)), 1000));
-
-        for op in &ops {
-            match op {
-                Op::Update { start, len, val } => {
-                    let vt = iv8(*start, *len);
-                    let mut txn = db.begin();
-                    txn.update(atom, vt, tuple(*val as i64)).unwrap();
-                    txn.commit().unwrap();
-                    spec.update(vt, *val as i64);
-                }
-                Op::Delete { start, len } => {
-                    let vt = iv8(*start, *len);
-                    let mut txn = db.begin();
-                    txn.delete(atom, vt).unwrap();
-                    txn.commit().unwrap();
-                    spec.delete(vt);
-                }
-            }
-            check(&db, atom, &spec, &format!("{kind} after {op:?}"));
-        }
-
-        // Crash and recover: the spec must still hold.
-        db.crash();
-        let db = Database::open(
-            &dir,
-            DbConfig::default().store_kind(kind).buffer_frames(128).checkpoint_interval(0),
-        ).unwrap();
-        check(&db, atom, &spec, &format!("{kind} after crash recovery"));
-
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
+        run_case(&ops, [StoreKind::Chain, StoreKind::Delta, StoreKind::Split][kind_sel]);
     }
+}
+
+/// The one failure the property test has shrunk to: two deletes that
+/// leave a gap, then an update across it, on the split layout.
+#[test]
+fn delete_delete_update_across_the_gap_on_split() {
+    run_case(
+        &[
+            Op::Delete { start: 6, len: 10 },
+            Op::Delete { start: 6, len: 1 },
+            Op::Update {
+                start: 1,
+                len: 10,
+                val: -16,
+            },
+        ],
+        StoreKind::Split,
+    );
 }

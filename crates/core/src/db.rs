@@ -134,12 +134,11 @@ pub struct Database {
     /// equal tt order (the crash matrix relies on durable commits always
     /// forming a tt-prefix).
     pub(crate) wal_order: Mutex<()>,
-    /// Serializes DDL and the writers-scope maintenance (pruning, swaps).
+    /// Serializes DDL, pruning and segment swaps.
     maint: Mutex<()>,
     /// Per-atom-type commit stripes (wait-die).
     stripes: StripeLocks,
-    /// Begin-order ids for wait-die priorities (1-based; 0 is reserved
-    /// for maintenance).
+    /// Begin-order ids for wait-die priorities (1-based).
     txn_seq: AtomicU64,
     next_no: Mutex<HashMap<u32, u64>>,
     /// Appliers shared, the maintenance guard exclusive. Readers never

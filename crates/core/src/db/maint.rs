@@ -1,17 +1,15 @@
 //! Maintenance: page flushes, checkpoints, history pruning and segment
 //! swaps, and [`Quiesced`], the one guard they (and DDL) quiesce through.
-//! Only the guard takes every stripe, drains commits or excludes
-//! appliers, always in the order `maint` → every stripe (as
-//! `MAINTENANCE_ID`) → `wal_order` → drain → `commit_lock`. Each of its
+//! Only the guard drains commits or excludes appliers, always in the
+//! order `maint` → `wal_order` → drain → `commit_lock`. Each of its
 //! scopes takes a subsequence of that order (DESIGN §10.2), so no two
-//! maintenance operations wait on each other in a cycle. Readers are
-//! never excluded; a writer meeting the writers scope dies under wait-die
-//! and retries.
+//! maintenance operations wait on each other in a cycle. No scope takes
+//! a commit stripe: writers wait for maintenance, never die for it, and
+//! readers are never excluded.
 
 use super::Database;
 use crate::control::{Control, CONTROL_FILE};
 use crate::journal::{self, JournalEntry};
-use crate::stripes::{StripeLocks, MAINTENANCE_ID};
 use parking_lot::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -27,35 +25,10 @@ use tcom_wal::LogRecord;
 pub(crate) struct Quiesced<'db> {
     _appliers: RwLockWriteGuard<'db, ()>,
     _order: Option<MutexGuard<'db, ()>>,
-    _stripes: Option<AllStripes<'db>>,
     _maint: Option<MutexGuard<'db, ()>>,
 }
 
-/// Every commit stripe, held under [`MAINTENANCE_ID`] until dropped.
-struct AllStripes<'db>(&'db StripeLocks);
-
-impl Drop for AllStripes<'_> {
-    fn drop(&mut self) {
-        self.0.unlock_all(MAINTENANCE_ID);
-    }
-}
-
 impl<'db> Quiesced<'db> {
-    /// The writers scope: `maint`, every commit stripe, then the commits
-    /// scope. `maint` comes first because two `lock_all(MAINTENANCE_ID)`
-    /// callers would each take the other's stripes for their own; the
-    /// reserved oldest id then waits out every holder, and a holder
-    /// releases only after its commit has published.
-    pub(crate) fn writers(db: &'db Database) -> Result<Quiesced<'db>> {
-        let maint = db.maint.lock();
-        db.stripes.lock_all(MAINTENANCE_ID)?;
-        Ok(Quiesced {
-            _maint: Some(maint),
-            _stripes: Some(AllStripes(&db.stripes)),
-            ..Quiesced::commits(db)
-        })
-    }
-
     /// The commits scope: `wal_order`, so no transaction time can be
     /// drawn; a drain until every drawn one is published (appliers still
     /// run meanwhile); then the flush scope.
@@ -89,7 +62,6 @@ impl<'db> Quiesced<'db> {
         Quiesced {
             _appliers: db.commit_lock.write(),
             _order: None,
-            _stripes: None,
             _maint: None,
         }
     }
@@ -205,14 +177,17 @@ impl Database {
     /// Physically discards every heap version whose transaction time ended
     /// at or before `cutoff` (history pruning / vacuum); versions already
     /// archived into segments stay. Time-slices at `tt >= cutoff` are
-    /// unaffected; earlier slices stop being faithful. Pruning is not
-    /// logged: it finishes with a checkpoint, whose flush lands the pruned
-    /// pages under a watermark past every logged commit they contain, so
-    /// recovery skips those commits instead of replaying them over the
-    /// pruned pages. Returns the number of versions removed.
+    /// unaffected; earlier slices stop being faithful. Runs under `maint`
+    /// in the commits scope: writers wait at `wal_order` meanwhile, and
+    /// none dies. Pruning is not logged: it finishes with a checkpoint,
+    /// whose flush lands the pruned pages under a watermark past every
+    /// logged commit they contain, so recovery skips those commits instead
+    /// of replaying them over the pruned pages. Returns the number of
+    /// versions removed.
     pub fn prune_history(&self, cutoff: TimePoint) -> Result<u64> {
         let removed = {
-            let _quiesced = Quiesced::writers(self)?;
+            let _maint = self.maint.lock();
+            let _quiesced = Quiesced::commits(self);
             let type_ids: Vec<AtomTypeId> =
                 self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
             let tys: Vec<u32> = type_ids.iter().map(|t| t.0).collect();
@@ -224,9 +199,7 @@ impl Database {
             removed
         };
         // Pruning changes store shape outside the commit path; drop the
-        // planner's cached snapshots rather than let them lie. The
-        // checkpoint runs after the writers scope is released, so no
-        // stripe is held through the page flush.
+        // planner's cached snapshots rather than let them lie.
         self.stats.invalidate_all();
         self.checkpoint()?;
         Ok(removed)
@@ -234,26 +207,28 @@ impl Database {
 
     /// Archives every closed (transaction-time-ended) version of one atom
     /// type into a new compressed, checksummed, immutable segment file,
-    /// atomically swapping the heap records for the segment in the writers
-    /// scope. Crash-safe: the segment reaches its final name via temp +
-    /// rename *before* the swap's WAL record — the record is the commit
-    /// point, and recovery either adopts the segment and redoes the heap
-    /// extraction from it or discards the unreferenced file. The control
-    /// file lists the segment from the next flush on. Returns the number
-    /// of versions archived (0 when the type holds no closed history).
+    /// then swaps the heap records for it. Only `maint` is held until the
+    /// extraction, which alone runs in the flush scope. Crash-safe: the
+    /// segment reaches its final name via temp + rename *before* the
+    /// swap's WAL record — the record is the commit point, and recovery
+    /// either adopts the segment and redoes the heap extraction from it or
+    /// discards the unreferenced file. The control file lists the segment
+    /// from the next flush on. Returns the number of versions archived (0
+    /// when the type holds no closed history).
     pub fn compact_type(&self, ty: AtomTypeId) -> Result<u64> {
         let _span = self.obs.span("db.compact");
         let archived = {
-            let _quiesced = Quiesced::writers(self)?;
+            let _maint = self.maint.lock();
             let store = self.store(ty)?;
-            // With commits drained the published clock is exact, and any
-            // post-swap commit draws a higher tt: the archived set
-            // (closed versions with `tt.end <= cutoff`) is frozen, so
-            // recovery's redo selects exactly the same versions.
+            // Versions closed by the published clock are immutable, and a
+            // commit in flight draws a later tt, so it closes only versions
+            // ending after the cutoff: the archived set is frozen without a
+            // drain, and recovery's redo selects the same versions wherever
+            // commits land around the swap record.
             let cutoff = self.now();
             let mut entries: Vec<(u64, AtomVersion)> = Vec::new();
-            for no in store.atoms()? {
-                for v in store.collect_closed(no, cutoff)? {
+            for no in self.read_stable(ty, || store.atoms())? {
+                for v in self.read_stable(ty, || store.collect_closed(no, cutoff))? {
                     entries.push((no.0, v));
                 }
             }
@@ -276,6 +251,10 @@ impl Database {
             })?;
             self.wal.sync()?;
             {
+                // A flush lists the segment exactly when its heap copies
+                // are gone; one that truncated the record before this point
+                // leaves the file a leftover for the next open to delete.
+                let _quiesced = Quiesced::flush(self);
                 let _apply = self.begin_apply(&[ty.0]);
                 self.add_segment(&store, ty.0, seg)?;
                 store.extract_all_closed(cutoff)?;
@@ -336,8 +315,8 @@ fn segment_file_name(ty: u32, seg: u64) -> String {
 }
 
 /// Temp name a type's in-flight segment is written under before its
-/// rename (one per type: compaction runs in the writers scope, which
-/// holds `maint`, so there is never more than one in flight).
+/// rename (one per type: compaction holds `maint` from collect to
+/// extraction, so there is never more than one in flight).
 fn segment_tmp_name(ty: u32) -> String {
     format!("t{ty}_seg.tmp")
 }

@@ -11,19 +11,14 @@
 //! id: when a stripe is held, an *older* requester (smaller id) waits and
 //! a *younger* requester (larger id) aborts immediately with a
 //! retryable [`Error::Txn`]. Waits therefore only ever run from older to
-//! younger transactions, so the wait-for graph is acyclic. Maintenance
-//! that must exclude every writer (history pruning, segment swaps)
-//! acquires every stripe under the reserved id [`MAINTENANCE_ID`], which
-//! is older than any transaction and thus never dies; the engine's
-//! maintenance guard is the only caller of [`StripeLocks::lock_all`].
+//! younger transactions, so the wait-for graph is acyclic. Only writers
+//! take stripes: maintenance (history pruning, segment swaps, flushes)
+//! never does, so a writer meets maintenance as a wait at `wal_order` or
+//! at the apply lock, never as a wait-die abort.
 
 use parking_lot::{Condvar, Mutex};
 use tcom_kernel::{AtomTypeId, Error, Result};
 use tcom_obs::Counter;
-
-/// The reserved wait-die id used by maintenance ([`StripeLocks::lock_all`]).
-/// Real transaction ids start at 1, so maintenance always wins waits.
-pub const MAINTENANCE_ID: u64 = 0;
 
 /// The engine's commit-stripe count: atom type `t` maps to stripe
 /// `t % COMMIT_STRIPES`, so up to this many types commit in parallel.
@@ -115,35 +110,6 @@ impl StripeLocks {
         drop(holder);
         stripe.freed.notify_all();
     }
-
-    /// Acquires every stripe for `me` (ascending index, so two `lock_all`
-    /// callers cannot deadlock each other). Intended for maintenance with
-    /// [`MAINTENANCE_ID`], which waits out every holder and never dies.
-    pub fn lock_all(&self, me: u64) -> Result<()> {
-        for idx in 0..self.stripes.len() {
-            if let Err(e) = self.acquire(idx, me, false) {
-                for held in 0..idx {
-                    self.release(held, me);
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Releases every stripe held by `me` (the [`StripeLocks::lock_all`]
-    /// counterpart).
-    pub fn unlock_all(&self, me: u64) {
-        for idx in 0..self.stripes.len() {
-            let stripe = &self.stripes[idx];
-            let mut holder = stripe.holder.lock();
-            if *holder == Some(me) {
-                *holder = None;
-                drop(holder);
-                stripe.freed.notify_all();
-            }
-        }
-    }
 }
 
 fn wait_die_abort(idx: usize, me: u64, holder: u64) -> Error {
@@ -202,21 +168,5 @@ mod tests {
         assert!(is_wait_die_abort(&s.acquire(0, 3, true).unwrap_err()));
         assert!(is_wait_die_abort(&s.acquire(0, 9, true).unwrap_err()));
         s.release(0, 5);
-    }
-
-    #[test]
-    fn lock_all_waits_out_holders() {
-        let s = Arc::new(StripeLocks::new(3));
-        s.acquire(2, 4, false).unwrap();
-        let s2 = s.clone();
-        let h = std::thread::spawn(move || {
-            s2.lock_all(MAINTENANCE_ID).unwrap();
-            // Every stripe is now held by maintenance; a real txn dies.
-            assert!(is_wait_die_abort(&s2.acquire(0, 7, false).unwrap_err()));
-            s2.unlock_all(MAINTENANCE_ID);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        s.release(2, 4);
-        h.join().unwrap();
     }
 }

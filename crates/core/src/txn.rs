@@ -85,11 +85,13 @@ impl<'db> Txn<'db> {
     /// Acquires the commit stripe of `ty` if not already held. Every read
     /// of committed state that feeds this transaction's overlay (and every
     /// atom-number allocation) runs under the type's stripe; the first
-    /// touch of a type takes it implicitly. A statement that enumerates a
-    /// type's atoms takes it explicitly *before* the enumeration: otherwise
-    /// an older transaction could enumerate, wait here behind a younger
-    /// inserter, and miss the row that commit adds although stripe order
-    /// serializes it after the insert.
+    /// touch of a type takes it implicitly. Maintenance takes no stripe,
+    /// so those reads still validate against the type's apply mark. A
+    /// statement that enumerates a type's atoms takes it explicitly
+    /// *before* the enumeration: otherwise an older transaction could
+    /// enumerate, wait here behind a younger inserter, and miss the row
+    /// that commit adds although stripe order serializes it after the
+    /// insert.
     pub fn lock_type(&mut self, ty: AtomTypeId) -> Result<()> {
         let idx = self.db.stripes().stripe_of(ty);
         if !self.held[idx] {
@@ -109,13 +111,14 @@ impl<'db> Txn<'db> {
     }
 
     /// The transaction's view of an atom's current versions
-    /// (read-your-writes).
+    /// (read-your-writes). The base read is validated, since a segment
+    /// swap's extraction may rewrite the atom's records under the stripe.
     pub fn current_versions(&mut self, atom: AtomId) -> Result<Vec<CurrentVersion>> {
         if let Some(v) = self.overlay.get(&atom) {
             return Ok(v.clone());
         }
         self.lock_type(atom.ty)?;
-        let base = to_current(self.db.store(atom.ty)?.current_versions(atom.no)?);
+        let base = to_current(self.db.current_versions(atom)?);
         self.overlay.insert(atom, base.clone());
         Ok(base)
     }

@@ -16,12 +16,17 @@
 //!
 //! `TCOM_CRASH_SAMPLE=k` strides the matrix exactly like the recovery
 //! suite's, and reopens run under the same deadline.
+//!
+//! A swap does not drain commits, so a commit can log its batch after the
+//! swap record while the extraction is still to come;
+//! `commit_between_swap_record_and_extraction_*` cuts the power there.
 
 mod reopen;
 
 use reopen::reopen;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tcom_core::{
     AtomId, AtomTypeId, AttrDef, DataType, Database, DbConfig, FaultVfs, Interval, StoreKind,
     SyncPolicy, TimePoint, Tuple, Value,
@@ -275,4 +280,84 @@ fn compaction_crash_matrix_delta() {
 #[test]
 fn compaction_crash_matrix_split() {
     crash_matrix(StoreKind::Split, "split");
+}
+
+/// Polls `cond` until it holds, panicking after 30 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{what} never became durable"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Parks the swap's extraction (and every apply) after its `SegmentSwap`
+/// record is durable, lets a commit that closes a version log its batch
+/// behind that record, and copies the durable bytes as a power cut at that
+/// instant would leave them. Recovery of the copy redoes the extraction at
+/// the swap record and then the later commit, and must answer every
+/// `ASOF TT` slice and every history exactly as the live database does
+/// once both parked threads have finished.
+fn commit_between_swap_and_extraction(kind: StoreKind, tag: &str) {
+    let dir = tmpdir(tag);
+    let vfs = FaultVfs::new();
+    let db = Database::open_with_vfs(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let ty = setup(&db);
+    let atoms = populate(&db, ty);
+    let cutoff = db.now();
+    let wal = dir.join("wal.log");
+    let durable_wal = || vfs.durable_len(&wal).unwrap_or(0);
+
+    let (copy, archived, late_tt) = std::thread::scope(|s| {
+        let parked = db.block_applies_for_test();
+        let start = durable_wal();
+        let compaction = s.spawn(|| db.compact_type(ty));
+        wait_until("the swap record", || durable_wal() > start);
+        let swap_end = durable_wal();
+        let writer = s.spawn(|| {
+            let mut txn = db.begin();
+            txn.update(atoms[0], Interval::all(), tup(-1, "late"))?;
+            txn.commit()
+        });
+        wait_until("the late commit's batch", || durable_wal() > swap_end);
+        let copy = vfs.durable_copy();
+        drop(parked);
+        let archived = compaction.join().unwrap().unwrap();
+        (copy, archived, writer.join().unwrap().unwrap())
+    });
+    assert!(archived > 0, "the swap must archive history");
+    assert!(
+        late_tt > cutoff,
+        "the late commit draws a tt above the cutoff"
+    );
+
+    let recovered = reopen(&dir, cfg(kind), Arc::new(copy)).unwrap();
+    assert_eq!(recovered.now(), late_tt);
+    assert_eq!(dump(&recovered, ty), dump(&db, ty), "HISTORY diverged");
+    assert_eq!(slices(&recovered, ty), slices(&db, ty), "a slice diverged");
+    for (name, d) in [("recovered", &recovered), ("live", &db)] {
+        let report = d.verify_integrity().unwrap();
+        assert!(report.is_ok(), "{name}: {:?}", report.violations);
+    }
+    drop(recovered);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_chain() {
+    commit_between_swap_and_extraction(StoreKind::Chain, "late-chain");
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_delta() {
+    commit_between_swap_and_extraction(StoreKind::Delta, "late-delta");
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_split() {
+    commit_between_swap_and_extraction(StoreKind::Split, "late-split");
 }

@@ -4,11 +4,13 @@
 //! stripe, unchanged committed state, and a clean retry that succeeds.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
-use tcom_core::stripes::{StripeLocks, MAINTENANCE_ID};
+use tcom_core::stripes::StripeLocks;
 use tcom_core::{
     is_wait_die_abort, AtomTypeId, AttrDef, DataType, Database, DbConfig, Interval, StoreKind,
     SyncPolicy, Tuple, Value,
@@ -27,18 +29,27 @@ fn tup(v: i64) -> Tuple {
 
 /// Runs `f` on a worker thread and panics if it has not finished within
 /// `secs` — the liveness bound that turns a deadlock into a test failure.
+/// A panic inside `f` is re-raised as itself.
 fn with_deadline<F>(secs: u64, what: &str, f: F)
 where
     F: FnOnce() + Send + 'static,
 {
     let (done_tx, done_rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let worker = std::thread::spawn(move || {
         f();
         let _ = done_tx.send(());
     });
-    done_rx
-        .recv_timeout(Duration::from_secs(secs))
-        .unwrap_or_else(|_| panic!("{what}: not finished within {secs}s — deadlock?"));
+    match done_rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what}: not finished within {secs}s — deadlock?")
+        }
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+            worker
+                .join()
+                .expect_err("a worker that never sent has panicked"),
+        ),
+    }
 }
 
 // ---- randomized schedules directly against the lock table ----
@@ -97,11 +108,11 @@ proptest! {
             });
         });
         // Every stripe of the schedule's own table must be free again: a
-        // maintenance-style sweep (oldest id) takes each one without
+        // sweep under an id no schedule drew takes each one without
         // waiting — in no-wait mode a stripe still held would abort.
         for idx in 0..table.len() {
             prop_assert!(
-                table.acquire(idx, MAINTENANCE_ID, true).is_ok(),
+                table.acquire(idx, 0, true).is_ok(),
                 "stripe {idx} still held after every schedule finished"
             );
         }
@@ -358,4 +369,86 @@ fn maintenance_never_wedges_commits() {
         assert!(db.verify_integrity().unwrap().is_ok());
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A writer is never a maintenance victim. One `begin_no_wait` writer —
+/// any held stripe would abort it at once — updates atoms in a loop while
+/// another thread runs rounds of segment swaps and prunes that archive
+/// real history. Maintenance takes no stripe, so on every store kind the
+/// writer sees no abort, every atom ends at its last committed value, and
+/// the integrity check passes.
+#[test]
+fn writer_is_never_a_maintenance_victim() {
+    const ROUNDS: usize = 20;
+    for kind in [StoreKind::Chain, StoreKind::Delta, StoreKind::Split] {
+        let dir = tmpdir(&format!("no-victim-{kind:?}"));
+        let dir2 = dir.clone();
+        with_deadline(120, "writer beside maintenance rounds", move || {
+            let db = Database::open(
+                &dir2,
+                DbConfig::default()
+                    .store_kind(kind)
+                    .sync_policy(SyncPolicy::OnCheckpoint),
+            )
+            .unwrap();
+            let ty = db
+                .define_atom_type("emp", vec![AttrDef::new("v", DataType::Int).indexed()])
+                .unwrap();
+            let mut seed = db.begin();
+            let atoms: Vec<_> = (0..8)
+                .map(|i| seed.insert_atom(ty, Interval::all(), tup(i)).unwrap())
+                .collect();
+            seed.commit().unwrap();
+
+            let done = AtomicBool::new(false);
+            let (commits, aborts, last) = std::thread::scope(|s| {
+                let writer = s.spawn(|| {
+                    let (mut commits, mut aborts) = (0u64, 0u64);
+                    let mut last = HashMap::new();
+                    let mut k = 0i64;
+                    while !done.load(Ordering::Acquire) {
+                        k += 1;
+                        let atom = atoms[k as usize % atoms.len()];
+                        let mut txn = db.begin_no_wait();
+                        let attempt = txn
+                            .update(atom, Interval::all(), tup(k))
+                            .and_then(|()| txn.commit());
+                        match attempt {
+                            Ok(_) => {
+                                commits += 1;
+                                last.insert(atom, k);
+                            }
+                            Err(e) if is_wait_die_abort(&e) => aborts += 1,
+                            Err(e) => panic!("{kind:?} writer: {e}"),
+                        }
+                    }
+                    (commits, aborts, last)
+                });
+                let mut rounds = 0;
+                while rounds < ROUNDS {
+                    let archived = db.compact_type(ty).unwrap();
+                    let pruned = db.prune_history(db.now()).unwrap();
+                    if archived > 0 && pruned > 0 {
+                        rounds += 1;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                done.store(true, Ordering::Release);
+                writer.join().unwrap()
+            });
+            assert_eq!(
+                aborts, 0,
+                "{kind:?}: {aborts} aborts beside {commits} commits"
+            );
+            assert_eq!(db.metrics().counter("txn.wait_die_aborts"), 0);
+            for (atom, k) in last {
+                let cur = db.current_versions(atom).unwrap();
+                assert_eq!(cur.len(), 1);
+                assert_eq!(cur[0].tuple, tup(k), "{kind:?}: {atom}");
+            }
+            let report = db.verify_integrity().unwrap();
+            assert!(report.is_ok(), "{kind:?}: {:?}", report.violations);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

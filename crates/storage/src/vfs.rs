@@ -168,7 +168,7 @@ pub struct FaultSchedule {
     pub on_read: BTreeMap<u64, Fault>,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct FileState {
     current: Vec<u8>,
     durable: Vec<u8>,
@@ -271,6 +271,22 @@ impl FaultVfs {
             st.files[name].durable.hash(&mut h);
         }
         h.finish()
+    }
+
+    /// A new file system holding every file's durable bytes: what a power
+    /// cut at this instant would leave, while this one runs on.
+    pub fn durable_copy(&self) -> FaultVfs {
+        let mut files = self.state.lock().files.clone();
+        for f in files.values_mut() {
+            f.current = f.durable.clone();
+        }
+        let state = FaultState {
+            files,
+            ..FaultState::default()
+        };
+        FaultVfs {
+            state: Arc::new(Mutex::new(state)),
+        }
     }
 
     /// The durable length of `path` (what a reopen would see), if present.

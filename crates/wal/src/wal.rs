@@ -242,14 +242,19 @@ impl Wal {
 
     /// Forces the log to stable storage (unconditional fsync).
     pub fn sync(&self) -> Result<()> {
-        let (file, end) = {
+        let (file, end, epoch) = {
             let inner = self.inner.lock().expect("wal lock");
-            (inner.file.clone(), inner.end)
+            (inner.file.clone(), inner.end, inner.epoch)
         };
         file.sync()?;
-        let mut gate = self.gate.lock().expect("wal gate");
-        gate.synced_end = gate.synced_end.max(end);
-        drop(gate);
+        // A reset during the fsync truncated what it covered: only an
+        // fsync of the current epoch moves the durable horizon.
+        let inner = self.inner.lock().expect("wal lock");
+        if inner.epoch == epoch {
+            let mut gate = self.gate.lock().expect("wal gate");
+            gate.synced_end = gate.synced_end.max(end);
+        }
+        drop(inner);
         self.gate_changed.notify_all();
         self.obs.fsyncs.inc();
         self.obs
@@ -503,7 +508,9 @@ mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write;
+    use std::sync::mpsc;
     use tcom_kernel::{TimePoint, TxnId};
+    use tcom_storage::vfs::FaultVfs;
 
     /// Every valid record from the start of the log, through the cursor.
     fn read_all(wal: &Wal) -> Result<Vec<(Lsn, LogRecord)>> {
@@ -519,6 +526,93 @@ mod tests {
         let p = std::env::temp_dir().join(format!("tcom-wal-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// A file whose next `sync` parks once armed: it reports its entry,
+    /// then waits for a release before it fsyncs.
+    struct ParkedSync {
+        file: Arc<dyn VfsFile>,
+        park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl VfsFile for ParkedSync {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+            self.file.read_at(buf, offset)
+        }
+        fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
+            self.file.write_at(buf, offset)
+        }
+        fn sync(&self) -> Result<()> {
+            let armed = self.park.lock().unwrap().take();
+            if let Some((entered, release)) = armed {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.file.sync()
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.file.set_len(len)
+        }
+        fn len(&self) -> Result<u64> {
+            self.file.len()
+        }
+    }
+
+    struct OneFile(Arc<ParkedSync>);
+
+    impl Vfs for OneFile {
+        fn open(&self, _: &Path) -> Result<Arc<dyn VfsFile>> {
+            Ok(self.0.clone())
+        }
+        fn exists(&self, _: &Path) -> bool {
+            true
+        }
+        fn remove(&self, _: &Path) -> Result<()> {
+            unreachable!("the log is never removed")
+        }
+        fn rename(&self, _: &Path, _: &Path) -> Result<()> {
+            unreachable!("the log is never renamed")
+        }
+    }
+
+    /// An unconditional `sync` whose fsync straddles a checkpoint's reset
+    /// must not raise the durable horizon past the new, shorter log: a
+    /// stale horizon would let a later commit's `sync_to` skip its fsync.
+    #[test]
+    fn sync_straddling_a_reset_keeps_the_durable_horizon() {
+        let path = Path::new("wal.log");
+        let file = Arc::new(ParkedSync {
+            file: FaultVfs::new().open(path).unwrap(),
+            park: Mutex::new(None),
+        });
+        let wal = Wal::open_with(&OneFile(file.clone()), path, SyncPolicy::OnCommit).unwrap();
+        for i in 1..=8 {
+            wal.append(&LogRecord::Begin { txn: TxnId(i) }).unwrap();
+        }
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *file.park.lock().unwrap() = Some((entered_tx, release_rx));
+        std::thread::scope(|s| {
+            let syncer = s.spawn(|| wal.sync());
+            entered.recv().unwrap();
+            wal.reset_with(&LogRecord::Checkpoint {
+                clock: TimePoint(8),
+                next_atom_nos: vec![],
+            })
+            .unwrap();
+            release.send(()).unwrap();
+            syncer.join().unwrap().unwrap();
+        });
+        assert_eq!(wal.durable_len(), wal.len());
+        let end = wal
+            .append_all(&[LogRecord::Begin { txn: TxnId(9) }])
+            .unwrap();
+        assert!(
+            wal.durable_len() < end.0,
+            "the new batch is not durable yet"
+        );
+        wal.sync_to(end).unwrap();
+        assert_eq!(wal.durable_len(), end.0);
     }
 
     #[test]

@@ -155,23 +155,10 @@ fn run_shell_statement(shell: &mut Shell, stmt: &str) {
         return;
     }
     match &shell.db {
-        Some(db) => {
-            // A wait-die victim has applied nothing (the background
-            // compactor's swap briefly owns every commit stripe), so the
-            // statement is safe to replay; give maintenance a moment to
-            // finish rather than surfacing a spurious error.
-            let mut attempts = 0u32;
-            loop {
-                match run_statement(db, stmt) {
-                    Ok(out) => break print_output(out),
-                    Err(e) if tcom_core::is_wait_die_abort(&e) && attempts < 400 => {
-                        attempts += 1;
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(e) => break eprintln!("error: {e}"),
-                }
-            }
-        }
+        Some(db) => match run_statement(db, stmt) {
+            Ok(out) => print_output(out),
+            Err(e) => eprintln!("error: {e}"),
+        },
         None => eprintln!("not connected and no local database — use .connect host:port"),
     }
 }

@@ -220,15 +220,12 @@ pub fn dec_ack(buf: &[u8]) -> Result<Ack> {
 // ---- replication ----
 
 /// A decoded ReplSubscribe payload: where the replica wants the WAL
-/// stream to resume. `epoch` pairs the LSN with one leader log
-/// incarnation; on mismatch the leader streams from LSN 0 of its current
-/// epoch. `published_tt` is the replica's clock, for leader-side
-/// observability.
+/// stream to resume. A position below the leader's oldest retained
+/// segment streams from that segment's head checkpoint. `published_tt` is
+/// the replica's clock, for leader-side observability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplSubscribe {
-    /// Leader log incarnation the resume LSN belongs to.
-    pub epoch: u64,
-    /// Byte offset to resume streaming from.
+    /// LSN to resume streaming from.
     pub lsn: u64,
     /// The replica's published transaction-time clock.
     pub published_tt: TimePoint,
@@ -238,9 +235,7 @@ pub struct ReplSubscribe {
 /// leader's lag markers at send time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplFrame {
-    /// Leader log incarnation `bytes` was read from.
-    pub epoch: u64,
-    /// Byte offset of the first frame in `bytes`.
+    /// LSN of the first frame in `bytes`.
     pub start_lsn: u64,
     /// The leader's durable WAL horizon (feeds `repl.lsn_lag`).
     pub durable_end: u64,
@@ -253,8 +248,6 @@ pub struct ReplFrame {
 /// A decoded ReplAck payload: replica progress for leader observability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplAck {
-    /// Epoch the replica's position belongs to.
-    pub epoch: u64,
     /// End of the last commit the replica fully applied.
     pub applied_lsn: u64,
 }
@@ -262,7 +255,6 @@ pub struct ReplAck {
 /// Encodes a ReplSubscribe payload.
 pub fn enc_repl_subscribe(s: &ReplSubscribe) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.put_u64(s.epoch);
     e.put_u64(s.lsn);
     e.put_time(s.published_tt);
     e.finish()
@@ -272,7 +264,6 @@ pub fn enc_repl_subscribe(s: &ReplSubscribe) -> Vec<u8> {
 pub fn dec_repl_subscribe(buf: &[u8]) -> Result<ReplSubscribe> {
     let mut d = Decoder::new(buf);
     let s = ReplSubscribe {
-        epoch: d.get_u64()?,
         lsn: d.get_u64()?,
         published_tt: d.get_time()?,
     };
@@ -283,7 +274,6 @@ pub fn dec_repl_subscribe(buf: &[u8]) -> Result<ReplSubscribe> {
 /// Encodes a ReplFrame payload.
 pub fn enc_repl_frame(f: &ReplFrame) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.put_u64(f.epoch);
     e.put_u64(f.start_lsn);
     e.put_u64(f.durable_end);
     e.put_time(f.leader_tt);
@@ -295,7 +285,6 @@ pub fn enc_repl_frame(f: &ReplFrame) -> Vec<u8> {
 pub fn dec_repl_frame(buf: &[u8]) -> Result<ReplFrame> {
     let mut d = Decoder::new(buf);
     let f = ReplFrame {
-        epoch: d.get_u64()?,
         start_lsn: d.get_u64()?,
         durable_end: d.get_u64()?,
         leader_tt: d.get_time()?,
@@ -308,7 +297,6 @@ pub fn dec_repl_frame(buf: &[u8]) -> Result<ReplFrame> {
 /// Encodes a ReplAck payload.
 pub fn enc_repl_ack(a: &ReplAck) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.put_u64(a.epoch);
     e.put_u64(a.applied_lsn);
     e.finish()
 }
@@ -317,7 +305,6 @@ pub fn enc_repl_ack(a: &ReplAck) -> Vec<u8> {
 pub fn dec_repl_ack(buf: &[u8]) -> Result<ReplAck> {
     let mut d = Decoder::new(buf);
     let a = ReplAck {
-        epoch: d.get_u64()?,
         applied_lsn: d.get_u64()?,
     };
     exhausted(&d, "ReplAck")?;

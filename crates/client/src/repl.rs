@@ -10,7 +10,8 @@
 //! rewinds the applier to its durable applied boundary and reconnects
 //! with resume, counting each attempt in `repl.reconnects`. Re-streamed
 //! transactions are skipped idempotently by the applier. Apply-side
-//! errors (log damage, a truncation gap requiring a reseed) are *fatal*:
+//! errors (log damage, a gap requiring a reseed, a position the leader
+//! refuses) are *fatal*:
 //! the follower parks and exposes the error via
 //! [`ReplicaFollower::last_error`] instead of retrying into the same
 //! wall.
@@ -133,7 +134,6 @@ fn stream_once(addr: &str, applier: &mut WalApplier, stop: &AtomicBool) -> Resul
     conn.send(&Frame::new(
         FrameKind::ReplSubscribe,
         proto::enc_repl_subscribe(&ReplSubscribe {
-            epoch: applier.resume_epoch(),
             lsn: applier.resume_lsn().0,
             published_tt: applier.published_tt(),
         }),
@@ -146,7 +146,6 @@ fn stream_once(addr: &str, applier: &mut WalApplier, stop: &AtomicBool) -> Resul
             FrameKind::ReplFrame => {
                 let f = proto::dec_repl_frame(&frame.payload)?;
                 applier.apply_chunk(
-                    f.epoch,
                     tcom_kernel::Lsn(f.start_lsn),
                     &f.bytes,
                     f.durable_end,
@@ -155,7 +154,6 @@ fn stream_once(addr: &str, applier: &mut WalApplier, stop: &AtomicBool) -> Resul
                 conn.send(&Frame::new(
                     FrameKind::ReplAck,
                     proto::enc_repl_ack(&ReplAck {
-                        epoch: applier.resume_epoch(),
                         applied_lsn: applier.resume_lsn().0,
                     }),
                 ))?;

@@ -4,9 +4,10 @@
 //! never a panic and never a silently different result.
 
 use proptest::prelude::*;
-use tcom_client::proto::{self, Ack};
+use tcom_client::proto::{self, Ack, ReplAck, ReplFrame, ReplSubscribe};
 use tcom_core::batch::AggStep;
 use tcom_core::{MatAtom, Molecule};
+use tcom_kernel::codec::Encoder;
 use tcom_kernel::{
     AtomId, AtomNo, AtomTypeId, AttrId, Interval, MoleculeTypeId, TimePoint, Tuple, Value,
 };
@@ -254,9 +255,48 @@ proptest! {
     }
 
     #[test]
+    fn repl_payloads_roundtrip(
+        lsn in any::<u64>(),
+        tt in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let sub = ReplSubscribe { lsn, published_tt: TimePoint(tt) };
+        prop_assert_eq!(proto::dec_repl_subscribe(&proto::enc_repl_subscribe(&sub)).expect("sub"), sub);
+        let frame = ReplFrame {
+            start_lsn: lsn,
+            durable_end: lsn.wrapping_add(bytes.len() as u64),
+            leader_tt: TimePoint(tt),
+            bytes,
+        };
+        prop_assert_eq!(
+            proto::dec_repl_frame(&proto::enc_repl_frame(&frame)).expect("frame"),
+            frame
+        );
+        let ack = ReplAck { applied_lsn: lsn };
+        prop_assert_eq!(proto::dec_repl_ack(&proto::enc_repl_ack(&ack)).expect("ack"), ack);
+    }
+
+    #[test]
     fn trailing_garbage_rejected(out in output_strategy(), junk in 1usize..8) {
         let mut bytes = proto::enc_output(&out);
         bytes.extend(std::iter::repeat_n(0xAB, junk));
         prop_assert!(proto::dec_output(&bytes).is_err());
     }
+}
+
+/// A subscription in the earlier three-field shape (`epoch`, `lsn`,
+/// `published_tt`) is refused by the decoder's exhaustion check with a
+/// named error, never read as a one-LSN subscription.
+#[test]
+fn three_field_subscription_is_refused() {
+    let mut e = Encoder::new();
+    e.put_u64(0x1234_0000_0001);
+    e.put_u64(4096);
+    e.put_time(TimePoint(7));
+    let err = proto::dec_repl_subscribe(&e.finish()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("trailing garbage after ReplSubscribe payload"),
+        "{err}"
+    );
 }

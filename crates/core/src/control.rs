@@ -1,7 +1,8 @@
 //! The control file: the one record of what a database directory holds
 //! beside its store files and its log. Every flush journals it beside the
 //! dirty pages, so it always describes exactly the store files on disk;
-//! `Database::open` reads it before its one WAL pass. The record spans as
+//! `Database::open` reads it, then makes its one WAL pass from the WAL
+//! watermark it names. The record spans as
 //! many sealed [`PageKind::Meta`] pages as it needs: page 0's body starts
 //! with the record's length and CRC, and pages past the record (an
 //! earlier, longer image leaves them) are ignored.
@@ -10,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 use tcom_catalog::Catalog;
 use tcom_kernel::codec::{crc32c, Decoder, Encoder};
-use tcom_kernel::{AtomTypeId, Error, Result, TimePoint};
+use tcom_kernel::{AtomTypeId, Error, Lsn, Result, TimePoint};
 use tcom_storage::page::{Page, PageKind, PAGE_HEADER_LEN, PAGE_SIZE};
 use tcom_storage::vfs::{Vfs, VfsFile};
 use tcom_version::StoreKind;
@@ -23,8 +24,9 @@ const HEAD: usize = 8;
 /// Store kinds by their tag in the record's low nibble.
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 /// The directory format, in the kind tag's high nibble: 1 counts current
-/// versions in value-index payloads, where 0 stored atom numbers.
-const FORMAT: u8 = 1;
+/// versions in value-index payloads, where 0 stored atom numbers; 2 logs
+/// to WAL segments in one LSN space and records the WAL watermark here.
+const FORMAT: u8 = 2;
 
 /// The control state of a directory, as of one flush.
 pub(crate) struct Control {
@@ -33,6 +35,12 @@ pub(crate) struct Control {
     /// The flush watermark: the store files hold exactly the commits with
     /// `tt <= published`.
     pub published: TimePoint,
+    /// The WAL watermark: the first LSN of the segment recovery starts
+    /// at. The log from there holds every commit the store files lack.
+    pub wal_start: Lsn,
+    /// The first LSNs of the WAL segments below `wal_start` a checkpoint
+    /// retired, for an open to remove should a crash have kept them.
+    pub wal_retired: Vec<Lsn>,
     /// Per atom type, the next atom number to allocate.
     pub next_atom_nos: Vec<(u32, u64)>,
     /// The live `(type, segment)`s, each once.
@@ -50,6 +58,11 @@ impl Control {
             .expect("known kind");
         e.put_u8(FORMAT << 4 | kind as u8);
         e.put_time(self.published);
+        e.put_u64(self.wal_start.0);
+        e.put_u64(self.wal_retired.len() as u64);
+        for lsn in &self.wal_retired {
+            e.put_u64(lsn.0);
+        }
         for pairs in [&self.next_atom_nos, &self.segments] {
             e.put_u64(pairs.len() as u64);
             for &(ty, n) in pairs {
@@ -111,8 +124,13 @@ fn decode_image(image: &[u8]) -> Result<Control> {
     let mut d = Decoder::new(rec);
     let tag = d.get_u8()?;
     if tag >> 4 != FORMAT {
+        let why = match tag >> 4 {
+            0 => "value indexes before format 1 predate counts",
+            1 => "format 1 logs to one wal.log truncated into epochs, before WAL segments",
+            _ => "this version does not know it",
+        };
         return Err(Error::corruption(format!(
-            "format {} is not {FORMAT}: value indexes before format 1 predate counts",
+            "format {} is not {FORMAT}: {why}",
             tag >> 4
         )));
     }
@@ -120,6 +138,21 @@ fn decode_image(image: &[u8]) -> Result<Control> {
         .get((tag & 0xf) as usize)
         .ok_or_else(|| Error::corruption("unknown store kind"))?;
     let published = d.get_time()?;
+    let wal_start = Lsn(d.get_u64()?);
+    let n = d.get_u64()? as usize;
+    if n > d.remaining() {
+        return Err(Error::corruption(
+            "retired WAL segment list exceeds the record",
+        ));
+    }
+    let wal_retired = (0..n)
+        .map(|_| d.get_u64().map(Lsn))
+        .collect::<Result<Vec<Lsn>>>()?;
+    if wal_retired.iter().any(|l| *l >= wal_start) {
+        return Err(Error::corruption(
+            "a retired WAL segment lies at or past the WAL watermark",
+        ));
+    }
     let next_atom_nos = decode_pairs(&mut d, "allocator")?;
     let segments = decode_pairs(&mut d, "segment")?;
     let catalog = Catalog::decode(d.get_bytes()?)?;
@@ -136,6 +169,8 @@ fn decode_image(image: &[u8]) -> Result<Control> {
     Ok(Control {
         kind,
         published,
+        wal_start,
+        wal_retired,
         next_atom_nos,
         segments,
         catalog,
@@ -216,6 +251,8 @@ mod tests {
         Control {
             kind: StoreKind::Split,
             published: TimePoint(1 << 40),
+            wal_start: Lsn(1 << 33),
+            wal_retired: vec![Lsn(0), Lsn(4096)],
             next_atom_nos: vec![(0, 3), (7, u64::MAX)],
             segments: vec![(0, 0), (0, 1), (11, 4)],
             catalog,
@@ -231,6 +268,8 @@ mod tests {
         assert_eq!(back.image(), image);
         assert_eq!(back.kind, StoreKind::Split);
         assert_eq!(back.published, TimePoint(1 << 40));
+        assert_eq!(back.wal_start, c.wal_start);
+        assert_eq!(back.wal_retired, c.wal_retired);
         assert_eq!(back.next_atom_nos, c.next_atom_nos);
         assert_eq!(back.segments, c.segments);
         assert_eq!(back.catalog.atom_types(), c.catalog.atom_types());
@@ -274,13 +313,16 @@ mod tests {
 
     /// A record in format 0, whose value-index payloads are atom numbers
     /// rather than counts, fails the decode naming the file and the cause
-    /// rather than let the payloads be read as counts; so does a format
-    /// this version does not know.
+    /// rather than let the payloads be read as counts; so does one in
+    /// format 1, whose log is a `wal.log` with no watermark here, and one
+    /// in a format this version does not know.
     #[test]
     fn earlier_format_is_corruption() {
         let image = Control {
             kind: StoreKind::Delta,
             published: TimePoint(9),
+            wal_start: Lsn(0),
+            wal_retired: Vec::new(),
             next_atom_nos: vec![(0, 4)],
             segments: Vec::new(),
             catalog: Catalog::new(),
@@ -293,7 +335,11 @@ mod tests {
         );
         let rec = &image[PAGE_HEADER_LEN + HEAD..PAGE_HEADER_LEN + HEAD + len as usize];
         assert_eq!(rec[0], FORMAT << 4 | 1);
-        for (tag, want) in [(1, "format 0 is not 1"), (0x21, "format 2 is not 1")] {
+        for (tag, want) in [
+            (1, "format 0 is not 2"),
+            (0x11, "format 1 is not 2"),
+            (0x31, "format 3 is not 2"),
+        ] {
             let mut old = rec.to_vec();
             old[0] = tag;
             match Control::from_image(&one_page(&old)) {
@@ -320,6 +366,8 @@ mod tests {
             let mut e = Encoder::new();
             e.put_u8(FORMAT << 4);
             e.put_time(TimePoint(5));
+            e.put_u64(0);
+            e.put_u64(0);
             e.put_u64(0);
             e.put_u64(segments.len() as u64);
             for (ty, seg) in segments {

@@ -4,8 +4,8 @@
 //! A database is a directory:
 //!
 //! ```text
-//! <dir>/control.tcm        store kind, catalog, live segments, flush watermark
-//! <dir>/wal.log            redo-only write-ahead log
+//! <dir>/control.tcm        store kind, catalog, live segments, flush and WAL watermarks
+//! <dir>/wal.<lsn>          redo-only write-ahead log segments, each named by its first LSN
 //! <dir>/ckpt.jrnl          double-write journal of the page flush in flight
 //! <dir>/t<ty>_*.tcm        per-type store files (layout depends on kind)
 //! <dir>/t<ty>_idx<a>.tcm   value indexes: (value, atom) → count of its current versions
@@ -15,7 +15,10 @@
 //!
 //! The control file is written only through the checkpoint journal, beside
 //! the dirty pages of every flush, DDL included ([`crate::control`]): it
-//! always describes exactly the store files on disk.
+//! always describes exactly the store files on disk, and names the WAL
+//! segment recovery starts at. LSNs run on across segments and are never
+//! reused; a checkpoint rolls the log onto a new segment and removes the
+//! ones below it.
 //!
 //! Concurrency model (DESIGN.md §10). Three mechanisms compose:
 //!
@@ -179,9 +182,10 @@ impl Database {
     /// of the directory (only the directory itself is made on the real
     /// file system). The open applies a complete checkpoint journal, reads
     /// the control file, opens the stores, indexes and segments it names,
-    /// and redoes the WAL above its clock in one pass. A directory with an
-    /// earlier version's `db.meta` or `catalog.tcat` and no control file
-    /// fails with a `Corruption`.
+    /// and redoes the WAL above its clock in one pass from the WAL segment
+    /// it names. A directory with an earlier version's `db.meta`,
+    /// `catalog.tcat` or `wal.log` and no control file fails with a
+    /// `Corruption`.
     pub fn open_with_vfs(
         dir: impl AsRef<Path>,
         config: DbConfig,
@@ -202,7 +206,7 @@ impl Database {
 
         let (control_file, control) = ControlFile::open(vfs.as_ref(), &dir)?;
         let controlled = control.is_some();
-        for legacy in ["db.meta", "catalog.tcat"] {
+        for legacy in ["db.meta", "catalog.tcat", "wal.log"] {
             if !controlled && vfs.exists(&dir.join(legacy)) {
                 return Err(Error::corruption(format!(
                     "{} holds {legacy} but no {CONTROL_FILE}: an earlier version wrote it",
@@ -213,6 +217,8 @@ impl Database {
         let control = control.unwrap_or_else(|| Control {
             kind: config.store_kind,
             published: TimePoint(0),
+            wal_start: Lsn(0),
+            wal_retired: Vec::new(),
             next_atom_nos: Vec::new(),
             segments: Vec::new(),
             catalog: Catalog::new(),
@@ -226,7 +232,12 @@ impl Database {
         // No-steal: dirty pages reach disk only via journal-protected
         // flushes, keeping the on-disk state a consistent snapshot.
         let pool = BufferPool::new_no_steal(config.buffer_frames);
-        let wal = Wal::open_with(vfs.as_ref(), dir.join("wal.log"), config.sync_policy)?;
+        let wal = Wal::open_at(
+            vfs.clone(),
+            dir.join("wal"),
+            config.sync_policy,
+            control.wal_start,
+        )?;
 
         let db = Database {
             dir,
@@ -279,7 +290,7 @@ impl Database {
         for &(ty, seg) in &control.segments {
             db.add_segment(&*db.store(AtomTypeId(ty))?, ty, seg)?;
         }
-        db.recover(controlled)?;
+        db.recover(controlled, &control.wal_retired)?;
         Ok(db)
     }
 
@@ -816,25 +827,17 @@ impl Database {
 
     // ---- replication (leader side) ----
 
-    /// The WAL's current epoch. LSNs are byte offsets into one log
-    /// incarnation; every checkpoint truncation draws a fresh epoch, so a
-    /// replication subscriber must pair its resume LSN with the epoch it
-    /// was streamed under.
-    pub fn wal_epoch(&self) -> u64 {
-        self.wal.epoch()
-    }
-
-    /// The durable (replicable) WAL horizon in bytes — how far a
-    /// subscriber at the current epoch can be streamed.
+    /// The durable (replicable) WAL horizon, an LSN — how far a
+    /// subscriber can be streamed.
     pub fn wal_durable_len(&self) -> u64 {
         self.wal.durable_len()
     }
 
     /// Reads up to `max_bytes` of raw durable WAL frames starting at
     /// `from` for a replication subscriber (see [`tcom_wal::Wal::read_chunk`]).
-    /// An empty chunk whose `epoch` differs from the subscriber's means
-    /// the log was truncated since — the subscriber restarts from LSN 0 of
-    /// the returned epoch.
+    /// A position below the oldest retained segment streams from that
+    /// segment's head checkpoint; one past the durable end or off a frame
+    /// boundary is an error.
     pub fn wal_chunk(&self, from: Lsn, max_bytes: usize) -> Result<WalChunk> {
         self.wal.read_chunk(from, max_bytes)
     }
@@ -992,20 +995,27 @@ impl Database {
     // ---- recovery ----
 
     /// Crash recovery: redoes the logged work the store files do not hold
-    /// yet, in one WAL pass, then checkpoints. The control file's clock
-    /// says how far the files reach; each committed batch above it goes
+    /// yet, in one WAL pass from the control file's WAL watermark, then
+    /// checkpoints. The pass also finds the log's valid end, where the
+    /// torn tail is cut. The control file's clock says how far the files
+    /// reach; each committed batch above it goes
     /// through [`Database::replay_commit`], the replica's routine, and
     /// batches at or below it are skipped unread. A batch whose `Commit`
     /// never became durable is dropped. A segment swap adopts its segment
     /// when the control file does not list it yet, and its heap extraction
     /// is redone (it finds nothing when the files already hold it).
-    /// `controlled` says whether the directory had a control file.
-    fn recover(&self, controlled: bool) -> Result<()> {
+    /// `controlled` says whether the directory had a control file;
+    /// `retired` lists the WAL segments it says a checkpoint retired.
+    fn recover(&self, controlled: bool, retired: &[Lsn]) -> Result<()> {
         let _span = self.obs.span("db.recover");
+        // Below the watermark, so the pass never reads them; removed first,
+        // before a pressure flush could write a control file without them.
+        self.wal.remove_leftovers(retired)?;
         let mut batch: Vec<LogRecord> = Vec::new();
-        let mut cursor = self.wal.read_from(Lsn(0))?;
+        let start = self.wal.start();
+        let mut cursor = self.wal.read_from(start)?;
         while let Some((lsn, rec)) = cursor.next_record()? {
-            let head = lsn == Lsn(0) && matches!(rec, LogRecord::Checkpoint { .. });
+            let head = lsn == start && matches!(rec, LogRecord::Checkpoint { .. });
             if !controlled && !head {
                 return Err(Error::corruption(format!(
                     "{} is missing, but the WAL holds records past its head checkpoint: \
@@ -1044,8 +1054,9 @@ impl Database {
                 }
             }
         }
+        self.wal.cut_tail(cursor.position())?;
         self.remove_compaction_leftovers()?;
-        // Leave a clean state: everything applied, log truncated.
+        // Leave a clean state: everything applied, the log rolled.
         self.checkpoint()
     }
 
@@ -1147,9 +1158,9 @@ impl Database {
         ids.into_iter().map(|id| self.type_stats(id)).collect()
     }
 
-    /// Current WAL length in bytes.
+    /// Bytes the retained WAL segments hold.
     pub fn wal_len(&self) -> u64 {
-        self.wal.len()
+        self.wal.retained_len()
     }
 }
 

@@ -80,8 +80,8 @@ impl Database {
     /// Crash-atomically flushes every dirty page: the images go to the
     /// double-write journal first, then in place, then the journal is
     /// truncated. The same journal carries the control file — store kind,
-    /// catalog, live segments, published clock and atom-number allocators
-    /// — so the files on disk always say what they hold. Does **not**
+    /// catalog, live segments, published clock, atom-number allocators and
+    /// WAL watermark — so the files on disk always say what they hold. Does **not**
     /// touch the WAL — safe at any transaction boundary. Runs in the flush
     /// scope, so no torn multi-page store mutation reaches disk.
     pub fn sync_pages(&self) -> Result<()> {
@@ -135,6 +135,8 @@ impl Database {
         Control {
             kind: self.config.store_kind,
             published: self.now(),
+            wal_start: self.wal.start(),
+            wal_retired: self.wal.retired(),
             next_atom_nos: self.next_atom_nos(),
             segments,
             catalog: self.catalog.read().clone(),
@@ -158,20 +160,24 @@ impl Database {
         Ok(())
     }
 
-    /// Flushes all data pages, fsyncs every file, and truncates the WAL to
-    /// a fresh checkpoint record. Runs in the commits scope, so the
-    /// truncated WAL never loses a commit that the flushed pages don't
-    /// already contain.
+    /// Rolls the WAL onto a new segment headed by a checkpoint record,
+    /// flushes all data pages with a control file naming that segment as
+    /// the WAL watermark, and removes the segments below it. All of it
+    /// runs in the commits scope, so the segments removed hold no commit
+    /// that the flushed pages don't already contain, and no second
+    /// checkpoint rolls past the watermark before this one's removal.
+    /// Until the flush lands, a recovery starts below the roll and reads
+    /// across it.
     pub fn checkpoint(&self) -> Result<()> {
         let _span = self.obs.span("db.checkpoint");
         let quiesced = Quiesced::commits(self);
-        self.flush_dirty(&quiesced)?;
-        self.wal.reset_with(&LogRecord::Checkpoint {
+        let start = self.wal.roll(&LogRecord::Checkpoint {
             clock: self.now(),
             next_atom_nos: self.next_atom_nos(),
         })?;
+        self.flush_dirty(&quiesced)?;
         self.txns_since_ckpt.store(0, Ordering::Release);
-        Ok(())
+        self.wal.remove_below(start)
     }
 
     /// Physically discards every heap version whose transaction time ended
@@ -252,8 +258,9 @@ impl Database {
             self.wal.sync()?;
             {
                 // A flush lists the segment exactly when its heap copies
-                // are gone; one that truncated the record before this point
-                // leaves the file a leftover for the next open to delete.
+                // are gone; a checkpoint that removed the record before
+                // this point leaves the file a leftover for the next open
+                // to delete.
                 let _quiesced = Quiesced::flush(self);
                 let _apply = self.begin_apply(&[ty.0]);
                 self.add_segment(&store, ty.0, seg)?;

@@ -21,19 +21,23 @@
 //!    finds no version to close means the replica has diverged from its
 //!    leader: the batch fails rather than applying the rest.
 //!
-//! **Resume.** LSNs are byte offsets into one log *incarnation*; every
-//! leader checkpoint truncates the log and draws a fresh epoch. The
-//! applier persists `(epoch, applied_lsn)` in a `repl.pos` sidecar after
-//! each applied chunk, where `applied_lsn` is the end of the last fully
-//! applied commit record — never mid-batch, so a resumed stream always
-//! starts at a `Begin`. Loss or staleness of the sidecar is safe:
-//! resuming earlier merely re-streams transactions the replica skips
-//! (their tt is at or below its published clock).
+//! **Resume.** A position is one LSN: a byte position in the leader's
+//! whole log history, whose durable part only grows (an `OnCheckpoint`
+//! leader that crashes can lose bytes it shipped and reuse their LSNs,
+//! so its replicas are reseeded; DESIGN §14.2). The applier persists
+//! `applied_lsn` in a `repl.pos` sidecar after each applied chunk, where
+//! `applied_lsn` is the end of the last fully applied commit record —
+//! never mid-batch, so a resumed stream always starts at a `Begin`. Loss
+//! or staleness of the sidecar is safe: resuming earlier merely
+//! re-streams transactions the replica skips (their tt is at or below its
+//! published clock).
 //!
-//! **Gaps.** If the leader truncated log records the replica never
-//! received, the fresh epoch's head checkpoint carries a clock *ahead* of
-//! the replica's — the applier reports a `resync required` error instead
-//! of silently skipping transactions; the replica must be reseeded.
+//! **Gaps.** A position below the leader's oldest retained WAL segment
+//! streams from that segment's head checkpoint, the one forward jump the
+//! applier accepts. If the removed segments held commits the replica
+//! never received, that checkpoint carries a clock *ahead* of the
+//! replica's — the applier reports a `resync required` error instead of
+//! silently skipping transactions; the replica must be reseeded.
 //!
 //! **DDL is not replicated.** Schema definitions are not WAL-logged, so a
 //! replica must be seeded with the identical DDL (in the identical order —
@@ -56,8 +60,6 @@ const POS_FILE: &str = "repl.pos";
 pub struct WalApplier {
     db: Arc<Database>,
     pos_path: PathBuf,
-    /// Leader log incarnation the stream position belongs to.
-    epoch: u64,
     /// Next byte expected from the stream (may sit mid-batch).
     next_lsn: u64,
     /// End of the last fully applied commit — the persisted resume point.
@@ -83,7 +85,7 @@ impl WalApplier {
     pub fn new(db: Arc<Database>) -> Result<WalApplier> {
         db.set_replica_mode(true);
         let pos_path = db.dir().join(POS_FILE);
-        let (epoch, lsn) = read_pos(&pos_path);
+        let lsn = read_pos(&pos_path);
         let applied_lsn = Arc::new(AtomicU64::new(lsn));
         let applied_tt = Arc::new(AtomicU64::new(db.now().0));
         let leader_lsn = Arc::new(AtomicU64::new(lsn));
@@ -108,7 +110,6 @@ impl WalApplier {
         Ok(WalApplier {
             db,
             pos_path,
-            epoch,
             next_lsn: lsn,
             applied_lsn,
             applied_tt,
@@ -124,13 +125,6 @@ impl WalApplier {
     /// The replica database.
     pub fn db(&self) -> &Arc<Database> {
         &self.db
-    }
-
-    /// The leader epoch the resume position belongs to (0 before first
-    /// contact — it matches no live epoch, so the leader streams from the
-    /// start of its current log).
-    pub fn resume_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The LSN to subscribe from: the end of the last fully applied
@@ -155,14 +149,15 @@ impl WalApplier {
     }
 
     /// Applies one leader chunk: `bytes` is a whole-frame run starting at
-    /// `start` in log incarnation `epoch`; `leader_durable` / `leader_tt`
-    /// are the leader's durable horizon and published clock at send time
-    /// (they feed the `repl.lsn_lag` / `repl.tt_lag` gauges). An empty
-    /// chunk only refreshes the lag markers (and, on an epoch change,
-    /// resets the stream position).
+    /// `start`; `leader_durable` / `leader_tt` are the leader's durable
+    /// horizon and published clock at send time (they feed the
+    /// `repl.lsn_lag` / `repl.tt_lag` gauges). An empty chunk only
+    /// refreshes the lag markers. A chunk must continue the stream, except
+    /// that it may jump forward onto a segment's head checkpoint: the
+    /// leader removed the segment the position lay in, and the
+    /// checkpoint's clock decides whether the replica missed a commit.
     pub fn apply_chunk(
         &mut self,
-        epoch: u64,
         start: Lsn,
         bytes: &[u8],
         leader_durable: u64,
@@ -172,35 +167,21 @@ impl WalApplier {
         self.leader_tt.store(leader_tt, Ordering::Release);
         self.frames.inc();
         self.bytes.add(bytes.len() as u64);
-        if epoch != self.epoch {
-            // The leader's log was truncated (or this is first contact):
-            // the stream restarts from the head of the new incarnation.
-            // Whether the replica can follow is decided by the head
-            // checkpoint's clock, below.
-            if start.0 != 0 {
-                return Err(Error::corruption(format!(
-                    "replication: epoch changed to {epoch:#x} but chunk starts at lsn {} (expected 0)",
-                    start.0
-                )));
-            }
-            self.epoch = epoch;
-            self.next_lsn = 0;
-            self.pending.clear();
-            self.applied_lsn.store(0, Ordering::Release);
-            self.persist_pos()?;
-        }
-        if start.0 != self.next_lsn {
+        // Leader chunks were CRC-checked at read time; any damage here is
+        // a transport bug, so decode strictly.
+        let recs = decode_frames(start, bytes)?;
+        let onto_head = start.0 > self.next_lsn
+            && matches!(recs.first(), Some((_, LogRecord::Checkpoint { .. })));
+        if start.0 != self.next_lsn && !onto_head {
             return Err(Error::corruption(format!(
                 "replication: chunk at lsn {} does not continue the stream at {}",
                 start.0, self.next_lsn
             )));
         }
-        if bytes.is_empty() {
-            return Ok(());
+        // A batch cut off by the jump is gone from the leader's log.
+        if onto_head {
+            self.pending.clear();
         }
-        // Leader chunks were CRC-checked at read time; any damage here is
-        // a transport bug, so decode strictly.
-        let recs = decode_frames(start, bytes)?;
         let chunk_end = start.0 + bytes.len() as u64;
         // Each record's end offset is the next record's start (the chunk
         // holds whole frames only).
@@ -320,32 +301,21 @@ impl WalApplier {
     /// disk.
     fn persist_pos(&self) -> Result<()> {
         let tmp = self.pos_path.with_extension("pos.tmp");
-        let body = format!(
-            "{} {}\n",
-            self.epoch,
-            self.applied_lsn.load(Ordering::Acquire)
-        );
+        let body = format!("{}\n", self.applied_lsn.load(Ordering::Acquire));
         std::fs::write(&tmp, body)?;
         std::fs::rename(&tmp, &self.pos_path)?;
         Ok(())
     }
 }
 
-/// Reads a persisted `(epoch, lsn)` position; `(0, 0)` when absent or
-/// unparseable (epoch 0 matches no live leader log, forcing a restart
-/// from the head of the current one).
-fn read_pos(path: &PathBuf) -> (u64, u64) {
-    let Ok(body) = std::fs::read_to_string(path) else {
-        return (0, 0);
-    };
-    let mut it = body.split_whitespace();
-    match (
-        it.next().and_then(|s| s.parse().ok()),
-        it.next().and_then(|s| s.parse().ok()),
-    ) {
-        (Some(e), Some(l)) => (e, l),
-        _ => (0, 0),
-    }
+/// Reads a persisted position: 0, a safe re-stream from the leader's
+/// oldest retained segment, when the file is absent or its body is not
+/// exactly one number (an earlier version's two-field file among them).
+fn read_pos(path: &PathBuf) -> u64 {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|body| body.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -353,22 +323,132 @@ mod tests {
     use super::*;
     use crate::config::DbConfig;
     use tcom_catalog::AttrDef;
-    use tcom_kernel::{AtomId, AtomNo, DataType, TxnId};
+    use tcom_kernel::{AtomId, AtomNo, DataType, Interval, Tuple, TxnId, Value};
     use tcom_wal::Wal;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tcom-repl-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A replica database at `dir` with the one type `t (v INT)`.
+    fn replica(dir: PathBuf) -> (Arc<Database>, AtomTypeId) {
+        let db = Arc::new(Database::open(dir, DbConfig::default()).unwrap());
+        let ty = db
+            .define_atom_type("t", vec![AttrDef::new("v", DataType::Int)])
+            .unwrap();
+        (db, ty)
+    }
+
+    /// The records of the commit at `tt` inserting atom `no` of `ty`.
+    fn insert(ty: AtomTypeId, tt: u64, no: u64) -> Vec<LogRecord> {
+        let txn = TxnId(tt);
+        vec![
+            LogRecord::Begin { txn },
+            LogRecord::InsertVersion {
+                txn,
+                atom: AtomId::new(ty, AtomNo(no)),
+                vt: Interval::all(),
+                tt_start: TimePoint(tt),
+                tuple: Tuple::new(vec![Value::Int(no as i64)]),
+            },
+            LogRecord::Commit { txn },
+        ]
+    }
+
+    /// `repl.pos` holds one LSN. A body that is not exactly one number —
+    /// an earlier version's two-field file among them — reads as absent:
+    /// position 0, a safe re-stream, never its first field as an LSN.
+    #[test]
+    fn repl_pos_holds_one_number() {
+        let dir = tmpdir("pos");
+        let (db, _) = replica(dir.clone());
+        for (body, want) in [("42\n", 42), ("7 42\n", 0), ("x\n", 0), ("", 0)] {
+            std::fs::write(dir.join(POS_FILE), body).unwrap();
+            let applier = WalApplier::new(db.clone()).unwrap();
+            assert_eq!(applier.resume_lsn(), Lsn(want), "body {body:?}");
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A chunk may jump forward only onto a segment's head checkpoint, and
+    /// that checkpoint's clock decides: a replica that missed a commit in
+    /// the removed segment gets `resync required`, one that missed none
+    /// streams on, and a jump onto any other record is refused.
+    #[test]
+    fn a_forward_jump_is_accepted_only_onto_a_head_checkpoint() {
+        let dir = tmpdir("jump");
+        let (behind, ty) = replica(dir.join("behind"));
+        let (caught_up, _) = replica(dir.join("caught-up"));
+        let leader = Wal::open(dir.join("leader-wal"), SyncPolicy::OnCommit).unwrap();
+        let first = leader.append_all(&insert(ty, 1, 0)).unwrap();
+        // A record past the commit keeps its end below the roll.
+        leader
+            .append(&LogRecord::SegmentSwap {
+                ty: ty.0,
+                seg: 0,
+                cutoff: TimePoint(0),
+            })
+            .unwrap();
+        leader.sync().unwrap();
+        let head = leader.read_chunk(Lsn(0), 1 << 20).unwrap();
+        let start = leader
+            .roll(&LogRecord::Checkpoint {
+                clock: TimePoint(1),
+                next_atom_nos: vec![(ty.0, 1)],
+            })
+            .unwrap();
+        let end = leader.append_all(&insert(ty, 2, 1)).unwrap();
+        leader.sync().unwrap();
+        leader.remove_below(start).unwrap();
+        let durable = leader.durable_len();
+
+        let mut applier = WalApplier::new(behind.clone()).unwrap();
+        let chunk = leader.read_chunk(Lsn(0), 1 << 20).unwrap();
+        assert_eq!(chunk.start, start, "streams from the oldest head");
+        let err = applier
+            .apply_chunk(chunk.start, &chunk.bytes, durable, 2)
+            .unwrap_err();
+        assert!(err.to_string().contains("reseed the replica"), "{err}");
+        assert_eq!(behind.now(), TimePoint(0));
+
+        let mut applier = WalApplier::new(caught_up.clone()).unwrap();
+        let split = (first.0 - head.start.0) as usize;
+        applier
+            .apply_chunk(head.start, &head.bytes[..split], durable, 2)
+            .unwrap();
+        assert_eq!(applier.resume_lsn(), first);
+        let chunk = leader.read_chunk(applier.resume_lsn(), 1 << 20).unwrap();
+        applier
+            .apply_chunk(chunk.start, &chunk.bytes, durable, 2)
+            .unwrap();
+        assert_eq!(caught_up.now(), TimePoint(2));
+        assert_eq!(applier.resume_lsn(), end);
+
+        let later = leader.append_all(&insert(ty, 3, 2)).unwrap();
+        leader.append_all(&insert(ty, 4, 3)).unwrap();
+        leader.sync().unwrap();
+        let chunk = leader.read_chunk(later, 1 << 20).unwrap();
+        let err = applier
+            .apply_chunk(chunk.start, &chunk.bytes, leader.durable_len(), 4)
+            .unwrap_err();
+        assert!(err.to_string().contains("does not continue"), "{err}");
+        assert_eq!(caught_up.now(), TimePoint(2));
+        drop((applier, behind, caught_up));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// A replicated close that finds no version to close means the replica
     /// has diverged from its leader: the batch fails and publishes nothing.
     #[test]
     fn close_of_a_missing_version_fails_the_batch() {
-        let dir = std::env::temp_dir().join(format!("tcom-repl-diverged-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Arc::new(Database::open(dir.join("replica"), DbConfig::default()).unwrap());
-        let ty = db
-            .define_atom_type("t", vec![AttrDef::new("v", DataType::Int)])
-            .unwrap();
+        let dir = tmpdir("diverged");
+        let (db, ty) = replica(dir.join("replica"));
         // A leader log whose one commit closes a version of an atom this
         // replica never received.
-        let leader = Wal::open(dir.join("leader.wal"), SyncPolicy::OnCommit).unwrap();
+        let leader = Wal::open(dir.join("leader-wal"), SyncPolicy::OnCommit).unwrap();
         let txn = TxnId(1);
         leader
             .append_all(&[
@@ -386,13 +466,7 @@ mod tests {
         let chunk = leader.read_chunk(Lsn(0), 1 << 20).unwrap();
         let mut applier = WalApplier::new(db.clone()).unwrap();
         let err = applier
-            .apply_chunk(
-                chunk.epoch,
-                chunk.start,
-                &chunk.bytes,
-                leader.durable_len(),
-                1,
-            )
+            .apply_chunk(chunk.start, &chunk.bytes, leader.durable_len(), 1)
             .unwrap_err();
         assert!(
             err.to_string().contains("close of missing version"),

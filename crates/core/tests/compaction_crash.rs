@@ -308,7 +308,12 @@ fn commit_between_swap_and_extraction(kind: StoreKind, tag: &str) {
     let ty = setup(&db);
     let atoms = populate(&db, ty);
     let cutoff = db.now();
-    let wal = dir.join("wal.log");
+    // The WAL segment appends go to: the newest, by its first LSN.
+    let wal = vfs
+        .paths()
+        .into_iter()
+        .rfind(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal."))
+        .unwrap();
     let durable_wal = || vfs.durable_len(&wal).unwrap_or(0);
 
     let (copy, archived, late_tt) = std::thread::scope(|s| {

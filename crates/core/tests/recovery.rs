@@ -24,14 +24,14 @@ mod reopen;
 
 use reopen::reopen;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 use tcom_core::{
     AtomId, AtomTypeId, AttrDef, AttrId, DataType, Database, DbConfig, Error, Fault, FaultVfs,
     Interval, MoleculeEdge, StoreKind, SyncPolicy, TimePoint, Tuple, Value, Vfs, VfsFile,
 };
 use tcom_kernel::Lsn;
-use tcom_wal::{LogRecord, Wal};
+use tcom_wal::{segment_path, LogRecord, Wal};
 
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 
@@ -47,8 +47,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn cfg(kind: StoreKind) -> DbConfig {
-    // A small checkpoint interval forces the double-write journal and the
-    // WAL reset into the crash window several times per run.
+    // A small checkpoint interval forces the double-write journal, the
+    // WAL roll and the removal of the rolled-off segment into the crash
+    // window several times per run.
     DbConfig::default()
         .store_kind(kind)
         .buffer_frames(128)
@@ -222,6 +223,17 @@ fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) -> CrashOutco
         report.violations
     );
 
+    // No WAL segment below the control file's watermark is left: the
+    // reopen's checkpoint removes the ones it read, and the control file
+    // names those a cut checkpoint retired but did not remove, so the one
+    // segment it rolled to is all that remains.
+    let segments = wal_segments(&vfs, &dir);
+    assert_eq!(
+        segments.len(),
+        1,
+        "crash at op {j}: WAL segments left after reopen: {segments:?}"
+    );
+
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     CrashOutcome {
@@ -229,6 +241,15 @@ fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) -> CrashOutco
         fingerprint,
         ops_at_crash,
     }
+}
+
+/// The WAL segment files present in `dir`, by first LSN.
+fn wal_segments(vfs: &FaultVfs, dir: &Path) -> Vec<PathBuf> {
+    vfs.paths()
+        .into_iter()
+        .filter(|p| p.parent() == Some(dir))
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal."))
+        .collect()
 }
 
 fn crash_sample() -> u64 {
@@ -982,20 +1003,251 @@ fn ddl_crash_matrix_split() {
     ddl_crash_matrix(StoreKind::Split, "ddl-split");
 }
 
-// ---- one WAL pass at open ----
+// ---- checkpoints over a killed process, and back to back ----
 
-/// A [`Vfs`] that counts the reads of `wal.log` and passes everything
-/// through to a [`FaultVfs`], which counts every read.
-struct WalReads {
-    inner: FaultVfs,
-    reads: Arc<AtomicU64>,
+/// A process kill (no power loss) leaves the WAL's unsynced tail in the
+/// page cache, where the reopen reads and redoes it. A cut at any op of
+/// that reopen, the roll-to-flush window of its checkpoint included, must
+/// leave a directory that reopens to the commits up to some point at or
+/// past the last checkpoint, with one WAL segment: the reopen's roll
+/// fsyncs the tail before it creates a segment named after its end, so
+/// the old segment never comes back shorter than that name says and
+/// leaves the new one unreachable.
+#[test]
+fn reopen_after_a_kill_survives_a_cut_in_its_checkpoint() {
+    let kind = StoreKind::Chain;
+    let dir = tmpdir("kill-reopen");
+    // Four checkpointed commits, then four that only the page cache holds.
+    let killed = || {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let vfs = FaultVfs::new();
+        let db = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
+        let ty = setup(&db);
+        let mut snapshots = vec![dump(&db, ty)];
+        for k in 0..8 {
+            if k == 4 {
+                db.checkpoint().unwrap();
+            }
+            run_batch_txn(&db, ty, k).unwrap();
+            snapshots.push(dump(&db, ty));
+        }
+        db.crash();
+        (vfs, ty, snapshots)
+    };
+    let mut cut = 0;
+    loop {
+        let (vfs, ty, snapshots) = killed();
+        vfs.power_cut_at(vfs.mut_ops() + cut);
+        if let Ok(db) = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())) {
+            db.crash();
+        }
+        if !vfs.crashed() {
+            assert_eq!(wal_segments(&vfs, &dir).len(), 1);
+            break;
+        }
+        vfs.reset_after_crash();
+        let db = reopen(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
+        let got = dump(&db, ty);
+        assert!(
+            snapshots[4..].contains(&got),
+            "cut at reopen op {cut}: the commits up to no point at or past the checkpoint:\n  {}",
+            got.join("\n  ")
+        );
+        assert!(db.verify_integrity().unwrap().is_ok());
+        let segments = wal_segments(&vfs, &dir);
+        assert_eq!(
+            segments.len(),
+            1,
+            "cut at reopen op {cut}: WAL segments left: {segments:?}"
+        );
+        drop(db);
+        cut += 1;
+    }
+    eprintln!("killed reopen: {cut} cut points");
+    assert!(cut >= 5, "the reopen exposes only {cut} cut points");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-struct CountedFile(Arc<dyn VfsFile>, Arc<AtomicU64>);
+/// The op a [`Parking`] file system parks: the next write to, or the next
+/// removal of, a file whose name starts with the prefix.
+#[derive(Clone, Copy)]
+enum ParkAt {
+    Write(&'static str),
+    Remove(&'static str),
+}
+
+/// Where a [`Parking`] file system parks the armed op: it reports its
+/// entry, then waits for its release.
+type ParkSlot = Arc<Mutex<Option<(ParkAt, mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
+
+/// A [`FaultVfs`] whose writes and removals can be parked one at a time.
+#[derive(Clone, Default)]
+struct Parking {
+    inner: FaultVfs,
+    slot: ParkSlot,
+}
+
+impl Parking {
+    /// Arms the slot for the op `at`; returns where that op reports its
+    /// entry and where it takes its release.
+    fn arm(&self, at: ParkAt) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *self.slot.lock().unwrap() = Some((at, entered_tx, release_rx));
+        (entered, release)
+    }
+}
+
+impl ParkAt {
+    /// True iff this is a write (`removal` false) or a removal of `path`.
+    fn parks(self, removal: bool, path: &Path) -> bool {
+        let name = path.file_name().unwrap().to_string_lossy();
+        match self {
+            ParkAt::Write(prefix) => !removal && name.starts_with(prefix),
+            ParkAt::Remove(prefix) => removal && name.starts_with(prefix),
+        }
+    }
+}
+
+/// Parks a write (`removal` false) or a removal of `path` when the slot
+/// is armed for it.
+fn park_if_armed(slot: &ParkSlot, removal: bool, path: &Path) {
+    let armed = {
+        let mut slot = slot.lock().unwrap();
+        match &*slot {
+            Some((at, _, _)) if at.parks(removal, path) => slot.take(),
+            _ => None,
+        }
+    };
+    if let Some((_, entered, release)) = armed {
+        entered.send(()).unwrap();
+        release.recv().unwrap();
+    }
+}
+
+struct ParkedFile(Arc<dyn VfsFile>, PathBuf, ParkSlot);
+
+impl VfsFile for ParkedFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> tcom_core::Result<()> {
+        self.0.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> tcom_core::Result<()> {
+        park_if_armed(&self.2, false, &self.1);
+        self.0.write_at(buf, offset)
+    }
+    fn sync(&self) -> tcom_core::Result<()> {
+        self.0.sync()
+    }
+    fn set_len(&self, len: u64) -> tcom_core::Result<()> {
+        self.0.set_len(len)
+    }
+    fn len(&self) -> tcom_core::Result<u64> {
+        self.0.len()
+    }
+}
+
+impl Vfs for Parking {
+    fn open(&self, path: &Path) -> tcom_core::Result<Arc<dyn VfsFile>> {
+        Ok(Arc::new(ParkedFile(
+            self.inner.open(path)?,
+            path.to_owned(),
+            self.slot.clone(),
+        )))
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn remove(&self, path: &Path) -> tcom_core::Result<()> {
+        park_if_armed(&self.slot, true, path);
+        self.inner.remove(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> tcom_core::Result<()> {
+        self.inner.rename(from, to)
+    }
+}
+
+/// Two checkpoints back to back. The first removes the segment it
+/// retired inside its commits scope: commits wait for the removal, so no
+/// second checkpoint rolls past the watermark the first recorded before
+/// that removal bounds itself by it. The commits then land, and a cut
+/// before the second checkpoint's flush reopens from the first one's
+/// watermark with every acked commit.
+#[test]
+fn back_to_back_checkpoints_keep_every_acked_commit() {
+    let dir = tmpdir("two-ckpts");
+    let vfs = Parking::default();
+    let fault = vfs.inner.clone();
+    let config = cfg(StoreKind::Chain).checkpoint_interval(0);
+    let db = Database::open_with_vfs(&dir, config, Arc::new(vfs.clone())).unwrap();
+    let ty = setup(&db);
+    let mut atoms = Vec::new();
+    run_txn(&db, ty, 0, &mut atoms).unwrap();
+
+    let (entered, release) = vfs.arm(ParkAt::Remove("wal."));
+    std::thread::scope(|s| {
+        let first = s.spawn(|| db.checkpoint());
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the first checkpoint removes a segment");
+        let before = db.now();
+        let committer = s.spawn(|| {
+            for k in 1..4 {
+                run_txn(&db, ty, k, &mut atoms).unwrap();
+            }
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let landed = db.now() != before;
+        release.send(()).unwrap();
+        first.join().unwrap().unwrap();
+        committer.join().unwrap();
+        assert!(
+            !landed,
+            "a commit landed while the first checkpoint removed its retired segment"
+        );
+    });
+    let want = dump(&db, ty);
+
+    let (entered, release) = vfs.arm(ParkAt::Write("ckpt.jrnl"));
+    std::thread::scope(|s| {
+        let second = s.spawn(|| db.checkpoint());
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the second checkpoint writes its journal");
+        // The second roll is durable; its flush has not begun to land.
+        fault.power_cut_at(fault.mut_ops());
+        release.send(()).unwrap();
+        assert!(second.join().unwrap().is_err());
+    });
+    db.crash();
+    fault.reset_after_crash();
+    let db = reopen(&dir, config, Arc::new(fault.clone())).unwrap();
+    assert_eq!(dump(&db, ty), want, "an acked commit was lost");
+    assert_eq!(wal_segments(&fault, &dir).len(), 1);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- one WAL pass at open ----
+
+/// The WAL reads one open made: `(segment file, offset, length)`.
+type Reads = Arc<Mutex<Vec<(PathBuf, u64, usize)>>>;
+
+/// A [`Vfs`] that records the reads of WAL segment files and passes
+/// everything through to a [`FaultVfs`].
+struct WalReads {
+    inner: FaultVfs,
+    reads: Reads,
+}
+
+struct CountedFile(Arc<dyn VfsFile>, PathBuf, Reads);
 
 impl VfsFile for CountedFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> tcom_core::Result<()> {
-        self.1.fetch_add(1, Ordering::Relaxed);
+        self.2
+            .lock()
+            .unwrap()
+            .push((self.1.clone(), offset, buf.len()));
         self.0.read_at(buf, offset)
     }
     fn write_at(&self, buf: &[u8], offset: u64) -> tcom_core::Result<()> {
@@ -1015,8 +1267,17 @@ impl VfsFile for CountedFile {
 impl Vfs for WalReads {
     fn open(&self, path: &Path) -> tcom_core::Result<Arc<dyn VfsFile>> {
         let file = self.inner.open(path)?;
-        if path.ends_with("wal.log") {
-            Ok(Arc::new(CountedFile(file, self.reads.clone())))
+        if path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("wal.")
+        {
+            Ok(Arc::new(CountedFile(
+                file,
+                path.to_owned(),
+                self.reads.clone(),
+            )))
         } else {
             Ok(file)
         }
@@ -1035,7 +1296,9 @@ impl Vfs for WalReads {
 /// Builds a directory whose WAL holds commits above the flush watermark
 /// and a segment swap the control file does not list yet: the history
 /// is compacted, and the power is cut at the first op after the swap's
-/// record became durable. Returns the cut directory's file system.
+/// record became durable. Returns the cut directory's file system. Up to
+/// that cut the swap's own checkpoint has not rolled the log, so it
+/// starts at the oldest segment on disk.
 fn dir_with_swap_in_the_wal(dir: &Path) -> FaultVfs {
     let cfg = prune_cfg(StoreKind::Chain);
     let build = |cut: Option<u64>| {
@@ -1059,8 +1322,18 @@ fn dir_with_swap_in_the_wal(dir: &Path) -> FaultVfs {
     assert!(build(None).1, "the uncut compaction archives history");
     for cut in 0..64 {
         let (vfs, _) = build(Some(cut));
-        let wal = Wal::open_with(&vfs, dir.join("wal.log"), SyncPolicy::OnCommit).unwrap();
-        let mut cursor = wal.read_from(Lsn(0)).unwrap();
+        let oldest = &wal_segments(&vfs, dir)[0];
+        let hex = oldest.extension().unwrap().to_str().unwrap();
+        let start = Lsn(u64::from_str_radix(hex, 16).unwrap());
+        assert_eq!(*oldest, segment_path(&dir.join("wal"), start));
+        let wal = Wal::open_at(
+            Arc::new(vfs.clone()),
+            dir.join("wal"),
+            SyncPolicy::OnCommit,
+            start,
+        )
+        .unwrap();
+        let mut cursor = wal.read_from(start).unwrap();
         let (mut swap, mut commits) = (false, 0);
         while let Some((_, rec)) = cursor.next_record().unwrap() {
             swap |= matches!(rec, LogRecord::SegmentSwap { .. });
@@ -1074,36 +1347,52 @@ fn dir_with_swap_in_the_wal(dir: &Path) -> FaultVfs {
     panic!("no cut left the swap record in the WAL");
 }
 
-/// `Database::open` reads the WAL once: over a directory whose WAL holds
-/// commits above the watermark and a segment swap, the open reads
-/// `wal.log` exactly as often as a bare `Wal::open_with` plus one
-/// `Wal::read_from` pass does, and every other read is of another file.
+/// `Database::open` reads each WAL byte once: over a directory whose WAL
+/// holds commits above the watermark and a segment swap, the one pass
+/// from the watermark both redoes the log and finds its valid end, so
+/// the open reads every byte of the segments on disk exactly once, and
+/// no byte twice.
 #[test]
 fn open_reads_the_wal_once() {
     let dir = tmpdir("one-pass");
     let fault = dir_with_swap_in_the_wal(&dir);
-    let before = fault.read_ops();
-    {
-        let wal = Wal::open_with(&fault, dir.join("wal.log"), SyncPolicy::OnCommit).unwrap();
-        let mut cursor = wal.read_from(Lsn(0)).unwrap();
-        while cursor.next_record().unwrap().is_some() {}
-    }
-    let bare = fault.read_ops() - before;
+    let on_disk: Vec<(PathBuf, u64)> = wal_segments(&fault, &dir)
+        .into_iter()
+        .map(|p| {
+            let len = fault.durable_len(&p).unwrap();
+            (p, len)
+        })
+        .collect();
 
-    let reads = Arc::new(AtomicU64::new(0));
+    let reads: Reads = Arc::default();
     let vfs = WalReads {
         inner: fault.clone(),
         reads: reads.clone(),
     };
-    let before = fault.read_ops();
     let db = reopen(&dir, prune_cfg(StoreKind::Chain), Arc::new(vfs)).unwrap();
-    let other = fault.read_ops() - before - reads.load(Ordering::Relaxed);
-    let wal = reads.load(Ordering::Relaxed);
-    assert_eq!(
-        wal, bare,
-        "open read the WAL {wal} times and other files {other} times; \
-         one pass reads the WAL {bare} times"
-    );
+    let mut reads = reads.lock().unwrap().clone();
+    reads.sort();
+    for pair in reads.windows(2) {
+        let ((a, at, n), (b, bt, _)) = (&pair[0], &pair[1]);
+        assert!(
+            a != b || at + *n as u64 <= *bt,
+            "open read bytes {bt}.. of {} twice",
+            b.display()
+        );
+    }
+    for (path, len) in &on_disk {
+        let read: u64 = reads
+            .iter()
+            .filter(|(p, _, _)| p == path)
+            .map(|(_, _, n)| *n as u64)
+            .sum();
+        assert_eq!(
+            read,
+            *len,
+            "open read {read} of {len} bytes of {}",
+            path.display()
+        );
+    }
     assert_eq!(
         db.metrics().counter("segment.live"),
         1,

@@ -517,33 +517,25 @@ impl<'db> Session<'db> {
     /// Serves a replication subscription: streams durable WAL chunks to
     /// the follower until it disconnects or the server shuts down.
     ///
-    /// A subscriber whose epoch doesn't match the live log restarts from
-    /// LSN 0 of the current epoch — its recorded position belongs to a log
-    /// incarnation that a checkpoint has since truncated. The follower's
-    /// published clock makes the re-stream idempotent on its side, and the
-    /// head `Checkpoint` record tells it whether the truncation skipped
-    /// transactions it never saw (resync required).
+    /// A position is one LSN, and the durable log only grows, so the
+    /// stream just runs on from it (an `OnCheckpoint` leader ships its
+    /// unsynced tail too, and after a crash its replicas are reseeded). One below the oldest retained segment streams
+    /// from that segment's head `Checkpoint` record, which tells the
+    /// follower whether the removed segments held transactions it never
+    /// saw (resync required). One past the durable end, or off a frame
+    /// boundary, gets an error frame naming it.
     fn stream_wal(&mut self, sub: &proto::ReplSubscribe) -> Result<()> {
         /// Max raw WAL bytes per `ReplFrame`.
         const CHUNK: usize = 1 << 20;
-        let mut epoch = self.db.wal_epoch();
-        let mut pos = if sub.epoch == epoch {
-            Lsn(sub.lsn)
-        } else {
-            Lsn(0)
-        };
+        let mut pos = Lsn(sub.lsn);
         loop {
             if self.shared.stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            let chunk = self.db.wal_chunk(pos, CHUNK)?;
-            if chunk.epoch != epoch {
-                // The log was truncated mid-stream (checkpoint): restart
-                // from the head of the new incarnation.
-                epoch = chunk.epoch;
-                pos = Lsn(0);
-                continue;
-            }
+            let chunk = match self.db.wal_chunk(pos, CHUNK) {
+                Ok(chunk) => chunk,
+                Err(e) => return self.send_error(error_code::SESSION, &e.to_string()),
+            };
             if chunk.bytes.is_empty() {
                 // Caught up: drain follower acks and wait (bounded by
                 // POLL) for new durable writes or a disconnect.
@@ -562,18 +554,16 @@ impl<'db> Session<'db> {
                 }
                 continue;
             }
-            let next = Lsn(chunk.start.0 + chunk.bytes.len() as u64);
+            pos = Lsn(chunk.start.0 + chunk.bytes.len() as u64);
             self.send(Frame::new(
                 FrameKind::ReplFrame,
                 proto::enc_repl_frame(&proto::ReplFrame {
-                    epoch: chunk.epoch,
                     start_lsn: chunk.start.0,
                     durable_end: self.db.wal_durable_len(),
                     leader_tt: self.db.now(),
                     bytes: chunk.bytes,
                 }),
             ))?;
-            pos = next;
         }
     }
 

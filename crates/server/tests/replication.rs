@@ -237,8 +237,10 @@ fn replica_matches_leader_at_every_tt_slice() {
 }
 
 /// A replica restarted from disk resumes from its persisted `repl.pos`
-/// boundary: writes made while it was down arrive after reconnect, and
-/// every slice still matches.
+/// boundary: two leader checkpoints while it is down remove the segment
+/// its position lies in, so the stream resumes at the oldest retained
+/// segment's head, and writes made after them arrive after reconnect.
+/// Every slice still matches.
 #[test]
 fn replica_resumes_after_restart() {
     let ldir = tmpdir("resume-lead");
@@ -260,7 +262,10 @@ fn replica_resumes_after_restart() {
         drop(replica);
     }
 
-    // The leader moves on while the replica is down.
+    // The leader moves on while the replica is down: two checkpoints,
+    // then three writes.
+    leader.checkpoint().unwrap();
+    leader.checkpoint().unwrap();
     run(&leader, "UPDATE emp SET salary = 777 WHERE name = 'frank'");
     run(
         &leader,
@@ -272,19 +277,24 @@ fn replica_resumes_after_restart() {
     // resume mid-log, not from zero.
     let replica = Arc::new(Database::open(&rdir, cfg(StoreKind::Split)).unwrap());
     let applier = WalApplier::new(replica.clone()).unwrap();
-    assert_eq!(
-        applier.resume_epoch(),
-        leader.wal_epoch(),
-        "same log incarnation"
-    );
-    assert!(
-        applier.resume_lsn().0 > 0,
-        "restart must resume, not restream"
-    );
+    let resume = applier.resume_lsn().0;
+    assert!(resume > 0, "restart must resume, not restream");
     let follower = ReplicaFollower::start(addr, applier);
     wait_sync(&leader, &replica, &follower);
     assert_identical(&leader, &replica, "after restart");
     assert!(follower.last_error().is_none());
+    let m = replica.metrics();
+    assert_eq!(
+        m.counter("repl.txns_applied"),
+        3,
+        "the resumed stream applies exactly the three new transactions"
+    );
+    let since = leader.wal_durable_len() - resume;
+    assert!(
+        m.counter("repl.bytes") <= since,
+        "the resumed stream sent {} bytes, more than the {since} logged since its position",
+        m.counter("repl.bytes")
+    );
 
     follower.stop();
     drop(server);
@@ -292,6 +302,117 @@ fn replica_resumes_after_restart() {
     drop(replica);
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// Restarts a server for `leader` on `addr`, retrying while the old
+/// sockets drain.
+fn restart(leader: &Arc<Database>, addr: &str) -> Server {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match Server::start(
+            leader.clone(),
+            ServerConfig::default()
+                .addr(addr.to_string())
+                .server_threads(2),
+        ) {
+            Ok(s) => return s,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "cannot rebind {addr}: {e}");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    }
+}
+
+/// A leader crash and reopen keeps a caught-up replica streaming from
+/// its LSN: LSNs run on across the reopen, so the position the replica
+/// holds is where the recovered leader's log continues, and a write made
+/// after the reopen arrives without a resync.
+#[test]
+fn replica_follows_its_leader_across_a_leader_crash() {
+    let ldir = tmpdir("crash-lead");
+    let rdir = tmpdir("crash-repl");
+    let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Chain)).unwrap());
+    seed_ddl(&leader);
+    populate(&leader);
+    let mut server =
+        Server::start(leader.clone(), ServerConfig::default().server_threads(2)).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let replica = Arc::new(Database::open(&rdir, cfg(StoreKind::Chain)).unwrap());
+    seed_ddl(&replica);
+    let applier = WalApplier::new(replica.clone()).unwrap();
+    let follower = ReplicaFollower::start(addr.clone(), applier);
+    wait_sync(&leader, &replica, &follower);
+    let position = replica.metrics().counter("repl.applied_lsn");
+    let applied = replica.metrics().counter("repl.txns_applied");
+
+    server.shutdown();
+    drop(server);
+    let Ok(crashed) = Arc::try_unwrap(leader) else {
+        panic!("the leader is still shared")
+    };
+    crashed.crash();
+    let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Chain)).unwrap());
+    assert!(leader.wal_durable_len() > position, "LSNs run on");
+    run(&leader, "UPDATE emp SET salary = 111 WHERE name = 'ann'");
+    let server = restart(&leader, &addr);
+    wait_sync(&leader, &replica, &follower);
+    assert_identical(&leader, &replica, "after the leader's crash");
+    assert!(follower.last_error().is_none());
+    let m = replica.metrics();
+    assert_eq!(m.counter("repl.txns_applied"), applied + 1);
+    assert!(m.counter("repl.applied_lsn") > position);
+
+    follower.stop();
+    drop(server);
+    drop(leader);
+    drop(replica);
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// A subscriber position past the leader's durable end, or off a frame
+/// boundary, gets an error frame naming it: the follower parks with it
+/// instead of receiving empty chunks forever.
+#[test]
+fn a_position_outside_the_leaders_log_is_a_named_error() {
+    let ldir = tmpdir("badpos-lead");
+    let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Delta)).unwrap());
+    seed_ddl(&leader);
+    populate(&leader);
+    let server = Server::start(leader.clone(), ServerConfig::default().server_threads(2)).unwrap();
+    let addr = server.local_addr().to_string();
+    let durable = leader.wal_durable_len();
+    for (tag, lsn, want) in [
+        ("past", durable + 1, "past the leader's durable end"),
+        ("mid", durable - 1, "not on a frame boundary"),
+    ] {
+        let rdir = tmpdir(&format!("badpos-{tag}"));
+        let replica = Arc::new(Database::open(&rdir, cfg(StoreKind::Delta)).unwrap());
+        seed_ddl(&replica);
+        std::fs::write(rdir.join("repl.pos"), format!("{lsn}\n")).unwrap();
+        let follower =
+            ReplicaFollower::start(addr.clone(), WalApplier::new(replica.clone()).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let err = loop {
+            if let Some(e) = follower.last_error() {
+                break e;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "[{tag}] no error reached the follower"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(err.contains(want), "[{tag}] {err}");
+        follower.stop();
+        drop(replica);
+        let _ = std::fs::remove_dir_all(&rdir);
+    }
+    drop(server);
+    drop(leader);
+    let _ = std::fs::remove_dir_all(&ldir);
 }
 
 /// Replica crash under scripted faults: a power cut mid-replay loses all
@@ -484,7 +605,7 @@ fn reconnect_resumes_idempotently() {
     let applied_before = replica.metrics().counter("repl.txns_applied");
 
     // Kill the connection by shutting the server down, then restart it on
-    // the same address (same database, same WAL epoch).
+    // the same address (same database, same log).
     server.shutdown();
     drop(server);
     run(&leader, "UPDATE emp SET salary = 111 WHERE name = 'ann'");

@@ -289,6 +289,14 @@ impl FaultVfs {
         }
     }
 
+    /// The paths of the files present, sorted: a test's directory
+    /// listing (the [`Vfs`] has none).
+    pub fn paths(&self) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = self.state.lock().files.keys().cloned().collect();
+        paths.sort();
+        paths
+    }
+
     /// The durable length of `path` (what a reopen would see), if present.
     pub fn durable_len(&self, path: &Path) -> Option<u64> {
         self.state

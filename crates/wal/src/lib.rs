@@ -15,13 +15,20 @@
 //! batch whose commit record never became durable is dropped. Replay is
 //! not idempotent and need not be: the watermark says where to start.
 //!
-//! Checkpointing truncates the log after flushing and fsyncing all data
-//! files; the checkpoint record carries the engine clock and per-type atom
-//! counters, as the watermark does.
+//! An LSN is a byte position in the log's whole history: it grows across
+//! checkpoints and reopens, and no durable byte's LSN is ever reused (a
+//! crash that loses an unsynced tail hands its LSNs out again). The log
+//! is a run of segment files, each named by its first LSN. A checkpoint
+//! rolls the log onto a new segment whose first record carries the
+//! engine clock and per-type atom counters, as the watermark does; once
+//! the control file names that segment as where recovery starts, the
+//! segments below it are removed. Nothing is truncated in place but a
+//! torn tail at open.
 //!
-//! Format: a sequence of `[len: u32][crc32c: u32][payload]` frames. A
-//! torn final frame (crash mid-append) fails its CRC or length check and
-//! cleanly ends recovery — this is exercised by tests.
+//! Format: a sequence of `[len: u32][crc32c: u32][payload]` frames, none
+//! spanning two segments. A torn final frame (crash mid-append) fails its
+//! CRC or length check and cleanly ends recovery — this is exercised by
+//! tests.
 
 #![warn(missing_docs)]
 
@@ -29,4 +36,4 @@ pub mod record;
 mod wal;
 
 pub use record::LogRecord;
-pub use wal::{decode_frames, SyncPolicy, Wal, WalChunk, WalCursor, WalObs};
+pub use wal::{decode_frames, segment_path, SyncPolicy, Wal, WalChunk, WalCursor, WalObs};

@@ -1,11 +1,12 @@
-//! The log manager: framed appends, crash-tolerant reads, truncation.
+//! The log manager: framed appends over segment files in one monotone
+//! LSN space, crash-tolerant reads, checkpoint rolls.
 
 use crate::record::LogRecord;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use tcom_kernel::codec::crc32c;
-use tcom_kernel::{Lsn, Result};
+use tcom_kernel::{Error, Lsn, Result};
 use tcom_obs::{Counter, Histogram};
 use tcom_storage::vfs::{StdVfs, Vfs, VfsFile};
 
@@ -19,33 +20,62 @@ pub enum SyncPolicy {
     OnCheckpoint,
 }
 
-struct Inner {
+/// One segment file: the log's bytes from LSN `start` up to the next
+/// segment's start (the last segment's: up to the log's end).
+#[derive(Clone)]
+struct Segment {
+    start: u64,
     file: Arc<dyn VfsFile>,
-    /// Next append offset == current log length in bytes.
-    end: u64,
-    /// The log's *epoch*: a fresh, incarnation-unique value drawn at every
-    /// open and at every [`Wal::reset_with`] truncation. LSNs are byte
-    /// offsets, so a truncation makes old LSNs ambiguous; the epoch lets a
-    /// replication subscriber detect that its resume position belongs to a
-    /// log that no longer exists.
-    epoch: u64,
 }
 
-/// Draws an epoch no other log incarnation of this or any concurrently
-/// running process will draw (process id ⊕ a process-local counter).
-fn fresh_epoch() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(1);
-    ((std::process::id() as u64) << 32) | COUNTER.fetch_add(1, Ordering::Relaxed)
+/// The path of the segment of the log at `base` whose first LSN is
+/// `start`: `base` with `.<start as 16 hex digits>` appended.
+pub fn segment_path(base: &Path, start: Lsn) -> PathBuf {
+    let mut name = base.as_os_str().to_owned();
+    name.push(format!(".{:016x}", start.0));
+    PathBuf::from(name)
+}
+
+/// The segment of `segments` holding LSN `at` (the last one starting at
+/// or before it; `at` is never below the first).
+fn segment_at(segments: &[Segment], at: u64) -> usize {
+    segments.partition_point(|s| s.start <= at) - 1
+}
+
+/// Reads `buf.len()` bytes of the log at LSN `at` from the segments that
+/// hold them.
+fn read_span(segments: &[Segment], mut buf: &mut [u8], mut at: u64) -> Result<()> {
+    while !buf.is_empty() {
+        let i = segment_at(segments, at);
+        let seg_end = segments.get(i + 1).map_or(u64::MAX, |s| s.start);
+        let n = (buf.len() as u64).min(seg_end - at) as usize;
+        segments[i]
+            .file
+            .read_at(&mut buf[..n], at - segments[i].start)?;
+        buf = &mut buf[n..];
+        at += n as u64;
+    }
+    Ok(())
+}
+
+struct Inner {
+    /// The last segment, which appends go to: a copy of
+    /// `Wal::segments`' last entry, kept here so appends take only this
+    /// lock and never the `RwLock`.
+    tail: Segment,
+    /// Next append LSN: one past the log's last byte.
+    end: u64,
+    /// Where recovery starts: the first LSN of the segment the last roll
+    /// began, or of the one the log was opened at.
+    start: u64,
 }
 
 /// One chunk of raw, CRC-validated WAL frames handed to a replication
 /// subscriber: whole frames only, starting at `start`, within the durable
-/// prefix of log incarnation `epoch`.
+/// prefix of the log.
 #[derive(Clone, Debug)]
 pub struct WalChunk {
-    /// The log incarnation these bytes belong to.
-    pub epoch: u64,
-    /// Byte offset of the first frame in `bytes`.
+    /// LSN of the first frame in `bytes`.
     pub start: Lsn,
     /// Raw frame bytes (`[len][crc][payload]`*, zero or more whole frames).
     pub bytes: Vec<u8>,
@@ -53,7 +83,8 @@ pub struct WalChunk {
 
 /// Group-commit durability gate (leader/follower fsync batching).
 struct SyncGate {
-    /// Log length known to be on stable storage.
+    /// LSN up to which the log is known to be on stable storage: only an
+    /// fsync raises it, never an open, and it only grows.
     synced_end: u64,
     /// True while some thread is inside `file.sync()` on the gate's
     /// behalf; arriving committers become followers and wait.
@@ -76,10 +107,22 @@ pub struct WalObs {
     pub group_size: Histogram,
 }
 
-/// An append-only write-ahead log.
+/// An append-only write-ahead log over segment files. An LSN is a byte
+/// position in the log's whole history; no durable byte's LSN is ever
+/// reused (a crash that loses an unsynced tail hands its LSNs out again).
+/// Segment `path.<lsn>` holds the bytes from its first LSN up to the next
+/// segment's. A checkpoint rolls the log onto a new segment
+/// ([`Wal::roll`]) and, once the control file records it, removes the
+/// ones below ([`Wal::remove_below`]). Nothing is truncated in place
+/// except a torn tail at open.
 pub struct Wal {
-    inner: Mutex<Inner>,
+    vfs: Arc<dyn Vfs>,
     path: PathBuf,
+    /// Every retained segment, by first LSN; the last is `inner.tail`.
+    /// Reads of old segments hold it shared, so no segment is removed
+    /// under a read. Taken before `inner`.
+    segments: RwLock<Vec<Segment>>,
+    inner: Mutex<Inner>,
     policy: SyncPolicy,
     obs: WalObs,
     /// Write batches appended since the last fsync (feeds
@@ -92,40 +135,88 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating if missing) the log at `path` on the real file
-    /// system.
+    /// system from LSN 0, and cuts it to its valid prefix so new appends
+    /// never interleave with a torn tail left by a crash. A log whose
+    /// segment 0 a roll has removed reopens with [`Wal::open_at`] at its
+    /// start, then [`Wal::cut_tail`].
     pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Wal> {
-        Wal::open_with(&StdVfs, path, policy)
+        Wal::open_with(StdVfs::arc(), path, policy)
     }
 
-    /// Opens (creating if missing) the log at `path` through `vfs`.
-    ///
-    /// `open` truncates the file to the last valid frame boundary so new
-    /// appends never interleave with a torn tail left by a crash.
-    pub fn open_with(vfs: &dyn Vfs, path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Wal> {
+    /// [`Wal::open`] through `vfs`.
+    fn open_with(vfs: Arc<dyn Vfs>, path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Wal> {
+        let wal = Wal::open_at(vfs, path, policy, Lsn(0))?;
+        let mut cursor = wal.read_from(Lsn(0))?;
+        while cursor.next_record()?.is_some() {}
+        wal.cut_tail(cursor.position())?;
+        Ok(wal)
+    }
+
+    /// Opens the log at `path` through `vfs` for a recovery pass from
+    /// `start`, the first LSN of a segment, without reading a byte of it:
+    /// each segment ends where the next one on disk begins, and the last
+    /// is the first without a successor. Until [`Wal::cut_tail`] its end
+    /// may include a torn tail; the caller's pass over
+    /// [`Wal::read_from`] finds the valid end, and cuts the log there
+    /// before it appends.
+    pub fn open_at(
+        vfs: Arc<dyn Vfs>,
+        path: impl AsRef<Path>,
+        policy: SyncPolicy,
+        start: Lsn,
+    ) -> Result<Wal> {
         let path = path.as_ref().to_owned();
-        let file = vfs.open(&path)?;
-        // Find the end of the valid prefix.
-        let valid_end = scan_valid_end(&file)?;
-        if valid_end != file.len()? {
-            file.set_len(valid_end)?;
-        }
+        let mut segments = Vec::new();
+        let mut at = start.0;
+        let end = loop {
+            let file = vfs.open(&segment_path(&path, Lsn(at)))?;
+            let len = file.len()?;
+            segments.push(Segment { start: at, file });
+            if len == 0 || !vfs.exists(&segment_path(&path, Lsn(at + len))) {
+                break at + len;
+            }
+            at += len;
+        };
+        let tail = segments.last().expect("one segment").clone();
         Ok(Wal {
-            inner: Mutex::new(Inner {
-                file,
-                end: valid_end,
-                epoch: fresh_epoch(),
-            }),
+            vfs,
             path,
+            segments: RwLock::new(segments),
+            inner: Mutex::new(Inner {
+                tail,
+                end,
+                start: start.0,
+            }),
             policy,
             obs: WalObs::default(),
             unsynced: AtomicU64::new(0),
             gate: Mutex::new(SyncGate {
-                // The surviving prefix was durable before the reopen.
-                synced_end: valid_end,
+                synced_end: start.0,
                 leader_active: false,
             }),
             gate_changed: Condvar::new(),
         })
+    }
+
+    /// Cuts the log at `end`, the valid end a pass over it found: the torn
+    /// bytes past it go, with every segment that begins past it, and
+    /// appends continue from it. The durable horizon stays at the start:
+    /// after a process kill the surviving prefix may live only in the page
+    /// cache, so the next [`Wal::sync_to`] or [`Wal::roll`] fsyncs it.
+    pub fn cut_tail(&self, end: Lsn) -> Result<()> {
+        let mut segments = self.segments.write().expect("wal segments");
+        let mut inner = self.inner.lock().expect("wal lock");
+        while segments.len() > 1 && segments.last().expect("a segment").start > end.0 {
+            let seg = segments.pop().expect("a segment");
+            self.vfs.remove(&segment_path(&self.path, Lsn(seg.start)))?;
+        }
+        let last = segments.last().expect("a segment");
+        if last.file.len()? != end.0 - last.start {
+            last.file.set_len(end.0 - last.start)?;
+        }
+        inner.tail = last.clone();
+        inner.end = end.0;
+        Ok(())
     }
 
     /// The configured sync policy.
@@ -138,31 +229,64 @@ impl Wal {
         &self.obs
     }
 
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Current log length in bytes.
+    /// The log's length: the LSN the next append gets.
     pub fn len(&self) -> u64 {
         self.inner.lock().expect("wal lock").end
     }
 
-    /// True iff the log holds no records.
+    /// True iff the log never held a record.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Appends a record, returning its LSN (byte offset of the frame).
+    /// Bytes the retained segments hold: the log's length minus the
+    /// first LSN of its oldest segment on disk.
+    pub fn retained_len(&self) -> u64 {
+        let oldest = self.segments.read().expect("wal segments")[0].start;
+        self.len() - oldest
+    }
+
+    /// Where a recovery of this log starts: the first LSN of the segment
+    /// the last [`Wal::roll`] began (or of the one it was opened at).
+    pub fn start(&self) -> Lsn {
+        Lsn(self.inner.lock().expect("wal lock").start)
+    }
+
+    /// The first LSNs of the retained segments below [`Wal::start`]: a
+    /// roll retires them, and [`Wal::remove_below`] removes them.
+    pub fn retired(&self) -> Vec<Lsn> {
+        let segments = self.segments.read().expect("wal segments");
+        let start = self.start().0;
+        segments
+            .iter()
+            .take_while(|s| s.start < start)
+            .map(|s| Lsn(s.start))
+            .collect()
+    }
+
+    /// Writes `bytes`, one write batch of `records` records, at the log's
+    /// end.
+    fn write_locked(&self, inner: &mut Inner, bytes: &[u8], records: u64) -> Result<()> {
+        debug_assert!(self.segments.try_read().map_or(true, |segments| segments
+            .last()
+            .is_some_and(|last| last.start == inner.tail.start)));
+        inner
+            .tail
+            .file
+            .write_at(bytes, inner.end - inner.tail.start)?;
+        inner.end += bytes.len() as u64;
+        self.obs.appends.add(records);
+        self.obs.bytes.add(bytes.len() as u64);
+        self.unsynced.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Appends a record, returning its LSN.
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
         let frame = encode_frame(rec);
         let mut inner = self.inner.lock().expect("wal lock");
         let lsn = Lsn(inner.end);
-        inner.file.write_at(&frame, inner.end)?;
-        inner.end += frame.len() as u64;
-        self.obs.appends.inc();
-        self.obs.bytes.add(frame.len() as u64);
-        self.unsynced.fetch_add(1, Ordering::Relaxed);
+        self.write_locked(&mut inner, &frame, 1)?;
         Ok(lsn)
     }
 
@@ -176,11 +300,7 @@ impl Wal {
             buf.extend_from_slice(&encode_frame(rec));
         }
         let mut inner = self.inner.lock().expect("wal lock");
-        inner.file.write_at(&buf, inner.end)?;
-        inner.end += buf.len() as u64;
-        self.obs.appends.add(recs.len() as u64);
-        self.obs.bytes.add(buf.len() as u64);
-        self.unsynced.fetch_add(1, Ordering::Relaxed);
+        self.write_locked(&mut inner, &buf, recs.len() as u64)?;
         Ok(Lsn(inner.end))
     }
 
@@ -221,7 +341,7 @@ impl Wal {
             // window is where batching comes from.
             let (file, end) = {
                 let inner = self.inner.lock().expect("wal lock");
-                (inner.file.clone(), inner.end)
+                (inner.tail.file.clone(), inner.end)
             };
             let res = file.sync();
             let mut g = self.gate.lock().expect("wal gate");
@@ -240,21 +360,20 @@ impl Wal {
         }
     }
 
-    /// Forces the log to stable storage (unconditional fsync).
+    /// Forces the log to stable storage (unconditional fsync). The end it
+    /// raises the durable horizon to is captured with the segment it
+    /// fsyncs: a roll during the fsync begins a later segment, whose bytes
+    /// that end does not reach.
     pub fn sync(&self) -> Result<()> {
-        let (file, end, epoch) = {
+        let (file, end) = {
             let inner = self.inner.lock().expect("wal lock");
-            (inner.file.clone(), inner.end, inner.epoch)
+            (inner.tail.file.clone(), inner.end)
         };
         file.sync()?;
-        // A reset during the fsync truncated what it covered: only an
-        // fsync of the current epoch moves the durable horizon.
-        let inner = self.inner.lock().expect("wal lock");
-        if inner.epoch == epoch {
+        {
             let mut gate = self.gate.lock().expect("wal gate");
             gate.synced_end = gate.synced_end.max(end);
         }
-        drop(inner);
         self.gate_changed.notify_all();
         self.obs.fsyncs.inc();
         self.obs
@@ -263,16 +382,13 @@ impl Wal {
         Ok(())
     }
 
-    /// The log's current epoch (changes on every [`Wal::reset_with`]).
-    pub fn epoch(&self) -> u64 {
-        self.inner.lock().expect("wal lock").epoch
-    }
-
     /// The *replicable* horizon: how far a subscriber may safely be
     /// streamed. Under [`SyncPolicy::OnCommit`] only fsynced bytes ship —
     /// a power cut must never leave a replica ahead of its leader. Under
     /// [`SyncPolicy::OnCheckpoint`] the whole in-memory tail ships (the
-    /// leader has already accepted losing it on power failure).
+    /// leader has already accepted losing it on power failure): a crash
+    /// that loses it leaves replicas ahead of the reopened leader, whose
+    /// next appends reuse those LSNs, so its replicas must be reseeded.
     pub fn durable_len(&self) -> u64 {
         match self.policy {
             SyncPolicy::OnCommit => self.gate.lock().expect("wal gate").synced_end,
@@ -280,83 +396,156 @@ impl Wal {
         }
     }
 
-    /// Opens an incremental cursor over the valid records starting at
-    /// byte offset `from` (must be a frame boundary previously handed out
-    /// as an LSN, or 0). The cursor snapshots the log length at creation;
-    /// records appended later are not observed. Reads the log in bounded
-    /// chunks — memory use is O(largest record), not O(log).
+    /// Opens an incremental cursor over the valid records starting at LSN
+    /// `from` (a frame boundary previously handed out as an LSN), or at
+    /// the oldest retained segment's head when that begins later. The
+    /// cursor snapshots the log's end at creation; records appended later
+    /// are not observed. Reads the log in bounded chunks — memory use is
+    /// O(largest record), not O(log).
     pub fn read_from(&self, from: Lsn) -> Result<WalCursor> {
-        let inner = self.inner.lock().expect("wal lock");
-        Ok(WalCursor::new(inner.file.clone(), from.0, inner.end))
+        let segments = self.segments.read().expect("wal segments").clone();
+        let end = self.len();
+        let pos = from.0.max(segments[0].start);
+        Ok(WalCursor {
+            segments,
+            pos,
+            end,
+            buf: Vec::new(),
+            buf_start: pos,
+            filled: 0,
+        })
     }
 
     /// Reads up to `max_bytes` of raw, CRC-validated frames for a
     /// replication subscriber positioned at `from`. Only *whole* frames
     /// within the durable horizon are returned (the first frame is
     /// included even when it alone exceeds `max_bytes`, so one oversized
-    /// record cannot stall the stream). An empty `bytes` means the
-    /// subscriber is caught up — or, if `from` lies beyond the durable
-    /// end, that its position belongs to a different epoch.
+    /// record cannot stall the stream). A position below the oldest
+    /// retained segment streams from that segment's head `Checkpoint`
+    /// record, and the chunk says so by its `start`. An empty `bytes`
+    /// means the subscriber is caught up. A position past the durable end,
+    /// or one that is not on a frame boundary, is an error naming it.
     pub fn read_chunk(&self, from: Lsn, max_bytes: usize) -> Result<WalChunk> {
-        loop {
-            let (file, epoch) = {
-                let inner = self.inner.lock().expect("wal lock");
-                (inner.file.clone(), inner.epoch)
+        let segments = self.segments.read().expect("wal segments");
+        let durable = self.durable_len();
+        let start = from.0.max(segments[0].start);
+        if start > durable {
+            return Err(Error::corruption(format!(
+                "replication: lsn {start} lies past the leader's durable end {durable}"
+            )));
+        }
+        let mut bytes = Vec::new();
+        let mut pos = start;
+        while pos < durable {
+            let i = segment_at(&segments, pos);
+            let limit = segments
+                .get(i + 1)
+                .map_or(durable, |s| s.start.min(durable));
+            let off_boundary = || {
+                Error::corruption(format!(
+                    "replication: lsn {pos} is not on a frame boundary of the leader's log"
+                ))
             };
-            let durable = self.durable_len();
-            let mut chunk = WalChunk {
-                epoch,
-                start: from,
-                bytes: Vec::new(),
-            };
-            let mut pos = from.0;
-            while pos + 8 <= durable {
-                let mut header = [0u8; 8];
-                file.read_at(&mut header, pos)?;
-                let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as u64;
-                let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-                if pos + 8 + len > durable {
-                    break;
-                }
-                let mut payload = vec![0u8; len as usize];
-                file.read_at(&mut payload, pos + 8)?;
-                if crc32c(&payload) != crc {
-                    break;
-                }
-                chunk.bytes.extend_from_slice(&header);
-                chunk.bytes.extend_from_slice(&payload);
-                pos += 8 + len;
-                if chunk.bytes.len() >= max_bytes {
-                    break;
-                }
+            if pos + 8 > limit {
+                return Err(off_boundary());
             }
-            // A checkpoint truncation may have swept the log out from under
-            // this read (epoch capture → truncate → stale bytes). Retry
-            // until the epoch was stable across the whole read; only then
-            // are the bytes guaranteed to belong to `epoch`.
-            if self.inner.lock().expect("wal lock").epoch == epoch {
-                return Ok(chunk);
+            let mut header = [0u8; 8];
+            read_span(&segments, &mut header, pos)?;
+            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as u64;
+            let frame_end = pos + 8 + len;
+            if frame_end > limit {
+                return Err(off_boundary());
+            }
+            let mut payload = vec![0u8; len as usize];
+            read_span(&segments, &mut payload, pos + 8)?;
+            if crc32c(&payload).to_le_bytes() != header[4..] {
+                return Err(off_boundary());
+            }
+            bytes.extend_from_slice(&header);
+            bytes.extend_from_slice(&payload);
+            pos = frame_end;
+            if bytes.len() >= max_bytes {
+                break;
             }
         }
+        Ok(WalChunk {
+            start: Lsn(start),
+            bytes,
+        })
     }
 
-    /// Truncates the log to empty, then appends `first` (typically a
-    /// checkpoint record) and syncs. The caller must have flushed and
-    /// synced all data files *before* calling this. Draws a fresh epoch:
-    /// pre-truncation LSNs are meaningless afterwards.
-    pub fn reset_with(&self, first: &LogRecord) -> Result<Lsn> {
-        {
+    /// Rolls the log onto a new segment at its end whose first record is
+    /// `head` (a checkpoint record), makes it durable, and makes its first
+    /// LSN the log's [`Wal::start`], which it returns. The segment before
+    /// it is cut to its length and fsynced first, unless an fsync already
+    /// covers it, so a durable head is never preceded by a segment shorter
+    /// than its successor's name says; a segment that is still empty takes
+    /// `head` itself. The segments below stay until the caller has
+    /// recorded the returned start durably and calls [`Wal::remove_below`]
+    /// with it.
+    pub fn roll(&self, head: &LogRecord) -> Result<Lsn> {
+        let frame = encode_frame(head);
+        let start = {
+            let mut segments = self.segments.write().expect("wal segments");
             let mut inner = self.inner.lock().expect("wal lock");
-            inner.file.set_len(0)?;
-            inner.end = 0;
-            inner.epoch = fresh_epoch();
-            // The durable horizon moved backwards with the truncation; a
-            // stale `synced_end` would let `sync_to` skip a needed fsync.
-            self.gate.lock().expect("wal gate").synced_end = 0;
-        }
-        let lsn = self.append(first)?;
+            let len = inner.end - inner.tail.start;
+            if len > 0 {
+                let long = inner.tail.file.len()? > len;
+                if long {
+                    inner.tail.file.set_len(len)?;
+                }
+                if long || self.gate.lock().expect("wal gate").synced_end < inner.end {
+                    inner.tail.file.sync()?;
+                    self.obs.fsyncs.inc();
+                }
+                let file = self.vfs.open(&segment_path(&self.path, Lsn(inner.end)))?;
+                if file.len()? > 0 {
+                    // A file no chain reached: its frames must never follow
+                    // the head, not even after a power cut.
+                    file.set_len(0)?;
+                    file.sync()?;
+                }
+                let tail = Segment {
+                    start: inner.end,
+                    file,
+                };
+                segments.push(tail.clone());
+                inner.tail = tail;
+            }
+            self.write_locked(&mut inner, &frame, 1)?;
+            inner.tail.start
+        };
         self.sync()?;
-        Ok(lsn)
+        self.inner.lock().expect("wal lock").start = start;
+        Ok(Lsn(start))
+    }
+
+    /// Removes the segments below `start`, oldest first: the start a
+    /// [`Wal::roll`] returned, once a control file records it durably. A
+    /// later roll's start is not yet recorded, so it bounds nothing here.
+    /// One whose removal fails stays [`Wal::retired`].
+    pub fn remove_below(&self, start: Lsn) -> Result<()> {
+        let mut segments = self.segments.write().expect("wal segments");
+        while segments.len() > 1 && segments[0].start < start.0 {
+            self.vfs
+                .remove(&segment_path(&self.path, Lsn(segments[0].start)))?;
+            segments.remove(0);
+        }
+        Ok(())
+    }
+
+    /// Removes those of the segments beginning at `starts` that are still
+    /// on disk: the ones a checkpoint retired and a crash kept it from
+    /// removing. None of them may be retained.
+    pub fn remove_leftovers(&self, starts: &[Lsn]) -> Result<()> {
+        for &start in starts {
+            debug_assert!(start.0 < self.segments.read().expect("wal segments")[0].start);
+            let path = segment_path(&self.path, start);
+            if self.vfs.exists(&path) {
+                self.vfs.remove(&path)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -364,13 +553,13 @@ impl Wal {
 /// by [`Wal::read_from`]; also usable over raw replicated bytes via
 /// [`decode_frames`].
 pub struct WalCursor {
-    file: Arc<dyn VfsFile>,
-    /// Absolute offset of the next unparsed byte.
+    segments: Vec<Segment>,
+    /// LSN of the next unparsed byte.
     pos: u64,
     /// Log length snapshot taken at cursor creation.
     end: u64,
-    /// Read-ahead buffer; `buf[..filled]` holds file bytes starting at
-    /// absolute offset `buf_start`.
+    /// Read-ahead buffer; `buf[..filled]` holds log bytes starting at
+    /// LSN `buf_start`.
     buf: Vec<u8>,
     buf_start: u64,
     filled: usize,
@@ -379,17 +568,6 @@ pub struct WalCursor {
 impl WalCursor {
     /// Bytes fetched from the file per read-ahead.
     const CHUNK: usize = 64 << 10;
-
-    fn new(file: Arc<dyn VfsFile>, pos: u64, end: u64) -> WalCursor {
-        WalCursor {
-            file,
-            pos,
-            end,
-            buf: Vec::new(),
-            buf_start: pos,
-            filled: 0,
-        }
-    }
 
     /// The LSN of the next record [`WalCursor::next_record`] would return —
     /// after the final record, one past the last valid frame.
@@ -404,7 +582,7 @@ impl WalCursor {
         if have >= need {
             return Ok(have);
         }
-        // Discard consumed bytes, then read ahead from the file.
+        // Discard consumed bytes, then read ahead from the segments.
         let offset = (self.pos - self.buf_start) as usize;
         self.buf.drain(..offset);
         self.filled -= offset;
@@ -416,7 +594,7 @@ impl WalCursor {
             let at = self.buf_start + self.filled as u64;
             let old_len = self.buf.len();
             self.buf.resize(old_len.max(target), 0);
-            self.file.read_at(&mut self.buf[self.filled..target], at)?;
+            read_span(&self.segments, &mut self.buf[self.filled..target], at)?;
             self.filled = target;
         }
         Ok(self.filled)
@@ -494,15 +672,6 @@ fn encode_frame(rec: &LogRecord) -> Vec<u8> {
     frame
 }
 
-/// Scans the file from the start in bounded chunks, returning the byte
-/// offset one past the last valid frame — without materializing records.
-fn scan_valid_end(file: &Arc<dyn VfsFile>) -> Result<u64> {
-    let file_len = file.len()?;
-    let mut cursor = WalCursor::new(file.clone(), 0, file_len);
-    while cursor.next_record()?.is_some() {}
-    Ok(cursor.position().0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,7 +681,7 @@ mod tests {
     use tcom_kernel::{TimePoint, TxnId};
     use tcom_storage::vfs::FaultVfs;
 
-    /// Every valid record from the start of the log, through the cursor.
+    /// Every valid record of the retained log, through the cursor.
     fn read_all(wal: &Wal) -> Result<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
         let mut cursor = wal.read_from(Lsn(0))?;
@@ -522,17 +691,34 @@ mod tests {
         Ok(out)
     }
 
+    /// A log path `<fresh temp dir>/wal`; drop the dir with [`rmlog`].
     fn tmplog(name: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("tcom-wal-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
+        let dir = std::env::temp_dir().join(format!("tcom-wal-{}-{}", std::process::id(), name));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("wal")
     }
+
+    fn rmlog(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    fn checkpoint(clock: u64) -> LogRecord {
+        LogRecord::Checkpoint {
+            clock: TimePoint(clock),
+            next_atom_nos: vec![(0, clock)],
+        }
+    }
+
+    /// An armed parking slot: where a sync reports its entry, and where
+    /// it waits for its release.
+    type Park = Arc<Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
 
     /// A file whose next `sync` parks once armed: it reports its entry,
     /// then waits for a release before it fsyncs.
     struct ParkedSync {
         file: Arc<dyn VfsFile>,
-        park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+        park: Park,
     }
 
     impl VfsFile for ParkedSync {
@@ -558,58 +744,59 @@ mod tests {
         }
     }
 
-    struct OneFile(Arc<ParkedSync>);
+    /// A [`FaultVfs`] whose files share one parking slot.
+    #[derive(Clone, Default)]
+    struct Parking {
+        vfs: FaultVfs,
+        park: Park,
+    }
 
-    impl Vfs for OneFile {
-        fn open(&self, _: &Path) -> Result<Arc<dyn VfsFile>> {
-            Ok(self.0.clone())
+    impl Vfs for Parking {
+        fn open(&self, path: &Path) -> Result<Arc<dyn VfsFile>> {
+            Ok(Arc::new(ParkedSync {
+                file: self.vfs.open(path)?,
+                park: self.park.clone(),
+            }))
         }
-        fn exists(&self, _: &Path) -> bool {
-            true
+        fn exists(&self, path: &Path) -> bool {
+            self.vfs.exists(path)
         }
-        fn remove(&self, _: &Path) -> Result<()> {
-            unreachable!("the log is never removed")
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.vfs.remove(path)
         }
-        fn rename(&self, _: &Path, _: &Path) -> Result<()> {
-            unreachable!("the log is never renamed")
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.vfs.rename(from, to)
         }
     }
 
-    /// An unconditional `sync` whose fsync straddles a checkpoint's reset
-    /// must not raise the durable horizon past the new, shorter log: a
-    /// stale horizon would let a later commit's `sync_to` skip its fsync.
+    /// An unconditional `sync` whose fsync of the old segment straddles a
+    /// checkpoint's roll must not mark the new segment's bytes durable:
+    /// a horizon past them would let a later commit's `sync_to` skip its
+    /// fsync.
     #[test]
-    fn sync_straddling_a_reset_keeps_the_durable_horizon() {
-        let path = Path::new("wal.log");
-        let file = Arc::new(ParkedSync {
-            file: FaultVfs::new().open(path).unwrap(),
-            park: Mutex::new(None),
-        });
-        let wal = Wal::open_with(&OneFile(file.clone()), path, SyncPolicy::OnCommit).unwrap();
+    fn sync_straddling_a_roll_keeps_the_durable_horizon() {
+        let vfs = Parking::default();
+        let wal = Wal::open_with(Arc::new(vfs.clone()), "wal", SyncPolicy::OnCommit).unwrap();
         for i in 1..=8 {
             wal.append(&LogRecord::Begin { txn: TxnId(i) }).unwrap();
         }
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
-        *file.park.lock().unwrap() = Some((entered_tx, release_rx));
-        std::thread::scope(|s| {
+        *vfs.park.lock().unwrap() = Some((entered_tx, release_rx));
+        let end = std::thread::scope(|s| {
             let syncer = s.spawn(|| wal.sync());
             entered.recv().unwrap();
-            wal.reset_with(&LogRecord::Checkpoint {
-                clock: TimePoint(8),
-                next_atom_nos: vec![],
-            })
-            .unwrap();
+            wal.roll(&checkpoint(8)).unwrap();
+            let end = wal
+                .append_all(&[LogRecord::Begin { txn: TxnId(9) }])
+                .unwrap();
             release.send(()).unwrap();
             syncer.join().unwrap().unwrap();
+            end
         });
-        assert_eq!(wal.durable_len(), wal.len());
-        let end = wal
-            .append_all(&[LogRecord::Begin { txn: TxnId(9) }])
-            .unwrap();
         assert!(
             wal.durable_len() < end.0,
-            "the new batch is not durable yet"
+            "the new segment's batch is not durable yet"
         );
         wal.sync_to(end).unwrap();
         assert_eq!(wal.durable_len(), end.0);
@@ -641,26 +828,57 @@ mod tests {
             assert_eq!(lsn, want_lsn);
             assert_eq!(rec, want_rec);
         }
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
+    /// A reopened log keeps its records, and its next LSN continues from
+    /// the old end: across a roll too, reopened at its start, no LSN is
+    /// ever handed out twice.
     #[test]
     fn survives_reopen() {
         let path = tmplog("reopen");
-        {
+        let end = {
             let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
             wal.append(&LogRecord::Begin { txn: TxnId(9) }).unwrap();
             wal.append_commit(&LogRecord::Commit { txn: TxnId(9) })
                 .unwrap();
-        }
+            wal.len()
+        };
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
         let back = read_all(&wal).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].1, LogRecord::Commit { txn: TxnId(9) });
         // Appends continue after the existing records.
-        wal.append(&LogRecord::Begin { txn: TxnId(10) }).unwrap();
+        assert_eq!(
+            wal.append(&LogRecord::Begin { txn: TxnId(10) }).unwrap(),
+            Lsn(end)
+        );
         assert_eq!(read_all(&wal).unwrap().len(), 3);
-        let _ = std::fs::remove_file(&path);
+        let start = wal.roll(&checkpoint(10)).unwrap();
+        wal.remove_below(start).unwrap();
+        let end = wal
+            .append_all(&[LogRecord::Commit { txn: TxnId(10) }])
+            .unwrap();
+        drop(wal);
+
+        let wal = Wal::open_at(StdVfs::arc(), &path, SyncPolicy::OnCommit, start).unwrap();
+        let mut cursor = wal.read_from(start).unwrap();
+        let mut back = Vec::new();
+        while let Some((lsn, rec)) = cursor.next_record().unwrap() {
+            assert!(lsn >= start, "a record below the start");
+            back.push(rec);
+        }
+        wal.cut_tail(cursor.position()).unwrap();
+        assert_eq!(
+            back,
+            vec![checkpoint(10), LogRecord::Commit { txn: TxnId(10) }]
+        );
+        assert_eq!(
+            wal.append(&LogRecord::Begin { txn: TxnId(11) }).unwrap(),
+            end,
+            "the next LSN continues from the old end"
+        );
+        rmlog(&path);
     }
 
     #[test]
@@ -674,7 +892,10 @@ mod tests {
         }
         // Simulate a crash mid-append: garbage half-frame at the end.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = OpenOptions::new()
+                .append(true)
+                .open(segment_path(&path, Lsn(0)))
+                .unwrap();
             f.write_all(&[200, 0, 0, 0, 0xDE, 0xAD]).unwrap();
         }
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
@@ -683,7 +904,7 @@ mod tests {
         // New appends land cleanly after the valid prefix.
         wal.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
         assert_eq!(read_all(&wal).unwrap().len(), 3);
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
     #[test]
@@ -698,42 +919,88 @@ mod tests {
         }
         // Flip a byte in the middle of the file.
         {
-            let data = std::fs::read(&path).unwrap();
-            let mut data = data;
+            let seg = segment_path(&path, Lsn(0));
+            let mut data = std::fs::read(&seg).unwrap();
             let mid = data.len() / 2;
             data[mid] ^= 0x55;
-            std::fs::write(&path, &data).unwrap();
+            std::fs::write(&seg, &data).unwrap();
         }
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
         let back = read_all(&wal).unwrap();
         assert!(back.len() < 5, "records after the corruption are dropped");
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
+    /// A roll starts a new segment whose first record is the checkpoint,
+    /// and the log's length keeps growing; once the old segment is
+    /// removed, only the checkpoint is retained.
     #[test]
-    fn reset_with_checkpoint() {
-        let path = tmplog("reset");
+    fn roll_starts_a_segment_with_the_checkpoint() {
+        let path = tmplog("roll");
         let wal = Wal::open(&path, SyncPolicy::OnCheckpoint).unwrap();
         for i in 0..100 {
             wal.append(&LogRecord::Begin { txn: TxnId(i) }).unwrap();
         }
         let before = wal.len();
-        wal.reset_with(&LogRecord::Checkpoint {
-            clock: TimePoint(55),
-            next_atom_nos: vec![(0, 10)],
-        })
-        .unwrap();
-        assert!(wal.len() < before);
+        let start = wal.roll(&checkpoint(55)).unwrap();
+        assert_eq!(start, Lsn(before));
+        assert_eq!(wal.start(), start);
+        assert!(wal.len() > before);
+        assert_eq!(wal.retired(), vec![Lsn(0)]);
+        assert_eq!(read_all(&wal).unwrap().len(), 101);
+        wal.remove_below(start).unwrap();
+        assert!(wal.retired().is_empty());
+        assert!(!segment_path(&path, Lsn(0)).exists());
+        assert_eq!(wal.retained_len(), wal.len() - before);
         let back = read_all(&wal).unwrap();
-        assert_eq!(back.len(), 1);
-        assert!(matches!(
-            back[0].1,
-            LogRecord::Checkpoint {
-                clock: TimePoint(55),
-                ..
-            }
-        ));
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(back, vec![(start, checkpoint(55))]);
+        rmlog(&path);
+    }
+
+    /// Reopened at a start below a roll, the log chains its segments by
+    /// name and length: one pass reads across the boundary, and a torn
+    /// tail of the last segment is cut.
+    #[test]
+    fn reopen_chains_segments_from_the_start() {
+        let path = tmplog("chain");
+        let recs: Vec<LogRecord> = (0..6).map(|i| LogRecord::Begin { txn: TxnId(i) }).collect();
+        let (start, end) = {
+            let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
+            wal.append_all(&recs[..3]).unwrap();
+            let start = wal.roll(&checkpoint(3)).unwrap();
+            let end = wal.append_all(&recs[3..]).unwrap();
+            wal.sync().unwrap();
+            (start, end)
+        };
+        // A crash mid-append leaves a half frame in the last segment.
+        OpenOptions::new()
+            .append(true)
+            .open(segment_path(&path, start))
+            .unwrap()
+            .write_all(&[200, 0, 0, 0, 0xDE])
+            .unwrap();
+        let wal = Wal::open_at(StdVfs::arc(), &path, SyncPolicy::OnCommit, Lsn(0)).unwrap();
+        let mut cursor = wal.read_from(Lsn(0)).unwrap();
+        let mut back = Vec::new();
+        while let Some((_, rec)) = cursor.next_record().unwrap() {
+            back.push(rec);
+        }
+        assert_eq!(cursor.position(), end);
+        let mut want = recs[..3].to_vec();
+        want.push(checkpoint(3));
+        want.extend_from_slice(&recs[3..]);
+        assert_eq!(back, want);
+        wal.cut_tail(cursor.position()).unwrap();
+        assert_eq!(
+            std::fs::metadata(segment_path(&path, start)).unwrap().len(),
+            end.0 - start.0,
+            "the torn bytes are cut"
+        );
+        assert_eq!(
+            wal.append(&LogRecord::Commit { txn: TxnId(5) }).unwrap(),
+            end
+        );
+        rmlog(&path);
     }
 
     #[test]
@@ -751,8 +1018,8 @@ mod tests {
         let a: Vec<_> = read_all(&w1).unwrap();
         let b: Vec<_> = read_all(&w2).unwrap();
         assert_eq!(a, b, "batched and sequential appends must be identical");
-        let _ = std::fs::remove_file(&p1);
-        let _ = std::fs::remove_file(&p2);
+        rmlog(&p1);
+        rmlog(&p2);
     }
 
     #[test]
@@ -770,31 +1037,103 @@ mod tests {
         // Already durable up to `end`: no further fsync.
         wal.sync_to(end).unwrap();
         assert_eq!(wal.obs().fsyncs.get(), 1);
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
+    /// After a roll, a batch in the new segment still needs its own
+    /// fsync: the horizon the roll left covers only its head.
     #[test]
-    fn sync_to_after_reset_refsyncs() {
-        let path = tmplog("gate-reset");
+    fn sync_to_after_roll_refsyncs() {
+        let path = tmplog("gate-roll");
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
         let end = wal
             .append_all(&[LogRecord::Begin { txn: TxnId(1) }])
             .unwrap();
         wal.sync_to(end).unwrap();
-        wal.reset_with(&LogRecord::Checkpoint {
-            clock: TimePoint(1),
-            next_atom_nos: vec![],
-        })
-        .unwrap();
+        wal.roll(&checkpoint(1)).unwrap();
         let fsyncs = wal.obs().fsyncs.get();
-        // The new tail is shorter than the pre-reset durable horizon; a
-        // stale gate would wrongly skip this fsync.
         let end = wal
             .append_all(&[LogRecord::Begin { txn: TxnId(2) }])
             .unwrap();
         wal.sync_to(end).unwrap();
         assert_eq!(wal.obs().fsyncs.get(), fsyncs + 1);
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
+    }
+
+    /// Removal is bounded by the start its caller recorded, not by the
+    /// live one: the segment a later roll retired, while no control file
+    /// names that roll yet, stays.
+    #[test]
+    fn remove_below_keeps_what_a_later_roll_retired() {
+        let path = tmplog("remove-below");
+        let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
+        wal.append_all(&[LogRecord::Begin { txn: TxnId(1) }])
+            .unwrap();
+        let first = wal.roll(&checkpoint(1)).unwrap();
+        wal.append_all(&[LogRecord::Begin { txn: TxnId(2) }])
+            .unwrap();
+        let second = wal.roll(&checkpoint(2)).unwrap();
+        wal.remove_below(first).unwrap();
+        assert!(!segment_path(&path, Lsn(0)).exists());
+        assert!(segment_path(&path, first).exists());
+        assert_eq!(wal.retired(), vec![first]);
+        assert_eq!(read_all(&wal).unwrap()[0], (first, checkpoint(1)));
+        wal.remove_below(second).unwrap();
+        assert!(wal.retired().is_empty());
+        assert_eq!(read_all(&wal).unwrap(), vec![(second, checkpoint(2))]);
+        rmlog(&path);
+    }
+
+    /// A process kill leaves the unsynced tail in the page cache, where a
+    /// reopen reads it; the reopen must not count it durable. The first
+    /// roll fsyncs it, so after a power cut before any control file names
+    /// the roll, the old segment is still as long as the new one's name
+    /// says, and a pass from the old start reaches the head.
+    #[test]
+    fn reopen_over_a_killed_process_leaves_its_tail_to_an_fsync() {
+        let vfs = FaultVfs::new();
+        let recs: Vec<LogRecord> = (0..4).map(|i| LogRecord::Begin { txn: TxnId(i) }).collect();
+        Wal::open_with(Arc::new(vfs.clone()), "wal", SyncPolicy::OnCommit)
+            .unwrap()
+            .append_all(&recs)
+            .unwrap();
+        let wal = Wal::open_with(Arc::new(vfs.clone()), "wal", SyncPolicy::OnCommit).unwrap();
+        assert_eq!(read_all(&wal).unwrap().len(), 4);
+        assert_eq!(wal.durable_len(), 0, "no fsync has covered the tail");
+        wal.roll(&checkpoint(4)).unwrap();
+
+        let cut = vfs.durable_copy();
+        let wal = Wal::open_at(Arc::new(cut), "wal", SyncPolicy::OnCommit, Lsn(0)).unwrap();
+        let mut want = recs;
+        want.push(checkpoint(4));
+        let back: Vec<LogRecord> = read_all(&wal).unwrap().into_iter().map(|r| r.1).collect();
+        assert_eq!(back, want);
+    }
+
+    /// A roll onto a name that a file no chain reached already holds
+    /// empties it durably first: its frames never follow the head, not
+    /// even after a power cut.
+    #[test]
+    fn roll_empties_a_stale_segment_file() {
+        let vfs = FaultVfs::new();
+        let wal = Wal::open_with(Arc::new(vfs.clone()), "wal", SyncPolicy::OnCommit).unwrap();
+        let end = wal
+            .append_all(&[LogRecord::Begin { txn: TxnId(1) }])
+            .unwrap();
+        // The head's own frame, then one more valid frame past it.
+        let mut stale = encode_frame(&checkpoint(1));
+        stale.extend_from_slice(&encode_frame(&LogRecord::Commit { txn: TxnId(7) }));
+        let file = vfs.open(&segment_path(Path::new("wal"), end)).unwrap();
+        file.write_at(&stale, 0).unwrap();
+        file.sync().unwrap();
+
+        let start = wal.roll(&checkpoint(1)).unwrap();
+        assert_eq!(start, end);
+        wal.remove_below(start).unwrap();
+        assert_eq!(read_all(&wal).unwrap(), vec![(start, checkpoint(1))]);
+        let cut = vfs.durable_copy();
+        let wal = Wal::open_at(Arc::new(cut), "wal", SyncPolicy::OnCommit, start).unwrap();
+        assert_eq!(read_all(&wal).unwrap(), vec![(start, checkpoint(1))]);
     }
 
     #[test]
@@ -819,7 +1158,7 @@ mod tests {
         }
         assert_eq!(suffix, all[30..].to_vec());
         assert_eq!(cursor.position().0, wal.len());
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
     #[test]
@@ -834,7 +1173,7 @@ mod tests {
             cursor.next_record().unwrap().is_none(),
             "records appended after cursor creation must not be observed"
         );
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
     #[test]
@@ -863,27 +1202,43 @@ mod tests {
         // Resuming from the end of the durable prefix yields nothing.
         let caught_up = wal.read_chunk(Lsn(end.0), usize::MAX).unwrap();
         assert!(caught_up.bytes.is_empty());
-        assert_eq!(caught_up.epoch, wal.epoch());
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(caught_up.start, end);
+        rmlog(&path);
     }
 
+    /// A subscriber position below the oldest retained segment streams
+    /// from that segment's head checkpoint; one past the durable end, or
+    /// off a frame boundary, is an error naming it instead of an endless
+    /// run of empty chunks.
     #[test]
-    fn epoch_changes_on_reset_but_not_reopen_resume() {
-        let path = tmplog("epoch");
+    fn read_chunk_positions_outside_the_stream() {
+        let path = tmplog("chunk-edges");
         let wal = Wal::open(&path, SyncPolicy::OnCommit).unwrap();
-        let e1 = wal.epoch();
-        wal.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
-        wal.reset_with(&LogRecord::Checkpoint {
-            clock: TimePoint(3),
-            next_atom_nos: vec![],
-        })
-        .unwrap();
-        let e2 = wal.epoch();
-        assert_ne!(
-            e1, e2,
-            "truncation must invalidate old LSNs via a fresh epoch"
+        let first = wal
+            .append_all(&[LogRecord::Begin { txn: TxnId(1) }])
+            .unwrap();
+        wal.sync_to(first).unwrap();
+        let start = wal.roll(&checkpoint(1)).unwrap();
+        let end = wal
+            .append_all(&[LogRecord::Begin { txn: TxnId(2) }])
+            .unwrap();
+        wal.sync_to(end).unwrap();
+        wal.remove_below(start).unwrap();
+
+        let below = wal.read_chunk(Lsn(0), usize::MAX).unwrap();
+        assert_eq!(below.start, start, "streams from the oldest head");
+        let recs = decode_frames(below.start, &below.bytes).unwrap();
+        assert_eq!(recs[0].1, checkpoint(1));
+        assert_eq!(recs.len(), 2);
+
+        let past = wal.read_chunk(Lsn(end.0 + 1), usize::MAX).unwrap_err();
+        assert!(
+            past.to_string().contains("past the leader's durable end"),
+            "{past}"
         );
-        let _ = std::fs::remove_file(&path);
+        let mid = wal.read_chunk(Lsn(start.0 + 3), usize::MAX).unwrap_err();
+        assert!(mid.to_string().contains("not on a frame boundary"), "{mid}");
+        rmlog(&path);
     }
 
     #[test]
@@ -900,7 +1255,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
         assert!(decode_frames(Lsn(0), &bad).is_err());
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 
     #[test]
@@ -911,6 +1266,6 @@ mod tests {
         let b = wal.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
         assert_eq!(a, Lsn(0));
         assert!(b > a);
-        let _ = std::fs::remove_file(&path);
+        rmlog(&path);
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use tcom_kernel::{
     AtomId, AtomNo, AtomTypeId, Interval, Lsn, Result, TimePoint, Tuple, TxnId, Value,
 };
-use tcom_wal::{LogRecord, SyncPolicy, Wal};
+use tcom_wal::{segment_path, LogRecord, SyncPolicy, Wal};
 
 fn interval(a: u64, b: u64) -> Interval {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -105,7 +105,7 @@ fn torn_tail_recovers_at_every_byte_boundary() {
         }
         wal.sync().unwrap();
     }
-    let bytes = std::fs::read(&full).unwrap();
+    let bytes = std::fs::read(segment_path(&full, Lsn(0))).unwrap();
 
     // Frame boundaries: byte offsets where a whole number of frames end.
     let mut boundaries = vec![0u64];
@@ -119,8 +119,9 @@ fn torn_tail_recovers_at_every_byte_boundary() {
     assert_eq!(boundaries.len(), recs.len() + 1);
 
     let cut_path = base.join("cut.wal");
+    let cut_segment = segment_path(&cut_path, Lsn(0));
     for cut in 0..=bytes.len() {
-        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+        std::fs::write(&cut_segment, &bytes[..cut]).unwrap();
         let wal = Wal::open(&cut_path, SyncPolicy::OnCommit).unwrap();
         let back = read_all(&wal).unwrap();
         let want = boundaries
@@ -142,7 +143,7 @@ fn torn_tail_recovers_at_every_byte_boundary() {
             "cut at byte {cut}: torn bytes must be dropped"
         );
         assert_eq!(
-            std::fs::metadata(&cut_path).unwrap().len(),
+            std::fs::metadata(&cut_segment).unwrap().len(),
             valid_end,
             "cut at byte {cut}: file truncated to the last whole frame"
         );

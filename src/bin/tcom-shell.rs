@@ -20,7 +20,7 @@
 //! .molecules            list molecule types                     (local)
 //! .stats                storage + buffer statistics             (local)
 //! .metrics              full metrics-registry exposition        (local)
-//! .checkpoint           flush everything and truncate the WAL   (local)
+//! .checkpoint           flush everything and roll the WAL       (local)
 //! .now                  transaction-time clock (local or server)
 //! .quit                 exit (clean shutdown checkpoint)
 //! ```

@@ -55,7 +55,7 @@ use crate::journal;
 use crate::stripes::{StripeLocks, COMMIT_STRIPES};
 use crate::txn::Txn;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,6 +72,11 @@ use tcom_storage::vfs::{StdVfs, Vfs};
 use tcom_version::record::AtomVersion;
 use tcom_version::Store;
 use tcom_wal::{LogRecord, Wal, WalChunk};
+
+/// Runs of [`Database::index_range_asof`]'s one validated section before
+/// it answers through per-atom sections instead: a few, so a quiet type
+/// keeps the probe and a steadily written one still gets an answer.
+const ASOF_PROBE_TRIES: usize = 4;
 
 /// A pinned snapshot for reads: the published transaction-time clock at
 /// pin time, plus the pinned atom type's apply sequence (for detecting
@@ -168,6 +173,9 @@ pub struct Database {
     stats: crate::stats::StatsRegistry,
     /// Completed segment compactions (swaps) since open.
     compactions: Counter,
+    /// `ASOF TT` index lookups answered by the per-atom walk because their
+    /// validated section kept overlapping commits.
+    asof_walks: Counter,
 }
 
 impl Database {
@@ -268,6 +276,7 @@ impl Database {
             disks: Arc::new(Mutex::new(Vec::new())),
             stats: crate::stats::StatsRegistry::default(),
             compactions: Counter::new(),
+            asof_walks: Counter::new(),
         };
         db.register_engine_metrics();
         db.restore_counters(control.published, &control.next_atom_nos);
@@ -530,17 +539,38 @@ impl Database {
     /// apply to `ty` ran concurrently; otherwise `f` retries. `f` must be
     /// side-effect free (it may run multiple times).
     pub(crate) fn read_stable<T>(&self, ty: AtomTypeId, f: impl Fn() -> Result<T>) -> Result<T> {
-        let cell = self.apply_seq_cell(ty.0);
         loop {
+            if let Some(r) = self.try_read_stable(ty, 1, &f)? {
+                return Ok(r);
+            }
+        }
+    }
+
+    /// [`Database::read_stable`] that gives up after `tries` runs of `f`
+    /// each overlapped an apply to `ty`, returning `None`. A section longer
+    /// than the gap between two commits rarely validates under a steady
+    /// writer, so a caller with such a section bounds it this way and then
+    /// answers through short per-atom sections instead.
+    pub(crate) fn try_read_stable<T>(
+        &self,
+        ty: AtomTypeId,
+        tries: usize,
+        f: impl Fn() -> Result<T>,
+    ) -> Result<Option<T>> {
+        let cell = self.apply_seq_cell(ty.0);
+        let mut left = tries;
+        while left > 0 {
             let seq = cell.load(Ordering::Acquire);
             if seq & 1 == 0 {
                 let r = f();
                 if cell.load(Ordering::Acquire) == seq {
-                    return r;
+                    return r.map(Some);
                 }
+                left -= 1;
             }
             std::thread::yield_now();
         }
+        Ok(None)
     }
 
     /// The versions of `atom` visible under `view` — the snapshot
@@ -611,6 +641,8 @@ impl Database {
             .register_counter("txn.wait_die_aborts", "", &self.stripes.aborts);
         self.obs
             .register_counter("segment.compactions", "", &self.compactions);
+        self.obs
+            .register_counter("index.asof_walks", "", &self.asof_walks);
     }
 
     /// Registers one store's counter handles under its kind label. Every
@@ -972,23 +1004,91 @@ impl Database {
 
     /// The atoms under the value-index keys `[lo, hi)`.
     fn index_scan(&self, ty: AtomTypeId, attr: AttrId, lo: BKey, hi: BKey) -> Result<Vec<AtomId>> {
-        let idx = self.index(ty, attr).ok_or_else(|| {
+        let idx = self.value_index(ty, attr)?;
+        self.read_stable(ty, || {
+            let mut out = Vec::new();
+            probe_into(&idx, ty, lo, hi, &mut out)?;
+            Ok(sorted_unique(out))
+        })
+    }
+
+    /// The past-time counterpart of [`Database::index_range_inclusive`]:
+    /// every atom that may have a version visible at transaction time `tt`
+    /// whose encoded attribute value lies in `[lo_enc, hi_enc]`, in
+    /// ascending atom order, each with its versions visible at `tt` sorted
+    /// by valid time. A version visible at `tt` is either still current,
+    /// and then the value index holds its atom, or it was closed after
+    /// `tt`, and then the closed half of the type's slice at `tt` holds it.
+    /// An atom the index holds comes with all its versions visible at
+    /// `tt`; one only the closed half names comes with the versions that
+    /// half decoded, which include every one holding a value in range (its
+    /// open ones do not, or the index would hold it). Callers re-apply
+    /// their predicate, which rules out every version left out.
+    ///
+    /// Both sources are read in one validated section: split in two, the
+    /// closed half first, an atom whose visible version a commit closes
+    /// in between, and takes out of the index, would be in neither. Under
+    /// a steady writer that section may never validate, so after
+    /// [`ASOF_PROBE_TRIES`] failed runs every atom becomes a candidate,
+    /// fetched in its own short section, as the chain walk does.
+    pub fn index_range_asof(
+        &self,
+        ty: AtomTypeId,
+        attr: AttrId,
+        lo_enc: u64,
+        hi_enc: u64,
+        tt: TimePoint,
+    ) -> Result<Vec<(AtomId, Vec<AtomVersion>)>> {
+        let idx = self.value_index(ty, attr)?;
+        let store = self.store(ty)?;
+        let pos = attr.0 as usize;
+        let in_range = |v: &AtomVersion| {
+            encode_value(v.tuple.get(pos)).is_some_and(|e| lo_enc <= e && e <= hi_enc)
+        };
+        let found = self.try_read_stable(ty, ASOF_PROBE_TRIES, || {
+            let mut closed: BTreeMap<AtomId, Vec<AtomVersion>> = store
+                .closed_at(tt)?
+                .into_iter()
+                .filter(|(_, vs)| vs.iter().any(in_range))
+                .map(|(no, vs)| (AtomId::new(ty, no), vs))
+                .collect();
+            let mut held = Vec::new();
+            probe_into(
+                &idx,
+                ty,
+                BKey::min_for(lo_enc),
+                BKey::max_for(hi_enc),
+                &mut held,
+            )?;
+            // A held atom is fetched whole below; its closed group may
+            // lack its open versions.
+            for atom in &held {
+                closed.remove(atom);
+            }
+            Ok((closed, sorted_unique(held)))
+        })?;
+        let (mut groups, fetch) = match found {
+            Some(found) => found,
+            None => {
+                self.asof_walks.inc();
+                (BTreeMap::new(), self.all_atoms(ty)?)
+            }
+        };
+        for atom in fetch {
+            let vs = self.versions_at(atom, tt)?;
+            if !vs.is_empty() {
+                groups.insert(atom, vs);
+            }
+        }
+        Ok(groups.into_iter().collect())
+    }
+
+    fn value_index(&self, ty: AtomTypeId, attr: AttrId) -> Result<Arc<BTree>> {
+        self.index(ty, attr).ok_or_else(|| {
             Error::query(format!(
                 "no index on attribute #{} of type #{}",
                 attr.0, ty.0
             ))
-        })?;
-        self.read_stable(ty, || {
-            let mut out = Vec::new();
-            idx.scan_range(lo, hi, |k, _| {
-                out.push(AtomId::new(ty, AtomNo(k.lo)));
-                Ok(true)
-            })?;
-            // Index order is value order: an atom whose current versions
-            // hold several values in range shows up once per value, apart.
-            out.sort_unstable();
-            out.dedup();
-            Ok(out)
         })
     }
 
@@ -1192,4 +1292,26 @@ pub(crate) fn to_current(vs: Vec<AtomVersion>) -> Vec<crate::dml::CurrentVersion
             tuple: v.tuple,
         })
         .collect()
+}
+
+/// Appends the atoms under the value-index keys `[lo, hi)` to `out`.
+fn probe_into(
+    idx: &BTree,
+    ty: AtomTypeId,
+    lo: BKey,
+    hi: BKey,
+    out: &mut Vec<AtomId>,
+) -> Result<()> {
+    idx.scan_range(lo, hi, |k, _| {
+        out.push(AtomId::new(ty, AtomNo(k.lo)));
+        Ok(true)
+    })
+}
+
+/// `atoms` in ascending order, each once: the value index yields an atom
+/// once per value it holds in range, in value order.
+fn sorted_unique(mut atoms: Vec<AtomId>) -> Vec<AtomId> {
+    atoms.sort_unstable();
+    atoms.dedup();
+    atoms
 }

@@ -224,3 +224,144 @@ fn asof_slices_stay_frozen_under_churn() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A Split database with `ATOMS` `tag` atoms holding `k = 1`, inserted in
+/// one commit at the returned tt, and `WHERE k = 1 ASOF TT` that tt, which
+/// must plan the value-index probe at it.
+fn flip_fixture(tag: &str, atoms: usize) -> (Database, Vec<AtomId>, String, PathBuf) {
+    let dir = tmpdir(tag);
+    let db = Database::open(
+        &dir,
+        DbConfig::default()
+            .store_kind(StoreKind::Split)
+            .sync_policy(SyncPolicy::OnCheckpoint)
+            .checkpoint_interval(0),
+    )
+    .unwrap();
+    let ty = db
+        .define_atom_type("tag", vec![AttrDef::new("k", DataType::Int).indexed()])
+        .unwrap();
+    let mut txn = db.begin();
+    let ids: Vec<AtomId> = (0..atoms)
+        .map(|_| txn.insert_atom(ty, Interval::all(), tup(1)).unwrap())
+        .collect();
+    let tt0 = txn.commit().unwrap();
+    let q = format!("SELECT * FROM tag WHERE k = 1 ASOF TT {}", tt0.0);
+    let p = tcom_query::prepare(&db, &q).unwrap();
+    assert!(
+        matches!(p.access, tcom_query::AccessPath::IndexRange { tt: Some(t), .. } if t == tt0),
+        "the lookup must probe the value index at t0: {:?}",
+        p.access
+    );
+    (db, ids, q, dir)
+}
+
+/// Flips `atoms`' `k` between 2 and 1, one atom per commit, pausing
+/// `pause` after each, until `stop` is set or `cap` has passed.
+fn flip_until(db: &Database, atoms: &[AtomId], pause: Duration, stop: &AtomicBool, cap: Duration) {
+    let start = Instant::now();
+    for round in 0i64.. {
+        for &atom in atoms {
+            if stop.load(Ordering::Acquire) || start.elapsed() > cap {
+                return;
+            }
+            let mut txn = db.begin();
+            txn.update(atom, Interval::all(), tup(2 - round % 2))
+                .unwrap();
+            txn.commit().unwrap();
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+        }
+    }
+}
+
+/// An `ASOF TT` lookup through the value index reads its two candidate
+/// sources — the index's current holders and the versions closed since
+/// the statement's tt — as one snapshot. A writer flips an indexed value
+/// `1 ↔ 2` on the same atoms, one atom per commit; beside it a reader
+/// repeats `WHERE k = 1 ASOF TT t0`, where every atom held 1, and each
+/// answer must equal the first. Were the two sources read in two validated
+/// sections, the closed half first, a flip landing between them would
+/// close an atom's visible version after the closed half looked and move
+/// it out of the index before the probe looked, and the answer would lose
+/// that atom. The writer pauses after each commit so that the probe's
+/// section often validates — what is tested here is that section, not the
+/// per-atom walk it gives way to under back-to-back commits (the next
+/// test) — and the reader checks that at least 100 answers came from it.
+#[test]
+fn asof_index_probe_is_one_snapshot() {
+    let (db, atoms, q, dir) = flip_fixture("probe", 200);
+    let first = slice_content(&db, &q);
+    assert_eq!(first.len(), atoms.len());
+
+    let done = AtomicBool::new(false);
+    let answers = std::thread::scope(|s| {
+        s.spawn(|| {
+            flip_until(
+                &db,
+                &atoms,
+                Duration::from_micros(100),
+                &AtomicBool::new(false),
+                Duration::from_secs(2),
+            );
+            done.store(true, Ordering::Release);
+        });
+        let mut n = 0u64;
+        while !done.load(Ordering::Acquire) {
+            assert_eq!(
+                slice_content(&db, &q),
+                first,
+                "an ASOF index lookup changed under concurrent flips (answer {n})"
+            );
+            n += 1;
+        }
+        n
+    });
+    let walks = db.metrics().counter("index.asof_walks");
+    assert!(
+        answers - walks >= 100,
+        "the probe's section validated too rarely to test it: \
+         {walks} of {answers} answers walked"
+    );
+    assert_eq!(slice_content(&db, &q), first);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Liveness of the same lookup under back-to-back commits: its one
+/// validated section spans many commit gaps, so it seldom validates, and
+/// each answer must still arrive within a deadline — through the per-atom
+/// walk after a few failed runs — and equal the first.
+#[test]
+fn asof_index_probe_answers_under_back_to_back_commits() {
+    const ANSWERS: usize = 20;
+    const DEADLINE: Duration = Duration::from_secs(1);
+    let (db, atoms, q, dir) = flip_fixture("probe-live", 2000);
+    let first = slice_content(&db, &q);
+    assert_eq!(first.len(), atoms.len());
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| flip_until(&db, &atoms, Duration::ZERO, &stop, Duration::from_secs(10)));
+        // Let the writer close enough t0 versions that the probe's closed
+        // half outlasts a commit gap.
+        std::thread::sleep(Duration::from_millis(100));
+        for n in 0..ANSWERS {
+            let start = Instant::now();
+            let answer = slice_content(&db, &q);
+            let took = start.elapsed();
+            if took > DEADLINE || answer != first {
+                stop.store(true, Ordering::Release);
+            }
+            assert!(
+                took <= DEADLINE,
+                "answer {n} took {took:?} beside the writer"
+            );
+            assert_eq!(answer, first, "answer {n} changed under back-to-back flips");
+        }
+        stop.store(true, Ordering::Release);
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -91,6 +91,10 @@ pub enum AccessPath {
         lo: u64,
         /// Inclusive encoded upper bound.
         hi: u64,
+        /// The statement's `ASOF TT` point, if any: the index's current
+        /// holders are then joined by the atoms whose version visible at
+        /// `tt` has closed since and holds a value in range.
+        tt: Option<TimePoint>,
     },
     /// Transaction-time interval-index scan: the store's time index yields
     /// every atom visible at `tt` together with its versions, instead of
@@ -109,10 +113,12 @@ pub struct ExecOptions {
     /// Forbid index use (forces directory scans) — the E7 baseline.
     pub force_scan: bool,
     /// Forbid the transaction-time interval index for `ASOF TT` statements
-    /// (forces per-atom chain walks).
+    /// (forces per-atom chain walks; the value-index probe at a past tt
+    /// reads the time index's closed half, so it is ruled out too).
     pub no_time_index: bool,
     /// Force the time-index slice for `ASOF TT` row queries even when the
-    /// cost model prices the walk cheaper.
+    /// cost model prices the walk cheaper or the filter could probe the
+    /// value index.
     pub force_time_index: bool,
 }
 
@@ -283,7 +289,9 @@ impl Stage {
 enum Candidates {
     /// Atom ids; versions are fetched per atom by the consuming stage.
     Atoms(Vec<AtomId>),
-    /// Atoms with their visible versions, ascending atom number.
+    /// Atoms with their visible versions, ascending atom number: all of
+    /// them, or — from the value-index probe at a past tt — at least every
+    /// one the filter can admit.
     Slice(Vec<(AtomId, Vec<AtomVersion>)>),
 }
 
@@ -477,30 +485,29 @@ pub fn prepare_query(db: &Database, query: Query, opts: ExecOptions) -> Result<P
         validate_expr(filter, &check_qualifier, &check_attr)?;
     }
 
-    // Access-path selection: an index probe is possible when the query
-    // targets the *current* state (value indexes cover current versions
-    // only — so time-travel and HISTORY queries must scan) and a top-level
-    // AND conjunct compares an indexed attribute to an encodable literal.
-    // Time-travel row queries (`ASOF TT`) are instead priced between the
-    // chain walk and the store's transaction-time interval index.
-    let mut access = AccessPath::Scan;
-    if !opts.force_scan && query.asof_tt.is_none() && query.targets != Targets::History {
-        if let Some(filter) = &query.filter {
-            if let Some(path) = find_index_conjunct(filter, &type_def) {
-                access = path;
-            }
+    // Access-path selection: an index probe is possible when a top-level
+    // AND conjunct compares an indexed attribute to an encodable literal
+    // and the target is not `HISTORY` (a version of any age can qualify
+    // there, and the index holds the current ones). Current-state
+    // statements and time-travel row queries (`ASOF TT`, probed at their
+    // tt) take it unless a hint says otherwise; without it, `ASOF TT` row
+    // queries are priced between the chain walk and the store's
+    // transaction-time slice. Other `ASOF TT` targets walk.
+    let probe = match &query.filter {
+        Some(filter) if !opts.force_scan && query.targets != Targets::History => {
+            find_index_conjunct(filter, &type_def, query.asof_tt)
         }
-    }
-    let mut est_pages = None;
-    if let Some(tt) = query.asof_tt {
-        let row_like = matches!(
-            query.targets,
-            Targets::All | Targets::Projs(_) | Targets::Coalesce(_) | Targets::Aggregate { .. }
-        );
-        if row_like {
-            (access, est_pages) = plan_asof(db, &type_def, tt, opts)?;
-        }
-    }
+        _ => None,
+    };
+    let row_like = matches!(
+        query.targets,
+        Targets::All | Targets::Projs(_) | Targets::Coalesce(_) | Targets::Aggregate { .. }
+    );
+    let (access, est_pages) = match query.asof_tt {
+        None => (probe.unwrap_or(AccessPath::Scan), None),
+        Some(tt) if row_like => plan_asof(db, &type_def, tt, probe, opts)?,
+        Some(_) => (AccessPath::Scan, None),
+    };
     Ok(Prepared {
         targets: query.targets.clone(),
         filter: query.filter.clone(),
@@ -513,14 +520,17 @@ pub fn prepare_query(db: &Database, query: Query, opts: ExecOptions) -> Result<P
     })
 }
 
-/// The one gate on an `ASOF TT` plan: a per-statement hint pins the path,
-/// otherwise the cost model prices the chain walk against the time-index
-/// slice from the type's statistics and takes the cheaper. Only priced
-/// plans carry a page estimate.
+/// The one gate on an `ASOF TT` plan: a per-statement hint pins the path;
+/// otherwise an indexed conjunct's value-index probe at `tt` is taken
+/// outright, as a current-state statement takes its probe, and without
+/// one the cost model prices the chain walk against the time-index slice
+/// from the type's statistics and takes the cheaper. Only priced plans
+/// carry a page estimate.
 fn plan_asof(
     db: &Database,
     def: &AtomTypeDef,
     tt: TimePoint,
+    probe: Option<AccessPath>,
     opts: ExecOptions,
 ) -> Result<(AccessPath, Option<u64>)> {
     if opts.force_scan || opts.no_time_index {
@@ -528,6 +538,9 @@ fn plan_asof(
     }
     if opts.force_time_index {
         return Ok((AccessPath::TimeSlice { tt }, None));
+    }
+    if let Some(probe) = probe {
+        return Ok((probe, None));
     }
     let costs = crate::cost::asof_costs(&db.type_stats(def.id)?, tt, db.now());
     let access = if costs.use_slice {
@@ -629,8 +642,8 @@ fn analyze_join(db: &Database, query: Query, opts: ExecOptions) -> Result<Prepar
 
     let ((access, est_pages), (right_access, right_est)) = match query.asof_tt {
         Some(tt) => (
-            plan_asof(db, &left_def, tt, opts)?,
-            plan_asof(db, &right_def, tt, opts)?,
+            plan_asof(db, &left_def, tt, None, opts)?,
+            plan_asof(db, &right_def, tt, None, opts)?,
         ),
         None => ((AccessPath::Scan, None), (AccessPath::Scan, None)),
     };
@@ -690,9 +703,16 @@ fn candidates_for(
 ) -> Result<Candidates> {
     match access {
         AccessPath::Scan => db.all_atoms(def.id).map(Candidates::Atoms),
-        AccessPath::IndexRange { attr, lo, hi } => Ok(Candidates::Atoms(
-            db.index_range_inclusive(def.id, *attr, *lo, *hi)?,
-        )),
+        AccessPath::IndexRange { attr, lo, hi, tt } => Ok(match tt {
+            None => Candidates::Atoms(db.index_range_inclusive(def.id, *attr, *lo, *hi)?),
+            Some(tt) => Candidates::Slice(db.index_range_asof(
+                def.id,
+                *attr,
+                *lo,
+                *hi,
+                clamp_tt(*tt, view),
+            )?),
+        }),
         AccessPath::TimeSlice { tt } => {
             let ty = def.id;
             let tt = clamp_tt(*tt, view);
@@ -715,25 +735,28 @@ fn access_op_report(
     est_pages: Option<u64>,
     stage: &Stage,
 ) -> OpReport {
+    let at = |tt: &TimePoint| {
+        if tt.is_forever() {
+            "FOREVER".to_string()
+        } else {
+            tt.0.to_string()
+        }
+    };
     let (name, mut detail) = match access {
         AccessPath::Scan => ("Scan", format!("type={}", def.name)),
-        AccessPath::IndexRange { attr, lo, hi } => {
+        AccessPath::IndexRange { attr, lo, hi, tt } => {
             let aname = def
                 .attrs
                 .get(attr.0 as usize)
                 .map_or("?", |a| a.name.as_str());
-            (
-                "IndexProbe",
-                format!("attr={}.{aname} range=[{lo}, {hi}]", def.name),
-            )
+            let mut detail = format!("attr={}.{aname} range=[{lo}, {hi}]", def.name);
+            if let Some(tt) = tt {
+                detail.push_str(&format!(" tt={}", at(tt)));
+            }
+            ("IndexProbe", detail)
         }
         AccessPath::TimeSlice { tt } => {
-            let at = if tt.is_forever() {
-                "FOREVER".to_string()
-            } else {
-                tt.0.to_string()
-            };
-            ("TimeSliceScan", format!("type={} tt={at}", def.name))
+            ("TimeSliceScan", format!("type={} tt={}", def.name, at(tt)))
         }
     };
     if stage.segs_read > 0 || stage.segs_skipped > 0 {
@@ -779,10 +802,13 @@ fn validate_expr(
     }
 }
 
-/// Walks the top-level AND chain for an indexable conjunct.
-fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef) -> Option<AccessPath> {
+/// Walks the top-level AND chain for an indexable conjunct, probed at the
+/// statement's `ASOF TT` point `tt` if it has one.
+fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef, tt: Option<TimePoint>) -> Option<AccessPath> {
     match e {
-        Expr::And(a, b) => find_index_conjunct(a, ty).or_else(|| find_index_conjunct(b, ty)),
+        Expr::And(a, b) => {
+            find_index_conjunct(a, ty, tt).or_else(|| find_index_conjunct(b, ty, tt))
+        }
         Expr::Cmp(l, op, r) => {
             // Normalize to attr <op> literal.
             let (attr_name, op, lit) = match (l, r) {
@@ -795,7 +821,7 @@ fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef) -> Option<AccessPath> {
                 return None;
             }
             let (lo, hi) = probe_range(def.ty, op, lit)?;
-            Some(AccessPath::IndexRange { attr, lo, hi })
+            Some(AccessPath::IndexRange { attr, lo, hi, tt })
         }
         _ => None,
     }
@@ -1192,7 +1218,8 @@ impl Prepared {
     }
 
     /// Feeds each candidate's versions to `f` in candidate order — fetched
-    /// here for atom candidates, already in hand for a time slice — until
+    /// here for atom candidates, already in hand for a time slice or a
+    /// value-index probe at a past tt — until
     /// `f` returns `false`. Returns whether the candidates ran out.
     fn each_versions(
         &self,

@@ -18,8 +18,9 @@
 //! `SELECT * FROM a JOIN b ON a.x = b.y` (temporal equi-join on
 //! overlapping valid/transaction time), `SELECT COALESCE …` (valid-time
 //! period normalization), and `SELECT COUNT(*) | SUM(a) | INTEGRAL(a)`
-//! (valid-time aggregation). `ASOF TT` access paths are priced by the
-//! statistics-fed cost model.
+//! (valid-time aggregation). `ASOF TT` row queries probe the value index
+//! at their tt when the filter has an indexed conjunct; otherwise the
+//! statistics-fed cost model prices their access paths.
 
 #![warn(missing_docs)]
 

@@ -92,9 +92,15 @@ fn emp(who: usize, sal: i64) -> Tuple {
 
 /// `n` employees of `SLICES` abutting slices each (distinct salaries, so
 /// nothing coalesces), then the edits in rounds of one transaction each —
-/// a transaction-time history for `ASOF TT` to slice.
-fn build(db: &Database, n: usize, edits: &[Edit]) -> AtomTypeId {
-    run_statement(db, "CREATE TYPE emp (name TEXT NOT NULL, salary INT)").unwrap();
+/// a transaction-time history for `ASOF TT` to slice. `salary` is
+/// `INDEXED` when `indexed`, so `salary > x` can probe the value index.
+fn build(db: &Database, n: usize, edits: &[Edit], indexed: bool) -> AtomTypeId {
+    let ix = if indexed { " INDEXED" } else { "" };
+    run_statement(
+        db,
+        &format!("CREATE TYPE emp (name TEXT NOT NULL, salary INT{ix})"),
+    )
+    .unwrap();
     let ty = db.atom_type_id("emp").unwrap();
     let slice = |k: u64| Interval::new(TimePoint(k * SLICE_LEN), TimePoint((k + 1) * SLICE_LEN));
     let mut txn = db.begin();
@@ -744,10 +750,13 @@ proptest! {
     /// The rows pipeline against its definition, on answers that span
     /// several executor batches: `LIMIT` falling on either side of a batch
     /// edge, `VALID IN` clipping rows in every batch, and every access-path
-    /// hint for the `ASOF TT` statements.
+    /// hint for the `ASOF TT` statements — with `salary` indexed or not, so
+    /// `WHERE salary > x … ASOF TT t` also runs through the value-index
+    /// probe at `t`.
     #[test]
     fn batched_rows_equal_the_fold(
         kind in kind(),
+        indexed in any::<bool>(),
         extra_atoms in 0usize..120,
         edits in vec(edit(), 0..96),
         queries in vec(row_query(), 1..6),
@@ -767,7 +776,7 @@ proptest! {
                 .checkpoint_interval(0),
         )
         .unwrap();
-        let ty = build(&db, MIN_ATOMS + extra_atoms, &edits);
+        let ty = build(&db, MIN_ATOMS + extra_atoms, &edits, indexed);
         let hints = [
             ExecOptions::default(),
             ExecOptions { no_time_index: true, ..Default::default() },

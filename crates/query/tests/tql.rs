@@ -258,14 +258,20 @@ fn index_vs_scan_same_answers() {
         .unwrap();
         assert_eq!(names_of(&via_index), names_of(&via_scan), "query: {q}");
     }
-    // Past-time queries never use the (current-only) value index; they go
-    // through the transaction-time interval index — or the heap walk when
-    // the cost model prices that cheaper (this db is tiny, so it does).
+    // A past-time query with an indexed conjunct probes the value index at
+    // the statement's transaction time: the current holders plus the atoms
+    // whose version visible then has closed since.
     let asof_q = "SELECT e.name FROM emp e WHERE e.salary = 300 ASOF TT 1";
     let p = prepare(&db, asof_q).unwrap();
     assert!(
-        matches!(p.access, AccessPath::TimeSlice { .. } | AccessPath::Scan),
-        "ASOF must never use the value index: {:?}",
+        matches!(
+            p.access,
+            AccessPath::IndexRange {
+                tt: Some(TimePoint(1)),
+                ..
+            }
+        ),
+        "ASOF must probe the value index at its tt: {:?}",
         p.access
     );
     let p = prepare_with(

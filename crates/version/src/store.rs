@@ -644,6 +644,40 @@ impl Store {
                 }
             }
         }
+        self.closed_into(tt, rids, atoms, &mut groups)?;
+        Ok(groups
+            .into_iter()
+            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
+            .collect())
+    }
+
+    /// The closed half of [`Store::slice_at`]: every version visible at
+    /// `tt` whose transaction time has since ended — in the hot heaps or
+    /// archived in segments — grouped as `slice_at` groups them. Delta's
+    /// closed index entries name atoms, not records, so there a group holds
+    /// every version of its atom visible at `tt`, open ones included; on
+    /// chain and split stores it holds the closed ones only.
+    /// `TimePoint::FOREVER` yields nothing (closed versions are never
+    /// current).
+    pub fn closed_at(&self, tt: TimePoint) -> Result<Vec<(AtomNo, Vec<AtomVersion>)>> {
+        let mut groups = BTreeMap::new();
+        self.closed_into(tt, Vec::new(), Vec::new(), &mut groups)?;
+        Ok(groups
+            .into_iter()
+            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
+            .collect())
+    }
+
+    /// Adds the closed partition's candidates visible at `tt` to the open
+    /// half's `rids` and `atoms`, resolves them all into `groups`, then
+    /// merges the archived versions in.
+    fn closed_into(
+        &self,
+        tt: TimePoint,
+        mut rids: Vec<RecordId>,
+        mut atoms: Vec<u64>,
+        groups: &mut BTreeMap<u64, Vec<AtomVersion>>,
+    ) -> Result<()> {
         // Nothing closed is visible at FOREVER (current-state semantics).
         if !tt.is_forever() {
             self.tix.scan(false, tt, &mut |e| {
@@ -680,13 +714,8 @@ impl Store {
                 tuple: full_copy(rec.payload)?,
             });
         }
-        // The shared epilogue: archived versions merge in once, then the
-        // groups go out in atom order, each sorted by valid-time start.
-        self.segs.slice_into(tt, &mut groups)?;
-        Ok(groups
-            .into_iter()
-            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
-            .collect())
+        // Archived versions merge in once.
+        self.segs.slice_into(tt, groups)
     }
 
     // ---- maintenance ----

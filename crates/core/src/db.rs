@@ -73,9 +73,11 @@ use tcom_version::record::AtomVersion;
 use tcom_version::Store;
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
-/// Runs of [`Database::index_range_asof`]'s one validated section before
-/// it answers through per-atom sections instead: a few, so a quiet type
-/// keeps the probe and a steadily written one still gets an answer.
+/// Runs of a whole-type validated section ([`Database::index_range_asof`]'s
+/// probe, [`Database::slice_at`]'s slice) before it answers through
+/// per-atom sections instead, and of [`Database::pin_index_range`]'s
+/// probe before it answers as of its view: a few, so a quiet type keeps
+/// the one section and a steadily written one still gets an answer.
 const ASOF_PROBE_TRIES: usize = 4;
 
 /// A pinned snapshot for reads: the published transaction-time clock at
@@ -173,9 +175,12 @@ pub struct Database {
     stats: crate::stats::StatsRegistry,
     /// Completed segment compactions (swaps) since open.
     compactions: Counter,
-    /// `ASOF TT` index lookups answered by the per-atom walk because their
-    /// validated section kept overlapping commits.
+    /// `ASOF TT` index lookups and slices answered by the per-atom walk
+    /// because their validated section kept overlapping commits.
     asof_walks: Counter,
+    /// Current-state index probes answered at their view's tt because
+    /// applies to the type kept overlapping the probe of the live index.
+    stale_probes: Counter,
 }
 
 impl Database {
@@ -277,6 +282,7 @@ impl Database {
             stats: crate::stats::StatsRegistry::default(),
             compactions: Counter::new(),
             asof_walks: Counter::new(),
+            stale_probes: Counter::new(),
         };
         db.register_engine_metrics();
         db.restore_counters(control.published, &control.next_atom_nos);
@@ -643,6 +649,8 @@ impl Database {
             .register_counter("segment.compactions", "", &self.compactions);
         self.obs
             .register_counter("index.asof_walks", "", &self.asof_walks);
+        self.obs
+            .register_counter("index.stale_probes", "", &self.stale_probes);
     }
 
     /// Registers one store's counter handles under its kind label. Every
@@ -924,6 +932,13 @@ impl Database {
     /// per-atom [`Database::versions_at`] sweep produces, but driven by the
     /// store's transaction-time interval index. `TimePoint::FOREVER` means
     /// the current state. `f` returning `false` stops the scan.
+    ///
+    /// The slice is collected in one validated section (so a concurrent
+    /// apply retries the enumeration, not the caller's side effects), then
+    /// streamed to `f` outside it. Under a steady writer that section may
+    /// never validate, so after `ASOF_PROBE_TRIES` failed runs the
+    /// per-atom walk answers, the current state at the clock published
+    /// before the section.
     pub fn slice_at(
         &self,
         ty: AtomTypeId,
@@ -931,10 +946,15 @@ impl Database {
         f: &mut dyn FnMut(AtomNo, Vec<AtomVersion>) -> Result<bool>,
     ) -> Result<()> {
         let store = self.store(ty)?;
-        // Collected inside the validated section (so a concurrent apply
-        // retries the enumeration, not the caller's side effects), then
-        // streamed to `f` outside it.
-        let groups = self.read_stable(ty, || store.slice_at(tt))?;
+        let at = if tt.is_forever() { self.now() } else { tt };
+        let groups = match self.try_read_stable(ty, ASOF_PROBE_TRIES, || store.slice_at(tt))? {
+            Some(groups) => groups,
+            None => self
+                .walk_at(ty, at)?
+                .into_iter()
+                .map(|(atom, vs)| (atom.no, vs))
+                .collect(),
+        };
         for (no, vs) in groups {
             if !f(no, vs)? {
                 break;
@@ -1002,6 +1022,40 @@ impl Database {
         self.index_scan(ty, attr, BKey::min_for(lo_enc), BKey::max_for(hi_enc))
     }
 
+    /// Pins a read view of `ty` and takes, under it, the atoms holding a
+    /// value in `[lo_enc, hi_enc]`, in ascending order: a probe of the
+    /// live value index, exact at the view when no apply to the type ran
+    /// between the pin and the probe's end (after one, an atom whose value
+    /// it changed sits under its new key only). Nothing has been read
+    /// under the view yet, so a probe an apply overlapped pins a fresh
+    /// view and probes again. After `ASOF_PROBE_TRIES` such runs the
+    /// atoms of [`Database::index_range_asof`] at the last view's tt
+    /// answer, counted in `index.stale_probes`.
+    pub fn pin_index_range(
+        &self,
+        ty: AtomTypeId,
+        attr: AttrId,
+        lo_enc: u64,
+        hi_enc: u64,
+    ) -> Result<(ReadView, Vec<AtomId>)> {
+        let idx = self.value_index(ty, attr)?;
+        let cell = self.apply_seq_cell(ty.0);
+        let (lo, hi) = (BKey::min_for(lo_enc), BKey::max_for(hi_enc));
+        let mut view = self.pin_view(ty);
+        for _ in 0..ASOF_PROBE_TRIES {
+            let mut out = Vec::new();
+            let probed = probe_into(&idx, ty, lo, hi, &mut out);
+            if cell.load(Ordering::Acquire) == view.seq {
+                probed?;
+                return Ok((view, sorted_unique(out)));
+            }
+            view = self.pin_view(ty);
+        }
+        self.stale_probes.inc();
+        let groups = self.index_range_asof(ty, attr, lo_enc, hi_enc, view.tt)?;
+        Ok((view, groups.into_iter().map(|(atom, _)| atom).collect()))
+    }
+
     /// The atoms under the value-index keys `[lo, hi)`.
     fn index_scan(&self, ty: AtomTypeId, attr: AttrId, lo: BKey, hi: BKey) -> Result<Vec<AtomId>> {
         let idx = self.value_index(ty, attr)?;
@@ -1029,8 +1083,7 @@ impl Database {
     /// closed half first, an atom whose visible version a commit closes
     /// in between, and takes out of the index, would be in neither. Under
     /// a steady writer that section may never validate, so after
-    /// [`ASOF_PROBE_TRIES`] failed runs every atom becomes a candidate,
-    /// fetched in its own short section, as the chain walk does.
+    /// `ASOF_PROBE_TRIES` failed runs the per-atom walk answers.
     pub fn index_range_asof(
         &self,
         ty: AtomTypeId,
@@ -1067,20 +1120,31 @@ impl Database {
             }
             Ok((closed, sorted_unique(held)))
         })?;
-        let (mut groups, fetch) = match found {
-            Some(found) => found,
-            None => {
-                self.asof_walks.inc();
-                (BTreeMap::new(), self.all_atoms(ty)?)
-            }
+        let Some((mut groups, held)) = found else {
+            return self.walk_at(ty, tt);
         };
-        for atom in fetch {
+        for atom in held {
             let vs = self.versions_at(atom, tt)?;
             if !vs.is_empty() {
                 groups.insert(atom, vs);
             }
         }
         Ok(groups.into_iter().collect())
+    }
+
+    /// Every atom of `ty` with its versions visible at `tt`, in ascending
+    /// atom order, each atom read in a short validated section of its own:
+    /// the answer of a whole-type section that kept overlapping commits.
+    fn walk_at(&self, ty: AtomTypeId, tt: TimePoint) -> Result<Vec<(AtomId, Vec<AtomVersion>)>> {
+        self.asof_walks.inc();
+        let mut groups = Vec::new();
+        for atom in self.all_atoms(ty)? {
+            let vs = self.versions_at(atom, tt)?;
+            if !vs.is_empty() {
+                groups.push((atom, vs));
+            }
+        }
+        Ok(groups)
     }
 
     fn value_index(&self, ty: AtomTypeId, attr: AttrId) -> Result<Arc<BTree>> {

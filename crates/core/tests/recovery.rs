@@ -1,31 +1,27 @@
-//! Crash-recovery matrix over the deterministic fault-injection VFS.
+//! Crash recovery over the deterministic fault-injection VFS.
 //!
-//! A fixed multi-transaction temporal workload is first executed against an
-//! unarmed [`FaultVfs`] (the *golden* run) to learn the exact sequence of
-//! mutation I/O operations and the engine state after every acked commit.
-//! Then, for every mutation-op index in the workload window, the run is
-//! repeated with a power cut armed at that index: the VFS discards every
-//! byte written since the last per-file sync, the database is reopened on
-//! the surviving bytes, and recovery must land on exactly the state after
-//! `acked` or `acked + 1` commits (the `+1` case is a commit whose WAL
-//! frame became durable but whose post-commit work died) — never anything
-//! else, never a torn hybrid, never an uncommitted write.
+//! Every power-cut matrix is a row of the one driver in [`crash`]: a
+//! golden run, a cut at every mutating op of the row's window, a reopen
+//! under [`reopen::reopen`]'s deadline, and a judgment against the states
+//! the golden run passed through. The rows: a mixed temporal workload
+//! with auto-checkpoints, group-commit batches with and without buffer
+//! pressure, a history prune, DDL, a compaction swap, the reopen after a
+//! process kill, and sequences drawn from fixed seeds that mix every step
+//! kind the others cut one at a time.
 //!
-//! `TCOM_CRASH_SAMPLE=k` strides the matrix (test every k-th op index) to
-//! bound CI wall-clock; the default tests every single crash point.
-//!
-//! Beside it: the group-commit batch matrix, the same batches with buffer
-//! pressure flushing pages ahead of the durable WAL, a cut at every op of
-//! a history prune, a cut at every op of DDL, the cost of a reopen against
-//! history depth, and the one WAL pass an open makes. Every reopen runs
-//! under [`reopen::reopen`]'s deadline.
+//! Beside them: the determinism of the fault injection, the cost of a
+//! reopen against history depth, control-file edge cases, races parked
+//! at chosen file ops, the one WAL pass an open makes, and a transient
+//! write failure.
 
+mod crash;
 mod reopen;
 
+use crash::{dump, dump_all, matrix, steps, tmpdir, wal_segments, Durable, Live, Scenario, Step};
 use reopen::reopen;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tcom_core::{
     AtomId, AtomTypeId, AttrDef, AttrId, DataType, Database, DbConfig, Error, Fault, FaultVfs,
     Interval, MoleculeEdge, StoreKind, SyncPolicy, TimePoint, Tuple, Value, Vfs, VfsFile,
@@ -35,16 +31,9 @@ use tcom_wal::{segment_path, LogRecord, Wal};
 
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
 
-/// Transactions in the workload. Sized so the mutation-op window
-/// comfortably exceeds the 50-crash-point floor for every store kind.
+/// Transactions in the crash row. Sized so its window comfortably exceeds
+/// 50 cut points for every store kind.
 const NUM_TXNS: usize = 12;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("tcom-recov-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 fn cfg(kind: StoreKind) -> DbConfig {
     // A small checkpoint interval forces the double-write journal, the
@@ -66,6 +55,13 @@ fn setup(db: &Database) -> AtomTypeId {
         ],
     )
     .unwrap()
+}
+
+/// `emp` holding the three atoms of the crash row's transaction 0.
+fn setup_staffed(db: &Database) -> AtomTypeId {
+    let emp = setup(db);
+    run_txn(db, emp, 0, &mut Vec::new()).unwrap();
+    emp
 }
 
 fn tup(salary: i64, note: &str) -> Tuple {
@@ -109,222 +105,20 @@ fn run_txn(
     txn.commit()
 }
 
-/// Full bitemporal dump of every atom of `ty`: one line per recorded
-/// version with its exact vt/tt coordinates and tuple. Sorted, so two
-/// dumps are comparable regardless of replay order.
-fn dump(db: &Database, ty: AtomTypeId) -> Vec<String> {
-    let mut out = Vec::new();
-    for atom in db.all_atoms(ty).unwrap() {
-        for v in db.history(atom).unwrap() {
-            out.push(format!(
-                "{atom} vt={} tt={} tuple={:?}",
-                v.vt, v.tt, v.tuple
-            ));
-        }
-    }
-    out.sort();
-    out
-}
+// ---- the rows ----
 
-struct Golden {
-    /// Mutation-op count after open + DDL (start of the crash window).
-    op_base: u64,
-    /// Mutation-op count after the last commit (end of the crash window).
-    op_end: u64,
-    /// `snapshots[k]` = full dump after `k` acked commits.
-    snapshots: Vec<Vec<String>>,
-}
-
-fn golden_run(kind: StoreKind, tag: &str) -> Golden {
-    let dir = tmpdir(tag);
-    let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
-    let ty = setup(&db);
-    let op_base = vfs.mut_ops();
-    let mut atoms = Vec::new();
-    let mut snapshots = vec![dump(&db, ty)];
-    for k in 0..NUM_TXNS {
-        run_txn(&db, ty, k, &mut atoms).unwrap();
-        snapshots.push(dump(&db, ty));
-    }
-    let op_end = vfs.mut_ops();
-    db.crash();
-    let _ = std::fs::remove_dir_all(&dir);
-    Golden {
-        op_base,
-        op_end,
-        snapshots,
+/// The crash row: the mixed workload, every commit synced, a checkpoint
+/// every four commits.
+fn crash_row() -> Scenario<(AtomTypeId, Vec<AtomId>)> {
+    let steps = steps(NUM_TXNS, |live, k| {
+        let (db, (ty, atoms)) = live.parts();
+        run_txn(db, *ty, k, atoms).map(drop)
+    });
+    Scenario {
+        min_window: 50,
+        ..Scenario::new("crash", cfg, |db| (setup(db), Vec::new()), steps)
     }
 }
-
-struct CrashOutcome {
-    acked: usize,
-    fingerprint: u64,
-    ops_at_crash: u64,
-}
-
-/// One cell of the matrix: arm a power cut at mutation-op `j`, run the
-/// workload until it dies, reopen on the surviving bytes, and check the
-/// recovery invariants.
-fn run_crash_point(kind: StoreKind, g: &Golden, j: u64, tag: &str) -> CrashOutcome {
-    let dir = tmpdir(tag);
-    let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
-    let ty = setup(&db);
-    assert_eq!(
-        vfs.mut_ops(),
-        g.op_base,
-        "setup I/O must be deterministic (crash point {j})"
-    );
-    vfs.power_cut_at(j);
-
-    let mut atoms = Vec::new();
-    let mut acked = 0usize;
-    for k in 0..NUM_TXNS {
-        match run_txn(&db, ty, k, &mut atoms) {
-            Ok(_) => acked += 1,
-            Err(_) => break,
-        }
-    }
-    db.crash();
-    assert!(
-        vfs.crashed(),
-        "power cut armed at op {j} inside the window must fire"
-    );
-    let fingerprint = vfs.durable_fingerprint();
-    let ops_at_crash = vfs.mut_ops();
-
-    // Reopen on exactly the durable bytes; recovery runs inside open.
-    vfs.reset_after_crash();
-    let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
-    let got = dump(&db, ty);
-
-    // Invariant: recovered state is the exact post-commit snapshot for
-    // `acked` commits — or `acked + 1` when the dying commit's WAL frame
-    // reached durability before the cut. Nothing in between, nothing else.
-    let exact = got == g.snapshots[acked];
-    let one_ahead = acked + 1 < g.snapshots.len() && got == g.snapshots[acked + 1];
-    assert!(
-        exact || one_ahead,
-        "crash at op {j}: recovered state matches neither S_{} nor S_{}\n\
-         acked={acked}\ngot:\n  {}\nwant S_{}:\n  {}",
-        acked,
-        acked + 1,
-        got.join("\n  "),
-        acked,
-        g.snapshots[acked].join("\n  "),
-    );
-
-    // Structural invariant: stores, indexes, and time indexes agree.
-    let report = db.verify_integrity().unwrap();
-    assert!(
-        report.is_ok(),
-        "crash at op {j}: integrity violations after recovery: {:?}",
-        report.violations
-    );
-
-    // No WAL segment below the control file's watermark is left: the
-    // reopen's checkpoint removes the ones it read, and the control file
-    // names those a cut checkpoint retired but did not remove, so the one
-    // segment it rolled to is all that remains.
-    let segments = wal_segments(&vfs, &dir);
-    assert_eq!(
-        segments.len(),
-        1,
-        "crash at op {j}: WAL segments left after reopen: {segments:?}"
-    );
-
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    CrashOutcome {
-        acked,
-        fingerprint,
-        ops_at_crash,
-    }
-}
-
-/// The WAL segment files present in `dir`, by first LSN.
-fn wal_segments(vfs: &FaultVfs, dir: &Path) -> Vec<PathBuf> {
-    vfs.paths()
-        .into_iter()
-        .filter(|p| p.parent() == Some(dir))
-        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal."))
-        .collect()
-}
-
-fn crash_sample() -> u64 {
-    std::env::var("TCOM_CRASH_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&k| k >= 1)
-        .unwrap_or(1)
-}
-
-fn crash_matrix(kind: StoreKind, tag: &str) {
-    let g = golden_run(kind, &format!("{tag}-golden"));
-    let window = g.op_end - g.op_base;
-    assert!(
-        window >= 50,
-        "workload must expose at least 50 crash points, got {window}"
-    );
-    let step = crash_sample();
-    let mut tested = 0u64;
-    let mut j = g.op_base;
-    while j < g.op_end {
-        run_crash_point(kind, &g, j, &format!("{tag}-p{j}"));
-        tested += 1;
-        j += step;
-    }
-    eprintln!("crash matrix [{tag}]: {tested} crash points over a window of {window} mutation ops");
-}
-
-#[test]
-fn crash_matrix_split() {
-    crash_matrix(StoreKind::Split, "split");
-}
-
-#[test]
-fn crash_matrix_chain() {
-    crash_matrix(StoreKind::Chain, "chain");
-}
-
-#[test]
-fn crash_matrix_delta() {
-    crash_matrix(StoreKind::Delta, "delta");
-}
-
-/// Same seed + same schedule ⇒ same failure, same acked prefix, and
-/// bit-identical durable file images.
-#[test]
-fn fault_injection_is_deterministic() {
-    let g = golden_run(StoreKind::Split, "det-golden");
-    let j = g.op_base + (g.op_end - g.op_base) / 2;
-    let a = run_crash_point(StoreKind::Split, &g, j, "det-run");
-    let b = run_crash_point(StoreKind::Split, &g, j, "det-run");
-    assert_eq!(a.acked, b.acked, "acked commit count must be reproducible");
-    assert_eq!(
-        a.ops_at_crash, b.ops_at_crash,
-        "op counter at crash must be reproducible"
-    );
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "durable bytes after the crash must be bit-identical across runs"
-    );
-}
-
-// ---- group-commit batch crash matrix ----
-//
-// Group commit batches multiple commits' WAL records between fsyncs. The
-// engine stages each commit's records under the `wal_order` mutex at the
-// moment its transaction time is drawn, so WAL byte order always equals
-// transaction-time order — which is what makes a torn batch recover to a
-// *prefix* of the batch, never an interior subset. This matrix simulates
-// losing an arbitrary tail of a multi-transaction batch: under
-// `SyncPolicy::OnCheckpoint` no commit fsyncs, so the whole workload is
-// one unsynced batch, and a power cut at mutation-op `j` discards every
-// WAL byte written after the last sync. Recovery must land on *exactly*
-// `snapshots[m]` for some batch prefix length `m` — a commit may only be
-// durable if every earlier commit is too.
 
 fn batch_cfg(kind: StoreKind) -> DbConfig {
     // No per-commit fsync and no auto-checkpoint: every commit of the
@@ -348,237 +142,44 @@ fn run_batch_txn(db: &Database, ty: AtomTypeId, k: usize) -> tcom_core::Result<T
 
 const BATCH_TXNS: usize = 32;
 
-/// A batch matrix: its configuration and its transaction `k`.
-struct Batch {
-    cfg: fn(StoreKind) -> DbConfig,
-    txn: fn(&Database, AtomTypeId, usize) -> tcom_core::Result<TimePoint>,
-}
-
-const BATCH: Batch = Batch {
-    cfg: batch_cfg,
-    txn: run_batch_txn,
-};
-
-/// The batch workload's golden run, plus which of its transactions found
-/// the pool under pressure and flushed it first (`flushed[k]`: the flush
-/// at the start of transaction `k` wrote the state after `k` commits).
-fn batch_golden(kind: StoreKind, b: &Batch, tag: &str) -> (Golden, Vec<bool>) {
-    let dir = tmpdir(tag);
-    let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
-    let ty = setup(&db);
-    let op_base = vfs.mut_ops();
-    let mut snapshots = vec![dump(&db, ty)];
-    let mut flushed = Vec::with_capacity(BATCH_TXNS);
-    for k in 0..BATCH_TXNS {
-        let writebacks = db.buffer_stats().writebacks;
-        (b.txn)(&db, ty, k).unwrap();
-        flushed.push(db.buffer_stats().writebacks > writebacks);
-        snapshots.push(dump(&db, ty));
-    }
-    let op_end = vfs.mut_ops();
-    db.crash();
-    let _ = std::fs::remove_dir_all(&dir);
-    (
-        Golden {
-            op_base,
-            op_end,
-            snapshots,
-        },
-        flushed,
-    )
-}
-
-/// One cell: cut the power at op `j` mid-batch, reopen, and demand that
-/// recovery kept exactly a prefix of the batch's commits — at least as
-/// long as the last flush an acked transaction completed, at most one
-/// past the acked ones — with the clock at that prefix's last commit.
-fn run_batch_crash_point(
-    kind: StoreKind,
-    b: &Batch,
-    (g, flushed): &(Golden, Vec<bool>),
-    j: u64,
-    tag: &str,
-) {
-    let dir = tmpdir(tag);
-    let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
-    let ty = setup(&db);
-    assert_eq!(vfs.mut_ops(), g.op_base, "batch setup I/O deterministic");
-    vfs.power_cut_at(j);
-
-    let mut acked = 0usize;
-    for k in 0..BATCH_TXNS {
-        match (b.txn)(&db, ty, k) {
-            Ok(_) => acked += 1,
-            Err(_) => break,
-        }
-    }
-    db.crash();
-    assert!(vfs.crashed(), "cut at op {j} inside the window must fire");
-
-    vfs.reset_after_crash();
-    let db = reopen(&dir, (b.cfg)(kind), Arc::new(vfs.clone())).unwrap();
-    let got = dump(&db, ty);
-
-    // Exactly-a-prefix: the recovered dump must equal snapshots[m] for
-    // some m — commit m+1 durable without commit m would be an interior
-    // subset and match nothing.
-    let prefix_len = g.snapshots.iter().position(|s| *s == got);
-    assert!(
-        prefix_len.is_some(),
-        "batch crash at op {j} (acked={acked}): recovered state is not a \
-         batch prefix\ngot:\n  {}",
-        got.join("\n  "),
-    );
-    // Unsynced batch: durability can never exceed what the workload acked.
-    let m = prefix_len.unwrap();
-    assert!(
-        m <= acked + 1,
-        "batch crash at op {j}: {m} commits recovered but only {acked} acked"
-    );
-    // A completed flush is durable whatever the WAL lost: the pages it
-    // wrote hold `k` commits, and recovery must not fall behind them.
-    let floor = (0..acked).filter(|&k| flushed[k]).max().unwrap_or(0);
-    assert!(
-        m >= floor,
-        "batch crash at op {j}: {m} commits recovered behind a flush of {floor}"
-    );
-    // Commit k draws tt k: the clock must resume at the recovered prefix,
-    // or the next commit would reuse a transaction time already stored.
-    assert_eq!(
-        db.now(),
-        TimePoint(m as u64),
-        "batch crash at op {j}: clock after recovering {m} commits"
-    );
-    let report = db.verify_integrity().unwrap();
-    assert!(
-        report.is_ok(),
-        "batch crash at op {j}: integrity violations: {:?}",
-        report.violations
-    );
-    assert_slices_agree(&db, ty, &format!("batch crash at op {j}"));
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn batch_crash_matrix(kind: StoreKind, b: &Batch, tag: &str) -> usize {
-    let golden = batch_golden(kind, b, &format!("{tag}-golden"));
-    let window = golden.0.op_end - golden.0.op_base;
-    assert!(
-        window >= 30,
-        "batch workload must expose at least 30 crash points, got {window}"
-    );
-    let step = crash_sample();
-    let mut tested = 0u64;
-    let mut j = golden.0.op_base;
-    while j < golden.0.op_end {
-        run_batch_crash_point(kind, b, &golden, j, &format!("{tag}-p{j}"));
-        tested += 1;
-        j += step;
-    }
-    eprintln!("batch crash matrix [{tag}]: {tested} crash points over {window} ops");
-    golden.1.iter().filter(|&&f| f).count()
-}
-
-#[test]
-fn batch_crash_matrix_split() {
-    batch_crash_matrix(StoreKind::Split, &BATCH, "batch-split");
-}
-
-#[test]
-fn batch_crash_matrix_chain() {
-    batch_crash_matrix(StoreKind::Chain, &BATCH, "batch-chain");
-}
-
-#[test]
-fn batch_crash_matrix_delta() {
-    batch_crash_matrix(StoreKind::Delta, &BATCH, "batch-delta");
-}
-
-// ---- pressure-flush crash matrix ----
-//
-// The batch matrix again, with rows wide enough to fill a heap page every
-// other commit behind a pool small enough that the no-steal pressure
-// guard flushes it at transaction boundaries. Under `OnCheckpoint` no
-// commit fsyncs the WAL, so each such flush puts pages on disk that are
-// *ahead* of the durable log: after a cut, the store files hold commits
-// the WAL no longer has.
-
-fn pressure_cfg(kind: StoreKind) -> DbConfig {
-    batch_cfg(kind).buffer_frames(16)
-}
-
-/// Transaction `k` of the pressure workload: one atom with a 3 KB note.
-fn run_wide_batch_txn(db: &Database, ty: AtomTypeId, k: usize) -> tcom_core::Result<TimePoint> {
-    let mut txn = db.begin();
-    txn.insert_atom(ty, Interval::all(), tup(3000 + k as i64, &"w".repeat(3000)))?;
-    txn.commit()
-}
-
-const PRESSURE: Batch = Batch {
-    cfg: pressure_cfg,
-    txn: run_wide_batch_txn,
-};
-
-fn pressure_crash_matrix(kind: StoreKind, tag: &str) {
-    let flushes = batch_crash_matrix(kind, &PRESSURE, tag);
-    eprintln!("pressure crash matrix [{tag}]: {flushes} flushes in the window");
-    assert!(
-        flushes >= 2,
-        "the pressure guard must flush inside the window, flushed {flushes} times"
-    );
-}
-
-#[test]
-fn pressure_crash_matrix_split() {
-    pressure_crash_matrix(StoreKind::Split, "pressure-split");
-}
-
-#[test]
-fn pressure_crash_matrix_chain() {
-    pressure_crash_matrix(StoreKind::Chain, "pressure-chain");
-}
-
-#[test]
-fn pressure_crash_matrix_delta() {
-    pressure_crash_matrix(StoreKind::Delta, "pressure-delta");
-}
-
-/// The index-backed slice of `ty` must agree with per-atom walks at every
-/// transaction time, and at `FOREVER`: nothing rebuilds the time index
-/// after recovery, so replay must have kept it.
-fn assert_slices_agree(db: &Database, ty: AtomTypeId, what: &str) {
-    let tts = (0..=db.now().0 + 1).map(TimePoint);
-    for tt in tts.chain([TimePoint::FOREVER]) {
-        let mut sliced = Vec::new();
-        db.slice_at(ty, tt, &mut |no, vs| {
-            sliced.push((no, vs));
-            Ok(true)
-        })
-        .unwrap();
-        let mut walked = Vec::new();
-        for atom in db.all_atoms(ty).unwrap() {
-            let vs = db.versions_at(atom, tt).unwrap();
-            if !vs.is_empty() {
-                walked.push((atom.no, vs));
-            }
-        }
-        assert_eq!(
-            sliced, walked,
-            "{what}: the slice at tt {tt} disagrees with the walks"
-        );
+/// The batch row. Group commit stages each commit's records under the
+/// `wal_order` mutex at the moment its transaction time is drawn, so WAL
+/// byte order equals transaction-time order, and a torn batch recovers to
+/// a *prefix* of it, never an interior subset. Under
+/// `SyncPolicy::OnCheckpoint` no commit fsyncs, so the whole workload is
+/// one unsynced batch that a cut may lose any tail of.
+fn batch_row() -> Scenario<AtomTypeId> {
+    let steps = steps(BATCH_TXNS, |live, k| {
+        run_batch_txn(live.db(), live.s, k).map(drop)
+    });
+    Scenario {
+        durable: Durable::Flushed,
+        min_window: 30,
+        ..Scenario::new("batch", batch_cfg, setup, steps)
     }
 }
 
-// ---- prune crash matrix ----
-//
-// `prune_history` rewrites heap pages outside the commit path, then
-// checkpoints: the checkpoint's flush lands the pruned pages while the
-// WAL still holds the commits those pages already contain. A cut at
-// every mutation op of the prune must recover exactly the pre-prune or
-// the post-prune history — never logged commits replayed over pruned
-// pages.
+/// The pressure row: the batch row with rows wide enough to fill a heap
+/// page every other commit behind a pool small enough that the no-steal
+/// pressure guard flushes it at transaction boundaries. No commit fsyncs
+/// the WAL, so each such flush puts pages on disk that are *ahead* of the
+/// durable log: after a cut, the store files hold commits the WAL no
+/// longer has, and recovery must not fall behind them.
+fn pressure_row() -> Scenario<AtomTypeId> {
+    let steps = steps(BATCH_TXNS, |live, k| {
+        let mut txn = live.db().begin();
+        let row = tup(3000 + k as i64, &"w".repeat(3000));
+        txn.insert_atom(live.s, Interval::all(), row)?;
+        txn.commit().map(drop)
+    });
+    Scenario {
+        name: "pressure".into(),
+        cfg: |kind| batch_cfg(kind).buffer_frames(16),
+        steps,
+        min_flushes: 2,
+        ..batch_row()
+    }
+}
 
 fn prune_cfg(kind: StoreKind) -> DbConfig {
     DbConfig::default()
@@ -607,86 +208,467 @@ fn prune_shape(db: &Database) -> (AtomTypeId, AtomId) {
     (ty, atom)
 }
 
-fn history(db: &Database, atom: AtomId) -> Vec<String> {
-    db.history(atom)
-        .unwrap()
-        .iter()
-        .map(|v| format!("vt={} tt={} tuple={:?}", v.vt, v.tt, v.tuple))
+/// The prune row. `prune_history` rewrites heap pages outside the commit
+/// path, then checkpoints: the checkpoint's flush lands the pruned pages
+/// while the WAL still holds the commits those pages already contain. A
+/// cut at any op of it must recover exactly the pre-prune or the
+/// post-prune history, never logged commits replayed over pruned pages.
+fn prune_row() -> Scenario<(AtomTypeId, AtomId)> {
+    let steps = steps(1, |live, _| {
+        let (db, &mut (_, atom)) = live.parts();
+        let before = db.history(atom)?.len();
+        let pruned = db.prune_history(db.now())?;
+        assert_eq!((before, pruned, db.history(atom)?.len()), (6, 5, 1));
+        Ok(())
+    });
+    Scenario::new("prune", prune_cfg, prune_shape, steps)
+}
+
+/// The DDL workload's steps: step 0 creates `dept`, step 1 a molecule
+/// type rooted at it, every later step inserts one `dept` atom.
+const DDL_STEPS: usize = 5;
+
+fn run_ddl_step(db: &Database, emp: AtomTypeId, k: usize) -> tcom_core::Result<()> {
+    match k {
+        0 => db
+            .define_atom_type(
+                "dept",
+                vec![
+                    AttrDef::new("name", DataType::Text),
+                    AttrDef::new("budget", DataType::Int).indexed(),
+                    AttrDef::new("staff", DataType::RefSet(emp)),
+                ],
+            )
+            .map(drop),
+        1 => {
+            let dept = db.atom_type_id("dept")?;
+            let edge = MoleculeEdge {
+                from: dept,
+                attr: AttrId(2),
+                to: emp,
+            };
+            db.define_molecule_type("dept_staff", dept, vec![edge], None)
+                .map(drop)
+        }
+        _ => {
+            let dept = db.atom_type_id("dept")?;
+            let mut txn = db.begin();
+            let row = vec![
+                Value::from(format!("d{k}")),
+                Value::Int(k as i64 * 10),
+                Value::Null,
+            ];
+            txn.insert_atom(dept, Interval::all(), Tuple::new(row))?;
+            txn.commit().map(drop)
+        }
+    }
+}
+
+/// The DDL row. DDL is a journaled flush: a catalog change reaches disk
+/// in the control file, in the same journal as the new type's formatted
+/// store and index pages. A cut in a `CREATE TYPE` with an indexed
+/// attribute, a `CREATE MOLECULE` over it or the first inserts into the
+/// new type must recover the type absent, or present with every file and
+/// index.
+fn ddl_row() -> Scenario<AtomTypeId> {
+    let steps = steps(DDL_STEPS, |live, k| run_ddl_step(live.db(), live.s, k));
+    Scenario {
+        check: |live, _| {
+            let db = live.db();
+            let Ok(dept) = db.atom_type_id("dept") else {
+                return;
+            };
+            for suffix in live.kind.file_suffixes().iter().chain(&["idx1"]) {
+                let path = live.dir.join(format!("t{}_{suffix}.tcm", dept.0));
+                assert!(
+                    live.vfs.durable_len(&path).unwrap_or(0) > 0,
+                    "dept is cataloged but {} is empty",
+                    path.display()
+                );
+            }
+            let mut indexed = false;
+            db.with_index_for_test(dept, AttrId(1), |_| indexed = true);
+            assert!(indexed, "dept's index is not open");
+        },
+        ..Scenario::new("ddl", cfg, setup_staffed, steps)
+    }
+}
+
+/// No auto-checkpoint: the only checkpoint in the compaction row's window
+/// is the one `compact_type` itself issues.
+fn compaction_cfg(kind: StoreKind) -> DbConfig {
+    prune_cfg(kind).buffer_frames(256)
+}
+
+/// Six atoms, then update/delete rounds that close a version per touch,
+/// leaving a closed-version majority to archive.
+fn populate(db: &Database, ty: AtomTypeId) -> Vec<AtomId> {
+    let mut atoms = Vec::new();
+    let mut txn = db.begin();
+    for i in 0..6i64 {
+        atoms.push(
+            txn.insert_atom(ty, Interval::all(), tup(100 + i, "init"))
+                .unwrap(),
+        );
+    }
+    txn.commit().unwrap();
+    for round in 0..6u64 {
+        for (i, &a) in atoms.iter().enumerate() {
+            let mut txn = db.begin();
+            let lo = (round * 13 + i as u64 * 7) % 80;
+            if (round + i as u64) % 5 == 4 {
+                let vt = Interval::new(TimePoint(lo), TimePoint(lo + 5)).unwrap();
+                txn.delete(a, vt).unwrap();
+            } else {
+                let vt = Interval::new(TimePoint(lo), TimePoint(lo + 11)).unwrap();
+                txn.update(a, vt, tup((round * 100 + i as u64) as i64, "upd"))
+                    .unwrap();
+            }
+            txn.commit().unwrap();
+        }
+    }
+    atoms
+}
+
+/// One rendered `ASOF TT` slice per transaction time `0..=now`, plus the
+/// current state (`FOREVER`), read per atom.
+fn slices(db: &Database, ty: AtomTypeId) -> Vec<String> {
+    let mut tts: Vec<TimePoint> = (0..=db.now().0).map(TimePoint).collect();
+    tts.push(TimePoint::FOREVER);
+    tts.iter()
+        .map(|&tt| {
+            let mut rows = Vec::new();
+            for atom in db.all_atoms(ty).unwrap() {
+                for v in db.versions_at(atom, tt).unwrap() {
+                    rows.push(format!("{atom}|{:?}|{}|{}", v.tuple, v.vt, v.tt));
+                }
+            }
+            rows.sort();
+            format!("tt={tt}::{}", rows.join(";"))
+        })
         .collect()
 }
 
-fn prune_crash_matrix(kind: StoreKind, tag: &str) {
-    let dir = tmpdir(&format!("{tag}-golden"));
-    let vfs = FaultVfs::new();
-    let db = Database::open_with_vfs(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
-    let (_, atom) = prune_shape(&db);
-    let pre = history(&db, atom);
-    let op_base = vfs.mut_ops();
-    assert_eq!(db.prune_history(db.now()).unwrap(), 5);
-    let op_end = vfs.mut_ops();
-    let post = history(&db, atom);
-    assert_eq!((pre.len(), post.len()), (6, 1));
-    db.crash();
-    let _ = std::fs::remove_dir_all(&dir);
+/// What a compaction must not change: the full dump, and every `ASOF TT`
+/// slice of `emp`, whose segment reads skip by their fences.
+fn compaction_view(db: &Database) -> Vec<String> {
+    let mut out = dump_all(db);
+    out.extend(slices(db, db.atom_type_id("emp").unwrap()));
+    out
+}
 
-    let step = crash_sample();
-    let mut j = op_base;
-    while j < op_end {
-        let dir = tmpdir(&format!("{tag}-p{j}"));
-        let vfs = FaultVfs::new();
-        let db = Database::open_with_vfs(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
-        let (ty, atom) = prune_shape(&db);
-        assert_eq!(vfs.mut_ops(), op_base, "prune setup I/O deterministic");
-        vfs.power_cut_at(j);
+/// The compaction row: a swap must not change what a reader sees, and a
+/// cut in it (segment build, rename, WAL commit point, heap extraction,
+/// checkpoint) must recover a state that answers every history and
+/// `ASOF TT` slice as before; and the interrupted cycle must not wedge
+/// tiering: a fresh compaction succeeds (a no-op when recovery already
+/// landed on the post-swap image) and changes nothing either.
+fn compaction_row() -> Scenario<AtomTypeId> {
+    let steps = steps(1, |live, _| {
+        let archived = live.db().compact_type(live.s)?;
         assert!(
-            db.prune_history(db.now()).is_err(),
-            "cut at op {j} must surface through prune_history"
+            archived > 0,
+            "the workload leaves closed history to archive"
         );
-        db.crash();
-        assert!(vfs.crashed(), "cut at op {j} inside the prune must fire");
-
-        vfs.reset_after_crash();
-        let db = reopen(&dir, prune_cfg(kind), Arc::new(vfs.clone())).unwrap();
-        let got = history(&db, atom);
-        assert!(
-            got == pre || got == post,
-            "prune crash at op {j}: recovered a history of {} versions, neither the \
-             pre-prune {} nor the post-prune {}\ngot:\n  {}",
-            got.len(),
-            pre.len(),
-            post.len(),
-            got.join("\n  ")
-        );
-        let report = db.verify_integrity().unwrap();
-        assert!(
-            report.is_ok(),
-            "prune crash at op {j}: integrity violations: {:?}",
-            report.violations
-        );
-        assert_slices_agree(&db, ty, &format!("prune crash at op {j}"));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-        j += step;
+        Ok(())
+    });
+    let populated = |db: &Database| {
+        let ty = setup(db);
+        populate(db, ty);
+        ty
+    };
+    Scenario {
+        observe: compaction_view,
+        min_window: 15,
+        check: |live, recovered| {
+            let db = live.db();
+            db.compact_type(live.s)
+                .unwrap_or_else(|e| panic!("re-compaction failed: {e}"));
+            assert_eq!(
+                compaction_view(db),
+                recovered,
+                "re-compaction changed a view"
+            );
+            assert!(db.verify_integrity().unwrap().is_ok());
+        },
+        ..Scenario::new("compaction", compaction_cfg, populated, steps)
     }
-    eprintln!(
-        "prune crash matrix [{tag}]: a window of {} mutation ops",
-        op_end - op_base
+}
+
+/// The killed-reopen row. A process kill (no power loss) leaves the
+/// WAL's unsynced tail in the page cache, where the reopen reads and
+/// redoes it. A cut at any op of that reopen, the roll-to-flush window of
+/// its checkpoint included, must leave a directory that reopens to the
+/// commits up to some point at or past the last checkpoint, with one WAL
+/// segment: the reopen's roll fsyncs the tail before it creates a segment
+/// named after its end, so the old segment never comes back shorter than
+/// that name says and leaves the new one unreachable. Two commits follow
+/// that only log: a cut in them must keep every commit the reopen made
+/// durable.
+fn killed_reopen_row() -> Scenario<AtomTypeId> {
+    // Four checkpointed commits, then four that only the page cache holds.
+    let mut steps = steps(8, |live, k| {
+        if k == 4 {
+            live.db().checkpoint()?;
+        }
+        run_batch_txn(live.db(), live.s, k).map(drop)
+    });
+    steps.push(Box::new(|live| live.kill_and_reopen()));
+    steps.extend((9..11).map(|k| -> Step<AtomTypeId> {
+        Box::new(move |live| run_batch_txn(live.db(), live.s, k).map(drop))
+    }));
+    Scenario {
+        cut_from: 8,
+        durable: Durable::Flushed,
+        min_window: 5,
+        ..Scenario::new("killed-reopen", batch_cfg, setup, steps)
+    }
+}
+
+// ---- the generated row ----
+//
+// Each seed draws a short sequence that mixes every kind of step the
+// rows above cut one at a time: commits of inserts, `VALID`-piece updates
+// and deletes (some rows wide enough to press a small pool into flushing),
+// checkpoints, compactions, prunes, type and molecule definitions, and
+// process kills. A new durability step joins here as one more kind.
+
+/// The seeds, each cut on one store kind: seed `SEEDS[i]` on
+/// `KINDS[i % 3]`. Even seeds sync every commit, odd ones only at
+/// checkpoints.
+const SEEDS: [u64; 3] = [1, 2, 3];
+
+/// Steps drawn per seed.
+const DRAWN_STEPS: usize = 10;
+
+/// A drawn step. Numbers pick among what exists when the step runs (the
+/// type, the atom), so every step applies to whatever the cut before
+/// it left.
+#[derive(Clone, Debug)]
+enum Op {
+    Commit(Vec<Write>),
+    Checkpoint,
+    Compact(u64),
+    /// Prunes the history closed that many transaction times ago.
+    Prune(u64),
+    DefineType(String),
+    DefineMolecule(String, u64),
+    Kill,
+}
+
+/// A write of a drawn commit: `op` 0 inserts, 1 updates and 2 deletes.
+#[derive(Clone, Copy, Debug)]
+struct Write {
+    op: u64,
+    ty: u64,
+    atom: u64,
+    lo: u64,
+    len: u64,
+    value: u64,
+}
+
+/// splitmix64: a seeded, dependency-free draw.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+fn draw_ops(seed: u64) -> Vec<Op> {
+    let mut d = Draw(seed);
+    let mut types = 0;
+    let mut ops = Vec::with_capacity(DRAWN_STEPS);
+    for k in 0..DRAWN_STEPS {
+        ops.push(match d.below(10) {
+            0..=3 => {
+                let n = 1 + d.below(3);
+                let write = |d: &mut Draw| Write {
+                    op: d.below(3),
+                    ty: d.below(8),
+                    atom: d.below(64),
+                    lo: d.below(60),
+                    len: 1 + d.below(20),
+                    value: d.below(1000),
+                };
+                Op::Commit((0..n).map(|_| write(&mut d)).collect())
+            }
+            4 => Op::Checkpoint,
+            5 => Op::Compact(d.below(8)),
+            6 => Op::Prune(d.below(3)),
+            7 | 8 if types == 0 || d.below(2) == 0 => {
+                types += 1;
+                Op::DefineType(format!("g{k}"))
+            }
+            7 | 8 => Op::DefineMolecule(format!("m{k}"), d.below(types)),
+            _ => Op::Kill,
+        });
+    }
+    ops
+}
+
+fn run_op(live: &mut Live<AtomTypeId>, op: &Op) -> tcom_core::Result<()> {
+    if let Op::Kill = op {
+        return live.kill_and_reopen();
+    }
+    let (db, &mut emp) = live.parts();
+    let types: Vec<(AtomTypeId, usize)> = db.with_catalog(|c| {
+        c.atom_types()
+            .iter()
+            .map(|t| (t.id, t.attrs.len()))
+            .collect()
+    });
+    let pick = |n: u64| types[(n % types.len() as u64) as usize];
+    match op {
+        Op::Commit(writes) => {
+            let mut txn = db.begin();
+            for w in writes {
+                let (ty, arity) = pick(w.ty);
+                // Every third value comes with a note of 3 KB.
+                let note = if w.value.is_multiple_of(3) {
+                    "w".repeat(3000)
+                } else {
+                    format!("n{}", w.value)
+                };
+                let mut row = vec![Value::Int(w.value as i64), Value::from(note)];
+                row.resize(arity, Value::Null);
+                let vt = Interval::new(TimePoint(w.lo), TimePoint(w.lo + w.len)).unwrap();
+                let atoms = db.all_atoms(ty)?;
+                let atom =
+                    (!atoms.is_empty()).then(|| atoms[(w.atom % atoms.len() as u64) as usize]);
+                match (w.op, atom) {
+                    (1, Some(atom)) => txn.update(atom, vt, Tuple::new(row))?,
+                    (2, Some(atom)) => txn.delete(atom, vt)?,
+                    _ => {
+                        let vt = Interval::from_start(TimePoint(w.lo));
+                        txn.insert_atom(ty, vt, Tuple::new(row))?;
+                    }
+                }
+            }
+            txn.commit().map(drop)
+        }
+        Op::Checkpoint => db.checkpoint(),
+        Op::Compact(ty) => db.compact_type(pick(*ty).0).map(drop),
+        Op::Prune(ago) => db
+            .prune_history(TimePoint(db.now().0.saturating_sub(*ago)))
+            .map(drop),
+        Op::DefineType(name) => db
+            .define_atom_type(
+                name.as_str(),
+                vec![
+                    AttrDef::new("salary", DataType::Int).indexed(),
+                    AttrDef::new("note", DataType::Text),
+                    AttrDef::new("staff", DataType::RefSet(emp)),
+                ],
+            )
+            .map(drop),
+        Op::DefineMolecule(name, root) => {
+            let roots: Vec<AtomTypeId> = types.iter().map(|t| t.0).filter(|&t| t != emp).collect();
+            let from = roots[(root % roots.len() as u64) as usize];
+            let edge = MoleculeEdge {
+                from,
+                attr: AttrId(2),
+                to: emp,
+            };
+            db.define_molecule_type(name.as_str(), from, vec![edge], None)
+                .map(drop)
+        }
+        Op::Kill => unreachable!("handled above"),
+    }
+}
+
+/// The generated row of `seed`: its drawn steps over a 32-frame pool.
+fn generated_row(seed: u64) -> Scenario<AtomTypeId> {
+    let steps = draw_ops(seed)
+        .into_iter()
+        .map(|op| -> Step<AtomTypeId> { Box::new(move |live| run_op(live, &op)) })
+        .collect();
+    let (cfg, durable): (fn(StoreKind) -> DbConfig, _) = if seed.is_multiple_of(2) {
+        (|kind| prune_cfg(kind).buffer_frames(32), Durable::Acked)
+    } else {
+        (|kind| batch_cfg(kind).buffer_frames(32), Durable::Flushed)
+    };
+    // Checkpointed, so that what the steps start from is durable.
+    let setup = |db: &Database| {
+        let emp = setup_staffed(db);
+        db.checkpoint().unwrap();
+        emp
+    };
+    Scenario {
+        durable,
+        ..Scenario::new(format!("generated-{seed}"), cfg, setup, steps)
+    }
+}
+
+/// One test per store kind for each row.
+macro_rules! rows {
+    ($($test:ident => $row:expr;)*) => {$(
+        mod $test {
+            use super::*;
+
+            #[test]
+            fn chain() {
+                $row(StoreKind::Chain);
+            }
+
+            #[test]
+            fn delta() {
+                $row(StoreKind::Delta);
+            }
+
+            #[test]
+            fn split() {
+                $row(StoreKind::Split);
+            }
+        }
+    )*};
+}
+
+rows! {
+    crash_matrix => |kind| matrix(kind, &crash_row());
+    batch_crash_matrix => |kind| matrix(kind, &batch_row());
+    pressure_crash_matrix => |kind| matrix(kind, &pressure_row());
+    prune_crash_matrix => |kind| matrix(kind, &prune_row());
+    ddl_crash_matrix => |kind| matrix(kind, &ddl_row());
+    compaction_crash_matrix => |kind| {
+        let g = matrix(kind, &compaction_row());
+        assert_eq!(g.state(0), g.state(1), "compaction changed a reader's view");
+    };
+    killed_reopen_crash_matrix => |kind| {
+        let g = matrix(kind, &killed_reopen_row());
+        assert_eq!(g.floor(Durable::Flushed, 11), 8, "the reopen of step 8 flushed");
+    };
+    generated_crash_matrix => |kind| {
+        let i = KINDS.iter().position(|&k| k == kind).unwrap();
+        for &seed in SEEDS.iter().skip(i).step_by(KINDS.len()) {
+            matrix(kind, &generated_row(seed));
+        }
+    };
+}
+
+/// Same seed + same schedule ⇒ same failure, same acked prefix, and
+/// bit-identical durable file images.
+#[test]
+fn fault_injection_is_deterministic() {
+    let row = crash_row();
+    let g = crash::golden(StoreKind::Split, &row);
+    let j = g.op_base + (g.op_end - g.op_base) / 2;
+    let a = crash::cut(StoreKind::Split, &row, &g, j);
+    let b = crash::cut(StoreKind::Split, &row, &g, j);
+    assert_eq!(a.acked, b.acked, "acked commit count must be reproducible");
+    assert_eq!(
+        a.ops_at_crash, b.ops_at_crash,
+        "op counter at crash must be reproducible"
     );
-}
-
-#[test]
-fn prune_crash_matrix_chain() {
-    prune_crash_matrix(StoreKind::Chain, "prune-chain");
-}
-
-#[test]
-fn prune_crash_matrix_delta() {
-    prune_crash_matrix(StoreKind::Delta, "prune-delta");
-}
-
-#[test]
-fn prune_crash_matrix_split() {
-    prune_crash_matrix(StoreKind::Split, "prune-split");
+    assert_eq!(
+        a.fingerprint, b.fingerprint,
+        "durable bytes after the crash must be bit-identical across runs"
+    );
 }
 
 // ---- recovery cost ----
@@ -847,227 +829,7 @@ fn control_state_larger_than_a_page_survives_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---- DDL crash matrix ----
-//
-// DDL is a journaled flush: a catalog change reaches disk in the control
-// file, in the same journal as the new type's formatted store and index
-// pages. A cut at every mutation op of a `CREATE TYPE` with an indexed
-// attribute, a `CREATE MOLECULE` over it and the first inserts into the
-// new type must recover the state before or after the step it cut: the
-// type absent, or present with every file and index.
-
-/// The DDL workload's steps: step 0 creates `dept`, step 1 a molecule
-/// type rooted at it, every later step inserts one `dept` atom.
-const DDL_STEPS: usize = 5;
-
-fn run_ddl_step(db: &Database, emp: AtomTypeId, k: usize) -> tcom_core::Result<()> {
-    match k {
-        0 => db
-            .define_atom_type(
-                "dept",
-                vec![
-                    AttrDef::new("name", DataType::Text),
-                    AttrDef::new("budget", DataType::Int).indexed(),
-                    AttrDef::new("staff", DataType::RefSet(emp)),
-                ],
-            )
-            .map(drop),
-        1 => {
-            let dept = db.atom_type_id("dept")?;
-            let edge = MoleculeEdge {
-                from: dept,
-                attr: AttrId(2),
-                to: emp,
-            };
-            db.define_molecule_type("dept_staff", dept, vec![edge], None)
-                .map(drop)
-        }
-        _ => {
-            let dept = db.atom_type_id("dept")?;
-            let mut txn = db.begin();
-            let row = vec![
-                Value::from(format!("d{k}")),
-                Value::Int(k as i64 * 10),
-                Value::Null,
-            ];
-            txn.insert_atom(dept, Interval::all(), Tuple::new(row))?;
-            txn.commit().map(drop)
-        }
-    }
-}
-
-/// The catalog's names and every `dept` version.
-fn ddl_state(db: &Database) -> String {
-    let names = db.with_catalog(|c| {
-        let types: Vec<&str> = c.atom_types().iter().map(|t| t.name.as_str()).collect();
-        let mols: Vec<&str> = c.molecule_types().iter().map(|m| m.name.as_str()).collect();
-        format!("types={types:?} molecules={mols:?}")
-    });
-    match db.atom_type_id("dept") {
-        Ok(dept) => format!("{names} dept={:?}", dump(db, dept)),
-        Err(_) => names,
-    }
-}
-
-/// Opens a directory holding `emp` and three of its atoms: the state the
-/// DDL workload starts from.
-fn ddl_base(dir: &std::path::Path, kind: StoreKind, vfs: &FaultVfs) -> (Database, AtomTypeId) {
-    let db = Database::open_with_vfs(dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
-    let emp = setup(&db);
-    run_txn(&db, emp, 0, &mut Vec::new()).unwrap();
-    (db, emp)
-}
-
-fn ddl_crash_matrix(kind: StoreKind, tag: &str) {
-    let dir = tmpdir(&format!("{tag}-golden"));
-    let vfs = FaultVfs::new();
-    let (db, emp) = ddl_base(&dir, kind, &vfs);
-    let op_base = vfs.mut_ops();
-    let mut snapshots = vec![ddl_state(&db)];
-    for k in 0..DDL_STEPS {
-        run_ddl_step(&db, emp, k).unwrap();
-        snapshots.push(ddl_state(&db));
-    }
-    let op_end = vfs.mut_ops();
-    db.crash();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let step = crash_sample();
-    let mut j = op_base;
-    while j < op_end {
-        let dir = tmpdir(&format!("{tag}-p{j}"));
-        let vfs = FaultVfs::new();
-        let (db, emp) = ddl_base(&dir, kind, &vfs);
-        assert_eq!(vfs.mut_ops(), op_base, "DDL setup I/O deterministic");
-        vfs.power_cut_at(j);
-        let acked = (0..DDL_STEPS)
-            .take_while(|&k| run_ddl_step(&db, emp, k).is_ok())
-            .count();
-        db.crash();
-        assert!(
-            vfs.crashed(),
-            "cut at op {j} inside the DDL window must fire"
-        );
-
-        vfs.reset_after_crash();
-        let db = reopen(&dir, cfg(kind), Arc::new(vfs.clone())).unwrap();
-        let got = ddl_state(&db);
-        assert!(
-            got == snapshots[acked] || (acked < DDL_STEPS && got == snapshots[acked + 1]),
-            "DDL crash at op {j} (acked={acked}): recovered\n  {got}\nwant\n  {}",
-            snapshots[acked]
-        );
-        let report = db.verify_integrity().unwrap();
-        assert!(
-            report.is_ok(),
-            "DDL crash at op {j}: integrity violations: {:?}",
-            report.violations
-        );
-        if let Ok(dept) = db.atom_type_id("dept") {
-            let files = kind.file_suffixes().iter().chain(&["idx1"]);
-            for suffix in files {
-                let path = dir.join(format!("t{}_{suffix}.tcm", dept.0));
-                assert!(
-                    vfs.durable_len(&path).unwrap_or(0) > 0,
-                    "DDL crash at op {j}: dept is cataloged but {} is empty",
-                    path.display()
-                );
-            }
-            let mut indexed = false;
-            db.with_index_for_test(dept, AttrId(1), |_| indexed = true);
-            assert!(indexed, "DDL crash at op {j}: dept's index is not open");
-            assert_slices_agree(&db, dept, &format!("DDL crash at op {j}"));
-        }
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-        j += step;
-    }
-    eprintln!(
-        "DDL crash matrix [{tag}]: a window of {} mutation ops",
-        op_end - op_base
-    );
-}
-
-#[test]
-fn ddl_crash_matrix_chain() {
-    ddl_crash_matrix(StoreKind::Chain, "ddl-chain");
-}
-
-#[test]
-fn ddl_crash_matrix_delta() {
-    ddl_crash_matrix(StoreKind::Delta, "ddl-delta");
-}
-
-#[test]
-fn ddl_crash_matrix_split() {
-    ddl_crash_matrix(StoreKind::Split, "ddl-split");
-}
-
-// ---- checkpoints over a killed process, and back to back ----
-
-/// A process kill (no power loss) leaves the WAL's unsynced tail in the
-/// page cache, where the reopen reads and redoes it. A cut at any op of
-/// that reopen, the roll-to-flush window of its checkpoint included, must
-/// leave a directory that reopens to the commits up to some point at or
-/// past the last checkpoint, with one WAL segment: the reopen's roll
-/// fsyncs the tail before it creates a segment named after its end, so
-/// the old segment never comes back shorter than that name says and
-/// leaves the new one unreachable.
-#[test]
-fn reopen_after_a_kill_survives_a_cut_in_its_checkpoint() {
-    let kind = StoreKind::Chain;
-    let dir = tmpdir("kill-reopen");
-    // Four checkpointed commits, then four that only the page cache holds.
-    let killed = || {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let vfs = FaultVfs::new();
-        let db = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
-        let ty = setup(&db);
-        let mut snapshots = vec![dump(&db, ty)];
-        for k in 0..8 {
-            if k == 4 {
-                db.checkpoint().unwrap();
-            }
-            run_batch_txn(&db, ty, k).unwrap();
-            snapshots.push(dump(&db, ty));
-        }
-        db.crash();
-        (vfs, ty, snapshots)
-    };
-    let mut cut = 0;
-    loop {
-        let (vfs, ty, snapshots) = killed();
-        vfs.power_cut_at(vfs.mut_ops() + cut);
-        if let Ok(db) = Database::open_with_vfs(&dir, batch_cfg(kind), Arc::new(vfs.clone())) {
-            db.crash();
-        }
-        if !vfs.crashed() {
-            assert_eq!(wal_segments(&vfs, &dir).len(), 1);
-            break;
-        }
-        vfs.reset_after_crash();
-        let db = reopen(&dir, batch_cfg(kind), Arc::new(vfs.clone())).unwrap();
-        let got = dump(&db, ty);
-        assert!(
-            snapshots[4..].contains(&got),
-            "cut at reopen op {cut}: the commits up to no point at or past the checkpoint:\n  {}",
-            got.join("\n  ")
-        );
-        assert!(db.verify_integrity().unwrap().is_ok());
-        let segments = wal_segments(&vfs, &dir);
-        assert_eq!(
-            segments.len(),
-            1,
-            "cut at reopen op {cut}: WAL segments left: {segments:?}"
-        );
-        drop(db);
-        cut += 1;
-    }
-    eprintln!("killed reopen: {cut} cut points");
-    assert!(cut >= 5, "the reopen exposes only {cut} cut points");
-    let _ = std::fs::remove_dir_all(&dir);
-}
+// ---- parked races ----
 
 /// The op a [`Parking`] file system parks: the next write to, or the next
 /// removal of, a file whose name starts with the prefix.
@@ -1449,4 +1211,94 @@ fn transient_write_failure_fails_commit_cleanly() {
     assert!(db.verify_integrity().unwrap().is_ok());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- a commit between a swap's record and its extraction ----
+//
+// A swap does not drain commits, so a commit can log its batch after the
+// swap record while the extraction is still to come.
+
+/// Polls `cond` until it holds, panicking after 30 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{what} never became durable"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Parks the swap's extraction (and every apply) after its `SegmentSwap`
+/// record is durable, lets a commit that closes a version log its batch
+/// behind that record, and copies the durable bytes as a power cut at that
+/// instant would leave them. Recovery of the copy redoes the extraction at
+/// the swap record and then the later commit, and must answer every
+/// `ASOF TT` slice and every history exactly as the live database does
+/// once both parked threads have finished.
+fn commit_between_swap_and_extraction(kind: StoreKind, tag: &str) {
+    let dir = tmpdir(tag);
+    let vfs = FaultVfs::new();
+    let db = Database::open_with_vfs(&dir, compaction_cfg(kind), Arc::new(vfs.clone())).unwrap();
+    let ty = setup(&db);
+    let atoms = populate(&db, ty);
+    let cutoff = db.now();
+    // The WAL segment appends go to: the newest, by its first LSN.
+    let wal = vfs
+        .paths()
+        .into_iter()
+        .rfind(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal."))
+        .unwrap();
+    let durable_wal = || vfs.durable_len(&wal).unwrap_or(0);
+
+    let (copy, archived, late_tt) = std::thread::scope(|s| {
+        let parked = db.block_applies_for_test();
+        let start = durable_wal();
+        let compaction = s.spawn(|| db.compact_type(ty));
+        wait_until("the swap record", || durable_wal() > start);
+        let swap_end = durable_wal();
+        let writer = s.spawn(|| {
+            let mut txn = db.begin();
+            txn.update(atoms[0], Interval::all(), tup(-1, "late"))?;
+            txn.commit()
+        });
+        wait_until("the late commit's batch", || durable_wal() > swap_end);
+        let copy = vfs.durable_copy();
+        drop(parked);
+        let archived = compaction.join().unwrap().unwrap();
+        (copy, archived, writer.join().unwrap().unwrap())
+    });
+    assert!(archived > 0, "the swap must archive history");
+    assert!(
+        late_tt > cutoff,
+        "the late commit draws a tt above the cutoff"
+    );
+
+    let recovered = reopen(&dir, compaction_cfg(kind), Arc::new(copy)).unwrap();
+    assert_eq!(recovered.now(), late_tt);
+    assert_eq!(dump(&recovered, ty), dump(&db, ty), "HISTORY diverged");
+    assert_eq!(slices(&recovered, ty), slices(&db, ty), "a slice diverged");
+    for (name, d) in [("recovered", &recovered), ("live", &db)] {
+        let report = d.verify_integrity().unwrap();
+        assert!(report.is_ok(), "{name}: {:?}", report.violations);
+    }
+    drop(recovered);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_chain() {
+    commit_between_swap_and_extraction(StoreKind::Chain, "late-chain");
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_delta() {
+    commit_between_swap_and_extraction(StoreKind::Delta, "late-delta");
+}
+
+#[test]
+fn commit_between_swap_record_and_extraction_split() {
+    commit_between_swap_and_extraction(StoreKind::Split, "late-split");
 }

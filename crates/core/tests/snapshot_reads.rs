@@ -15,9 +15,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use tcom_core::{
     AtomId, AtomTypeId, AttrDef, DataType, Database, DbConfig, Interval, StoreKind, SyncPolicy,
-    Tuple, Value,
+    TimePoint, Tuple, Value,
 };
-use tcom_query::exec::{execute, QueryOutput};
+use tcom_query::exec::{execute, execute_with, ExecOptions, QueryOutput};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-snap-{}-{}", std::process::id(), tag));
@@ -174,7 +174,15 @@ fn scans_never_observe_torn_commits() {
 /// many commits land after it. Only a version's tt *end* may move — from
 /// `∞` to the closing timestamp — which is recorded history, not content.
 fn slice_content(db: &Database, q: &str) -> Vec<(AtomId, Vec<Value>, Interval, u64)> {
-    match execute(db, q).unwrap() {
+    slice_content_with(db, q, ExecOptions::default())
+}
+
+fn slice_content_with(
+    db: &Database,
+    q: &str,
+    opts: ExecOptions,
+) -> Vec<(AtomId, Vec<Value>, Interval, u64)> {
+    match execute_with(db, q, opts).unwrap() {
         QueryOutput::Rows { rows, .. } => rows
             .into_iter()
             .map(|r| (r.atom, r.values, r.vt, r.tt.start().0))
@@ -225,10 +233,13 @@ fn asof_slices_stay_frozen_under_churn() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A Split database with `ATOMS` `tag` atoms holding `k = 1`, inserted in
-/// one commit at the returned tt, and `WHERE k = 1 ASOF TT` that tt, which
-/// must plan the value-index probe at it.
-fn flip_fixture(tag: &str, atoms: usize) -> (Database, Vec<AtomId>, String, PathBuf) {
+/// A Split database with `ATOMS` `tag` atoms, atom `i` holding `k =
+/// value(i)`, inserted in one commit at the returned tt.
+fn tag_fixture(
+    tag: &str,
+    atoms: usize,
+    value: impl Fn(usize) -> i64,
+) -> (Database, Vec<AtomId>, TimePoint, PathBuf) {
     let dir = tmpdir(tag);
     let db = Database::open(
         &dir,
@@ -243,9 +254,76 @@ fn flip_fixture(tag: &str, atoms: usize) -> (Database, Vec<AtomId>, String, Path
         .unwrap();
     let mut txn = db.begin();
     let ids: Vec<AtomId> = (0..atoms)
-        .map(|_| txn.insert_atom(ty, Interval::all(), tup(1)).unwrap())
+        .map(|i| txn.insert_atom(ty, Interval::all(), tup(value(i))).unwrap())
         .collect();
     let tt0 = txn.commit().unwrap();
+    (db, ids, tt0, dir)
+}
+
+/// A current-state lookup through the value index answers at its
+/// statement's view. Half of 200 atoms hold `k = 1` and half `k = 2`, and
+/// a writer swaps every value in one commit per round, so every snapshot
+/// holds exactly 100 atoms with `k = 1`; beside it a reader repeats
+/// `WHERE k = 1`. Were the live index probed after a swap that landed
+/// past the statement's pin, the atoms holding 1 at its view would sit
+/// under key 2 by then, and the answer would lack them.
+#[test]
+fn current_index_probe_answers_at_its_view() {
+    const ATOMS: usize = 200;
+    let (db, atoms, _, dir) = tag_fixture("current-probe", ATOMS, |i| 1 + i as i64 % 2);
+    let q = "SELECT * FROM tag WHERE k = 1";
+    let p = tcom_query::prepare(&db, q).unwrap();
+    assert!(
+        matches!(
+            p.access,
+            tcom_query::AccessPath::IndexRange { tt: None, .. }
+        ),
+        "the lookup must probe the current value index: {:?}",
+        p.access
+    );
+
+    let done = AtomicBool::new(false);
+    let answers = std::thread::scope(|s| {
+        s.spawn(|| {
+            let start = Instant::now();
+            for round in 1i64.. {
+                if start.elapsed() > Duration::from_secs(2) {
+                    break;
+                }
+                let mut txn = db.begin();
+                for (i, &atom) in atoms.iter().enumerate() {
+                    let k = 1 + (i as i64 + round) % 2;
+                    txn.update(atom, Interval::all(), tup(k)).unwrap();
+                }
+                txn.commit().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut n = 0u64;
+        while !done.load(Ordering::Acquire) {
+            let rows = slice_content(&db, q);
+            assert!(
+                rows.len() == ATOMS / 2 && rows.iter().all(|r| r.1 == [Value::Int(1)]),
+                "answer {n} holds {} rows, not the {} of every snapshot",
+                rows.len(),
+                ATOMS / 2
+            );
+            n += 1;
+        }
+        n
+    });
+    eprintln!(
+        "{answers} answers, {} of them as of their view's tt",
+        db.metrics().counter("index.stale_probes")
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`tag_fixture`] with every atom holding `k = 1`, and `WHERE k = 1 ASOF
+/// TT` the insert's tt, which must plan the value-index probe at it.
+fn flip_fixture(tag: &str, atoms: usize) -> (Database, Vec<AtomId>, String, PathBuf) {
+    let (db, ids, tt0, dir) = tag_fixture(tag, atoms, |_| 1);
     let q = format!("SELECT * FROM tag WHERE k = 1 ASOF TT {}", tt0.0);
     let p = tcom_query::prepare(&db, &q).unwrap();
     assert!(
@@ -329,17 +407,32 @@ fn asof_index_probe_is_one_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Liveness of the same lookup under back-to-back commits: its one
-/// validated section spans many commit gaps, so it seldom validates, and
-/// each answer must still arrive within a deadline — through the per-atom
-/// walk after a few failed runs — and equal the first.
+/// Liveness of the same lookup, and of the same statement without its
+/// filter through the forced time-index slice, under back-to-back
+/// commits: each one's validated section spans many commit gaps, so it
+/// seldom validates, and each answer must still arrive within a deadline
+/// — through the per-atom walk after a few failed runs — and equal the
+/// first.
 #[test]
 fn asof_index_probe_answers_under_back_to_back_commits() {
     const ANSWERS: usize = 20;
     const DEADLINE: Duration = Duration::from_secs(1);
     let (db, atoms, q, dir) = flip_fixture("probe-live", 2000);
+    let forced = ExecOptions {
+        force_time_index: true,
+        ..Default::default()
+    };
+    let slice = q.replace(" WHERE k = 1", "");
+    let p = tcom_query::prepare_with(&db, &slice, forced).unwrap();
+    assert!(
+        matches!(p.access, tcom_query::AccessPath::TimeSlice { .. }),
+        "the forced statement must slice: {:?}",
+        p.access
+    );
+    let inputs = [(&q, ExecOptions::default()), (&slice, forced)];
     let first = slice_content(&db, &q);
     assert_eq!(first.len(), atoms.len());
+    assert_eq!(slice_content_with(&db, &slice, forced), first);
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -348,17 +441,22 @@ fn asof_index_probe_answers_under_back_to_back_commits() {
         // half outlasts a commit gap.
         std::thread::sleep(Duration::from_millis(100));
         for n in 0..ANSWERS {
-            let start = Instant::now();
-            let answer = slice_content(&db, &q);
-            let took = start.elapsed();
-            if took > DEADLINE || answer != first {
-                stop.store(true, Ordering::Release);
+            for (stmt, opts) in inputs {
+                let start = Instant::now();
+                let answer = slice_content_with(&db, stmt, opts);
+                let took = start.elapsed();
+                if took > DEADLINE || answer != first {
+                    stop.store(true, Ordering::Release);
+                }
+                assert!(
+                    took <= DEADLINE,
+                    "answer {n} to {stmt} took {took:?} beside the writer"
+                );
+                assert_eq!(
+                    answer, first,
+                    "answer {n} to {stmt} changed under back-to-back flips"
+                );
             }
-            assert!(
-                took <= DEADLINE,
-                "answer {n} took {took:?} beside the writer"
-            );
-            assert_eq!(answer, first, "answer {n} changed under back-to-back flips");
         }
         stop.store(true, Ordering::Release);
     });

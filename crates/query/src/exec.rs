@@ -693,6 +693,29 @@ fn flatten_expr(e: &Expr, f: &impl Fn(&Proj) -> Result<Proj>) -> Result<Expr> {
     })
 }
 
+/// Pins a statement's view of `def` and takes its candidates under it. A
+/// current-state value-index probe reads the live index, so it is pinned
+/// together with its view ([`Database::pin_index_range`]).
+fn pin_candidates(
+    db: &Database,
+    def: &AtomTypeDef,
+    access: &AccessPath,
+) -> Result<(ReadView, Candidates)> {
+    if let AccessPath::IndexRange {
+        attr,
+        lo,
+        hi,
+        tt: None,
+    } = access
+    {
+        let (view, atoms) = db.pin_index_range(def.id, *attr, *lo, *hi)?;
+        return Ok((view, Candidates::Atoms(atoms)));
+    }
+    let view = db.pin_view(def.id);
+    let candidates = candidates_for(db, &view, def, access)?;
+    Ok((view, candidates))
+}
+
 /// The candidate set of one atom type per an access path (join queries
 /// enumerate two sides, so this is def-parameterized, not `self`-bound).
 fn candidates_for(
@@ -703,16 +726,15 @@ fn candidates_for(
 ) -> Result<Candidates> {
     match access {
         AccessPath::Scan => db.all_atoms(def.id).map(Candidates::Atoms),
-        AccessPath::IndexRange { attr, lo, hi, tt } => Ok(match tt {
-            None => Candidates::Atoms(db.index_range_inclusive(def.id, *attr, *lo, *hi)?),
-            Some(tt) => Candidates::Slice(db.index_range_asof(
-                def.id,
-                *attr,
-                *lo,
-                *hi,
-                clamp_tt(*tt, view),
-            )?),
-        }),
+        // A current-state probe is taken with its view by `pin_candidates`;
+        // one under a view pinned before is answered as of the view.
+        AccessPath::IndexRange { attr, lo, hi, tt } => Ok(Candidates::Slice(db.index_range_asof(
+            def.id,
+            *attr,
+            *lo,
+            *hi,
+            clamp_tt(tt.unwrap_or(TimePoint::FOREVER), view),
+        )?)),
         AccessPath::TimeSlice { tt } => {
             let ty = def.id;
             let tt = clamp_tt(*tt, view);
@@ -981,13 +1003,8 @@ impl Prepared {
     ) -> Result<(QueryOutput, RunRecord)> {
         let mut meter = Meter::start(db);
         let mut record = RunRecord::default();
-        let view = db.pin_view(self.type_def.id);
-        let ov = txn.filter(|_| self.overlay_in_scope()).map(|txn| Overlay {
-            txn,
-            tt: Interval::from_start(TimePoint(view.tt.0 + 1)),
-        });
-        let ov = ov.as_ref();
         let out = if let Some(j) = &self.join {
+            let view = db.pin_view(self.type_def.id);
             // Each side's access stage fetches and clips its versions, so
             // the stage's rows are versions and its pages the side's I/O.
             let mut side = |def: &AtomTypeDef, access: &AccessPath| -> Result<_> {
@@ -1004,7 +1021,13 @@ impl Prepared {
         } else {
             let ty = self.type_def.id;
             let segs = meter.segs(ty);
-            let candidates = self.candidates(db, &view, ov)?;
+            let (view, mut candidates) = pin_candidates(db, &self.type_def, &self.access)?;
+            let ov = txn.filter(|_| self.overlay_in_scope()).map(|txn| Overlay {
+                txn,
+                tt: Interval::from_start(TimePoint(view.tt.0 + 1)),
+            });
+            let ov = ov.as_ref();
+            self.add_written(&mut candidates, ov);
             let access = meter.stage(candidates.len());
             let out = match &self.targets {
                 Targets::Molecule => {
@@ -1092,26 +1115,20 @@ impl Prepared {
         }
     }
 
-    /// The candidate set per the access path — the one target selection
-    /// behind every statement, `SELECT` and the `UPDATE` / `DELETE` that
-    /// run as one ([`crate::stmt`]). Over-approximation is fine: atoms
-    /// committed after `view` fetch no visible versions downstream.
+    /// Patches the transaction's written atoms into the candidate set of
+    /// [`pin_candidates`] — the one target selection behind every
+    /// statement, `SELECT` and the `UPDATE` / `DELETE` that run as one
+    /// ([`crate::stmt`]). Over-approximation is fine: atoms committed
+    /// after the view fetch no visible versions downstream.
     ///
-    /// An overlay adds the transaction's written atoms: atoms the
-    /// transaction created are not in the committed directory, and atoms
-    /// whose values it rewrote may be missed by a value-index probe keyed
-    /// on committed values (the filter re-applies on overlay tuples, so
-    /// false positives are harmless, but false negatives must be patched
-    /// in). The merged set stays in ascending atom order, as both access
-    /// paths deliver it.
-    fn candidates(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        ov: Option<&Overlay<'_, '_>>,
-    ) -> Result<Candidates> {
-        let mut c = candidates_for(db, view, &self.type_def, &self.access)?;
-        if let (Some(o), Candidates::Atoms(atoms)) = (ov, &mut c) {
+    /// Atoms the transaction created are not in the committed directory,
+    /// and atoms whose values it rewrote may be missed by a value-index
+    /// probe keyed on committed values (the filter re-applies on overlay
+    /// tuples, so false positives are harmless, but false negatives must
+    /// be patched in). The merged set stays in ascending atom order, as
+    /// both access paths deliver it.
+    fn add_written(&self, c: &mut Candidates, ov: Option<&Overlay<'_, '_>>) {
+        if let (Some(o), Candidates::Atoms(atoms)) = (ov, c) {
             let extra: Vec<AtomId> = o
                 .txn
                 .written_atoms()
@@ -1122,7 +1139,6 @@ impl Prepared {
                 atoms.sort_unstable();
             }
         }
-        Ok(c)
     }
 
     /// The versions of `atom` this statement reads: the transaction

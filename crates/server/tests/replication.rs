@@ -6,7 +6,7 @@
 //! replication path: WAL chunk shipping, follower replay order, clock
 //! republication, index maintenance, and the persisted resume position.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use tcom_client::ReplicaFollower;
 use tcom_core::{Database, DbConfig, FaultVfs, StoreKind, WalApplier};
@@ -15,6 +15,23 @@ use tcom_query::{run_statement, StatementOutput};
 use tcom_server::{Server, ServerConfig};
 
 const KINDS: [StoreKind; 3] = [StoreKind::Chain, StoreKind::Delta, StoreKind::Split];
+
+/// The ports the tests' servers bind. A test that frees its server's port
+/// and binds it again holds this exclusively, and every other test that
+/// starts a server shares it, so no `Server::start` on port 0 can take the
+/// freed port in between and leave a follower streaming from another
+/// test's database.
+static PORTS: RwLock<()> = RwLock::new(());
+
+/// Holds [`PORTS`] shared: for a test whose servers bind port 0 only.
+fn binding() -> RwLockReadGuard<'static, ()> {
+    PORTS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Holds [`PORTS`] exclusively: for a test that rebinds a freed port.
+fn rebinding() -> RwLockWriteGuard<'static, ()> {
+    PORTS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-repl-{}-{}", std::process::id(), name));
@@ -183,6 +200,7 @@ fn assert_identical(leader: &Database, replica: &Database, context: &str) {
 /// replica also rejects writes and reports its lag gauges.
 #[test]
 fn replica_matches_leader_at_every_tt_slice() {
+    let _ports = binding();
     for kind in KINDS {
         let tag = format!("{kind:?}").to_lowercase();
         let ldir = tmpdir(&format!("lead-{tag}"));
@@ -243,6 +261,7 @@ fn replica_matches_leader_at_every_tt_slice() {
 /// Every slice still matches.
 #[test]
 fn replica_resumes_after_restart() {
+    let _ports = binding();
     let ldir = tmpdir("resume-lead");
     let rdir = tmpdir("resume-repl");
     let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Split)).unwrap());
@@ -330,6 +349,7 @@ fn restart(leader: &Arc<Database>, addr: &str) -> Server {
 /// after the reopen arrives without a resync.
 #[test]
 fn replica_follows_its_leader_across_a_leader_crash() {
+    let _ports = rebinding();
     let ldir = tmpdir("crash-lead");
     let rdir = tmpdir("crash-repl");
     let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Chain)).unwrap());
@@ -377,6 +397,7 @@ fn replica_follows_its_leader_across_a_leader_crash() {
 /// instead of receiving empty chunks forever.
 #[test]
 fn a_position_outside_the_leaders_log_is_a_named_error() {
+    let _ports = binding();
     let ldir = tmpdir("badpos-lead");
     let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Delta)).unwrap());
     seed_ddl(&leader);
@@ -421,6 +442,7 @@ fn a_position_outside_the_leaders_log_is_a_named_error() {
 /// slice matches the leader afterwards.
 #[test]
 fn replica_crash_recovers_and_resumes() {
+    let _ports = binding();
     let ldir = tmpdir("crash-lead");
     let rdir = tmpdir("crash-repl");
     // The FaultVfs is purely in-memory, but the `repl.pos` sidecar lives
@@ -508,6 +530,7 @@ fn replica_crash_recovers_and_resumes() {
 /// neither, one, or both sides are compacted.
 #[test]
 fn replica_compacts_independently_of_leader() {
+    let _ports = binding();
     let ldir = tmpdir("tier-lead");
     let rdir = tmpdir("tier-repl");
     let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Split)).unwrap());
@@ -586,6 +609,7 @@ fn replica_compacts_independently_of_leader() {
 /// boundary, re-streamed transactions are skipped, nothing applies twice.
 #[test]
 fn reconnect_resumes_idempotently() {
+    let _ports = rebinding();
     let ldir = tmpdir("reconn-lead");
     let rdir = tmpdir("reconn-repl");
     let leader = Arc::new(Database::open(&ldir, cfg(StoreKind::Delta)).unwrap());
@@ -609,21 +633,7 @@ fn reconnect_resumes_idempotently() {
     server.shutdown();
     drop(server);
     run(&leader, "UPDATE emp SET salary = 111 WHERE name = 'ann'");
-    // Rebinding the same port can transiently fail while the old
-    // sockets drain; retry briefly.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let server = loop {
-        match Server::start(
-            leader.clone(),
-            ServerConfig::default().addr(addr.clone()).server_threads(2),
-        ) {
-            Ok(s) => break s,
-            Err(e) => {
-                assert!(Instant::now() < deadline, "cannot rebind {addr}: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    };
+    let server = restart(&leader, &addr);
     wait_sync(&leader, &replica, &follower);
     assert_identical(&leader, &replica, "after reconnect");
 
@@ -657,6 +667,7 @@ fn reconnect_resumes_idempotently() {
 /// the integrity check.
 #[test]
 fn replica_keeps_a_shared_index_value_until_its_last_version_closes() {
+    let _ports = binding();
     for kind in KINDS {
         let tag = format!("{kind:?}").to_lowercase();
         let ldir = tmpdir(&format!("shared-lead-{tag}"));

@@ -29,10 +29,12 @@
 //!   `published` at statement start ([`Database::pin_view`]) and resolve
 //!   visibility with `tt_visible(pinned)`; in-flight versions carry a
 //!   higher tt and are invisible at the pinned point, so readers never
-//!   take `commit_lock`. Structural hazards (B⁺-tree splits, value-index
-//!   remove/insert pairs, split-store migrations) are covered by a
-//!   per-atom-type apply seqlock: reads of a type whose apply is in
-//!   flight validate against the type's sequence counter and retry.
+//!   take `commit_lock` and never validate against a commit. The stores
+//!   are safe for a reader beside the one applier (latch-coupled B⁺-tree
+//!   descents, moves that publish the new place before they retire the
+//!   old one); a read of *current* state checks the store's change stamp
+//!   once and answers from history as of its view when it moved, and
+//!   maintenance that rewrites history holds the store's lock.
 //! * **Striped writers.** Write transactions lock the commit stripe of
 //!   every atom type they touch at first touch (wait-die on the begin
 //!   order, see [`crate::stripes`]); disjoint writers build overlays and
@@ -61,7 +63,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcom_catalog::{AttrDef, Catalog, MoleculeEdge};
 use tcom_kernel::{
-    AtomId, AtomNo, AtomTypeId, AttrId, Error, Lsn, MoleculeTypeId, Result, TimePoint, Tuple,
+    AtomId, AtomNo, AtomTypeId, AttrId, Error, Interval, Lsn, MoleculeTypeId, Result, TimePoint,
+    Tuple,
 };
 use tcom_obs::{Counter, MetricsSnapshot, Registry};
 use tcom_storage::btree::BTree;
@@ -73,39 +76,15 @@ use tcom_version::record::AtomVersion;
 use tcom_version::Store;
 use tcom_wal::{LogRecord, Wal, WalChunk};
 
-/// Runs of a whole-type validated section ([`Database::index_range_asof`]'s
-/// probe, [`Database::slice_at`]'s slice) before it answers through
-/// per-atom sections instead, and of [`Database::pin_index_range`]'s
-/// probe before it answers as of its view: a few, so a quiet type keeps
-/// the one section and a steadily written one still gets an answer.
-const ASOF_PROBE_TRIES: usize = 4;
-
 /// A pinned snapshot for reads: the published transaction-time clock at
-/// pin time, plus the pinned atom type's apply sequence (for detecting
-/// concurrent applies to that type). Cheap to create per statement via
-/// [`Database::pin_view`]; committed state at or before `tt` is immutable,
-/// so a view never goes stale — it just stops seeing newer commits.
+/// pin time. Cheap to create per statement via [`Database::pin_view`];
+/// committed state at or before `tt` is immutable, so a view never goes
+/// stale — it just stops seeing newer commits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadView {
     /// The pinned transaction time: the view sees exactly the commits
     /// with `tt_start <= tt`.
     pub tt: TimePoint,
-    ty: u32,
-    seq: u64,
-}
-
-/// Guard marking atom types as under apply (see [`Database`] internals);
-/// dropping it re-opens the types' validated read sections.
-struct ApplyGuard {
-    cells: Vec<Arc<AtomicU64>>,
-}
-
-impl Drop for ApplyGuard {
-    fn drop(&mut self) {
-        for c in &self.cells {
-            c.fetch_add(1, Ordering::AcqRel);
-        }
-    }
 }
 
 /// A bitemporal complex-object database.
@@ -137,9 +116,6 @@ pub struct Database {
     /// checkpointing waits here until `published == clock` (drained).
     publish_mx: Mutex<()>,
     publish_cv: Condvar,
-    /// Per-atom-type apply sequence counters (odd while an apply mutates
-    /// the type). Readers of a type validate against its counter.
-    apply_seqs: RwLock<HashMap<u32, Arc<AtomicU64>>>,
     /// Serializes the tt draw + WAL staging of commits, making WAL order
     /// equal tt order (the crash matrix relies on durable commits always
     /// forming a tt-prefix).
@@ -175,12 +151,6 @@ pub struct Database {
     stats: crate::stats::StatsRegistry,
     /// Completed segment compactions (swaps) since open.
     compactions: Counter,
-    /// `ASOF TT` index lookups and slices answered by the per-atom walk
-    /// because their validated section kept overlapping commits.
-    asof_walks: Counter,
-    /// Current-state index probes answered at their view's tt because
-    /// applies to the type kept overlapping the probe of the live index.
-    stale_probes: Counter,
 }
 
 impl Database {
@@ -266,7 +236,6 @@ impl Database {
             published: AtomicU64::new(0),
             publish_mx: Mutex::new(()),
             publish_cv: Condvar::new(),
-            apply_seqs: RwLock::new(HashMap::new()),
             wal_order: Mutex::new(()),
             maint: Mutex::new(()),
             stripes: StripeLocks::new(COMMIT_STRIPES),
@@ -281,8 +250,6 @@ impl Database {
             disks: Arc::new(Mutex::new(Vec::new())),
             stats: crate::stats::StatsRegistry::default(),
             compactions: Counter::new(),
-            asof_walks: Counter::new(),
-            stale_probes: Counter::new(),
         };
         db.register_engine_metrics();
         db.restore_counters(control.published, &control.next_atom_nos);
@@ -379,16 +346,15 @@ impl Database {
     /// atom's current versions holding a value: an insert counts its
     /// tuple, a close uncounts the one the store hands back, and only net
     /// changes touch an index. A close of a missing version, or a count
-    /// below zero, fails the batch. `publish` runs while the apply marks
-    /// are still raised, so a reader that validates against an even mark
-    /// afterwards pins a clock that includes the whole commit.
+    /// below zero, fails the batch. The stores' own changes precede the
+    /// index changes they cause, so a close reaches a store's time index
+    /// before the value index drops the closed value.
     pub(crate) fn apply_commit(
         &self,
         tt: TimePoint,
         recs: &[LogRecord],
         publish: fn(&Database, TimePoint),
     ) -> Result<()> {
-        // Sorted by (type, number): apply marks go up once per type.
         let mut changed: Vec<AtomId> =
             recs.iter()
                 .filter_map(|r| match r {
@@ -399,13 +365,9 @@ impl Database {
                 .collect();
         changed.sort_unstable();
         changed.dedup();
-        let mut tys: Vec<u32> = changed.iter().map(|a| a.ty.0).collect();
-        tys.dedup();
-        // Shared: appliers exclude maintenance, not each other (stripes,
-        // or the replica's single apply loop, serialize same-type
-        // appliers) and never readers, who retry around the apply marks.
+        // Shared: appliers exclude maintenance, not each other (the
+        // publish turn serializes them) and never readers.
         let _shared = self.commit_lock.read();
-        let _apply = self.begin_apply(&tys);
         // ((type, attribute, index key), change of the key's count)
         let mut deltas: Vec<((AtomTypeId, AttrId, BKey), i64)> = Vec::new();
         let catalog = self.catalog.read();
@@ -501,103 +463,28 @@ impl Database {
         self.txn_seq.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    // ---- snapshot read machinery ----
+    // ---- snapshot reads ----
 
-    /// The apply sequence cell of an atom type (created on first use).
-    fn apply_seq_cell(&self, ty: u32) -> Arc<AtomicU64> {
-        if let Some(c) = self.apply_seqs.read().get(&ty) {
-            return c.clone();
-        }
-        self.apply_seqs.write().entry(ty).or_default().clone()
-    }
-
-    /// Marks the given atom types as under apply (their sequence counters
-    /// go odd); the guard's drop makes them even again. Readers of those
-    /// types retry their validated sections in between.
-    fn begin_apply(&self, tys: &[u32]) -> ApplyGuard {
-        let cells: Vec<Arc<AtomicU64>> = tys.iter().map(|&t| self.apply_seq_cell(t)).collect();
-        for c in &cells {
-            let prev = c.fetch_add(1, Ordering::AcqRel);
-            debug_assert_eq!(prev & 1, 0, "nested apply on one type");
-        }
-        ApplyGuard { cells }
-    }
-
-    /// Pins a read view of an atom type: the published clock plus the
-    /// type's apply sequence, captured coherently (retries while an apply
-    /// to the type is in flight). All committed state `<= view.tt` is
-    /// stable under the view regardless of later commits.
-    pub fn pin_view(&self, ty: AtomTypeId) -> ReadView {
-        let cell = self.apply_seq_cell(ty.0);
-        loop {
-            let seq = cell.load(Ordering::Acquire);
-            if seq & 1 == 0 {
-                let tt = TimePoint(self.published.load(Ordering::Acquire));
-                if cell.load(Ordering::Acquire) == seq {
-                    return ReadView { tt, ty: ty.0, seq };
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Runs `f` in a validated section: the result is returned only if no
-    /// apply to `ty` ran concurrently; otherwise `f` retries. `f` must be
-    /// side-effect free (it may run multiple times).
-    pub(crate) fn read_stable<T>(&self, ty: AtomTypeId, f: impl Fn() -> Result<T>) -> Result<T> {
-        loop {
-            if let Some(r) = self.try_read_stable(ty, 1, &f)? {
-                return Ok(r);
-            }
-        }
-    }
-
-    /// [`Database::read_stable`] that gives up after `tries` runs of `f`
-    /// each overlapped an apply to `ty`, returning `None`. A section longer
-    /// than the gap between two commits rarely validates under a steady
-    /// writer, so a caller with such a section bounds it this way and then
-    /// answers through short per-atom sections instead.
-    pub(crate) fn try_read_stable<T>(
-        &self,
-        ty: AtomTypeId,
-        tries: usize,
-        f: impl Fn() -> Result<T>,
-    ) -> Result<Option<T>> {
-        let cell = self.apply_seq_cell(ty.0);
-        let mut left = tries;
-        while left > 0 {
-            let seq = cell.load(Ordering::Acquire);
-            if seq & 1 == 0 {
-                let r = f();
-                if cell.load(Ordering::Acquire) == seq {
-                    return r.map(Some);
-                }
-                left -= 1;
-            }
-            std::thread::yield_now();
-        }
-        Ok(None)
+    /// Pins a read view: the published clock. All committed state
+    /// `<= view.tt` is stable under the view regardless of later commits.
+    pub fn pin_view(&self) -> ReadView {
+        ReadView { tt: self.now() }
     }
 
     /// The versions of `atom` visible under `view` — the snapshot
-    /// counterpart of [`Database::current_versions`]. Fast path: when no
-    /// apply to the type has run since the view was pinned, the store's
-    /// current-state accessor answers directly (for the split store that
-    /// skips the history heap entirely); otherwise falls back to a
-    /// validated `versions_at(view.tt)`, which later commits cannot
-    /// perturb (their versions start after `view.tt`).
+    /// counterpart of [`Database::current_versions`]. Fast path: the
+    /// store's current-state accessor (for the split store that skips the
+    /// history heap entirely), kept when no change past the view had begun
+    /// to reach the store by the time it returned; otherwise
+    /// `versions_at(view.tt)`, which later commits cannot perturb (their
+    /// versions start after `view.tt`).
     pub fn versions_at_view(&self, atom: AtomId, view: &ReadView) -> Result<Vec<AtomVersion>> {
         let store = self.store(atom.ty)?;
-        if atom.ty.0 == view.ty {
-            let cell = self.apply_seq_cell(view.ty);
-            if cell.load(Ordering::Acquire) == view.seq {
-                let r = store.current_versions(atom.no);
-                if cell.load(Ordering::Acquire) == view.seq {
-                    return r;
-                }
-            }
+        let current = store.current_versions(atom.no);
+        if !store.changed_after(view.tt) {
+            return current;
         }
-        self.read_stable(atom.ty, || store.versions_at(atom.no, view.tt))
+        store.versions_at(atom.no, view.tt)
     }
 
     // ---- observability plumbing ----
@@ -647,10 +534,6 @@ impl Database {
             .register_counter("txn.wait_die_aborts", "", &self.stripes.aborts);
         self.obs
             .register_counter("segment.compactions", "", &self.compactions);
-        self.obs
-            .register_counter("index.asof_walks", "", &self.asof_walks);
-        self.obs
-            .register_counter("index.stale_probes", "", &self.stale_probes);
     }
 
     /// Registers one store's counter handles under its kind label. Every
@@ -901,14 +784,15 @@ impl Database {
 
     // ---- reads (committed state) ----
     //
-    // No read below takes `commit_lock`: per-call atomicity comes from the
-    // type's apply seqlock (validated retry), cross-call snapshot
-    // consistency from a pinned [`ReadView`] where the caller needs one.
+    // No read below takes `commit_lock` or validates against a commit:
+    // the stores are safe beside the applier, and a read answers as of
+    // one published tt — its own pinned view where it reads current
+    // state, a pinned [`ReadView`] across calls where the caller needs one.
 
-    /// The current versions of an atom (sorted by valid time).
+    /// The current versions of an atom (sorted by valid time), as of a
+    /// view pinned for the call.
     pub fn current_versions(&self, atom: AtomId) -> Result<Vec<AtomVersion>> {
-        let store = self.store(atom.ty)?;
-        self.read_stable(atom.ty, || store.current_versions(atom.no))
+        self.versions_at_view(atom, &self.pin_view())
     }
 
     /// The current tuple valid at `vt`, if any.
@@ -920,10 +804,20 @@ impl Database {
             .map(|v| v.tuple))
     }
 
-    /// The versions recorded at transaction time `tt` (sorted by valid time).
+    /// The versions recorded at transaction time `tt` (sorted by valid
+    /// time); `TimePoint::FOREVER` means the current state, as of a view
+    /// pinned for the call.
     pub fn versions_at(&self, atom: AtomId, tt: TimePoint) -> Result<Vec<AtomVersion>> {
-        let store = self.store(atom.ty)?;
-        self.read_stable(atom.ty, || store.versions_at(atom.no, tt))
+        self.store(atom.ty)?.versions_at(atom.no, self.pinned(tt))
+    }
+
+    /// `tt`, with `FOREVER` pinned to the published clock.
+    fn pinned(&self, tt: TimePoint) -> TimePoint {
+        if tt.is_forever() {
+            self.now()
+        } else {
+            tt
+        }
     }
 
     /// Index-backed transaction-time slice of a whole atom type: calls `f`
@@ -931,31 +825,18 @@ impl Database {
     /// atom-number order, versions sorted by valid time — the same groups a
     /// per-atom [`Database::versions_at`] sweep produces, but driven by the
     /// store's transaction-time interval index. `TimePoint::FOREVER` means
-    /// the current state. `f` returning `false` stops the scan.
+    /// the current state, as of a view pinned for the call. `f` returning
+    /// `false` stops the scan.
     ///
-    /// The slice is collected in one validated section (so a concurrent
-    /// apply retries the enumeration, not the caller's side effects), then
-    /// streamed to `f` outside it. Under a steady writer that section may
-    /// never validate, so after `ASOF_PROBE_TRIES` failed runs the
-    /// per-atom walk answers, the current state at the clock published
-    /// before the section.
+    /// The slice is collected first and then streamed to `f`, so `f` may
+    /// read the database itself.
     pub fn slice_at(
         &self,
         ty: AtomTypeId,
         tt: TimePoint,
         f: &mut dyn FnMut(AtomNo, Vec<AtomVersion>) -> Result<bool>,
     ) -> Result<()> {
-        let store = self.store(ty)?;
-        let at = if tt.is_forever() { self.now() } else { tt };
-        let groups = match self.try_read_stable(ty, ASOF_PROBE_TRIES, || store.slice_at(tt))? {
-            Some(groups) => groups,
-            None => self
-                .walk_at(ty, at)?
-                .into_iter()
-                .map(|(atom, vs)| (atom.no, vs))
-                .collect(),
-        };
-        for (no, vs) in groups {
+        for (no, vs) in self.store(ty)?.slice_at(self.pinned(tt))? {
             if !f(no, vs)? {
                 break;
             }
@@ -976,25 +857,30 @@ impl Database {
             .find(|v| v.vt.contains(vt)))
     }
 
-    /// The full recorded history of an atom (newest first).
+    /// The full recorded history of an atom (newest first), as of a view
+    /// pinned for the call: no version of a later commit, and a version a
+    /// later commit closes still open.
     pub fn history(&self, atom: AtomId) -> Result<Vec<AtomVersion>> {
-        let store = self.store(atom.ty)?;
-        self.read_stable(atom.ty, || store.history(atom.no))
+        let view = self.pin_view();
+        let mut vs = self.store(atom.ty)?.history(atom.no)?;
+        vs.retain(|v| v.tt.start() <= view.tt);
+        for v in &mut vs {
+            if v.tt.end() > view.tt {
+                v.tt = Interval::from_start(v.tt.start());
+            }
+        }
+        Ok(vs)
     }
 
     /// True iff the atom was ever inserted.
     pub fn atom_exists(&self, atom: AtomId) -> Result<bool> {
-        let store = self.store(atom.ty)?;
-        self.read_stable(atom.ty, || store.exists(atom.no))
+        self.store(atom.ty)?.exists(atom.no)
     }
 
     /// All atom ids of a type (whether currently visible or not).
     pub fn all_atoms(&self, ty: AtomTypeId) -> Result<Vec<AtomId>> {
-        let store = self.store(ty)?;
-        self.read_stable(ty, || {
-            let atoms = store.atoms()?;
-            Ok(atoms.into_iter().map(|no| AtomId::new(ty, no)).collect())
-        })
+        let atoms = self.store(ty)?.atoms()?;
+        Ok(atoms.into_iter().map(|no| AtomId::new(ty, no)).collect())
     }
 
     /// Index range scan over an indexed attribute's **current** values:
@@ -1022,48 +908,35 @@ impl Database {
         self.index_scan(ty, attr, BKey::min_for(lo_enc), BKey::max_for(hi_enc))
     }
 
-    /// Pins a read view of `ty` and takes, under it, the atoms holding a
-    /// value in `[lo_enc, hi_enc]`, in ascending order: a probe of the
-    /// live value index, exact at the view when no apply to the type ran
-    /// between the pin and the probe's end (after one, an atom whose value
-    /// it changed sits under its new key only). Nothing has been read
-    /// under the view yet, so a probe an apply overlapped pins a fresh
-    /// view and probes again. After `ASOF_PROBE_TRIES` such runs the
-    /// atoms of [`Database::index_range_asof`] at the last view's tt
-    /// answer, counted in `index.stale_probes`.
-    pub fn pin_index_range(
+    /// The atoms holding a value in `[lo_enc, hi_enc]` under `view`, in
+    /// ascending order: a probe of the live value index, exact at the view
+    /// when no change past the view had begun to reach the type's store by
+    /// the probe's end (after one, an atom whose value it changed may sit
+    /// under its new key only). So the store's stamp is checked once,
+    /// after the probe, and when it moved the atoms of
+    /// [`Database::index_range_asof`] at the view's tt answer instead.
+    pub fn index_range_at_view(
         &self,
         ty: AtomTypeId,
         attr: AttrId,
         lo_enc: u64,
         hi_enc: u64,
-    ) -> Result<(ReadView, Vec<AtomId>)> {
-        let idx = self.value_index(ty, attr)?;
-        let cell = self.apply_seq_cell(ty.0);
-        let (lo, hi) = (BKey::min_for(lo_enc), BKey::max_for(hi_enc));
-        let mut view = self.pin_view(ty);
-        for _ in 0..ASOF_PROBE_TRIES {
-            let mut out = Vec::new();
-            let probed = probe_into(&idx, ty, lo, hi, &mut out);
-            if cell.load(Ordering::Acquire) == view.seq {
-                probed?;
-                return Ok((view, sorted_unique(out)));
-            }
-            view = self.pin_view(ty);
+        view: &ReadView,
+    ) -> Result<Vec<AtomId>> {
+        let atoms = self.index_range_inclusive(ty, attr, lo_enc, hi_enc)?;
+        if !self.store(ty)?.changed_after(view.tt) {
+            return Ok(atoms);
         }
-        self.stale_probes.inc();
         let groups = self.index_range_asof(ty, attr, lo_enc, hi_enc, view.tt)?;
-        Ok((view, groups.into_iter().map(|(atom, _)| atom).collect()))
+        Ok(groups.into_iter().map(|(atom, _)| atom).collect())
     }
 
     /// The atoms under the value-index keys `[lo, hi)`.
     fn index_scan(&self, ty: AtomTypeId, attr: AttrId, lo: BKey, hi: BKey) -> Result<Vec<AtomId>> {
+        let mut out = Vec::new();
         let idx = self.value_index(ty, attr)?;
-        self.read_stable(ty, || {
-            let mut out = Vec::new();
-            probe_into(&idx, ty, lo, hi, &mut out)?;
-            Ok(sorted_unique(out))
-        })
+        probe_into(&idx, ty, lo, hi, &mut out)?;
+        Ok(sorted_unique(out))
     }
 
     /// The past-time counterpart of [`Database::index_range_inclusive`]:
@@ -1079,11 +952,10 @@ impl Database {
     /// open ones do not, or the index would hold it). Callers re-apply
     /// their predicate, which rules out every version left out.
     ///
-    /// Both sources are read in one validated section: split in two, the
-    /// closed half first, an atom whose visible version a commit closes
-    /// in between, and takes out of the index, would be in neither. Under
-    /// a steady writer that section may never validate, so after
-    /// `ASOF_PROBE_TRIES` failed runs the per-atom walk answers.
+    /// The index is probed before the closed half is read: a commit closes
+    /// a version in the store's time index before it takes the value out
+    /// of the value index, so a version the probe misses is already in
+    /// the closed half.
     pub fn index_range_asof(
         &self,
         ty: AtomTypeId,
@@ -1092,59 +964,28 @@ impl Database {
         hi_enc: u64,
         tt: TimePoint,
     ) -> Result<Vec<(AtomId, Vec<AtomVersion>)>> {
-        let idx = self.value_index(ty, attr)?;
-        let store = self.store(ty)?;
+        let held = self.index_range_inclusive(ty, attr, lo_enc, hi_enc)?;
         let pos = attr.0 as usize;
         let in_range = |v: &AtomVersion| {
             encode_value(v.tuple.get(pos)).is_some_and(|e| lo_enc <= e && e <= hi_enc)
         };
-        let found = self.try_read_stable(ty, ASOF_PROBE_TRIES, || {
-            let mut closed: BTreeMap<AtomId, Vec<AtomVersion>> = store
-                .closed_at(tt)?
-                .into_iter()
-                .filter(|(_, vs)| vs.iter().any(in_range))
-                .map(|(no, vs)| (AtomId::new(ty, no), vs))
-                .collect();
-            let mut held = Vec::new();
-            probe_into(
-                &idx,
-                ty,
-                BKey::min_for(lo_enc),
-                BKey::max_for(hi_enc),
-                &mut held,
-            )?;
-            // A held atom is fetched whole below; its closed group may
-            // lack its open versions.
-            for atom in &held {
-                closed.remove(atom);
-            }
-            Ok((closed, sorted_unique(held)))
-        })?;
-        let Some((mut groups, held)) = found else {
-            return self.walk_at(ty, tt);
-        };
+        let mut groups: BTreeMap<AtomId, Vec<AtomVersion>> = self
+            .store(ty)?
+            .closed_at(tt)?
+            .into_iter()
+            .filter(|(_, vs)| vs.iter().any(in_range))
+            .map(|(no, vs)| (AtomId::new(ty, no), vs))
+            .collect();
+        // A held atom is fetched whole; its closed group may lack its open
+        // versions.
         for atom in held {
+            groups.remove(&atom);
             let vs = self.versions_at(atom, tt)?;
             if !vs.is_empty() {
                 groups.insert(atom, vs);
             }
         }
         Ok(groups.into_iter().collect())
-    }
-
-    /// Every atom of `ty` with its versions visible at `tt`, in ascending
-    /// atom order, each atom read in a short validated section of its own:
-    /// the answer of a whole-type section that kept overlapping commits.
-    fn walk_at(&self, ty: AtomTypeId, tt: TimePoint) -> Result<Vec<(AtomId, Vec<AtomVersion>)>> {
-        self.asof_walks.inc();
-        let mut groups = Vec::new();
-        for atom in self.all_atoms(ty)? {
-            let vs = self.versions_at(atom, tt)?;
-            if !vs.is_empty() {
-                groups.push((atom, vs));
-            }
-        }
-        Ok(groups)
     }
 
     fn value_index(&self, ty: AtomTypeId, attr: AttrId) -> Result<Arc<BTree>> {
@@ -1214,7 +1055,7 @@ impl Database {
                     if !store.segments().list().iter().any(|s| s.seg == seg) {
                         self.add_segment(&store, ty, seg)?;
                     }
-                    store.extract_all_closed(cutoff)?;
+                    store.extract_all_closed(&store.maintenance(), cutoff)?;
                 }
             }
         }

@@ -4,8 +4,12 @@
 //! order `maint` → `wal_order` → drain → `commit_lock`. Each of its
 //! scopes takes a subsequence of that order (DESIGN §10.2), so no two
 //! maintenance operations wait on each other in a cycle. No scope takes
-//! a commit stripe: writers wait for maintenance, never die for it, and
-//! readers are never excluded.
+//! a commit stripe: writers wait for maintenance, never die for it.
+//! Readers are excluded only by the extraction of history, which holds
+//! each store's maintenance lock. A prune takes the locks *before* its
+//! scope, so it waits for the reads in flight while appliers still run; a
+//! swap takes its store's lock inside the flush scope, so a writer's base
+//! read never waits for a swap that waits for appliers.
 
 use super::Database;
 use crate::control::{Control, CONTROL_FILE};
@@ -184,23 +188,27 @@ impl Database {
     /// at or before `cutoff` (history pruning / vacuum); versions already
     /// archived into segments stay. Time-slices at `tt >= cutoff` are
     /// unaffected; earlier slices stop being faithful. Runs under `maint`
-    /// in the commits scope: writers wait at `wal_order` meanwhile, and
-    /// none dies. Pruning is not logged: it finishes with a checkpoint,
-    /// whose flush lands the pruned pages under a watermark past every
-    /// logged commit they contain, so recovery skips those commits instead
-    /// of replaying them over the pruned pages. Returns the number of
-    /// versions removed.
+    /// in the commits scope, under every store's maintenance lock (taken
+    /// first): writers wait at `wal_order` meanwhile, and none dies;
+    /// readers wait at the store locks. Pruning is not logged: it finishes
+    /// with a checkpoint, whose flush lands the pruned pages under a
+    /// watermark past every logged commit they contain, so recovery skips
+    /// those commits instead of replaying them over the pruned pages.
+    /// Returns the number of versions removed.
     pub fn prune_history(&self, cutoff: TimePoint) -> Result<u64> {
         let removed = {
             let _maint = self.maint.lock();
-            let _quiesced = Quiesced::commits(self);
             let type_ids: Vec<AtomTypeId> =
                 self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
-            let tys: Vec<u32> = type_ids.iter().map(|t| t.0).collect();
-            let _apply = self.begin_apply(&tys);
+            let stores = type_ids
+                .into_iter()
+                .map(|ty| self.store(ty))
+                .collect::<Result<Vec<Arc<Store>>>>()?;
+            let held: Vec<_> = stores.iter().map(|s| s.maintenance()).collect();
+            let _quiesced = Quiesced::commits(self);
             let mut removed = 0;
-            for ty in type_ids {
-                removed += self.store(ty)?.extract_all_closed(cutoff)?;
+            for (store, held) in stores.iter().zip(&held) {
+                removed += store.extract_all_closed(held, cutoff)?;
             }
             removed
         };
@@ -214,13 +222,14 @@ impl Database {
     /// Archives every closed (transaction-time-ended) version of one atom
     /// type into a new compressed, checksummed, immutable segment file,
     /// then swaps the heap records for it. Only `maint` is held until the
-    /// extraction, which alone runs in the flush scope. Crash-safe: the
-    /// segment reaches its final name via temp + rename *before* the
-    /// swap's WAL record — the record is the commit point, and recovery
-    /// either adopts the segment and redoes the heap extraction from it or
-    /// discards the unreferenced file. The control file lists the segment
-    /// from the next flush on. Returns the number of versions archived (0
-    /// when the type holds no closed history).
+    /// extraction, which alone runs in the flush scope, under the store's
+    /// maintenance lock. Crash-safe: the segment reaches its final name
+    /// via temp + rename *before* the swap's WAL record — the record is
+    /// the commit point, and recovery either adopts the segment and redoes
+    /// the heap extraction from it or discards the unreferenced file. The
+    /// control file lists the segment from the next flush on. Returns the
+    /// number of versions archived (0 when the type holds no closed
+    /// history).
     pub fn compact_type(&self, ty: AtomTypeId) -> Result<u64> {
         let _span = self.obs.span("db.compact");
         let archived = {
@@ -233,8 +242,8 @@ impl Database {
             // commits land around the swap record.
             let cutoff = self.now();
             let mut entries: Vec<(u64, AtomVersion)> = Vec::new();
-            for no in self.read_stable(ty, || store.atoms())? {
-                for v in self.read_stable(ty, || store.collect_closed(no, cutoff))? {
+            for no in store.atoms()? {
+                for v in store.collect_closed(no, cutoff)? {
                     entries.push((no.0, v));
                 }
             }
@@ -261,10 +270,13 @@ impl Database {
                 // are gone; a checkpoint that removed the record before
                 // this point leaves the file a leftover for the next open
                 // to delete.
+                // The store lock inside the scope: a commit staged meanwhile
+                // (its base reads take the store lock) may be what the
+                // scope's holder waits for.
                 let _quiesced = Quiesced::flush(self);
-                let _apply = self.begin_apply(&[ty.0]);
+                let held = store.maintenance();
                 self.add_segment(&store, ty.0, seg)?;
-                store.extract_all_closed(cutoff)?;
+                store.extract_all_closed(&held, cutoff)?;
             }
             self.compactions.inc();
             entries.len() as u64

@@ -21,9 +21,8 @@
 //! 4. the logged records are applied to the version stores and the value
 //!    indexes in publish-turn order by `Database::apply_commit` — the
 //!    routine a replica applies through too — under `commit_lock.read()`
-//!    (appliers exclude maintenance, not each other or readers) with the
-//!    written types' apply marks raised; then `t` is **published**, making
-//!    the commit visible to snapshot reads.
+//!    (appliers exclude maintenance, not each other or readers); then `t`
+//!    is **published**, making the commit visible to snapshot reads.
 //!
 //! Commit work is bounded by the *write set* — the atoms with buffered
 //! primitives. Atoms the transaction only read (a `current_versions` or
@@ -85,8 +84,8 @@ impl<'db> Txn<'db> {
     /// Acquires the commit stripe of `ty` if not already held. Every read
     /// of committed state that feeds this transaction's overlay (and every
     /// atom-number allocation) runs under the type's stripe; the first
-    /// touch of a type takes it implicitly. Maintenance takes no stripe,
-    /// so those reads still validate against the type's apply mark. A
+    /// touch of a type takes it implicitly. Maintenance takes no stripe;
+    /// those reads wait at the store's maintenance lock instead. A
     /// statement that enumerates a type's atoms takes it explicitly
     /// *before* the enumeration: otherwise an older transaction could
     /// enumerate, wait here behind a younger inserter, and miss the row
@@ -111,8 +110,8 @@ impl<'db> Txn<'db> {
     }
 
     /// The transaction's view of an atom's current versions
-    /// (read-your-writes). The base read is validated, since a segment
-    /// swap's extraction may rewrite the atom's records under the stripe.
+    /// (read-your-writes). The base read waits out a segment swap's
+    /// extraction, which may rewrite the atom's records under the stripe.
     pub fn current_versions(&mut self, atom: AtomId) -> Result<Vec<CurrentVersion>> {
         if let Some(v) = self.overlay.get(&atom) {
             return Ok(v.clone());

@@ -553,7 +553,7 @@ fn reader_op(ctx: &LegCtx<'_>, actor: &mut Actor) -> Result<()> {
             }
             // Snapshot reads through a pinned view: per-atom fetches must
             // be coherent with the pinned published clock.
-            let view = db.pin_view(world.rec);
+            let view = db.pin_view();
             for _ in 0..3 {
                 let atom = world.recs[actor.rng.below(world.recs.len() as u64) as usize];
                 let vs = db.versions_at_view(atom, &view)?;

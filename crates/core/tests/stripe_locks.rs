@@ -12,9 +12,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use tcom_core::stripes::StripeLocks;
 use tcom_core::{
-    is_wait_die_abort, AtomTypeId, AttrDef, DataType, Database, DbConfig, Interval, StoreKind,
-    SyncPolicy, Tuple, Value,
+    is_wait_die_abort, AtomTypeId, AttrDef, AttrId, DataType, Database, DbConfig, Interval,
+    StoreKind, SyncPolicy, Tuple, Value,
 };
+use tcom_storage::keys::encode_int;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("tcom-stripe-{}-{}", std::process::id(), tag));
@@ -262,10 +263,11 @@ fn disjoint_writers_commit_in_parallel() {
 
 /// Writers on two atom types commit updates and inserts (retrying
 /// wait-die aborts) while one thread loops every maintenance entry point:
-/// segment swap, history pruning, checkpoint and page flush. The run must
-/// finish inside the deadline — maintenance that took its locks out of
-/// order would deadlock against a committer instead — pass the integrity
-/// check, and show every committed write.
+/// segment swap, history pruning, checkpoint and page flush, and another
+/// loops a whole-type slice and an indexed `ASOF TT` probe of each type.
+/// The run must finish inside the deadline — maintenance that took its
+/// locks out of order would deadlock against a committer or the reader
+/// instead — pass the integrity check, and show every committed write.
 #[test]
 fn maintenance_never_wedges_commits() {
     const COMMITS: i64 = 100;
@@ -298,7 +300,7 @@ fn maintenance_never_wedges_commits() {
         seed.commit().unwrap();
 
         let writers_done = AtomicUsize::new(0);
-        let cycles = std::thread::scope(|s| {
+        let (cycles, reads) = std::thread::scope(|s| {
             let maintenance = s.spawn(|| {
                 let mut cycles = 0u64;
                 while writers_done.load(Ordering::Acquire) < types.len() || cycles == 0 {
@@ -312,6 +314,19 @@ fn maintenance_never_wedges_commits() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 cycles
+            });
+            let reader = s.spawn(|| {
+                let mut reads = 0u64;
+                while writers_done.load(Ordering::Acquire) < types.len() || reads == 0 {
+                    for &ty in &types {
+                        let tt = db.now();
+                        db.slice_at(ty, tt, &mut |_, _| Ok(true)).unwrap();
+                        let (lo, hi) = (encode_int(1), encode_int(1000));
+                        db.index_range_asof(ty, AttrId(0), lo, hi, tt).unwrap();
+                    }
+                    reads += 1;
+                }
+                reads
             });
             for w in 0..types.len() {
                 let (db, types, counters, done) = (&db, &types, &counters, &writers_done);
@@ -335,9 +350,9 @@ fn maintenance_never_wedges_commits() {
                     done.fetch_add(1, Ordering::AcqRel);
                 });
             }
-            maintenance.join().unwrap()
+            (maintenance.join().unwrap(), reader.join().unwrap())
         });
-        assert!(cycles >= 1);
+        assert!(cycles >= 1 && reads >= 1);
 
         // Every committed write is visible: each counter holds its
         // writer's last value, each type every value inserted into it.

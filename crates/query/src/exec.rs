@@ -693,29 +693,6 @@ fn flatten_expr(e: &Expr, f: &impl Fn(&Proj) -> Result<Proj>) -> Result<Expr> {
     })
 }
 
-/// Pins a statement's view of `def` and takes its candidates under it. A
-/// current-state value-index probe reads the live index, so it is pinned
-/// together with its view ([`Database::pin_index_range`]).
-fn pin_candidates(
-    db: &Database,
-    def: &AtomTypeDef,
-    access: &AccessPath,
-) -> Result<(ReadView, Candidates)> {
-    if let AccessPath::IndexRange {
-        attr,
-        lo,
-        hi,
-        tt: None,
-    } = access
-    {
-        let (view, atoms) = db.pin_index_range(def.id, *attr, *lo, *hi)?;
-        return Ok((view, Candidates::Atoms(atoms)));
-    }
-    let view = db.pin_view(def.id);
-    let candidates = candidates_for(db, &view, def, access)?;
-    Ok((view, candidates))
-}
-
 /// The candidate set of one atom type per an access path (join queries
 /// enumerate two sides, so this is def-parameterized, not `self`-bound).
 fn candidates_for(
@@ -726,14 +703,25 @@ fn candidates_for(
 ) -> Result<Candidates> {
     match access {
         AccessPath::Scan => db.all_atoms(def.id).map(Candidates::Atoms),
-        // A current-state probe is taken with its view by `pin_candidates`;
-        // one under a view pinned before is answered as of the view.
-        AccessPath::IndexRange { attr, lo, hi, tt } => Ok(Candidates::Slice(db.index_range_asof(
+        AccessPath::IndexRange {
+            attr,
+            lo,
+            hi,
+            tt: None,
+        } => db
+            .index_range_at_view(def.id, *attr, *lo, *hi, view)
+            .map(Candidates::Atoms),
+        AccessPath::IndexRange {
+            attr,
+            lo,
+            hi,
+            tt: Some(tt),
+        } => Ok(Candidates::Slice(db.index_range_asof(
             def.id,
             *attr,
             *lo,
             *hi,
-            clamp_tt(tt.unwrap_or(TimePoint::FOREVER), view),
+            clamp_tt(*tt, view),
         )?)),
         AccessPath::TimeSlice { tt } => {
             let ty = def.id;
@@ -1004,7 +992,7 @@ impl Prepared {
         let mut meter = Meter::start(db);
         let mut record = RunRecord::default();
         let out = if let Some(j) = &self.join {
-            let view = db.pin_view(self.type_def.id);
+            let view = db.pin_view();
             // Each side's access stage fetches and clips its versions, so
             // the stage's rows are versions and its pages the side's I/O.
             let mut side = |def: &AtomTypeDef, access: &AccessPath| -> Result<_> {
@@ -1021,7 +1009,8 @@ impl Prepared {
         } else {
             let ty = self.type_def.id;
             let segs = meter.segs(ty);
-            let (view, mut candidates) = pin_candidates(db, &self.type_def, &self.access)?;
+            let view = db.pin_view();
+            let mut candidates = candidates_for(db, &view, &self.type_def, &self.access)?;
             let ov = txn.filter(|_| self.overlay_in_scope()).map(|txn| Overlay {
                 txn,
                 tt: Interval::from_start(TimePoint(view.tt.0 + 1)),
@@ -1116,7 +1105,7 @@ impl Prepared {
     }
 
     /// Patches the transaction's written atoms into the candidate set of
-    /// [`pin_candidates`] — the one target selection behind every
+    /// [`candidates_for`] — the one target selection behind every
     /// statement, `SELECT` and the `UPDATE` / `DELETE` that run as one
     /// ([`crate::stmt`]). Over-approximation is fine: atoms committed
     /// after the view fetch no visible versions downstream.

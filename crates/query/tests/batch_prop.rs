@@ -218,7 +218,7 @@ impl RowQuery {
     /// visible versions in store order, clipped, filtered, projected,
     /// cut at the limit. No batches anywhere.
     fn fold(&self, db: &Database, ty: AtomTypeId) -> Vec<Row> {
-        let view = db.pin_view(ty);
+        let view = db.pin_view();
         let positions = self.cols.clone().unwrap_or_else(|| vec![0, 1]);
         let mut rows = Vec::new();
         for atom in db.all_atoms(ty).unwrap() {

@@ -13,14 +13,22 @@
 //! * internals — sorted separator keys with child pointers; child `i`
 //!   covers keys in `[key[i-1], key[i])` (child 0 covers `< key[0]`).
 //!
-//! Concurrency: node modifications assume a single writer (the engine
-//! serializes DML); readers are safe against concurrent readers. Deletion
-//! is *lazy* — entries are removed but nodes are never merged, a policy
-//! many production trees (e.g. PostgreSQL pre-vacuum) share; after a mass
-//! removal, [`BTree::compact`] repacks the survivors into dense nodes so
-//! scans stop paying for emptied pages.
+//! Concurrency: one writer at a time (the engine applies commits one
+//! after another), any number of readers beside it. A reader descends
+//! latch-coupled: it holds a node's page latch until it holds the child's,
+//! so it never follows a pointer the writer is about to move. The writer
+//! changes one leaf under that leaf's write latch alone; an insert whose
+//! leaf overflows takes write latches from the meta page down to the leaf
+//! first, so a reader meets every level of the split either before or
+//! after it. A split writes the new right sibling before the left node
+//! links to it, so a scan walking the leaf chain (one leaf latched at a
+//! time) sees each entry once. Deletion is *lazy* — entries are removed
+//! but nodes are never merged, a policy many production trees (e.g.
+//! PostgreSQL pre-vacuum) share; after a mass removal, [`BTree::compact`]
+//! repacks the survivors into dense nodes so scans stop paying for emptied
+//! pages.
 
-use crate::buffer::{BufferPool, FileId};
+use crate::buffer::{BufferPool, FileId, PageMut, PageRef};
 use crate::keys::BKey;
 use crate::page::{Page, PageKind, PAGE_SIZE};
 use std::sync::Arc;
@@ -125,6 +133,31 @@ impl BTree {
         Ok(PageId(meta.read_u32(META_ROOT)))
     }
 
+    /// The latched leaf whose key range holds `key`, reached latch-coupled
+    /// from the meta page: each node stays latched until its child is.
+    fn leaf_for(&self, key: BKey) -> Result<PageRef<'_>> {
+        let meta = self.pool.fetch_read(self.file, PageId(0))?;
+        let mut page = self
+            .pool
+            .fetch_read(self.file, PageId(meta.read_u32(META_ROOT)))?;
+        drop(meta);
+        loop {
+            match page.kind()? {
+                PageKind::BTreeInternal => {
+                    let node = Self::load_int(&page)?;
+                    let child = node.children[child_index(&node.keys, key)];
+                    page = self.pool.fetch_read(self.file, child)?;
+                }
+                PageKind::BTreeLeaf => return Ok(page),
+                k => {
+                    return Err(Error::corruption(format!(
+                        "unexpected page kind {k:?} in btree"
+                    )))
+                }
+            }
+        }
+    }
+
     fn set_root(&self, root: PageId) -> Result<()> {
         let mut meta = self.pool.fetch_write(self.file, PageId(0))?;
         meta.write_u32(META_ROOT, root.0);
@@ -223,38 +256,16 @@ impl BTree {
         Ok(pid)
     }
 
-    fn node_kind(&self, pid: PageId) -> Result<PageKind> {
-        let page = self.pool.fetch_read(self.file, pid)?;
-        page.kind()
-    }
-
     // ---- point operations ----
 
     /// Looks up a key.
     pub fn get(&self, key: BKey) -> Result<Option<u64>> {
-        let mut pid = self.root()?;
-        loop {
-            let page = self.pool.fetch_read(self.file, pid)?;
-            match page.kind()? {
-                PageKind::BTreeInternal => {
-                    let node = Self::load_int(&page)?;
-                    pid = node.children[child_index(&node.keys, key)];
-                }
-                PageKind::BTreeLeaf => {
-                    let node = Self::load_leaf(&page)?;
-                    return Ok(node
-                        .entries
-                        .binary_search_by_key(&key, |e| e.0)
-                        .ok()
-                        .map(|i| node.entries[i].1));
-                }
-                k => {
-                    return Err(Error::corruption(format!(
-                        "unexpected page kind {k:?} in btree"
-                    )))
-                }
-            }
-        }
+        let node = Self::load_leaf(&*self.leaf_for(key)?)?;
+        Ok(node
+            .entries
+            .binary_search_by_key(&key, |e| e.0)
+            .ok()
+            .map(|i| node.entries[i].1))
     }
 
     /// Inserts or replaces; returns the previous value if the key existed.
@@ -275,105 +286,108 @@ impl BTree {
         key: BKey,
         f: impl FnOnce(Option<u64>) -> Option<u64>,
     ) -> Result<Option<u64>> {
-        let root = self.root()?;
-        let mut kept = false;
-        let (old, split) = self.update_rec(root, key, |old| {
-            let new = f(old);
-            kept = new.is_some();
-            new
-        })?;
-        if let Some((sep, new_child)) = split {
-            let new_root = self.alloc_int(IntNode {
-                keys: vec![sep],
-                children: vec![root, new_child],
-            })?;
-            self.set_root(new_root)?;
+        // This is the tree's one writer, so the path it reads cannot move
+        // before it latches the leaf.
+        let mut pid = self.root()?;
+        let mut page = loop {
+            let page = self.pool.fetch_read(self.file, pid)?;
+            match page.kind()? {
+                PageKind::BTreeInternal => {
+                    let node = Self::load_int(&page)?;
+                    pid = node.children[child_index(&node.keys, key)];
+                }
+                PageKind::BTreeLeaf => {
+                    drop(page);
+                    break self.pool.fetch_write(self.file, pid)?;
+                }
+                k => {
+                    return Err(Error::corruption(format!(
+                        "unexpected page kind {k:?} in btree"
+                    )))
+                }
+            }
+        };
+        let mut node = Self::load_leaf(&page)?;
+        let found = node.entries.binary_search_by_key(&key, |e| e.0);
+        let old = found.ok().map(|i| node.entries[i].1);
+        let new = f(old);
+        match (found, new) {
+            (Ok(i), Some(value)) => node.entries[i].1 = value,
+            (Ok(i), None) => {
+                node.entries.remove(i);
+            }
+            (Err(_), None) => return Ok(None),
+            (Err(i), Some(value)) => node.entries.insert(i, (key, value)),
         }
-        let delta = kept as i64 - old.is_some() as i64;
+        if node.entries.len() <= self.leaf_cap {
+            Self::store_leaf(&mut page, &node);
+            // Readers latch the meta page before any node: never hold a
+            // node while waiting for it.
+            drop(page);
+        } else {
+            drop(page);
+            self.split(key, node)?;
+        }
+        let delta = new.is_some() as i64 - old.is_some() as i64;
         if delta != 0 {
             self.bump_count(delta)?;
         }
         Ok(old)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn update_rec(
-        &self,
-        pid: PageId,
-        key: BKey,
-        f: impl FnOnce(Option<u64>) -> Option<u64>,
-    ) -> Result<(Option<u64>, Option<(BKey, PageId)>)> {
-        match self.node_kind(pid)? {
-            PageKind::BTreeLeaf => {
-                let mut page = self.pool.fetch_write(self.file, pid)?;
-                let mut node = Self::load_leaf(&page)?;
-                let found = node.entries.binary_search_by_key(&key, |e| e.0);
-                let old = found.ok().map(|i| node.entries[i].1);
-                match (found, f(old)) {
-                    (Ok(i), Some(value)) => node.entries[i].1 = value,
-                    (Ok(i), None) => {
-                        node.entries.remove(i);
-                    }
-                    (Err(_), None) => return Ok((None, None)),
-                    (Err(i), Some(value)) => node.entries.insert(i, (key, value)),
-                }
-                if node.entries.len() <= self.leaf_cap {
-                    Self::store_leaf(&mut page, &node);
-                    return Ok((old, None));
-                }
-                // Split: upper half moves to a fresh right sibling.
-                let mid = node.entries.len() / 2;
-                let right_entries = node.entries.split_off(mid);
-                let sep = right_entries[0].0;
-                let right = LeafNode {
-                    entries: right_entries,
-                    next: node.next,
-                };
-                drop(page); // release latch before allocating
-                let right_id = self.alloc_leaf(right)?;
-                let mut page = self.pool.fetch_write(self.file, pid)?;
-                node.next = right_id;
-                Self::store_leaf(&mut page, &node);
-                Ok((old, Some((sep, right_id))))
+    /// Stores `leaf`, the overfull new content of the leaf holding `key`,
+    /// split in two, and carries the split up as far as it goes. Every
+    /// node on the path is write-latched, from the meta page down, before
+    /// any changes, and stays so until all have; each new right sibling is
+    /// written before its left node or parent names it.
+    fn split(&self, key: BKey, mut leaf: LeafNode) -> Result<()> {
+        let mut meta = self.pool.fetch_write(self.file, PageId(0))?;
+        let root = PageId(meta.read_u32(META_ROOT));
+        let mut path: Vec<(PageMut<'_>, IntNode)> = Vec::new();
+        let mut pid = root;
+        let mut page = loop {
+            let page = self.pool.fetch_write(self.file, pid)?;
+            if page.kind()? != PageKind::BTreeInternal {
+                break page;
             }
-            PageKind::BTreeInternal => {
-                let node = {
-                    let page = self.pool.fetch_read(self.file, pid)?;
-                    Self::load_int(&page)?
-                };
-                let ci = child_index(&node.keys, key);
-                let (old, split) = self.update_rec(node.children[ci], key, f)?;
-                let Some((sep, new_child)) = split else {
-                    return Ok((old, None));
-                };
-                // Reload: the child update may have restructured nothing at
-                // this level, but stay defensive about ordering.
-                let mut page = self.pool.fetch_write(self.file, pid)?;
-                let mut node = Self::load_int(&page)?;
-                let pos = child_index(&node.keys, sep);
-                node.keys.insert(pos, sep);
-                node.children.insert(pos + 1, new_child);
-                if node.keys.len() <= self.int_cap {
-                    Self::store_int(&mut page, &node);
-                    return Ok((old, None));
-                }
-                // Split internal node: the middle key moves *up*.
-                let mid = node.keys.len() / 2;
-                let up_key = node.keys[mid];
-                let right = IntNode {
-                    keys: node.keys.split_off(mid + 1),
-                    children: node.children.split_off(mid + 1),
-                };
-                node.keys.pop(); // the up_key leaves this node
+            let node = Self::load_int(&page)?;
+            pid = node.children[child_index(&node.keys, key)];
+            path.push((page, node));
+        };
+        // The upper half moves to a fresh right sibling.
+        let right_entries = leaf.entries.split_off(leaf.entries.len() / 2);
+        let mut sep = right_entries[0].0;
+        let mut right = self.alloc_leaf(LeafNode {
+            entries: right_entries,
+            next: leaf.next,
+        })?;
+        leaf.next = right;
+        Self::store_leaf(&mut page, &leaf);
+        while let Some((mut page, mut node)) = path.pop() {
+            let pos = child_index(&node.keys, sep);
+            node.keys.insert(pos, sep);
+            node.children.insert(pos + 1, right);
+            if node.keys.len() <= self.int_cap {
                 Self::store_int(&mut page, &node);
-                drop(page);
-                let right_id = self.alloc_int(right)?;
-                Ok((old, Some((up_key, right_id))))
+                return Ok(());
             }
-            k => Err(Error::corruption(format!(
-                "unexpected page kind {k:?} in btree"
-            ))),
+            // Split internal node: the middle key moves *up*.
+            let mid = node.keys.len() / 2;
+            let up_key = node.keys[mid];
+            right = self.alloc_int(IntNode {
+                keys: node.keys.split_off(mid + 1),
+                children: node.children.split_off(mid + 1),
+            })?;
+            node.keys.pop(); // the up_key leaves this node
+            Self::store_int(&mut page, &node);
+            sep = up_key;
         }
+        let new_root = self.alloc_int(IntNode {
+            keys: vec![sep],
+            children: vec![root, right],
+        })?;
+        meta.write_u32(META_ROOT, new_root.0);
+        Ok(())
     }
 
     // ---- range operations ----
@@ -386,29 +400,11 @@ impl BTree {
         hi: BKey,
         mut f: impl FnMut(BKey, u64) -> Result<bool>,
     ) -> Result<()> {
-        // Descend to the leaf that would contain `lo`.
-        let mut pid = self.root()?;
+        // Walk the leaf chain from the leaf that would contain `lo`.
+        let mut page = self.leaf_for(lo)?;
         loop {
-            let page = self.pool.fetch_read(self.file, pid)?;
-            match page.kind()? {
-                PageKind::BTreeInternal => {
-                    let node = Self::load_int(&page)?;
-                    pid = node.children[child_index(&node.keys, lo)];
-                }
-                PageKind::BTreeLeaf => break,
-                k => {
-                    return Err(Error::corruption(format!(
-                        "unexpected page kind {k:?} in btree"
-                    )))
-                }
-            }
-        }
-        // Walk the leaf chain.
-        loop {
-            let node = {
-                let page = self.pool.fetch_read(self.file, pid)?;
-                Self::load_leaf(&page)?
-            };
+            let node = Self::load_leaf(&page)?;
+            drop(page);
             for (k, v) in &node.entries {
                 if *k < lo {
                     continue;
@@ -423,7 +419,7 @@ impl BTree {
             if node.next.is_invalid() {
                 return Ok(());
             }
-            pid = node.next;
+            page = self.pool.fetch_read(self.file, node.next)?;
         }
     }
 
@@ -458,9 +454,9 @@ impl BTree {
     /// never shrinks — but become unreachable from the new root, so
     /// probes and scans touch only dense nodes afterwards.
     ///
-    /// Callers must hold exclusive access (same single-writer contract as
-    /// `insert`/`remove`): the rebuild overwrites nodes the old root
-    /// still references before the root pointer moves.
+    /// Callers must exclude readers as well as other writers: the rebuild
+    /// overwrites nodes the old root still references before the root
+    /// pointer moves.
     pub fn compact(&self) -> Result<()> {
         let entries = self.range_vec(BKey::MIN, BKey::MAX)?;
         let mut reusable = Vec::new();

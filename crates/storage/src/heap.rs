@@ -5,10 +5,11 @@
 //! at page 1. Free space is tracked by an in-memory advisory cache that is
 //! populated as pages are touched. Records keep their [`RecordId`] for
 //! their lifetime unless an update outgrows the page, in which case
-//! [`HeapFile::update`] returns the record's new address and the caller
-//! (atom directory, version store) re-points its references — exactly the
-//! "forwarding is the access path's problem" policy classic storage
-//! systems use.
+//! [`HeapFile::update`] writes the record to a new address and returns it,
+//! and the caller (atom directory, version store) re-points its references
+//! and then deletes the old copy — exactly the "forwarding is the access
+//! path's problem" policy classic storage systems use. A reader that
+//! found the old address before the re-point still reads a whole record.
 
 use crate::buffer::{BufferPool, FileId};
 use crate::page::PageKind;
@@ -153,8 +154,9 @@ impl HeapFile {
         Ok(sp.is_live(rid.slot))
     }
 
-    /// Updates a record in place when possible; relocates it otherwise.
-    /// Returns the (possibly new) address.
+    /// Updates a record in place when possible. Otherwise writes it to a
+    /// new address and leaves the old copy live, for the caller to delete
+    /// once nothing points at it. Returns the (possibly new) address.
     pub fn update(&self, rid: RecordId, rec: &[u8]) -> Result<RecordId> {
         {
             let mut page = self.pool.fetch_write(self.file, rid.page)?;
@@ -167,7 +169,6 @@ impl HeapFile {
             }
         }
         // Outgrew the page: relocate.
-        self.delete(rid)?;
         self.insert(rec)
     }
 
@@ -257,6 +258,9 @@ mod tests {
         let big = vec![1u8; 4000];
         let moved = h.update(rid, &big).unwrap();
         assert_eq!(h.get(moved).unwrap(), big);
+        assert_eq!(h.get(rid).unwrap(), b"tiny", "the old copy stays");
+        h.delete(rid).unwrap();
+        assert!(!h.exists(rid).unwrap());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -24,4 +24,4 @@ mod timeindex;
 
 pub use record::AtomVersion;
 pub use segment::{write_segment_file, Segment, SegmentFooter, SegmentSet, SegmentSetStats};
-pub use store::{HeapShape, Store, StoreKind, StoreObs, StoreStats};
+pub use store::{HeapShape, Maintenance, Store, StoreKind, StoreObs, StoreStats};

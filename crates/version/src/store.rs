@@ -27,12 +27,19 @@
 //! 4. **split's early stop** — its history chain descends in `tt.end`, so
 //!    a past read stops at the first record closed at or before the asked
 //!    time.
+//!
+//! Readers run beside the one writer without validating against it: each
+//! move publishes a version's new place before it retires the old one, and
+//! readers read the retiring place first and drop duplicates (DESIGN
+//! §10.1). [`Store::changed_after`] and [`Store::maintenance`] guard what
+//! ordering cannot cover.
 
 use crate::record::{AtomVersion, CurrentSet, Payload, TupleDelta, VersionRecord};
 use crate::segment::SegmentSet;
 use crate::timeindex::TimeIndex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tcom_kernel::codec::Decoder;
 use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_obs::Counter;
@@ -161,13 +168,12 @@ struct CurrentArea {
 
 impl CurrentArea {
     fn load(&self, no: AtomNo) -> Result<Option<(RecordId, CurrentSet)>> {
-        let Some(rid) = dir_get(&self.dir, no)? else {
-            return Ok(None);
-        };
-        let set = self
-            .heap
-            .with_record(rid, |b| CurrentSet::decode(b, no))??;
-        Ok(Some((rid, set)))
+        through_dir(&self.dir, no, |rid| {
+            let set = self
+                .heap
+                .with_record(rid, |b| CurrentSet::decode(b, no))??;
+            Ok((rid, set))
+        })
     }
 
     /// The atom's current versions, in valid-time order.
@@ -177,6 +183,9 @@ impl CurrentArea {
             .map_or_else(Vec::new, |(_, set)| set.into_versions().collect()))
     }
 
+    /// Writes the atom's set over `rid`; a set that outgrows its page is
+    /// written elsewhere and its directory entry repointed before the old
+    /// slot is freed.
     fn save(&self, no: AtomNo, rid: Option<RecordId>, set: &CurrentSet) -> Result<()> {
         let bytes = set.encode(no);
         let new_rid = match rid {
@@ -185,6 +194,9 @@ impl CurrentArea {
         };
         if rid != Some(new_rid) {
             dir_set(&self.dir, no, new_rid)?;
+            if let Some(old) = rid {
+                self.heap.delete(old)?;
+            }
         }
         Ok(())
     }
@@ -225,7 +237,7 @@ impl Link {
 /// record's chain predecessor (the next-newer record) always exists and
 /// reconstructs the tuple the delta is relative to; compression happens
 /// only when the delta fits in the record's existing slot, so chain
-/// records never relocate outside [`Store::extract_closed`].
+/// records never relocate outside [`Store::extract_all_closed`].
 pub struct Store {
     kind: StoreKind,
     /// Backward version chains, newest first: every version of an atom
@@ -241,6 +253,17 @@ pub struct Store {
     /// fed by the compactor.
     segs: Arc<SegmentSet>,
     obs: StoreObs,
+    /// The latest transaction time whose change has begun to reach this
+    /// store (monotone).
+    stamp: AtomicU64,
+    /// Shared by every read, exclusive while history is extracted.
+    maint: RwLock<()>,
+}
+
+/// Exclusive hold of a store's maintenance lock ([`Store::maintenance`]):
+/// no read of the store runs while it is held.
+pub struct Maintenance<'a> {
+    _held: RwLockWriteGuard<'a, ()>,
 }
 
 impl Store {
@@ -291,7 +314,35 @@ impl Store {
             tix: TimeIndex::over(tree(chain[2])?),
             segs: SegmentSet::new(),
             obs: StoreObs::default(),
+            stamp: AtomicU64::new(0),
+            maint: RwLock::new(()),
         })
+    }
+
+    /// True when a change at a transaction time past `tt` has begun to
+    /// reach the store. A read of current state that finds this false
+    /// *after* it finished saw exactly the commits up to `tt`, once `tt`
+    /// is published.
+    pub fn changed_after(&self, tt: TimePoint) -> bool {
+        self.stamp.load(Ordering::SeqCst) > tt.0
+    }
+
+    /// Takes the maintenance lock exclusively, waiting for the reads in
+    /// flight; [`Store::extract_all_closed`] runs under it.
+    pub fn maintenance(&self) -> Maintenance<'_> {
+        Maintenance {
+            _held: self.maint.write().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
+    /// The maintenance lock shared, for one read.
+    fn read(&self) -> RwLockReadGuard<'_, ()> {
+        self.maint.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Notes that a change at `tt` begins.
+    fn stamp(&self, tt: TimePoint) {
+        self.stamp.fetch_max(tt.0, Ordering::SeqCst);
     }
 
     /// Which layout this store uses.
@@ -307,7 +358,7 @@ impl Store {
 
     /// The store's immutable compressed segments of archived history.
     /// Read paths merge these transparently; the engine publishes into
-    /// the set under its quiescence protocol.
+    /// the set while it holds the store's [`Store::maintenance`] lock.
     pub fn segments(&self) -> &Arc<SegmentSet> {
         &self.segs
     }
@@ -319,11 +370,17 @@ impl Store {
 
     /// True iff the atom has ever been inserted.
     pub fn exists(&self, no: AtomNo) -> Result<bool> {
+        let _read = self.read();
         Ok(dir_get(self.atom_dir(), no)?.is_some())
     }
 
     /// Every atom in the store, in ascending atom-number order.
     pub fn atoms(&self) -> Result<Vec<AtomNo>> {
+        let _read = self.read();
+        self.atom_nos()
+    }
+
+    fn atom_nos(&self) -> Result<Vec<AtomNo>> {
         let mut out = Vec::new();
         self.atom_dir().scan_range(BKey::MIN, BKey::MAX, |k, _| {
             out.push(AtomNo(k.hi));
@@ -339,44 +396,55 @@ impl Store {
     /// decodes and clones none of them.
     fn walk(&self, no: AtomNo, mut f: impl FnMut(&Link) -> Result<bool>) -> Result<()> {
         self.obs.chain_walks.inc();
-        let mut cur = dir_get(&self.dir, no)?.filter(|r| !r.is_invalid());
-        let mut newer: Option<Link> = None;
-        while let Some(rid) = cur {
+        let mut next = through_dir(&self.dir, no, |rid| {
             self.obs.chain_steps.inc();
-            let rec = self.heap.with_record(rid, VersionRecord::decode)??;
-            if rec.atom_no != no {
-                return Err(Error::corruption(format!(
-                    "chain of atom {} reached record of atom {} at {rid:?}",
-                    no.0, rec.atom_no.0
-                )));
-            }
-            let tuple = match (rec.payload, &newer) {
-                // Decision 2: only the delta layout reconstructs.
-                (Payload::Delta(d), Some(base)) if self.kind == StoreKind::Delta => {
-                    self.obs.delta_reconstructions.inc();
-                    d.apply(&base.tuple)
-                }
-                (Payload::Delta(_), None) if self.kind == StoreKind::Delta => {
-                    return Err(Error::corruption(
-                        "delta record at chain head has no base tuple",
-                    ));
-                }
-                (payload, _) => full_copy(payload)?,
-            };
-            let link = Link {
-                rid,
-                vt: rec.vt,
-                tt: rec.tt,
-                prev: rec.prev,
-                tuple,
-            };
+            self.link(no, rid, None)
+        })?;
+        while let Some(link) = next {
             if !f(&link)? {
                 return Ok(());
             }
-            cur = (!link.prev.is_invalid()).then_some(link.prev);
-            newer = Some(link);
+            next = match link.prev.is_invalid() {
+                true => None,
+                false => {
+                    self.obs.chain_steps.inc();
+                    Some(self.link(no, link.prev, Some(&link))?)
+                }
+            };
         }
         Ok(())
+    }
+
+    /// Chain record `rid` of atom `no`, its tuple reconstructed against
+    /// `newer`, the record before it on the walk.
+    fn link(&self, no: AtomNo, rid: RecordId, newer: Option<&Link>) -> Result<Link> {
+        let rec = self.heap.with_record(rid, VersionRecord::decode)??;
+        if rec.atom_no != no {
+            return Err(Error::corruption(format!(
+                "chain of atom {} reached record of atom {} at {rid:?}",
+                no.0, rec.atom_no.0
+            )));
+        }
+        let tuple = match (rec.payload, newer) {
+            // Decision 2: only the delta layout reconstructs.
+            (Payload::Delta(d), Some(base)) if self.kind == StoreKind::Delta => {
+                self.obs.delta_reconstructions.inc();
+                d.apply(&base.tuple)
+            }
+            (Payload::Delta(_), None) if self.kind == StoreKind::Delta => {
+                return Err(Error::corruption(
+                    "delta record at chain head has no base tuple",
+                ));
+            }
+            (payload, _) => full_copy(payload)?,
+        };
+        Ok(Link {
+            rid,
+            vt: rec.vt,
+            tt: rec.tt,
+            prev: rec.prev,
+            tuple,
+        })
     }
 
     /// Decision 3 — the payload word of a chain record's time-index entry
@@ -440,6 +508,7 @@ impl Store {
         tt_start: TimePoint,
         tuple: &Tuple,
     ) -> Result<()> {
+        self.stamp(tt_start);
         if let Some(cur) = &self.cur {
             let (rid, mut set) = match cur.load(no)? {
                 Some((rid, set)) => (Some(rid), set),
@@ -483,6 +552,7 @@ impl Store {
         vt_start: TimePoint,
         tt_end: TimePoint,
     ) -> Result<Option<Tuple>> {
+        self.stamp(tt_end);
         let closed = |tt_start: TimePoint| {
             Interval::new(tt_start, tt_end)
                 .ok_or_else(|| Error::internal("tt close before tt start"))
@@ -499,7 +569,8 @@ impl Store {
                 return Ok(None);
             };
             let (vt, tt_start, tuple) = set.entries.remove(pos);
-            // Append the closed version to the history chain.
+            // Append the closed version to the history chain and index it
+            // before it leaves the current set.
             let rec = VersionRecord {
                 atom_no: no,
                 vt,
@@ -510,10 +581,10 @@ impl Store {
             let rid = self.heap.insert(&rec.encode())?;
             dir_set(&self.dir, no, rid)?;
             self.obs.split_migrations.inc();
+            self.index_record(rid, no, &rec.tt)?;
             // The shrunk set is kept even when empty: its directory entry
             // marks the atom as existing.
             cur.save(no, Some(set_rid), &set)?;
-            self.index_record(rid, no, &rec.tt)?;
             // The open entry is shared by every current version of this
             // atom with the same tt_start; drop it only when none remain.
             if !set.entries.iter().any(|(_, s, _)| *s == tt_start) {
@@ -564,13 +635,18 @@ impl Store {
 
     /// The heap-resident versions of `no`, unsorted: every one (`at` =
     /// `None`) or those visible at transaction time `at`.
+    ///
+    /// On split the current set is read before the history chain, so a
+    /// version closing meanwhile shows up once at least; twice, it keeps
+    /// its closed copy.
     fn heap_versions(&self, no: AtomNo, at: Option<TimePoint>) -> Result<Vec<AtomVersion>> {
         let wanted = |tt: &Interval| at.is_none_or(|t| tt_visible(tt, t));
-        let mut out = match &self.cur {
+        let mut current = match &self.cur {
             Some(cur) => cur.versions(no)?,
             None => Vec::new(),
         };
-        out.retain(|v| wanted(&v.tt));
+        current.retain(|v| wanted(&v.tt));
+        let mut out = Vec::new();
         self.walk(no, |l| {
             // Decision 4: everything older closed even earlier.
             if self.kind == StoreKind::Split && at.is_some_and(|t| l.tt.end() <= t) {
@@ -581,11 +657,14 @@ impl Store {
             }
             Ok(true)
         })?;
-        Ok(out)
+        current.retain(|c| !out.iter().any(|v| same_version(v, c)));
+        current.append(&mut out);
+        Ok(current)
     }
 
     /// The current (tt-open) versions, sorted by valid-time start.
     pub fn current_versions(&self, no: AtomNo) -> Result<Vec<AtomVersion>> {
+        let _read = self.read();
         match &self.cur {
             // Current access never touches history pages.
             Some(cur) => cur.versions(no),
@@ -598,6 +677,7 @@ impl Store {
     /// The versions visible at transaction time `tt`, sorted by valid-time
     /// start.
     pub fn versions_at(&self, no: AtomNo, tt: TimePoint) -> Result<Vec<AtomVersion>> {
+        let _read = self.read();
         let mut out = self.heap_versions(no, Some(tt))?;
         self.segs.versions_at_for(no, tt, &mut out)?;
         Ok(sort_by_vt(out))
@@ -605,6 +685,7 @@ impl Store {
 
     /// Every stored version, newest-recorded first.
     pub fn history(&self, no: AtomNo) -> Result<Vec<AtomVersion>> {
+        let _read = self.read();
         let mut out = self.heap_versions(no, None)?;
         self.segs.history_for(no, &mut out)?;
         Ok(sort_history(out))
@@ -617,7 +698,11 @@ impl Store {
     /// [`Store::atoms`] would produce, but driven by the transaction-time
     /// interval index instead of walking every chain. `TimePoint::FOREVER`
     /// means the current state.
+    ///
+    /// The open partition is read before the closed one, where a version
+    /// that closes meanwhile is indexed before it leaves the open one.
     pub fn slice_at(&self, tt: TimePoint) -> Result<Vec<(AtomNo, Vec<AtomVersion>)>> {
+        let _read = self.read();
         // Decision 3: an entry names a heap candidate either by record id
         // (stable chain records whose payload is their `tt.end`, so
         // invisible ones are dropped without touching the heap) or by atom.
@@ -645,10 +730,7 @@ impl Store {
             }
         }
         self.closed_into(tt, rids, atoms, &mut groups)?;
-        Ok(groups
-            .into_iter()
-            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
-            .collect())
+        Ok(settle(groups))
     }
 
     /// The closed half of [`Store::slice_at`]: every version visible at
@@ -660,12 +742,10 @@ impl Store {
     /// `TimePoint::FOREVER` yields nothing (closed versions are never
     /// current).
     pub fn closed_at(&self, tt: TimePoint) -> Result<Vec<(AtomNo, Vec<AtomVersion>)>> {
+        let _read = self.read();
         let mut groups = BTreeMap::new();
         self.closed_into(tt, Vec::new(), Vec::new(), &mut groups)?;
-        Ok(groups
-            .into_iter()
-            .map(|(no, vs)| (AtomNo(no), sort_by_vt(vs)))
-            .collect())
+        Ok(settle(groups))
     }
 
     /// Adds the closed partition's candidates visible at `tt` to the open
@@ -730,7 +810,12 @@ impl Store {
     /// never touched. Idempotent — a second call with the same cutoff
     /// finds nothing — which is what makes crash-recovery redo of a
     /// logged swap safe.
-    pub fn extract_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>> {
+    pub fn extract_closed(
+        &self,
+        _held: &Maintenance<'_>,
+        no: AtomNo,
+        cutoff: TimePoint,
+    ) -> Result<Vec<AtomVersion>> {
         let mut all: Vec<Link> = Vec::new();
         self.walk(no, |l| {
             all.push(l.clone());
@@ -772,6 +857,9 @@ impl Store {
                 payload,
             };
             prev = self.heap.update(l.rid, &rec.encode())?;
+            if prev != l.rid {
+                self.heap.delete(l.rid)?;
+            }
             self.index_record(prev, no, &l.tt)?;
         }
         // Directory entries are never removed; INVALID ends walks.
@@ -786,14 +874,16 @@ impl Store {
             .collect())
     }
 
-    /// [`Store::extract_closed`] over every atom, then the time-index
-    /// repack: the one pass behind history pruning, the heap side of a
-    /// segment swap, and the swap's recovery redo. Returns the number of
+    /// Removes every atom's closed versions with `tt.end <= cutoff` from
+    /// the hot heaps, then repacks the time index: the one pass behind
+    /// history pruning, the heap side of a segment swap, and the swap's
+    /// recovery redo. It relocates records and rebuilds index nodes, so it
+    /// runs under the store's [`Maintenance`] hold. Returns the number of
     /// versions removed.
-    pub fn extract_all_closed(&self, cutoff: TimePoint) -> Result<u64> {
+    pub fn extract_all_closed(&self, held: &Maintenance<'_>, cutoff: TimePoint) -> Result<u64> {
         let mut removed = 0;
-        for no in self.atoms()? {
-            removed += self.extract_closed(no, cutoff)?.len() as u64;
+        for no in self.atom_nos()? {
+            removed += self.extract_closed(held, no, cutoff)?.len() as u64;
         }
         // Index deletion is lazy, so an extraction that removes most
         // closed versions leaves the emptied leaf pages on the scan chain;
@@ -810,6 +900,7 @@ impl Store {
     /// extracting it, so a crash between the two leaves either state
     /// readable.
     pub fn collect_closed(&self, no: AtomNo, cutoff: TimePoint) -> Result<Vec<AtomVersion>> {
+        let _read = self.read();
         let mut out = Vec::new();
         self.walk(no, |l| {
             if l.tt.end() <= cutoff {
@@ -832,6 +923,7 @@ impl Store {
 
     /// Exhaustive storage statistics (scans the store).
     pub fn stats(&self) -> Result<StoreStats> {
+        let _read = self.read();
         let (mut versions, mut bytes, mut open) = (0u64, 0u64, 0u64);
         let mut depth: HashMap<u64, u64> = HashMap::new();
         let mut heap_pages = self.heap.data_pages() as u64;
@@ -877,6 +969,7 @@ impl Store {
     /// Diagnostic: payload forms in the chain heap and the page split
     /// between current area and chains (scans the chain heap).
     pub fn shape(&self) -> Result<HeapShape> {
+        let _read = self.read();
         let mut shape = HeapShape {
             current_pages: self.cur.as_ref().map_or(0, |c| c.heap.data_pages()),
             chain_pages: self.heap.data_pages(),
@@ -907,6 +1000,34 @@ fn dir_get(dir: &BTree, no: AtomNo) -> Result<Option<RecordId>> {
     Ok(dir.get(BKey::new(no.0, 0))?.map(RecordId::unpack))
 }
 
+/// `read` of the record directory `dir` names for atom `no` (`None` when
+/// it names none). A record that cannot be read is one a commit has just
+/// moved on from — a relocation freed or reused its slot, or the delta
+/// layout re-encoded the old head once the new one was in the directory
+/// — so the directory is read again; only a record it still names is
+/// corrupt.
+fn through_dir<T>(
+    dir: &BTree,
+    no: AtomNo,
+    read: impl Fn(RecordId) -> Result<T>,
+) -> Result<Option<T>> {
+    let named = || Ok::<_, Error>(dir_get(dir, no)?.filter(|r| !r.is_invalid()));
+    let mut at = named()?;
+    while let Some(rid) = at {
+        match read(rid) {
+            Ok(t) => return Ok(Some(t)),
+            Err(e) => {
+                let now = named()?;
+                if now == at {
+                    return Err(e);
+                }
+                at = now;
+            }
+        }
+    }
+    Ok(None)
+}
+
 /// Points an atom's directory entry at `rid`.
 fn dir_set(dir: &BTree, no: AtomNo, rid: RecordId) -> Result<()> {
     dir.insert(BKey::new(no.0, 0), rid.pack())?;
@@ -917,6 +1038,25 @@ fn dir_set(dir: &BTree, no: AtomNo, rid: RecordId) -> Result<()> {
 fn sort_by_vt(mut vs: Vec<AtomVersion>) -> Vec<AtomVersion> {
     vs.sort_by_key(|v| v.vt.start());
     vs
+}
+
+/// One version seen twice: open in its old place and closed in its new
+/// one, while a commit closes it.
+fn same_version(a: &AtomVersion, b: &AtomVersion) -> bool {
+    a.vt.start() == b.vt.start() && a.tt.start() == b.tt.start()
+}
+
+/// A slice's groups in the canonical order, each version once (its closed
+/// copy, when a close in flight showed it twice).
+fn settle(groups: BTreeMap<u64, Vec<AtomVersion>>) -> Vec<(AtomNo, Vec<AtomVersion>)> {
+    groups
+        .into_iter()
+        .map(|(no, mut vs)| {
+            vs.sort_by_key(|v| (v.vt.start(), v.tt.start(), v.tt.end()));
+            vs.dedup_by(|b, a| same_version(a, b));
+            (AtomNo(no), vs)
+        })
+        .collect()
 }
 
 /// Transaction-time visibility at `tt`, with `FOREVER` clamped to

@@ -315,7 +315,12 @@ fn slice_at_matches_walks() {
                 .unwrap();
         }
         // Atom 8 is pruned of its closed history.
-        assert_eq!(s.extract_closed(AtomNo(8), TimePoint(3)).unwrap().len(), 1);
+        assert_eq!(
+            s.extract_closed(&s.maintenance(), AtomNo(8), TimePoint(3))
+                .unwrap()
+                .len(),
+            1
+        );
         assert_slice_matches_sweep(&s, 4);
         // FOREVER means the current state on both paths.
         assert_eq!(slice(&s, TimePoint::FOREVER).len(), 3);
@@ -351,7 +356,7 @@ fn slice_at_after_delete_and_prune_and_forever_is_current() {
         s.close_version(AtomNo(2), TimePoint(0), TimePoint(7))
             .unwrap();
         assert!(!s
-            .extract_closed(AtomNo(5), TimePoint(4))
+            .extract_closed(&s.maintenance(), AtomNo(5), TimePoint(4))
             .unwrap()
             .is_empty());
         assert_slice_matches_sweep(&s, 8);
@@ -369,19 +374,29 @@ fn extract_is_previewed_by_collect_and_is_idempotent() {
         run_updates(&s, no, 8, wide);
         let key = |v: &AtomVersion| v.tt.start();
         let mut preview = s.collect_closed(no, TimePoint(5)).unwrap();
-        let mut extracted = s.extract_closed(no, TimePoint(5)).unwrap();
+        let mut extracted = s
+            .extract_closed(&s.maintenance(), no, TimePoint(5))
+            .unwrap();
         preview.sort_by_key(key);
         extracted.sort_by_key(key);
         assert_eq!(preview, extracted, "{kind}");
         assert_eq!(extracted.len(), 4, "{kind}: tt.end 2..=5");
-        assert!(s.extract_closed(no, TimePoint(5)).unwrap().is_empty());
+        assert!(s
+            .extract_closed(&s.maintenance(), no, TimePoint(5))
+            .unwrap()
+            .is_empty());
         assert!(s.collect_closed(no, TimePoint(5)).unwrap().is_empty());
         // What stays still reads back, and the atom outlives its history.
         let h = s.history(no).unwrap();
         assert_eq!(h.len(), 4);
         assert_eq!(h[0].tuple, wide(7));
         assert_eq!(h[3].tuple, wide(4));
-        assert_eq!(s.extract_closed(no, TimePoint(8)).unwrap().len(), 3);
+        assert_eq!(
+            s.extract_closed(&s.maintenance(), no, TimePoint(8))
+                .unwrap()
+                .len(),
+            3
+        );
         assert_eq!(s.current_versions(no).unwrap()[0].tuple, wide(7));
     }
 }

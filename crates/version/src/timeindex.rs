@@ -73,7 +73,10 @@ impl TimeIndex {
     }
 
     /// Moves an entry from the open to the closed partition, updating its
-    /// discriminator and payload (what `close_version` does).
+    /// discriminator and payload (what `close_version` does). The closed
+    /// entry goes in before the open one goes out, so a reader that scans
+    /// the open partition first meets the entry in one partition at least
+    /// (and drops a duplicate).
     pub(crate) fn close(
         &self,
         tt_start: TimePoint,
@@ -81,8 +84,8 @@ impl TimeIndex {
         closed_lo: u64,
         payload: u64,
     ) -> Result<()> {
-        self.remove(true, tt_start, open_lo)?;
-        self.insert(false, tt_start, closed_lo, payload)
+        self.insert(false, tt_start, closed_lo, payload)?;
+        self.remove(true, tt_start, open_lo)
     }
 
     /// Scans one partition for entries with `tt_start <= through`
@@ -107,8 +110,8 @@ impl TimeIndex {
     /// Repacks the index into dense B⁺-tree nodes. Deletion is lazy, so
     /// after a segment swap extracts most closed entries the scan chain
     /// still threads every historical leaf page — a slice would read the
-    /// index at its pre-extraction size forever. Call under the engine's
-    /// quiescence (single writer), as for any index mutation.
+    /// index at its pre-extraction size forever. Call under the store's
+    /// maintenance lock: the repack excludes readers as well as writers.
     pub(crate) fn compact(&self) -> Result<()> {
         self.tree.compact()
     }

@@ -329,7 +329,11 @@ fn long_history_equivalence() {
     model.versions.retain(|v| v.tt.end() > cutoff);
     let mut removed_counts = Vec::new();
     for s in &stores {
-        removed_counts.push(s.extract_closed(no, cutoff).unwrap().len());
+        removed_counts.push(
+            s.extract_closed(&s.maintenance(), no, cutoff)
+                .unwrap()
+                .len(),
+        );
     }
     assert!(removed_counts
         .iter()

@@ -129,7 +129,10 @@ fn prune_preserves_delta_reconstruction() {
     // oldest *kept* record was a delta against a now-deleted neighbour and
     // must have been re-based during the rebuild.
     let cutoff = TimePoint(clock / 3);
-    let removed = s.extract_closed(no, cutoff).unwrap().len();
+    let removed = s
+        .extract_closed(&s.maintenance(), no, cutoff)
+        .unwrap()
+        .len();
     assert!(removed > 0, "nothing pruned");
     model.rows.retain(|(iv, _)| iv.end() > cutoff);
     assert_matches_model(&s, &model, no, clock, "after first prune");
@@ -145,13 +148,19 @@ fn prune_preserves_delta_reconstruction() {
     // Prune again with a cutoff that removes most of the remaining chain,
     // leaving only a short suffix (head re-bases onto nothing).
     let cutoff = TimePoint(clock - 4);
-    let removed = s.extract_closed(no, cutoff).unwrap().len();
+    let removed = s
+        .extract_closed(&s.maintenance(), no, cutoff)
+        .unwrap()
+        .len();
     assert!(removed > 0);
     model.rows.retain(|(iv, _)| iv.end() > cutoff);
     assert_matches_model(&s, &model, no, clock, "after second prune");
 
     // Idempotence: a cutoff that removes nothing leaves the chain intact.
-    assert!(s.extract_closed(no, cutoff).unwrap().is_empty());
+    assert!(s
+        .extract_closed(&s.maintenance(), no, cutoff)
+        .unwrap()
+        .is_empty());
     assert_matches_model(&s, &model, no, clock, "after no-op prune");
 
     for p in paths {
@@ -185,7 +194,7 @@ fn prune_on_multiple_compressed_atoms() {
     for i in 0..3u64 {
         let no = AtomNo(i + 1);
         let cutoff = TimePoint(clock / 2 + i * 3);
-        s.extract_closed(no, cutoff).unwrap();
+        s.extract_closed(&s.maintenance(), no, cutoff).unwrap();
         models[i as usize].rows.retain(|(iv, _)| iv.end() > cutoff);
         for j in 0..3u64 {
             assert_matches_model(
